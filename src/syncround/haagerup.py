@@ -6,10 +6,26 @@ threshold projections chi_(1,inf)(x-hat) have fibers chi_(t,inf)(x)
 under the substitution t = e^(-u/p), which turns every weight integral
 into
 
-    integral_0^inf p t^(p-1) Tr( . ) dt,
+    integral_0^inf p t^(p-1) Tr( . ) dt.
 
-a finite sum over spectral breakpoints.  All integrals here are
-evaluated exactly this way; quadrature appears only as a test oracle.
+Every such integral here is a Schur kernel contracted in eigenbases.
+With x = U diag(a) U+, y = V diag(b) V+ (eigenvalues replaced by their
+cluster values) and the overlap O_ij = |(U+ V)_ij|^2, the projections
+chi_(t,inf)(x) and chi_(t,inf)(y) overlap in Tr = sum of O_ij over the
+pairs with a_i > t and b_j > t, and the t-integral of each pair has a
+closed form:
+
+- chi distance: int 2t Tr((chi_t(x) - chi_t(y))^2) dt
+  = sum_ij O_ij |a_i^2 - b_j^2|;
+- joint spectral measure: one atom per eigenpair at a_i / (a_i + b_j)
+  with mass O_ij (a_i + b_j)^2;
+- commutator with a PVM (p_k), p~_k = U+ p_k U:
+  int 2t sum_k ||[p_k, chi_t(x)]||^2 dt
+  = sum_k sum_ij |p~_k[i, j]|^2 |a_i^2 - a_j^2|;
+- threshold integral: int p t^(p-1) Tr(chi_t(x)) dt = sum_i a_i^p.
+
+All integrals are evaluated exactly this way; quadrature and the
+per-breakpoint sums appear only as test oracles.
 
 The module provides the joint spectral measure of a positive pair, its
 moment functionals, the squared L_2 distance of threshold projections,
@@ -24,7 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import PSD_CLAMP, SpectralDecomposition, eigh, require_pvm
+from .spectral import (
+    PSD_CLAMP,
+    SpectralDecomposition,
+    eigh,
+    require_hermitian,
+    require_pvm,
+)
 
 __all__ = [
     "JointSpectralMeasure",
@@ -47,19 +69,23 @@ CHAIN_SLACK = 1e-9       # slack for the certified inequality chains
 NORMED_TOL = 1e-8
 
 
-def _psd_clusters(matrix, what: str):
-    """Clustered spectrum of a PSD matrix: (values desc, projections)."""
+def _psd_spectrum(matrix, what: str) -> tuple[np.ndarray, SpectralDecomposition]:
+    """Clustered eigenvalues of a PSD matrix (ascending, clipped at 0)."""
     dec = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix, what)
     low = float(dec.eigenvalues.min())
     if low < -PSD_CLAMP:
         raise ValueError(f"{what} is not PSD: min eigenvalue {low:.3e}")
-    values = np.clip(dec.cluster_values(), 0.0, None)
-    projections = [dec.cluster_projection(k) for k in range(len(dec.clusters))]
-    return values, projections, dec
+    return np.clip(dec.cluster_levels(), 0.0, None), dec
 
 
-def _positive_breakpoints(values: np.ndarray, tol: float) -> list[float]:
-    return sorted(float(v) for v in values if v > tol)
+def _psd_pair(x, y):
+    """Spectra of a PSD pair and the overlap O_ij = |<u_i, v_j>|^2."""
+    a, xdec = _psd_spectrum(x, "x")
+    b, ydec = _psd_spectrum(y, "y")
+    if xdec.dim != ydec.dim:
+        raise ValueError(f"dimension mismatch: {xdec.dim} vs {ydec.dim}")
+    overlap = np.abs(xdec.eigenvectors.conj().T @ ydec.eigenvectors) ** 2
+    return a, b, overlap
 
 
 @dataclass(eq=False)
@@ -103,35 +129,23 @@ class JointSpectralMeasure:
 def joint_spectral_measure(x, y) -> JointSpectralMeasure:
     """Joint spectral measure of a PSD pair in the fiber model.
 
-    Atoms lie at a / (a + b) with mass Tr(P Q) (a + b)^2 over eigenvalue
-    pairs; the (0, 0) pair has no counterpart in the measure and is
-    excluded, as are overlaps below 1e-12.  The total mass is validated
-    against Tr((x + y)^2).
+    Atoms lie at a / (a + b) with mass O (a + b)^2 over eigenpairs,
+    where O = |<u, v>|^2 is the overlap of the two eigenvectors; atoms
+    closer than LAMBDA_MERGE_TOL are merged.  The (0, 0) pair has no
+    counterpart in the measure and is excluded, as are overlaps below
+    1e-12.  The total mass is validated against Tr((x + y)^2).
     """
-    xv, xp, xdec = _psd_clusters(x, "x")
-    yv, yp, ydec = _psd_clusters(y, "y")
-    if xdec.dim != ydec.dim:
-        raise ValueError(f"dimension mismatch: {xdec.dim} vs {ydec.dim}")
-    raw = []
-    for a, p in zip(xv, xp):
-        for b, q in zip(yv, yp):
-            s = a + b
-            if s <= 0:
-                continue
-            overlap = float(np.trace(p @ q).real)
-            if overlap <= MASS_DROP_TOL:
-                continue
-            raw.append((a / s, overlap * s * s))
-    raw.sort()
-    merged: list[list[float]] = []
-    for lam, mass in raw:
-        if merged and lam - merged[-1][0] <= LAMBDA_MERGE_TOL:
-            merged[-1][1] += mass
-        else:
-            merged.append([lam, mass])
-    measure = JointSpectralMeasure(
-        np.array([m[0] for m in merged]), np.array([m[1] for m in merged])
-    )
+    a, b, overlap = _psd_pair(x, y)
+    s = a[:, None] + b[None, :]
+    keep = (s > 0) & (overlap > MASS_DROP_TOL)
+    lam = (a[:, None] / np.where(keep, s, 1.0))[keep]
+    mass = (overlap * s * s)[keep]
+    order = np.argsort(lam, kind="stable")
+    lam, mass = lam[order], mass[order]
+    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > LAMBDA_MERGE_TOL)
+    if lam.size:
+        lam, mass = lam[starts], np.add.reduceat(mass, starts)
+    measure = JointSpectralMeasure(lam, mass)
     xm = np.asarray(x, dtype=complex)
     ym = np.asarray(y, dtype=complex)
     expected = float(np.trace((xm + ym) @ (xm + ym)).real)
@@ -169,28 +183,15 @@ def threshold_chi_distance(x, y) -> float:
 
     In the fiber model this is
 
-        int_0^inf 2 t Tr( (chi_(t,inf)(x) - chi_(t,inf)(y))^2 ) dt,
+        int_0^inf 2 t Tr( (chi_(t,inf)(x) - chi_(t,inf)(y))^2 ) dt.
 
-    evaluated exactly: between consecutive eigenvalues both projections
-    are constant and int 2 t dt telescopes to the squared breakpoints.
+    O is doubly stochastic, so an eigenpair (i, j) contributes O_ij to
+    the integrand while exactly one of a_i, b_j exceeds t, and the
+    integral is exactly sum_ij O_ij |a_i^2 - b_j^2|, which equals
+    Tr x^2 + Tr y^2 - 2 sum_ij O_ij min(a_i, b_j)^2.
     """
-    xv, xp, xdec = _psd_clusters(x, "x")
-    yv, yp, ydec = _psd_clusters(y, "y")
-    if xdec.dim != ydec.dim:
-        raise ValueError(f"dimension mismatch: {xdec.dim} vs {ydec.dim}")
-    zero_tol = max(xdec.merge_tol, ydec.merge_tol)
-    points = sorted(
-        set(_positive_breakpoints(xv, zero_tol) + _positive_breakpoints(yv, zero_tol))
-    )
-    total, prev = 0.0, 0.0
-    for t in points:
-        mid = (prev + t) / 2
-        px = sum((p for v, p in zip(xv, xp) if v > mid), np.zeros_like(xp[0]))
-        py = sum((p for v, p in zip(yv, yp) if v > mid), np.zeros_like(yp[0]))
-        diff = px - py
-        total += (t * t - prev * prev) * float(np.trace(diff @ diff).real)
-        prev = t
-    return total
+    a, b, overlap = _psd_pair(x, y)
+    return float(np.sum(overlap * np.abs(a[:, None] ** 2 - b[None, :] ** 2)))
 
 
 @dataclass(eq=False)
@@ -232,23 +233,18 @@ class CommutatorCertificate:
 
 
 def commutator_certificate(x, pvm) -> CommutatorCertificate:
-    xv, xp, xdec = _psd_clusters(x, "x")
+    a, xdec = _psd_spectrum(x, "x")
     xm = np.asarray(x, dtype=complex)
     norm_sq = float(np.trace(xm @ xm).real)
     if abs(norm_sq - 1.0) > NORMED_TOL:
         raise ValueError(f"x must satisfy Tr(x^2) = 1, got {norm_sq!r}")
-    ops = require_pvm(pvm, xdec.dim)
-    sum_comm_x = sum(
-        float(np.linalg.norm(p @ xm - xm @ p) ** 2) for p in ops
-    )
-    points = _positive_breakpoints(xv, xdec.merge_tol)
-    sum_comm_q, prev = 0.0, 0.0
-    for t in points:
-        mid = (prev + t) / 2
-        proj = sum((q for v, q in zip(xv, xp) if v > mid), np.zeros_like(xp[0]))
-        comm = sum(float(np.linalg.norm(p @ proj - proj @ p) ** 2) for p in ops)
-        sum_comm_q += (t * t - prev * prev) * comm
-        prev = t
+    ops = np.array(require_pvm(pvm, xdec.dim))
+    sum_comm_x = float(np.sum(np.abs(ops @ xm - xm @ ops) ** 2))
+    # ||[p, chi_t(x)]||^2 = sum of |p~_ij|^2 over the pairs split by t,
+    # and int 2t dt over the split thresholds is |a_i^2 - a_j^2|
+    u = xdec.eigenvectors
+    weights = np.sum(np.abs(u.conj().T @ ops @ u) ** 2, axis=0)
+    sum_comm_q = float(np.sum(weights * np.abs(a[:, None] ** 2 - a[None, :] ** 2)))
     upper = float(2.0 * np.sqrt(sum_comm_x))
     holds = bool(
         sum_comm_x <= sum_comm_q + CHAIN_SLACK
@@ -264,13 +260,14 @@ def lp_duality_check(x, y, p: float) -> float:
 
         Tr(x y) = int_0^inf p t^(p-1) Tr( x^(1-p) chi_(t,inf)(x) y ) dt,
 
-    with the right side evaluated exactly over the spectral breakpoints
-    of x.  Returns |lhs - rhs|.
+    with the right side evaluated exactly per eigenvalue: the eigenvector
+    u_i of x contributes a_i^p a_i^(1-p) <u_i, y u_i> for each a_i above
+    the merge tolerance.  Returns |lhs - rhs|.
     """
     if not p > 1:
         raise ValueError(f"exponent must satisfy p > 1, got {p!r}")
-    xv, xp, xdec = _psd_clusters(x, "x")
-    ym = np.asarray(y, dtype=complex)
+    a, xdec = _psd_spectrum(x, "x")
+    ym = require_hermitian(y, "y")
     low = float(np.linalg.eigvalsh(ym).min())
     if low < -PSD_CLAMP:
         raise ValueError(f"y is not PSD: min eigenvalue {low:.3e}")
@@ -278,34 +275,21 @@ def lp_duality_check(x, y, p: float) -> float:
         raise ValueError(f"dimension mismatch: {xdec.dim} vs {ym.shape[0]}")
     xm = np.asarray(x, dtype=complex)
     lhs = float(np.trace(xm @ ym).real)
-    overlaps = [float(np.trace(proj @ ym).real) for proj in xp]
-    points = _positive_breakpoints(xv, xdec.merge_tol)
-    rhs, prev = 0.0, 0.0
-    for t in points:
-        mid = (prev + t) / 2
-        weighted = sum(
-            a ** (1.0 - p) * ov for a, ov in zip(xv, overlaps) if a > mid
-        )
-        rhs += (t**p - prev**p) * weighted
-        prev = t
+    u = xdec.eigenvectors
+    diagonal = np.sum(u.conj() * (ym @ u), axis=0).real
+    pos = a > xdec.merge_tol
+    rhs = float(np.sum(a[pos] ** p * a[pos] ** (1.0 - p) * diagonal[pos]))
     return abs(lhs - rhs)
 
 
 def threshold_integral(x, p: float) -> float:
     """Exact weight integral int_0^inf p t^(p-1) Tr(chi_(t,inf)(x)) dt.
 
-    Equals Tr(x^p) for PSD x; with p = 1 and a unit-trace density this
-    is the normalization of the fiber weight.
+    Equals Tr(x^p) = sum_i a_i^p over the eigenvalues above the merge
+    tolerance for PSD x; with p = 1 and a unit-trace density this is the
+    normalization of the fiber weight.
     """
     if not p >= 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p!r}")
-    xv, xp, xdec = _psd_clusters(x, "x")
-    ranks = [float(np.trace(proj).real) for proj in xp]
-    points = _positive_breakpoints(xv, xdec.merge_tol)
-    total, prev = 0.0, 0.0
-    for t in points:
-        mid = (prev + t) / 2
-        rank = sum(r for v, r in zip(xv, ranks) if v > mid)
-        total += (t**p - prev**p) * rank
-        prev = t
-    return total
+    a, xdec = _psd_spectrum(x, "x")
+    return float(np.sum(a[a > xdec.merge_tol] ** p))

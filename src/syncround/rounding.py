@@ -37,7 +37,15 @@ from .games import (
     game_value,
     table_l1_distance,
 )
-from .spectral import POVM_TOL, PSD_CLAMP, eigh, functional_calculus, require_povm
+from .spectral import (
+    POVM_TOL,
+    PSD_CLAMP,
+    eigh,
+    functional_calculus,
+    require_hermitian,
+    require_povm,
+    trace_pairing,
+)
 from .strategies import (
     CommutingStrategy,
     DensityOperator,
@@ -150,17 +158,8 @@ def symmetrized_correlation(
     order = tuple(questions) if questions is not None else tuple(pvms_a)
     na = len(pvms_a[order[0]])
     sqrt_rho = functional_calculus(rho.decomposition, "sqrt")
-    inner = {
-        q: [sqrt_rho @ p @ sqrt_rho for p in fam] for q, fam in pvms_a.items()
-    }
-    data = np.empty((len(order), len(order), na, na))
-    for xi, x in enumerate(order):
-        for yi, y in enumerate(order):
-            for a in range(na):
-                for b in range(na):
-                    data[xi, yi, a, b] = float(
-                        np.trace(pvms_a[x][a] @ inner[y][b]).real
-                    )
+    stack = np.array([pvms_a[q] for q in order])
+    data = trace_pairing(stack, sqrt_rho @ stack @ sqrt_rho).real
     sums = data.sum(axis=(2, 3))
     worst = float(np.abs(sums - 1.0).max())
     if worst > SYM_SUM_TOL:
@@ -168,22 +167,27 @@ def symmetrized_correlation(
     return CorrelationTable(order, na, data)
 
 
+def _kept_eigenbasis_stack(pvms_a, decomp: CornerDecomposition, order) -> np.ndarray:
+    """The families of ``order`` in the kept eigenbasis of rho, (X, A, r, r).
+
+    Columns run by descending cluster, so corner k is the leading
+    ranks[k] x ranks[k] block of every rotated element.
+    """
+    basis = decomp.bases[-1]
+    stack = basis.conj().T @ np.array([pvms_a[q] for q in order]) @ basis
+    return (stack + stack.conj().swapaxes(-1, -2)) / 2
+
+
 def corner_compressions(
     pvms_a: dict[str, list[np.ndarray]], decomp: CornerDecomposition
 ) -> list[dict[str, list[np.ndarray]]]:
-    """Per corner k, the POVMs (B_k+ p^x_a B_k) on the range of P_k."""
-    out = []
-    for k in range(decomp.n_corners):
-        basis = decomp.bases[k]
-        compressed = {}
-        for q, fam in pvms_a.items():
-            ops = []
-            for p in fam:
-                m = basis.conj().T @ p @ basis
-                ops.append((m + m.conj().T) / 2)
-            compressed[q] = ops
-        out.append(compressed)
-    return out
+    """Per corner k, the POVMs (B_k+ p^x_a B_k) on the range of P_k: the
+    leading ranks[k] x ranks[k] blocks of one rotated stack."""
+    stack = _kept_eigenbasis_stack(pvms_a, decomp, tuple(pvms_a))
+    return [
+        {q: list(family[:, :r, :r]) for q, family in zip(pvms_a, stack)}
+        for r in decomp.ranks
+    ]
 
 
 def corner_correlation(
@@ -193,24 +197,21 @@ def corner_correlation(
 ) -> CorrelationTable:
     """Weighted corner table sum_k (l_k - l_{k+1}) Tr(P_k p^x_a P_k p^y_b P_k).
 
-    Equivalently sum_k w_k tr_k of the compressed POVM products, an
-    exact finite sum realizing the weight integral over the nested
-    threshold projections of rho.
+    This is the weight integral over the nested threshold projections of
+    rho, computed as one Schur-kernel contraction in rho's kept
+    eigenbasis.  With p~ = U+ p U, the corner term is
+    sum_ij p~^x_a[i, j] p~^y_b[j, i] over i, j both inside corner k, and
+    the gaps l_k - l_{k+1} of the corners containing both i and j
+    telescope to min(v_i, v_j), where v_i is the clustered eigenvalue of
+    column i.  Hence
+
+        T[x, y, a, b] = sum_ij p~^x_a[i, j] min(v_i, v_j) p~^y_b[j, i].
     """
     order = tuple(questions) if questions is not None else tuple(pvms_a)
     na = len(pvms_a[order[0]])
-    gaps = decomp.values - np.append(decomp.values[1:], 0.0)
-    compressions = corner_compressions(pvms_a, decomp)
-    data = np.zeros((len(order), len(order), na, na))
-    for k in range(decomp.n_corners):
-        comp = compressions[k]
-        for xi, x in enumerate(order):
-            for yi, y in enumerate(order):
-                for a in range(na):
-                    for b in range(na):
-                        data[xi, yi, a, b] += gaps[k] * float(
-                            np.trace(comp[x][a] @ comp[y][b]).real
-                        )
+    levels = np.repeat(decomp.values, np.diff((0,) + decomp.ranks))
+    stack = _kept_eigenbasis_stack(pvms_a, decomp, order)
+    data = trace_pairing(stack * np.minimum.outer(levels, levels), stack).real
     return CorrelationTable(order, na, data)
 
 
@@ -240,7 +241,9 @@ def orthogonalize_povm(povm) -> tuple[list[np.ndarray], OrthogonalizationReport]
     residual expectation.  The result sums to the identity exactly by
     construction.
     """
-    dim = np.asarray(povm[0]).shape[0]
+    if len(povm) == 0:
+        raise ValueError("POVM must have at least one outcome")
+    dim = require_hermitian(povm[0], "POVM element 0").shape[0]
     ms = require_povm(povm, dim)
     order = sorted(
         range(len(ms)), key=lambda a: (-float(np.trace(ms[a]).real), a)

@@ -1,11 +1,11 @@
 """Dense Hermitian spectral calculus.
 
 Eigendecomposition with a deterministic phase convention, spectral
-projections above a threshold, and functional calculus for positive
-semidefinite matrices, plus the matrix validation helpers (Hermitian /
-PSD / PVM / POVM) shared by the rest of the package.  Everything works
-on plain complex numpy arrays at desk scale (dense, dimension up to a
-few hundred).
+projections above a threshold, functional calculus for positive
+semidefinite matrices, the trace pairing of two stacked operator
+families, and the matrix validation helpers (Hermitian / PVM / POVM)
+shared by the rest of the package.  Everything works on plain complex
+numpy arrays at desk scale (dense, dimension up to a few hundred).
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ __all__ = [
     "POVM_TOL",
     "SpectralDecomposition",
     "require_hermitian",
-    "require_psd",
     "require_pvm",
     "require_povm",
     "eigh",
     "spectral_projection_above",
     "functional_calculus",
+    "trace_pairing",
 ]
 
 HERMITIAN_TOL = 1e-12     # relative entrywise Hermitianity tolerance
@@ -57,18 +57,6 @@ def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
         raise ValueError(
             f"{what} is not Hermitian: max entry of |H - H*| is {deviation:.3e}"
             f" which exceeds the allowed {allowed:.3e}"
-        )
-    return h
-
-
-def require_psd(matrix, what: str = "matrix") -> np.ndarray:
-    """Validate that ``matrix`` is Hermitian PSD up to the clamp tolerance."""
-    h = require_hermitian(matrix, what)
-    low = float(np.linalg.eigvalsh(h).min()) if h.size else 0.0
-    if low < -PSD_CLAMP:
-        raise ValueError(
-            f"{what} is not positive semidefinite: min eigenvalue {low:.3e}"
-            f" is below the clamp -{PSD_CLAMP:.0e}"
         )
     return h
 
@@ -154,11 +142,10 @@ class SpectralDecomposition:
             [float(np.mean(self.eigenvalues[list(c)])) for c in self.clusters]
         )
 
-    def cluster_projection(self, k: int) -> np.ndarray:
-        """Orthogonal projection onto the span of cluster ``k``."""
-        v = self.eigenvectors[:, list(self.clusters[k])]
-        p = v @ v.conj().T
-        return (p + p.conj().T) / 2
+    def cluster_levels(self) -> np.ndarray:
+        """Each eigenvalue replaced by its cluster's value, ascending."""
+        sizes = [len(c) for c in reversed(self.clusters)]
+        return np.repeat(self.cluster_values()[::-1], sizes)
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
@@ -166,13 +153,12 @@ class SpectralDecomposition:
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude component of each column real positive."""
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        a = v[i, j]
-        if np.abs(a) > 0:
-            v[:, j] *= np.conj(a) / np.abs(a)
-    return v
+    top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    size = np.abs(top)
+    phase = np.ones_like(top)
+    nonzero = size > 0
+    phase[nonzero] = np.conj(top[nonzero]) / size[nonzero]
+    return vectors * phase
 
 
 def _cluster_indices(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
@@ -286,3 +272,17 @@ def functional_calculus(
         raise ValueError(f"unknown functional calculus kind {kind!r}")
     out = (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T
     return (out + out.conj().T) / 2
+
+
+def trace_pairing(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Table T[x, y, a, b] = Tr(p[x, a] q[y, b]) of two stacked families.
+
+    ``p`` has shape (X, A, d, d) and ``q`` shape (Y, B, d, d); the result
+    has shape (X, Y, A, B).  Tr(P Q) = sum_ij P_ij Q_ji, so the whole
+    table is one product of the flattened ``p`` with the flattened,
+    transposed ``q``.
+    """
+    nx, na, d, _ = p.shape
+    ny, nb = q.shape[:2]
+    flat = p.reshape(nx * na, d * d) @ q.swapaxes(-1, -2).reshape(ny * nb, d * d).T
+    return flat.reshape(nx, na, ny, nb).transpose(0, 2, 1, 3)

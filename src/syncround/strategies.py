@@ -28,6 +28,7 @@ from .spectral import (
     functional_calculus,
     require_povm,
     require_pvm,
+    trace_pairing,
 )
 
 __all__ = [
@@ -151,23 +152,11 @@ class TracialStrategy:
                 raise ValueError("all blocks must share the same question set")
             if len(next(iter(b.pvms.values()))) != n_answers:
                 raise ValueError("all blocks must share the answer count")
-        worst = 0.0
-        for question in questions:
-            for a in range(n_answers):
-                for b_ans in range(n_answers):
-                    if a == b_ans:
-                        continue
-                    cross = sum(
-                        blk.weight
-                        * float(
-                            np.real(
-                                np.trace(blk.pvms[question][a] @ blk.pvms[question][b_ans])
-                            )
-                        )
-                        / blk.dim
-                        for blk in self.blocks
-                    )
-                    worst = max(worst, abs(cross))
+        # a synchronous strategy puts no mass on tau(r^x_a r^x_b), a != b
+        same = np.arange(len(questions))
+        cross = _tracial_table(self.blocks, questions)[same, same]
+        off_diagonal = ~np.eye(n_answers, dtype=bool)
+        worst = float(np.abs(cross[:, off_diagonal]).max(initial=0.0))
         if worst > SYNC_TOL:
             raise ValueError(
                 f"strategy is not synchronous: cross term {worst:.3e} exceeds"
@@ -222,13 +211,25 @@ def _question_order(strategy, questions) -> tuple[str, ...]:
     return questions
 
 
-def _b_conditional_operators(s: CommutingStrategy) -> dict[str, list[np.ndarray]]:
-    """A-side operators h(y, b) with Tr(z h(y, b)) = <(z x q^y_b) xi, xi>."""
+def _stack(pvms: dict[str, list[np.ndarray]], order) -> np.ndarray:
+    """The families of ``order`` as one (X, A, d, d) array."""
+    return np.array([pvms[q] for q in order])
+
+
+def _tracial_table(blocks: list[TracialBlock], order) -> np.ndarray:
+    """sum_k w_k tr_k(r^x_a r^y_b) over the blocks, shape (X, Y, A, A)."""
+    data = 0.0
+    for blk in blocks:
+        stack = _stack(blk.pvms, order)
+        data = data + blk.weight / blk.dim * trace_pairing(stack, stack).real
+    return data
+
+
+def _b_conditional_operators(s: CommutingStrategy, order) -> np.ndarray:
+    """A-side operators h(y, b) with Tr(z h(y, b)) = <(z x q^y_b) xi, xi>,
+    stacked over ``order`` as (Y, B, dA, dA)."""
     m = s.state
-    out = {}
-    for question, family in s.pvms_b.items():
-        out[question] = [m @ q.conj() @ m.conj().T for q in family]
-    return out
+    return m @ _stack(s.pvms_b, order).conj() @ m.conj().T
 
 
 def correlation_of_commuting(
@@ -240,20 +241,13 @@ def correlation_of_commuting(
     residue is discarded after the check.
     """
     order = _question_order(s, questions)
-    na = s.n_answers
-    cond = _b_conditional_operators(s)
-    data = np.empty((len(order), len(order), na, na), dtype=complex)
-    for xi_, x in enumerate(order):
-        for yi, y in enumerate(order):
-            for a in range(na):
-                for b in range(na):
-                    data[xi_, yi, a, b] = np.trace(s.pvms_a[x][a] @ cond[y][b])
+    data = trace_pairing(_stack(s.pvms_a, order), _b_conditional_operators(s, order))
     residue = float(np.abs(data.imag).max())
     if residue > IMAG_TOL:
         raise ValueError(
             f"correlation entries have imaginary residue {residue:.3e}"
         )
-    return CorrelationTable(order, na, data.real)
+    return CorrelationTable(order, s.n_answers, data.real)
 
 
 def reduced_density(s: CommutingStrategy) -> DensityOperator:
@@ -278,32 +272,19 @@ def standard_form_dual(s: CommutingStrategy) -> dict[str, list[np.ndarray]]:
     sqrt_rho = functional_calculus(rho.decomposition, "sqrt")
     pinv_sqrt = functional_calculus(rho.decomposition, "pinv_sqrt")
     support = rho.support_projection()
-    complement = np.eye(s.dim_a) - support
-    cond = _b_conditional_operators(s)
-    dual = {}
-    for question, hs in cond.items():
-        family = []
-        for b, h in enumerate(hs):
-            p = pinv_sqrt @ h @ pinv_sqrt
-            p = (p + p.conj().T) / 2
-            if b == 0:
-                p = p + complement
-            family.append(p)
-        dual[question] = require_povm(
-            family, s.dim_a, f"dual POVM for question {question!r}"
-        )
+    order = s.questions
+    stacked = pinv_sqrt @ _b_conditional_operators(s, order) @ pinv_sqrt
+    stacked = (stacked + stacked.conj().swapaxes(-1, -2)) / 2
+    stacked[:, 0] += np.eye(s.dim_a) - support
+    dual = {
+        q: require_povm(list(family), s.dim_a, f"dual POVM for question {q!r}")
+        for q, family in zip(order, stacked)
+    }
     table = correlation_of_commuting(s)
-    order = {q: i for i, q in enumerate(s.questions)}
-    worst = 0.0
-    for y, family in dual.items():
-        for b, p in enumerate(family):
-            inner = sqrt_rho @ p @ sqrt_rho
-            for x in s.questions:
-                for a in range(s.n_answers):
-                    got = float(np.trace(s.pvms_a[x][a] @ inner).real)
-                    worst = max(
-                        worst, abs(got - table.data[order[x], order[y], a, b])
-                    )
+    got = trace_pairing(
+        _stack(s.pvms_a, order), sqrt_rho @ _stack(dual, order) @ sqrt_rho
+    ).real
+    worst = float(np.abs(got - table.data).max())
     if worst > DUAL_IDENTITY_TOL:
         min_pos = float(
             rho.decomposition.eigenvalues[
@@ -331,18 +312,7 @@ def synchronicity_deficit(game: SynchronousGame, s: CommutingStrategy) -> float:
 def tracial_correlation(t: TracialStrategy, questions=None) -> CorrelationTable:
     """Correlation sum_k w_k tr_k(r^x_a r^y_b) of a tracial strategy."""
     order = _question_order(t, questions)
-    na = t.n_answers
-    data = np.zeros((len(order), len(order), na, na))
-    for blk in t.blocks:
-        scale = blk.weight / blk.dim
-        for xi_, x in enumerate(order):
-            for yi, y in enumerate(order):
-                for a in range(na):
-                    for b in range(na):
-                        data[xi_, yi, a, b] += scale * float(
-                            np.trace(blk.pvms[x][a] @ blk.pvms[y][b]).real
-                        )
-    return CorrelationTable(order, na, data)
+    return CorrelationTable(order, t.n_answers, _tracial_table(t.blocks, order))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Independent numerical oracles used by the tests.
 
-These deliberately avoid the library's exact piecewise evaluators:
-quadrature over the scaling fiber and brute-force trace sums provide a
-second computational route for every derived identity.
+These deliberately avoid the library's exact kernel evaluators:
+quadrature over the scaling fiber, per-breakpoint and per-corner sums
+of projection traces, and column loops provide a second computational
+route for every derived identity.
 """
 
 import numpy as np
+
+from syncround.spectral import eigh
 
 
 def fiber_quadrature_indicator(x, y, c_x, c_y, n_points=10_000):
@@ -23,12 +26,10 @@ def fiber_quadrature_indicator(x, y, c_x, c_y, n_points=10_000):
         return 0.0
     step = upper / n_points
     ts = (np.arange(n_points) + 0.5) * step
-    total = 0.0
-    for t in ts:
-        above_x = wx > c_x * t
-        above_y = wy > c_y * t
-        total += 2 * t * float(above_x @ overlap @ above_y)
-    return total * step
+    above_x = (wx[None, :] > c_x * ts[:, None]).astype(float)
+    above_y = (wy[None, :] > c_y * ts[:, None]).astype(float)
+    per_t = np.sum((above_x @ overlap) * above_y, axis=1)
+    return float(np.sum(2 * ts * per_t)) * step
 
 
 def atomic_indicator_integral(measure, c_x, c_y):
@@ -76,3 +77,79 @@ def corner_table_quadrature(rho_matrix, p_a, p_b, n_points):
 
 def schmidt_coefficients(state_matrix):
     return np.linalg.svd(np.asarray(state_matrix), compute_uv=False)
+
+
+def fix_phases_loop(vectors):
+    """Column loop: the largest-magnitude entry of each column made real positive."""
+    v = vectors.copy()
+    for j in range(v.shape[1]):
+        i = int(np.argmax(np.abs(v[:, j])))
+        a = v[i, j]
+        if np.abs(a) > 0:
+            v[:, j] *= np.conj(a) / np.abs(a)
+    return v
+
+
+def corner_table_loop(pvms_a, decomp, questions):
+    """Per-corner sum of gap_k Tr(c_k(p) c_k(p')) over compressions c_k to P_k."""
+    na = len(pvms_a[questions[0]])
+    gaps = decomp.values - np.append(decomp.values[1:], 0.0)
+    data = np.zeros((len(questions), len(questions), na, na))
+    for k in range(decomp.n_corners):
+        basis = decomp.bases[k]
+        comp = {
+            q: [basis.conj().T @ p @ basis for p in pvms_a[q]] for q in questions
+        }
+        for xi, x in enumerate(questions):
+            for yi, y in enumerate(questions):
+                for a in range(na):
+                    for b in range(na):
+                        data[xi, yi, a, b] += gaps[k] * float(
+                            np.trace(comp[x][a] @ comp[y][b]).real
+                        )
+    return data
+
+
+def _cluster_projections(matrix):
+    """Clustered PSD spectrum: values (descending), projections, decomposition."""
+    dec = eigh(matrix)
+    values = np.clip(dec.cluster_values(), 0.0, None)
+    projections = []
+    for cluster in dec.clusters:
+        v = dec.eigenvectors[:, list(cluster)]
+        projections.append(v @ v.conj().T)
+    return values, projections, dec
+
+
+def _projection_above(values, projections, t):
+    return sum((p for v, p in zip(values, projections) if v > t),
+               np.zeros_like(projections[0]))
+
+
+def chi_distance_breakpoints(x, y):
+    """int 2t ||chi_t(x) - chi_t(y)||^2 dt summed interval by interval
+    between consecutive positive spectral breakpoints."""
+    xv, xp, xdec = _cluster_projections(x)
+    yv, yp, ydec = _cluster_projections(y)
+    zero_tol = max(xdec.merge_tol, ydec.merge_tol)
+    points = sorted({float(v) for v in np.concatenate([xv, yv]) if v > zero_tol})
+    total, prev = 0.0, 0.0
+    for t in points:
+        mid = (prev + t) / 2
+        diff = _projection_above(xv, xp, mid) - _projection_above(yv, yp, mid)
+        total += (t * t - prev * prev) * float(np.trace(diff @ diff).real)
+        prev = t
+    return total
+
+
+def commutator_breakpoints(x, pvm):
+    """int 2t sum_k ||[p_k, chi_t(x)]||^2 dt summed interval by interval."""
+    xv, xp, xdec = _cluster_projections(x)
+    points = sorted(float(v) for v in xv if v > xdec.merge_tol)
+    total, prev = 0.0, 0.0
+    for t in points:
+        proj = _projection_above(xv, xp, (prev + t) / 2)
+        comm = sum(float(np.linalg.norm(p @ proj - proj @ p) ** 2) for p in pvm)
+        total += (t * t - prev * prev) * comm
+        prev = t
+    return total

@@ -12,14 +12,34 @@ from syncround import (
     threshold_chi_distance,
     threshold_integral,
 )
-from syncround.sampling import random_psd, random_pvm, rng_for
+from syncround.sampling import random_psd, random_pvm, random_unitary, rng_for
 
 from conftest import assert_close
 from oracles import (
     atomic_indicator_integral,
+    chi_distance_breakpoints,
     chi_distance_quadrature,
+    commutator_breakpoints,
     fiber_quadrature_indicator,
 )
+
+PAIR_KINDS = ("spread", "rank-deficient", "near-degenerate")
+
+
+def psd_instance(rng, kind, dim=8):
+    """Unit Frobenius-norm PSD matrix of the given spectral shape."""
+    if kind == "spread":
+        w = rng.uniform(0.0, 1.0, dim)
+    elif kind == "rank-deficient":
+        w = np.concatenate([rng.uniform(0.1, 1.0, dim - 3), np.zeros(3)])
+    elif kind == "near-degenerate":
+        # two pairs split by 5e-10 before scaling, inside the eigenvalue
+        # merge tolerance of 1e-9 (1 + spectral radius)
+        w = rng.uniform(0.1, 1.0, dim)
+        w[1], w[3] = w[0] + 5e-10, w[2] - 5e-10
+    u = random_unitary(rng, dim)
+    x = (u * (w / np.linalg.norm(w))) @ u.conj().T
+    return (x + x.conj().T) / 2
 
 
 class TestJointSpectralMeasure:
@@ -116,6 +136,15 @@ class TestThresholdChiDistance:
         mom = measure_moments(joint_spectral_measure(x, y))
         assert_close(threshold_chi_distance(x, y), mom.chi_distance, 1e-9)
 
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_matches_breakpoint_loop(self, kind):
+        rng = rng_for(84, PAIR_KINDS.index(kind))
+        x, y = psd_instance(rng, kind), psd_instance(rng, kind)
+        expected = chi_distance_breakpoints(x, y)
+        assert_close(threshold_chi_distance(x, y), expected, 1e-10)
+        moments = measure_moments(joint_spectral_measure(x, y))
+        assert_close(moments.chi_distance, expected, 1e-10)
+
     def test_riemann_sum_converges_linearly(self):
         rng = rng_for(83, 0)
         x, y = random_psd(rng, 5), random_psd(rng, 5)
@@ -180,6 +209,16 @@ class TestCommutatorCertificate:
         assert_close(cert.upper, 2 * abs(a - b), 1e-12)
         assert cert.holds
 
+    @pytest.mark.parametrize("n_outcomes", [3, 11])
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_matches_breakpoint_loop(self, kind, n_outcomes):
+        rng = rng_for(94, PAIR_KINDS.index(kind), n_outcomes)
+        x = psd_instance(rng, kind)
+        pvm = random_pvm(rng, 8, n_outcomes)
+        cert = commutator_certificate(x, pvm)
+        assert_close(cert.sum_comm_q, commutator_breakpoints(x, pvm), 1e-10)
+        assert cert.holds
+
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValueError, match="Tr"):
             commutator_certificate(np.diag([1.0, 1.0]), [np.eye(2)])
@@ -210,6 +249,10 @@ class TestLpDuality:
         y = np.diag([0.3, 1.5, 0.7])
         # closed form per eigenvalue: both sides reduce to sum_i a_i b_i
         assert lp_duality_check(x, y, 3.0) <= 1e-8
+
+    def test_non_square_y_rejected(self):
+        with pytest.raises(ValueError, match="y must be a square matrix"):
+            lp_duality_check(np.eye(2), np.ones((2, 3)), 2.0)
 
     def test_invalid_exponent_rejected(self):
         with pytest.raises(ValueError, match="exponent"):

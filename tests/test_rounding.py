@@ -17,18 +17,45 @@ from syncround import (
     tracial_correlation,
     verify_dual_distance,
 )
-from syncround.sampling import random_povm, random_psd, random_pvm, rng_for
+from syncround.rounding import corner_compressions
+from syncround.sampling import (
+    random_povm,
+    random_psd,
+    random_pvm,
+    random_unitary,
+    rng_for,
+)
 from syncround.spectral import eigh
 from syncround.strategies import CommutingStrategy, DensityOperator
 from syncround import reduced_density
 
 from conftest import assert_close, diagonal_game_doc, random_commuting_strategy
-from oracles import corner_table_quadrature
+from oracles import corner_table_loop, corner_table_quadrature
 
 
 def density_from_diag(values):
     m = np.diag(np.asarray(values, dtype=complex))
     return DensityOperator(m, eigh(m))
+
+
+def density_with_spectrum(rng, spectrum):
+    """Unit-trace density with the given spectrum in a Haar eigenbasis."""
+    w = np.asarray(spectrum, dtype=float)
+    u = random_unitary(rng, w.size)
+    m = (u * (w / w.sum())) @ u.conj().T
+    m = (m + m.conj().T) / 2
+    return DensityOperator(m, eigh(m))
+
+
+# name: (dim, answers, spectrum, corners after clustering)
+CORNER_INSTANCES = {
+    "answers-exceed-dim": (3, 5, [5, 3, 2], 3),
+    "rank-deficient": (6, 3, [4, 3, 2, 1, 0, 0], 4),
+    # pairs split by 5e-10 after normalization, inside the merge
+    # tolerance: 5 levels, 3 corners
+    "near-degenerate": (5, 3, [3, 3 + 5e-9, 2, 1, 1 - 5e-9], 3),
+    "many-corners": (10, 3, np.arange(10, 0, -1), 10),
+}
 
 
 class TestCornerDecomposition:
@@ -158,6 +185,21 @@ class TestCornerCorrelation:
             )
             assert abs(quad - table.data[0, 0, 0, 1]) <= 10.0 / n
 
+    @pytest.mark.parametrize("kind", sorted(CORNER_INSTANCES))
+    def test_matches_per_corner_loop(self, kind):
+        dim, na, spectrum, corners = CORNER_INSTANCES[kind]
+        rng = rng_for(143, dim, na)
+        decomp = corner_decomposition(density_with_spectrum(rng, spectrum))
+        assert decomp.n_corners == corners
+        questions = ("x", "y", "z")
+        pvms = {q: random_pvm(rng, dim, na) for q in questions}
+        table = corner_correlation(pvms, decomp, questions)
+        assert_close(table.data, corner_table_loop(pvms, decomp, questions), 1e-10)
+        for basis, compressed in zip(decomp.bases, corner_compressions(pvms, decomp)):
+            for q in questions:
+                for p, c in zip(pvms[q], compressed[q]):
+                    assert_close(c, basis.conj().T @ p @ basis, 1e-12)
+
 
 class TestOrthogonalizePovm:
     def test_pvm_is_fixed_point(self):
@@ -168,6 +210,10 @@ class TestOrthogonalizePovm:
             assert_close(r, p, 1e-9)
         assert report.distance_sq <= 1e-12
         assert report.holds
+
+    def test_empty_povm_rejected(self):
+        with pytest.raises(ValueError, match="POVM must have at least one outcome"):
+            orthogonalize_povm([])
 
     def test_single_outcome_identity(self):
         rounded, report = orthogonalize_povm([np.eye(3)])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from syncround.sampling import random_hermitian, random_psd, rng_for
 from syncround.spectral import (
+    _fix_phases,
     eigh,
     functional_calculus,
     require_pvm,
@@ -12,6 +13,7 @@ from syncround.spectral import (
 )
 
 from conftest import assert_close
+from oracles import fix_phases_loop
 
 
 class TestEigh:
@@ -49,6 +51,17 @@ class TestEigh:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
             eigh(bad)
+
+    @pytest.mark.parametrize("dim", [8, 24, 48])
+    def test_phase_fix_matches_column_loop(self, dim):
+        rng = rng_for(23, dim)
+        vectors = np.linalg.eigh(random_hermitian(rng, dim))[1]
+        # tied magnitudes: every entry of a Fourier column has modulus 1
+        tied = np.exp(2j * np.pi * np.outer(np.arange(dim), np.arange(3)) / dim)
+        tied[:, 1] *= np.exp(0.7j)
+        zero = np.zeros((dim, 2), dtype=complex)
+        for v in (vectors, np.hstack([vectors[:, :4], tied, zero])):
+            assert np.array_equal(_fix_phases(v), fix_phases_loop(v))
 
 
 class TestSpectralProjection:
