@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .haagerup import (
     measure_moments,
     threshold_chi_distance,
 )
-from .rounding import certificate_to_json, round_strategy, verify_dual_distance
+from .rounding import round_strategy, verify_dual_distance
 from .sampling import random_psd, random_pvm, rng_for
 from .strategies import (
     cyclic_coloring_strategy,
@@ -241,7 +242,7 @@ def cmd_round(args) -> int:
     report = {
         "command": "round",
         "flags": {"game": args.game, "strategy": args.strategy, "out": args.out},
-        "certificate": json.loads(certificate_to_json(cert)),
+        "certificate": asdict(cert),
         "summary": {"pass": cert.holds},
     }
     _emit(

@@ -25,8 +25,7 @@ The certified constants are implementation commitments:
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .strategies import (
     DensityOperator,
     TracialBlock,
     TracialStrategy,
+    _deficit_of_table,
     correlation_of_commuting,
     reduced_density,
     standard_form_dual,
@@ -74,7 +74,6 @@ __all__ = [
     "orthogonalize_povm",
     "round_strategy",
     "verify_dual_distance",
-    "certificate_to_json",
 ]
 
 FIRST_HALF_CONSTANT = 9.0
@@ -315,10 +314,6 @@ class RoundingResult:
     certificate: RoundingCertificate
 
 
-def certificate_to_json(cert: RoundingCertificate) -> str:
-    return json.dumps(asdict(cert), indent=2)
-
-
 def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResult:
     """Round a commuting strategy into a tracial strategy with certificate.
 
@@ -333,9 +328,9 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
             "game has alpha = 0 (some question carries no diagonal mass);"
             " the rounding bound is vacuous and unsupported"
         )
-    delta = synchronicity_deficit(game, s)
-    rho = reduced_density(s)
     original = correlation_of_commuting(s, game.questions)
+    delta = _deficit_of_table(game, original)
+    rho = reduced_density(s)
     symmetrized = symmetrized_correlation(s.pvms_a, rho, game.questions)
     decomp = corner_decomposition(rho)
     corner = corner_correlation(s.pvms_a, decomp, game.questions)

@@ -229,11 +229,7 @@ def _psd_eigenvalues(dec: SpectralDecomposition, what: str) -> np.ndarray:
 
 
 def functional_calculus(
-    matrix,
-    kind: str,
-    *,
-    exponent: float | None = None,
-    threshold: float | None = None,
+    matrix, kind: str, *, exponent: float | None = None
 ) -> np.ndarray:
     """Apply a named scalar function to a Hermitian matrix spectrally.
 
@@ -244,13 +240,9 @@ def functional_calculus(
       below the zero clamp map to 0.
     - ``"power"``: eigenvalue power ``exponent`` (non-zero); negative
       exponents follow the Moore-Penrose convention on the kernel.
-    - ``"indicator_above"``: the spectral projection above ``threshold``
-      (same code path as :func:`spectral_projection_above`).
+
+    Spectral projections are :func:`spectral_projection_above`.
     """
-    if kind == "indicator_above":
-        if threshold is None:
-            raise ValueError("indicator_above requires a threshold")
-        return spectral_projection_above(matrix, threshold)
     dec = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix)
     w = _psd_eigenvalues(dec, "functional calculus input")
     if kind == "sqrt":

@@ -225,11 +225,10 @@ def _tracial_table(blocks: list[TracialBlock], order) -> np.ndarray:
     return data
 
 
-def _b_conditional_operators(s: CommutingStrategy, order) -> np.ndarray:
-    """A-side operators h(y, b) with Tr(z h(y, b)) = <(z x q^y_b) xi, xi>,
-    stacked over ``order`` as (Y, B, dA, dA)."""
-    m = s.state
-    return m @ _stack(s.pvms_b, order).conj() @ m.conj().T
+def _b_conditional_operators(state: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
+    """A-side operators h(y, b) with Tr(z h(y, b)) = <(z x q^y_b) xi, xi>
+    for the stacked (Y, B, dB, dB) B-side PVMs, shape (Y, B, dA, dA)."""
+    return state @ stack_b.conj() @ state.conj().T
 
 
 def correlation_of_commuting(
@@ -241,7 +240,10 @@ def correlation_of_commuting(
     residue is discarded after the check.
     """
     order = _question_order(s, questions)
-    data = trace_pairing(_stack(s.pvms_a, order), _b_conditional_operators(s, order))
+    data = trace_pairing(
+        _stack(s.pvms_a, order),
+        _b_conditional_operators(s.state, _stack(s.pvms_b, order)),
+    )
     residue = float(np.abs(data.imag).max())
     if residue > IMAG_TOL:
         raise ValueError(
@@ -273,7 +275,8 @@ def standard_form_dual(s: CommutingStrategy) -> dict[str, list[np.ndarray]]:
     pinv_sqrt = functional_calculus(rho.decomposition, "pinv_sqrt")
     support = rho.support_projection()
     order = s.questions
-    stacked = pinv_sqrt @ _b_conditional_operators(s, order) @ pinv_sqrt
+    conditional = _b_conditional_operators(s.state, _stack(s.pvms_b, order))
+    stacked = pinv_sqrt @ conditional @ pinv_sqrt
     stacked = (stacked + stacked.conj().swapaxes(-1, -2)) / 2
     stacked[:, 0] += np.eye(s.dim_a) - support
     dual = {
@@ -300,7 +303,12 @@ def standard_form_dual(s: CommutingStrategy) -> dict[str, list[np.ndarray]]:
 
 def synchronicity_deficit(game: SynchronousGame, s: CommutingStrategy) -> float:
     """One minus the mu-averaged probability of equal answers, in [0, 1]."""
-    table = correlation_of_commuting(s, game.questions)
+    return _deficit_of_table(game, correlation_of_commuting(s, game.questions))
+
+
+def _deficit_of_table(game: SynchronousGame, table: CorrelationTable) -> float:
+    """synchronicity_deficit of a strategy whose table over the game's
+    questions is already at hand."""
     mu = game.mu
     agreement = sum(
         mu[x] * float(np.trace(table.data[x, x]))
@@ -379,23 +387,57 @@ class SeesawResult:
     values: list[float]
 
 
-def _assign_basis(basis: np.ndarray, effective: list[np.ndarray]) -> list[np.ndarray]:
-    """PVM from assigning each basis column to its best-paying answer."""
-    dim = basis.shape[0]
-    pvms = [np.zeros((dim, dim), dtype=complex) for _ in effective]
-    for i in range(basis.shape[1]):
-        v = basis[:, i]
-        scores = [float(np.real(v.conj() @ f @ v)) for f in effective]
-        pvms[int(np.argmax(scores))] += np.outer(v, v.conj())
-    return [(p + p.conj().T) / 2 for p in pvms]
+def _seesaw_value(weights, pvms_a, pvms_b, state) -> float:
+    """sum W[x, y, a, b] Tr(p^x_a M (q^y_b)^T M+) for stacked PVMs."""
+    table = trace_pairing(pvms_a, _b_conditional_operators(state, pvms_b))
+    return float(np.sum(weights * table.real))
 
 
-def _best_pvm(candidates, effective) -> list[np.ndarray]:
-    scores = [
-        sum(float(np.trace(p[a] @ effective[a]).real) for a in range(len(effective)))
-        for p in candidates
+def _payoff_operator(weights, pvms_a, pvms_b) -> np.ndarray:
+    """sum W[x, y, a, b] p^x_a (x) q^y_b as a (dA dB, dA dB) matrix: one
+    product of the flattened A-side stack with the W-weighted B side."""
+    da, db = pvms_a.shape[-1], pvms_b.shape[-1]
+    paired = np.einsum("xyab,ybkl->xakl", weights, pvms_b)
+    flat = pvms_a.reshape(-1, da * da).T @ paired.reshape(-1, db * db)
+    payoff = flat.reshape(da, da, db, db).transpose(0, 2, 1, 3)
+    return payoff.reshape(da * db, da * db)
+
+
+def _assign_basis(basis: np.ndarray, effective: np.ndarray) -> np.ndarray:
+    """Per question, the PVM assigning each column of ``basis`` (X, d, d)
+    to the answer whose effective operator (X, A, d, d) pays most on it."""
+    scores = np.einsum("xji,xajk,xki->xai", basis.conj(), effective, basis).real
+    answers = np.arange(effective.shape[1])[:, None]
+    chosen = np.argmax(scores, axis=1)[:, None, :] == answers
+    columns = basis[:, None] * chosen[:, :, None, :]
+    p = columns @ basis[:, None].conj().swapaxes(-1, -2)
+    return (p + p.conj().swapaxes(-1, -2)) / 2
+
+
+def _sweep(weights, state, theirs, mine, schmidt, mirror=None) -> np.ndarray:
+    """Best PVM per question for the side ``weights`` and ``state`` put first.
+
+    Against the other side's PVMs ``theirs`` the payoff of question x is
+    sum_a Tr(p_a F_a) with F_a = M (sum_{y,b} W[x, y, a, b] q^y_b)^T M+.
+    Candidates, the first maximum winning: the eigenbasis of
+    sum_a (a + 1) F_a and the Schmidt basis ``schmidt``, each assigned
+    column by column, the current PVMs ``mine``, then ``mirror`` if given.
+    """
+    paired = np.einsum("xyab,ybij->xaij", weights, theirs)
+    f = state @ paired.swapaxes(-1, -2) @ state.conj().T
+    effective = (f + f.conj().swapaxes(-1, -2)) / 2
+    levels = np.arange(1, effective.shape[1] + 1)[:, None, None]
+    basis = np.linalg.eigh((levels * effective).sum(axis=1))[1]
+    candidates = [
+        _assign_basis(basis, effective),
+        _assign_basis(np.broadcast_to(schmidt, basis.shape), effective),
+        mine,
     ]
-    return candidates[int(np.argmax(scores))]
+    if mirror is not None:
+        candidates.append(mirror)
+    candidates = np.array(candidates)
+    scores = np.einsum("cxaij,xaji->cx", candidates, effective).real
+    return candidates[np.argmax(scores, axis=0), np.arange(len(basis))]
 
 
 def seesaw_optimize(
@@ -425,120 +467,54 @@ def seesaw_optimize(
         raise ValueError("iterations must be non-negative")
     rng = np.random.default_rng(seed)
     nq, na = game.n_questions, game.n_answers
-    nu, pred = game.nu, game.predicate
-    pvms_a = [random_pvm(rng, dim_a, na) for _ in range(nq)]
-    pvms_b = [random_pvm(rng, dim_b, na) for _ in range(nq)]
+    # W[x, y, a, b] = nu(x, y) D(x, y, a, b); the B side sees it mirrored
+    weights = game.nu[:, :, None, None] * game.predicate
+    mirrored = weights.transpose(1, 0, 3, 2)
+    pvms_a = np.array([random_pvm(rng, dim_a, na) for _ in range(nq)])
+    pvms_b = np.array([random_pvm(rng, dim_b, na) for _ in range(nq)])
     state = random_state(rng, dim_a, dim_b)
+    # constant-answer candidates: both sides always answer a, any state;
+    # their value is the weight on the (a, a) fiber
+    fiber = np.einsum("xyaa->a", weights)
+    best_const = int(np.argmax(fiber))
 
-    def value_of(pa, pb, m):
-        total = 0.0
-        for x in range(nq):
-            for y in range(nq):
-                if nu[x, y] == 0.0:
-                    continue
-                for a in range(na):
-                    for b in range(na):
-                        if pred[x, y, a, b]:
-                            total += nu[x, y] * float(
-                                np.trace(pa[x][a] @ m @ pb[y][b].T @ m.conj().T).real
-                            )
-        return total
-
-    values = [value_of(pvms_a, pvms_b, state)]
+    values = [_seesaw_value(weights, pvms_a, pvms_b, state)]
     for _ in range(iterations):
+        # one SVD: a second one could pick other bases of degenerate spectra
         u, _, vh = np.linalg.svd(state)
-        # A sweep: per question, the payoff decouples as sum_a Tr(p_a F_a)
-        for x in range(nq):
-            effective = []
-            for a in range(na):
-                r = sum(
-                    nu[x, y] * pvms_b[y][b]
-                    for y in range(nq)
-                    for b in range(na)
-                    if nu[x, y] != 0.0 and pred[x, y, a, b]
-                )
-                if isinstance(r, int):
-                    r = np.zeros((dim_b, dim_b), dtype=complex)
-                f = state @ r.T @ state.conj().T
-                effective.append((f + f.conj().T) / 2)
-            w = sum((a + 1) * effective[a] for a in range(na))
-            candidates = [
-                _assign_basis(np.linalg.eigh(w)[1], effective),
-                _assign_basis(u, effective),
-                pvms_a[x],
-            ]
-            pvms_a[x] = _best_pvm(candidates, effective)
-        # B sweep
-        for y in range(nq):
-            effective = []
-            for b in range(na):
-                r = sum(
-                    nu[x, y] * pvms_a[x][a]
-                    for x in range(nq)
-                    for a in range(na)
-                    if nu[x, y] != 0.0 and pred[x, y, a, b]
-                )
-                if isinstance(r, int):
-                    r = np.zeros((dim_a, dim_a), dtype=complex)
-                f = (state.conj().T @ r @ state).T
-                effective.append((f + f.conj().T) / 2)
-            w = sum((b + 1) * effective[b] for b in range(na))
-            candidates = [
-                _assign_basis(np.linalg.eigh(w)[1], effective),
-                _assign_basis(vh.T, effective),
-                pvms_b[y],
-            ]
-            if dim_a == dim_b:
-                candidates.append([p.conj() for p in pvms_a[y]])
-            pvms_b[y] = _best_pvm(candidates, effective)
+        pvms_a = _sweep(weights, state, pvms_b, pvms_a, u)
+        mirror = pvms_a.conj() if dim_a == dim_b else None
+        pvms_b = _sweep(mirrored, state.T, pvms_a, pvms_b, vh.T, mirror)
         # state update: top eigenvector of the global payoff operator
-        payoff = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-        for x in range(nq):
-            for y in range(nq):
-                if nu[x, y] == 0.0:
-                    continue
-                for a in range(na):
-                    for b in range(na):
-                        if pred[x, y, a, b]:
-                            payoff += nu[x, y] * np.kron(pvms_a[x][a], pvms_b[y][b])
+        payoff = _payoff_operator(weights, pvms_a, pvms_b)
         payoff = (payoff + payoff.conj().T) / 2
-        top = np.linalg.eigh(payoff)[1][:, -1]
-        candidate_state = top.reshape(dim_a, dim_b)
-        current = value_of(pvms_a, pvms_b, candidate_state)
+        candidate_state = np.linalg.eigh(payoff)[1][:, -1].reshape(dim_a, dim_b)
+        current = _seesaw_value(weights, pvms_a, pvms_b, candidate_state)
         if current >= values[-1]:
             state = candidate_state
         else:
-            current = value_of(pvms_a, pvms_b, state)
+            current = _seesaw_value(weights, pvms_a, pvms_b, state)
         # answer-matching candidate: conjugate PVMs on the maximally
         # entangled state, exactly synchronous by construction
         if dim_a == dim_b:
-            snapped_b = [[p.conj() for p in fam] for fam in pvms_a]
+            snapped_b = pvms_a.conj()
             snapped_state = maximally_entangled_state(dim_a)
-            snapped = value_of(pvms_a, snapped_b, snapped_state)
+            snapped = _seesaw_value(weights, pvms_a, snapped_b, snapped_state)
             if snapped > current:
                 pvms_b, state, current = snapped_b, snapped_state, snapped
-        # constant-answer candidates: both sides always answer a, any
-        # state; their value is the predicate mass on the (a, a) fiber
-        best_const = max(
-            range(na),
-            key=lambda a: float(np.sum(nu[pred[:, :, a, a]])),
-        )
-        const_value = float(np.sum(nu[pred[:, :, best_const, best_const]]))
-        if const_value > current:
-            const_a = [np.zeros((dim_a, dim_a), dtype=complex) for _ in range(na)]
-            const_b = [np.zeros((dim_b, dim_b), dtype=complex) for _ in range(na)]
-            const_a[best_const] = np.eye(dim_a, dtype=complex)
-            const_b[best_const] = np.eye(dim_b, dtype=complex)
-            pvms_a = [list(const_a) for _ in range(nq)]
-            pvms_b = [list(const_b) for _ in range(nq)]
-            current = const_value
+        if fiber[best_const] > current:
+            pvms_a = np.zeros_like(pvms_a)
+            pvms_b = np.zeros_like(pvms_b)
+            pvms_a[:, best_const] = np.eye(dim_a)
+            pvms_b[:, best_const] = np.eye(dim_b)
+            current = float(fiber[best_const])
         values.append(current)
     strategy = CommutingStrategy(
         dim_a,
         dim_b,
         state,
-        {q: pvms_a[i] for i, q in enumerate(game.questions)},
-        {q: pvms_b[i] for i, q in enumerate(game.questions)},
+        {q: list(pvms_a[i]) for i, q in enumerate(game.questions)},
+        {q: list(pvms_b[i]) for i, q in enumerate(game.questions)},
     )
     return SeesawResult(strategy, values)
 

@@ -153,3 +153,37 @@ def commutator_breakpoints(x, pvm):
         total += (t * t - prev * prev) * comm
         prev = t
     return total
+
+
+def seesaw_value_loop(game, pvms_a, pvms_b, state):
+    """sum nu(x, y) Tr(p^x_a M (q^y_b)^T M+) over the winning entries, one
+    entry at a time; PVMs are indexed by question position."""
+    total = 0.0
+    for x in range(game.n_questions):
+        for y in range(game.n_questions):
+            if game.nu[x, y] == 0.0:
+                continue
+            for a in range(game.n_answers):
+                for b in range(game.n_answers):
+                    if game.predicate[x, y, a, b]:
+                        total += game.nu[x, y] * float(
+                            np.trace(
+                                pvms_a[x][a] @ state @ pvms_b[y][b].T @ state.conj().T
+                            ).real
+                        )
+    return total
+
+
+def payoff_operator_kron(game, pvms_a, pvms_b):
+    """sum nu(x, y) p^x_a (x) q^y_b over the winning entries, one np.kron each."""
+    dim = pvms_a[0][0].shape[0] * pvms_b[0][0].shape[0]
+    payoff = np.zeros((dim, dim), dtype=complex)
+    for x in range(game.n_questions):
+        for y in range(game.n_questions):
+            if game.nu[x, y] == 0.0:
+                continue
+            for a in range(game.n_answers):
+                for b in range(game.n_answers):
+                    if game.predicate[x, y, a, b]:
+                        payoff += game.nu[x, y] * np.kron(pvms_a[x][a], pvms_b[y][b])
+    return payoff

@@ -236,6 +236,22 @@ class TestOptimize:
         traj = report["trajectory"]
         assert all(b >= a - 1e-10 for a, b in zip(traj, traj[1:]))
 
+    def test_seeded_report_and_strategy_byte_identical(
+        self, capsys, tmp_path, k2_game_file
+    ):
+        out = tmp_path / "strategy.json"
+        argv = [
+            "optimize", "--game", k2_game_file, "--dims", "4",
+            "--iters", "6", "--seed", "9", "--out", str(out),
+        ]
+        runs = []
+        for _ in range(2):
+            code, report, _ = run_cli(capsys, argv)
+            assert code == 0
+            report.pop("timings")
+            runs.append((json.dumps(report), out.read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_zero_iterations_writes_valid_strategy(self, capsys, tmp_path, k2_game_file):
         out = tmp_path / "strategy.json"
         code, report, _ = run_cli(

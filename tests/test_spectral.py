@@ -121,15 +121,6 @@ class TestFunctionalCalculus:
         r = functional_calculus(x, "sqrt")
         assert np.linalg.norm(r @ r - x) <= 1e-9
 
-    def test_indicator_equals_projection(self):
-        h = random_hermitian(rng_for(7, 7), 5)
-        w = np.linalg.eigvalsh(h)
-        t = 0.5 * (w[1] + w[2])
-        assert np.array_equal(
-            functional_calculus(h, "indicator_above", threshold=t),
-            spectral_projection_above(h, t),
-        )
-
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
             functional_calculus(np.diag([1.0, -1e-3]), "sqrt")

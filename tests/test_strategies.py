@@ -12,6 +12,7 @@ from syncround import (
     dump_commuting_strategy,
     dump_tracial_strategy,
     game_value,
+    graph_coloring_game,
     load_commuting_strategy,
     load_game,
     load_tracial_strategy,
@@ -24,8 +25,13 @@ from syncround import (
     tracial_correlation,
 )
 from syncround.sampling import random_pvm, random_unitary, rng_for
+from syncround.strategies import _payoff_operator
 
 from conftest import assert_close, diagonal_game_doc, random_commuting_strategy
+from oracles import payoff_operator_kron, seesaw_value_loop
+
+CYCLE5_EDGES = [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)]
+K4_EDGES = [(f"v{i}", f"v{j}") for i in range(4) for j in range(i + 1, 4)]
 
 
 def product_strategy(rng, questions, n_answers, dim_a, dim_b):
@@ -291,6 +297,30 @@ class TestSeesaw:
         result = seesaw_optimize(k2_game, 3, 2, 5, 3)
         values = result.values
         assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("edges", [[("v0", "v1")], CYCLE5_EDGES, K4_EDGES])
+    def test_final_value_matches_loop_oracle(self, edges):
+        game = graph_coloring_game(edges, 3, "1/2")
+        for dims in ((3, 3), (2, 4), (4, 2), (1, 1)):
+            result = seesaw_optimize(game, dims[0], dims[1], 3, 4)
+            s = result.strategy
+            expected = seesaw_value_loop(
+                game,
+                [s.pvms_a[q] for q in game.questions],
+                [s.pvms_b[q] for q in game.questions],
+                s.state,
+            )
+            assert abs(result.values[-1] - expected) <= 1e-12, dims
+
+    def test_state_operator_matches_kron_oracle(self):
+        game = graph_coloring_game(CYCLE5_EDGES, 3, "1/2")
+        assert np.count_nonzero(game.nu == 0.0) > 0
+        rng = rng_for(31, 0)
+        pvms_a = [random_pvm(rng, 2, 3) for _ in game.questions]
+        pvms_b = [random_pvm(rng, 3, 3) for _ in game.questions]
+        weights = game.nu[:, :, None, None] * game.predicate
+        got = _payoff_operator(weights, np.array(pvms_a), np.array(pvms_b))
+        assert_close(got, payoff_operator_kron(game, pvms_a, pvms_b), 1e-12)
 
 
 class TestPerturbation:
