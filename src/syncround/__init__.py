@@ -47,7 +47,6 @@ from .spectral import (
     SpectralDecomposition,
     eigh,
     functional_calculus,
-    spectral_projection_above,
 )
 from .strategies import (
     CommutingStrategy,

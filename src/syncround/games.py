@@ -121,10 +121,6 @@ class SynchronousGame:
         """Marginal mu(x) = sum_y nu(x, y)."""
         return self.nu.sum(axis=1)
 
-    @property
-    def alpha(self) -> float:
-        return alpha_of(self)
-
 
 @dataclass(eq=False)
 class CorrelationTable:
@@ -155,9 +151,6 @@ class CorrelationTable:
             raise ValueError(
                 f"some P_xy does not sum to 1: worst deviation {worst:.3e}"
             )
-
-    def block(self, x: int, y: int) -> np.ndarray:
-        return self.data[x, y]
 
 
 def alpha_of(game: SynchronousGame) -> float:

@@ -41,7 +41,6 @@ from .spectral import (
     PSD_CLAMP,
     eigh,
     functional_calculus,
-    require_hermitian,
     require_povm,
     trace_pairing,
 )
@@ -82,7 +81,6 @@ GAME_CONSTANT = 58.0
 ORTHOGONALIZATION_CONSTANT = 9.0
 
 WEIGHT_SUM_TOL = 1e-9
-PROJECTION_TOL = 1e-9
 SYM_SUM_TOL = 1e-9
 BOUND_SLACK = 1e-6
 TRIANGLE_SLACK = 1e-8
@@ -96,7 +94,9 @@ class CornerDecomposition:
     ``values`` holds the distinct positive eigenvalues l_1 > ... > l_m
     after clustering; P_k projects onto eigenvectors with eigenvalue
     >= l_k, and w_k = (l_k - l_{k+1}) rank(P_k) with l_{m+1} = 0.  The
-    weights sum to the trace, i.e. to 1.
+    weights sum to the kept trace: 1 less the eigenvalues dropped as
+    numerical zeros.  ``bases[k]`` is the view of the leading ranks[k]
+    columns of one kept eigenbasis, ordered by descending eigenvalue.
     """
 
     values: np.ndarray
@@ -118,36 +118,28 @@ class CornerDecomposition:
 def corner_decomposition(rho: DensityOperator) -> CornerDecomposition:
     """Corner decomposition of a unit-trace density operator.
 
-    Zero eigenvalues are excluded; the corners are nested and the
-    weights sum to 1 within 1e-9.
+    Clusters at or below the zero tolerance are excluded; the corners
+    are nested and the weights sum to the kept mass within 1e-9.
     """
     dec = rho.decomposition
     values = dec.cluster_values()
-    zero_tol = max(dec.merge_tol, PSD_CLAMP)
-    keep = [k for k, v in enumerate(values) if v > zero_tol]
-    if not keep:
+    values = values[values > max(dec.merge_tol, PSD_CLAMP)]
+    if values.size == 0:
         raise ValueError("density operator has no positive spectrum")
-    kept_values = np.array([values[k] for k in keep])
-    # eigenvectors grouped by descending eigenvalue, accumulated
-    bases, ranks = [], []
-    columns: list[int] = []
-    for k in keep:
-        columns.extend(dec.clusters[k])
-        bases.append(dec.eigenvectors[:, list(columns)].copy())
-        ranks.append(len(columns))
-    next_values = np.append(kept_values[1:], 0.0)
-    weights = (kept_values - next_values) * np.array(ranks, dtype=float)
+    levels = dec.cluster_levels()
+    ranks = dec.dim - np.searchsorted(levels, values)
+    # by descending cluster, ascending index inside a cluster
+    columns = np.argsort(-levels, kind="stable")[: ranks[-1]]
+    basis = dec.eigenvectors[:, columns]
+    weights = (values - np.append(values[1:], 0.0)) * ranks
     total = float(weights.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"corner weights sum to {total!r}, expected 1")
-    decomp = CornerDecomposition(
-        kept_values, tuple(ranks), weights, bases, dec.dim
+    dropped = dec.eigenvalues[: dec.dim - ranks[-1]]
+    kept = 1.0 - float(np.clip(dropped, 0.0, None).sum())
+    if abs(total - kept) > WEIGHT_SUM_TOL:
+        raise ValueError(f"corner weights sum to {total!r}, expected {kept!r}")
+    return CornerDecomposition(
+        values, tuple(ranks.tolist()), weights, [basis[:, :r] for r in ranks], dec.dim
     )
-    for k in range(decomp.n_corners):
-        p = decomp.projection(k)
-        if float(np.linalg.norm(p @ p - p)) > PROJECTION_TOL:
-            raise ValueError(f"corner {k} is not a projection")
-    return decomp
 
 
 def symmetrized_correlation(
@@ -242,37 +234,29 @@ def orthogonalize_povm(povm) -> tuple[list[np.ndarray], OrthogonalizationReport]
     """
     if len(povm) == 0:
         raise ValueError("POVM must have at least one outcome")
-    dim = require_hermitian(povm[0], "POVM element 0").shape[0]
-    ms = require_povm(povm, dim)
-    order = sorted(
-        range(len(ms)), key=lambda a: (-float(np.trace(ms[a]).real), a)
-    )
+    dim = len(np.atleast_1d(povm[0]))
+    ms = np.array(require_povm(povm, dim))
+    traces = np.trace(ms, axis1=1, axis2=2).real
     comp = np.eye(dim, dtype=complex)
-    rs: list[np.ndarray | None] = [None] * len(ms)
-    for a in order:
+    rs = np.zeros_like(ms)
+    for a in np.argsort(-traces, kind="stable"):
         b = comp @ ms[a] @ comp
         dec = eigh((b + b.conj().T) / 2)
-        sel = dec.eigenvalues > 0.5
-        v = dec.eigenvectors[:, sel]
+        v = dec.eigenvectors[:, dec.eigenvalues > 0.5]
         r = v @ v.conj().T
-        r = (r + r.conj().T) / 2
-        rs[a] = r
-        comp = comp - r
+        rs[a] = (r + r.conj().T) / 2
+        comp = comp - rs[a]
     residual = (comp + comp.conj().T) / 2
     if float(np.trace(residual).real) > 1e-12:
-        scores = [float(np.trace(residual @ m).real) for m in ms]
-        best = int(np.argmax(scores))
-        rs[best] = rs[best] + residual
-    pvm = [np.asarray(r) for r in rs]
-    distance_sq = sum(
-        float(np.linalg.norm(m - r) ** 2) for m, r in zip(ms, pvm)
-    ) / dim
-    purity = sum(float(np.trace(m @ m).real) for m in ms) / dim
+        scores = np.trace(residual @ ms, axis1=1, axis2=2).real
+        rs[int(np.argmax(scores))] += residual
+    distance_sq = float(np.linalg.norm(ms - rs) ** 2) / dim
+    purity = float(np.trace(ms @ ms, axis1=1, axis2=2).real.sum()) / dim
     budget = ORTHOGONALIZATION_CONSTANT * (1.0 - purity)
     report = OrthogonalizationReport(
         dim, len(ms), distance_sq, budget, distance_sq <= budget + 1e-12
     )
-    return pvm, report
+    return list(rs), report
 
 
 @dataclass(eq=False)

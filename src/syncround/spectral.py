@@ -1,11 +1,11 @@
 """Dense Hermitian spectral calculus.
 
-Eigendecomposition with a deterministic phase convention, spectral
-projections above a threshold, functional calculus for positive
-semidefinite matrices, the trace pairing of two stacked operator
-families, and the matrix validation helpers (Hermitian / PVM / POVM)
-shared by the rest of the package.  Everything works on plain complex
-numpy arrays at desk scale (dense, dimension up to a few hundred).
+Eigendecomposition with a deterministic phase convention and clustered
+eigenvalues, functional calculus for positive semidefinite matrices,
+the trace pairing of two stacked operator families, and the matrix
+validation helpers (Hermitian / PVM / POVM) shared by the rest of the
+package.  Everything works on plain complex numpy arrays at desk scale
+(dense, dimension up to a few hundred).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "require_pvm",
     "require_povm",
     "eigh",
-    "spectral_projection_above",
     "functional_calculus",
     "trace_pairing",
 ]
@@ -129,23 +128,28 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
     merge_tol: float
 
     @property
     def dim(self) -> int:
         return self.eigenvectors.shape[0]
 
+    @property
+    def clusters(self) -> tuple[np.ndarray, ...]:
+        return _cluster_indices(self.eigenvalues, self.merge_tol)
+
     def cluster_values(self) -> np.ndarray:
         """Representative (mean) eigenvalue per cluster, strictly decreasing."""
-        return np.array(
-            [float(np.mean(self.eigenvalues[list(c)])) for c in self.clusters]
-        )
+        return self._cluster_means()[0][::-1]
 
     def cluster_levels(self) -> np.ndarray:
         """Each eigenvalue replaced by its cluster's value, ascending."""
-        sizes = [len(c) for c in reversed(self.clusters)]
-        return np.repeat(self.cluster_values()[::-1], sizes)
+        return np.repeat(*self._cluster_means())
+
+    def _cluster_means(self) -> tuple[np.ndarray, np.ndarray]:
+        starts = _cluster_starts(self.eigenvalues, self.merge_tol)
+        sizes = np.diff(starts, append=self.dim)
+        return np.add.reduceat(self.eigenvalues, starts) / sizes, sizes
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
@@ -161,15 +165,16 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase
 
 
-def _cluster_indices(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
-    groups: list[list[int]] = []
-    for i, w in enumerate(values):
-        if groups and w - values[groups[-1][-1]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+def _cluster_starts(values: np.ndarray, tol: float) -> np.ndarray:
+    """First index of each cluster of an ascending spectrum: consecutive
+    eigenvalues within ``tol`` chain into one cluster, whatever its span."""
+    return np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+
+
+def _cluster_indices(values: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     # values ascending, clusters reported by decreasing representative
-    return tuple(tuple(g) for g in reversed(groups))
+    groups = np.split(np.arange(values.size), _cluster_starts(values, tol))[1:]
+    return tuple(groups[::-1])
 
 
 def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
@@ -184,7 +189,7 @@ def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
     v = _fix_phases(v)
     radius = float(np.abs(w).max()) if w.size else 0.0
     tol = MERGE_TOL_SCALE * (1.0 + radius)
-    dec = SpectralDecomposition(w, v, _cluster_indices(w, tol), tol)
+    dec = SpectralDecomposition(w, v, tol)
     recon = float(np.linalg.norm(dec.reconstruct() - h))
     if recon > DECOMP_TOL * (1.0 + float(np.linalg.norm(h))):
         raise ValueError(
@@ -198,68 +203,29 @@ def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
     return dec
 
 
-def spectral_projection_above(matrix, threshold: float) -> np.ndarray:
-    """Orthogonal projection onto eigenvectors with eigenvalue > threshold.
-
-    The threshold must not collide with an eigenvalue within the merge
-    tolerance; callers integrate piecewise between eigenvalues and should
-    evaluate at interval midpoints.
-    """
-    dec = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix)
-    gap = float(np.abs(dec.eigenvalues - threshold).min())
-    if gap <= dec.merge_tol:
-        raise ValueError(
-            f"threshold {threshold!r} collides with an eigenvalue within the merge"
-            f" tolerance {dec.merge_tol:.3e}; evaluate at interval midpoints instead"
-        )
-    sel = dec.eigenvalues > threshold
-    v = dec.eigenvectors[:, sel]
-    p = v @ v.conj().T
-    return (p + p.conj().T) / 2
-
-
-def _psd_eigenvalues(dec: SpectralDecomposition, what: str) -> np.ndarray:
-    w = dec.eigenvalues
-    if w.size and float(w.min()) < -PSD_CLAMP:
-        raise ValueError(
-            f"{what} is not positive semidefinite: min eigenvalue {float(w.min()):.3e}"
-            f" is below the clamp -{PSD_CLAMP:.0e}"
-        )
-    return np.clip(w, 0.0, None)
-
-
-def functional_calculus(
-    matrix, kind: str, *, exponent: float | None = None
-) -> np.ndarray:
-    """Apply a named scalar function to a Hermitian matrix spectrally.
+def functional_calculus(matrix, kind: str) -> np.ndarray:
+    """Apply a named scalar function to a PSD matrix spectrally.
 
     Supported kinds:
 
     - ``"sqrt"``: eigenvalue square root; input must be PSD up to clamp.
     - ``"pinv_sqrt"``: Moore-Penrose inverse square root; eigenvalues
       below the zero clamp map to 0.
-    - ``"power"``: eigenvalue power ``exponent`` (non-zero); negative
-      exponents follow the Moore-Penrose convention on the kernel.
-
-    Spectral projections are :func:`spectral_projection_above`.
     """
     dec = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix)
-    w = _psd_eigenvalues(dec, "functional calculus input")
+    w = dec.eigenvalues
+    if float(w.min()) < -PSD_CLAMP:
+        raise ValueError(
+            "functional calculus input is not positive semidefinite: min"
+            f" eigenvalue {float(w.min()):.3e} is below the clamp -{PSD_CLAMP:.0e}"
+        )
+    w = np.clip(w, 0.0, None)
     if kind == "sqrt":
         vals = np.sqrt(w)
     elif kind == "pinv_sqrt":
         vals = np.zeros_like(w)
         mask = w >= PSD_CLAMP
         vals[mask] = w[mask] ** -0.5
-    elif kind == "power":
-        if exponent is None or exponent == 0:
-            raise ValueError("power requires a non-zero exponent")
-        vals = np.zeros_like(w)
-        mask = w >= PSD_CLAMP
-        vals[mask] = w[mask] ** exponent
-        if exponent > 0:
-            small = (~mask) & (w > 0)
-            vals[small] = w[small] ** exponent
     else:
         raise ValueError(f"unknown functional calculus kind {kind!r}")
     out = (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T

@@ -524,16 +524,21 @@ def seesaw_optimize(
 
 
 def _matrix_to_pairs(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    m = np.asarray(m)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _pairs_to_matrix(rows, what: str) -> np.ndarray:
     try:
-        return np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-        )
-    except (TypeError, ValueError) as exc:
+        pairs = np.array(rows)
+    except ValueError as exc:  # ragged rows
         raise ValueError(f"malformed complex matrix in {what}: {exc}") from exc
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != 3 or pairs.shape[-1] != 2:
+        raise ValueError(
+            f"malformed complex matrix in {what}: expected rows of [re, im]"
+            f" number pairs, got {pairs.dtype} entries of shape {pairs.shape}"
+        )
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 def dump_commuting_strategy(s: CommutingStrategy) -> str:

@@ -90,6 +90,18 @@ def fix_phases_loop(vectors):
     return v
 
 
+def cluster_indices_loop(values, tol):
+    """Clusters of an ascending spectrum, one eigenvalue at a time: each
+    joins the current cluster when within tol of its last member."""
+    groups = []
+    for i, w in enumerate(values):
+        if groups and w - values[groups[-1][-1]] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return tuple(tuple(g) for g in reversed(groups))
+
+
 def corner_table_loop(pvms_a, decomp, questions):
     """Per-corner sum of gap_k Tr(c_k(p) c_k(p')) over compressions c_k to P_k."""
     na = len(pvms_a[questions[0]])

@@ -251,6 +251,19 @@ class TestRoundStrategy:
         assert abs(cert.value_in - cert.value_out) <= 1e-8
         assert cert.holds
 
+    def test_dropped_zero_spectrum_within_tolerance(self, k2_game, k2_strategy):
+        # two Schmidt^2 values clustered as zeros carry 1.73e-9 of the
+        # trace, more than the weight tolerance; the weights are checked
+        # against the kept mass, not against 1
+        schmidt_sq = np.array([1 - 1.1e-9 - 6.3e-10, 1.1e-9, 6.3e-10])
+        s = CommutingStrategy(
+            3, 3, np.diag(np.sqrt(schmidt_sq)), k2_strategy.pvms_a, k2_strategy.pvms_b
+        )
+        decomp = corner_decomposition(reduced_density(s))
+        assert decomp.ranks == (1,)
+        assert_close(decomp.weights, [schmidt_sq[0]], 1e-15)
+        assert round_strategy(k2_game, s).certificate.holds
+
     def test_single_answer_game_trivial(self):
         game = load_game(diagonal_game_doc(["q0", "q1"], ["only"]))
         rng = rng_for(161, 0)

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncround.sampling import random_hermitian, random_psd, rng_for
 from syncround.spectral import (
+    _cluster_indices,
     _fix_phases,
     eigh,
     functional_calculus,
     require_pvm,
-    spectral_projection_above,
 )
 
 from conftest import assert_close
-from oracles import fix_phases_loop
+from oracles import cluster_indices_loop, fix_phases_loop
 
 
 class TestEigh:
@@ -64,38 +64,39 @@ class TestEigh:
             assert np.array_equal(_fix_phases(v), fix_phases_loop(v))
 
 
-class TestSpectralProjection:
-    def test_diagonal_threshold(self):
-        p = spectral_projection_above(np.diag([2.0, 1.0]), 1.5)
-        assert_close(p, np.diag([1.0, 0.0]), 1e-12)
+TOL = 1e-9
 
-    def test_above_spectrum_is_zero(self):
-        h = random_hermitian(rng_for(5, 1), 4)
-        t = float(np.linalg.eigvalsh(h).max()) + 1.0
-        assert_close(spectral_projection_above(h, t), np.zeros((4, 4)), 1e-12)
 
-    def test_rank_between_eigenvalues(self):
-        x = random_psd(rng_for(99, 2), 6)
-        w = np.linalg.eigvalsh(x)
-        t = 0.5 * (w[2] + w[3])
-        p = spectral_projection_above(x, t)
-        assert_close(np.trace(p).real, 3.0, 1e-9)
-        assert np.linalg.norm(p @ p - p) <= 1e-9
-        assert np.linalg.norm(p @ x - x @ p) <= 1e-9
+@st.composite
+def clustered_spectra(draw):
+    """Ascending spectra built from gaps that sit at the clustering
+    tolerance's edges: exact ties, tol (1 -/+ 1e-3), tenths of tol
+    (chains whose span exceeds tol) and clear gaps."""
+    gaps = draw(
+        st.lists(
+            st.sampled_from([0.0, TOL * (1 - 1e-3), TOL * (1 + 1e-3), 0.1 * TOL, 0.3]),
+            max_size=30,
+        )
+    )
+    start = draw(st.sampled_from([-1.0, 0.0, 0.25]))
+    return start + np.concatenate([[0.0], np.cumsum(gaps)])
 
-    def test_eigenvalue_collision_rejected(self):
-        with pytest.raises(ValueError, match="midpoint"):
-            spectral_projection_above(np.diag([2.0, 1.0]), 1.0)
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(dim=st.integers(2, 7), seed=st.integers(0, 10**6))
-    def test_projection_family_monotone(self, dim, seed):
-        h = random_hermitian(rng_for(seed, dim), dim)
-        w = np.linalg.eigvalsh(h)
-        mids = [(w[i] + w[i + 1]) / 2 for i in range(dim - 1) if w[i + 1] - w[i] > 1e-6]
-        for t1, t2 in zip(mids, mids[1:]):
-            diff = spectral_projection_above(h, t1) - spectral_projection_above(h, t2)
-            assert float(np.linalg.eigvalsh(diff).min()) >= -1e-9
+class TestClustering:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=clustered_spectra())
+    @example(values=np.arange(12) * 0.1 * TOL)  # one cluster spanning 1.1 tol
+    def test_split_matches_loop(self, values):
+        clusters = _cluster_indices(values, TOL)
+        assert [tuple(c.tolist()) for c in clusters] == list(
+            cluster_indices_loop(values, TOL)
+        )
+
+    def test_levels_and_values_agree(self):
+        dec = eigh(np.diag([0.2, 0.2, 0.5, 0.5 + 1e-12, 0.3]))
+        top = 0.5 + 5e-13
+        assert_close(dec.cluster_values(), [top, 0.3, 0.2], 1e-15)
+        assert_close(dec.cluster_levels(), [0.2, 0.2, 0.3, top, top], 1e-15)
 
 
 class TestFunctionalCalculus:
@@ -110,11 +111,6 @@ class TestFunctionalCalculus:
             np.diag([0.5, 0.0]),
             1e-12,
         )
-
-    def test_power_two_matches_frobenius(self):
-        x = random_psd(rng_for(3, 3), 5)
-        sq = functional_calculus(x, "power", exponent=2)
-        assert_close(np.trace(sq).real, np.linalg.norm(x) ** 2, 1e-9)
 
     def test_sqrt_squares_back(self):
         x = random_psd(rng_for(4, 4), 6)

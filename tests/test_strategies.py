@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,6 +368,20 @@ class TestSerialization:
     def test_malformed_strategy_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             load_commuting_strategy("{}")
+
+    @pytest.mark.parametrize(
+        "xi",
+        [
+            [[[1, 0], [0, "0"]], [[0, 0], [0, 0]]],  # a string entry
+            [[[1, 0], [0, 0]], [[0, 0]]],  # a ragged row
+        ],
+        ids=["string-entry", "ragged-row"],
+    )
+    def test_malformed_matrix_rejected(self, xi):
+        pvm = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
+        doc = {"dimA": 2, "dimB": 2, "xi": xi, "pvmsA": {"q": pvm}, "pvmsB": {"q": pvm}}
+        with pytest.raises(ValueError, match=r"malformed complex matrix in xi"):
+            load_commuting_strategy(json.dumps(doc))
 
 
 class TestValidation:
