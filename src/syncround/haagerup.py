@@ -238,7 +238,7 @@ def commutator_certificate(x, pvm) -> CommutatorCertificate:
     norm_sq = float(np.trace(xm @ xm).real)
     if abs(norm_sq - 1.0) > NORMED_TOL:
         raise ValueError(f"x must satisfy Tr(x^2) = 1, got {norm_sq!r}")
-    ops = np.array(require_pvm(pvm, xdec.dim))
+    ops = require_pvm(pvm, xdec.dim)
     sum_comm_x = float(np.sum(np.abs(ops @ xm - xm @ ops) ** 2))
     # ||[p, chi_t(x)]||^2 = sum of |p~_ij|^2 over the pairs split by t,
     # and int 2t dt over the split thresholds is |a_i^2 - a_j^2|

@@ -25,6 +25,7 @@ The certified constants are implementation commitments:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ from .spectral import (
     PSD_CLAMP,
     eigh,
     functional_calculus,
+    require_hermitian,
     require_povm,
     trace_pairing,
 )
@@ -50,6 +52,7 @@ from .strategies import (
     TracialBlock,
     TracialStrategy,
     _deficit_of_table,
+    _stack,
     correlation_of_commuting,
     reduced_density,
     standard_form_dual,
@@ -165,20 +168,17 @@ def _kept_eigenbasis_stack(pvms_a, decomp: CornerDecomposition, order) -> np.nda
     ranks[k] x ranks[k] block of every rotated element.
     """
     basis = decomp.bases[-1]
-    stack = basis.conj().T @ np.array([pvms_a[q] for q in order]) @ basis
-    return (stack + stack.conj().swapaxes(-1, -2)) / 2
+    return _hermitian_part(basis.conj().T @ _stack(pvms_a, order) @ basis)
 
 
 def corner_compressions(
-    pvms_a: dict[str, list[np.ndarray]], decomp: CornerDecomposition
-) -> list[dict[str, list[np.ndarray]]]:
-    """Per corner k, the POVMs (B_k+ p^x_a B_k) on the range of P_k: the
-    leading ranks[k] x ranks[k] blocks of one rotated stack."""
-    stack = _kept_eigenbasis_stack(pvms_a, decomp, tuple(pvms_a))
-    return [
-        {q: list(family[:, :r, :r]) for q, family in zip(pvms_a, stack)}
-        for r in decomp.ranks
-    ]
+    pvms_a: dict[str, list[np.ndarray]], decomp: CornerDecomposition, questions=None
+) -> np.ndarray:
+    """The POVMs (B_k+ p^x_a B_k) on the range of every corner P_k as one
+    rotated (X, A, r, r) stack: corner k is its leading ranks[k] x
+    ranks[k] block."""
+    order = tuple(questions) if questions is not None else tuple(pvms_a)
+    return _kept_eigenbasis_stack(pvms_a, decomp, order)
 
 
 def corner_correlation(
@@ -197,13 +197,18 @@ def corner_correlation(
     column i.  Hence
 
         T[x, y, a, b] = sum_ij p~^x_a[i, j] min(v_i, v_j) p~^y_b[j, i].
+
+    Each block of that sum adds up to the kept mass sum_k w_k, which
+    falls short of 1 by the spectrum dropped as numerical zeros; the
+    table is divided by it, as ``round_strategy`` divides the block
+    weights.
     """
     order = tuple(questions) if questions is not None else tuple(pvms_a)
     na = len(pvms_a[order[0]])
     levels = np.repeat(decomp.values, np.diff((0,) + decomp.ranks))
     stack = _kept_eigenbasis_stack(pvms_a, decomp, order)
     data = trace_pairing(stack * np.minimum.outer(levels, levels), stack).real
-    return CorrelationTable(order, na, data)
+    return CorrelationTable(order, na, data / float(decomp.weights.sum()))
 
 
 @dataclass(eq=False)
@@ -223,40 +228,110 @@ class OrthogonalizationReport:
     holds: bool
 
 
-def orthogonalize_povm(povm) -> tuple[list[np.ndarray], OrthogonalizationReport]:
-    """Greedy spectral rounding of a POVM into a PVM.
+def _hermitian_part(stack: np.ndarray) -> np.ndarray:
+    """(H + H*) / 2 of each matrix of a stack."""
+    out = stack.conj().swapaxes(-1, -2)
+    out += stack
+    out *= 0.5
+    return out
+
+
+def _greedy_pvms(ms: np.ndarray) -> np.ndarray:
+    """Greedy rounding of F POVMs of one size, (F, A, n, n), to PVMs.
+
+    Per POVM, outcomes are visited by decreasing trace.  W holds an
+    orthonormal basis of the unassigned subspace, live columns first;
+    each visit eigensolves W+ m W for all F POVMs in one stacked call,
+    gives the columns with eigenvalue above 1/2 to the outcome and keeps
+    the rest as the next W, so the eigensolves shrink as outcomes fill.
+    A POVM with fewer live columns is padded with zero columns whose
+    diagonal is set to -1: padding then never mixes with a real
+    eigenvalue (exact projections have eigenvalue 0) and never passes
+    1/2.  The subspace left when the outcomes run out goes to the
+    outcome with the largest expectation on it.
+    """
+    nf, na, n, _ = ms.shape
+    order = np.argsort(-np.trace(ms, axis1=-2, axis2=-1).real, axis=-1, kind="stable")
+    family = np.arange(nf)
+    basis = np.broadcast_to(np.eye(n, dtype=complex), (nf, n, n))
+    live = np.ones((nf, n), dtype=bool)
+    rs = np.zeros_like(ms)
+    for step, outcome in enumerate(order.T):
+        if basis.shape[-1] == 0:
+            break
+        # the first visit sees the whole space, W = 1
+        m = ms[family, outcome]
+        comp = _hermitian_part(m if step == 0 else basis.conj().swapaxes(-1, -2) @ m @ basis)
+        pad_f, pad_c = np.nonzero(~live)
+        comp[pad_f, pad_c, pad_c] = -1.0
+        dec = eigh(comp)
+        vecs = dec.eigenvectors if step == 0 else basis @ dec.eigenvectors
+        taken = vecs * (dec.eigenvalues > 0.5)[:, None, :]
+        rs[family, outcome] = _hermitian_part(taken @ taken.conj().swapaxes(-1, -2))
+        rest = (dec.eigenvalues > -0.5) & (dec.eigenvalues <= 0.5)
+        keep = np.argsort(~rest, axis=-1, kind="stable")[:, : rest.sum(-1).max()]
+        live = np.take_along_axis(rest, keep, axis=-1)
+        basis = np.take_along_axis(vecs, keep[:, None, :], axis=-1) * live[:, None, :]
+    residual = _hermitian_part(basis @ basis.conj().swapaxes(-1, -2))
+    scores = np.einsum("fij,faji->fa", residual, ms).real
+    open_f = np.flatnonzero(live.any(axis=-1))
+    rs[open_f, np.argmax(scores[open_f], axis=-1)] += residual[open_f]
+    return rs
+
+
+def orthogonalize_povm(povm, ranks=None):
+    """Greedy spectral rounding of POVMs into PVMs.
 
     Outcomes are visited by decreasing trace; each receives the spectral
     projection above 1/2 of its compression to the unassigned subspace,
     and any residual subspace goes to the outcome with the largest
     residual expectation.  The result sums to the identity exactly by
     construction.
+
+    With ``ranks`` omitted, ``povm`` is one POVM and the result is its
+    list of PVM elements with one report.  With ``ranks``, ``povm`` is
+    a stack (X, A, r, r) of X POVMs whose leading ranks[k] x ranks[k]
+    blocks are the POVMs of corner k; the result is a list with one
+    (X, A, ranks[k], ranks[k]) PVM stack per corner, and the reports in
+    corner-then-question order.  The PSD and sum checks run once on the
+    full stack: by Cauchy interlacing, and since a leading block of
+    sum - 1 has no larger Frobenius norm, every leading block passes
+    them when the stack does.  The elementwise Hermitian check, whose
+    tolerance scales with the block's own entries, runs per block.
     """
     if len(povm) == 0:
         raise ValueError("POVM must have at least one outcome")
-    dim = len(np.atleast_1d(povm[0]))
-    ms = np.array(require_povm(povm, dim))
-    traces = np.trace(ms, axis1=1, axis2=2).real
-    comp = np.eye(dim, dtype=complex)
-    rs = np.zeros_like(ms)
-    for a in np.argsort(-traces, kind="stable"):
-        b = comp @ ms[a] @ comp
-        dec = eigh((b + b.conj().T) / 2)
-        v = dec.eigenvectors[:, dec.eigenvalues > 0.5]
-        r = v @ v.conj().T
-        rs[a] = (r + r.conj().T) / 2
-        comp = comp - rs[a]
-    residual = (comp + comp.conj().T) / 2
-    if float(np.trace(residual).real) > 1e-12:
-        scores = np.trace(residual @ ms, axis1=1, axis2=2).real
-        rs[int(np.argmax(scores))] += residual
-    distance_sq = float(np.linalg.norm(ms - rs) ** 2) / dim
-    purity = float(np.trace(ms @ ms, axis1=1, axis2=2).real.sum()) / dim
-    budget = ORTHOGONALIZATION_CONSTANT * (1.0 - purity)
-    report = OrthogonalizationReport(
-        dim, len(ms), distance_sq, budget, distance_sq <= budget + 1e-12
-    )
-    return list(rs), report
+    ms = require_povm(povm, np.atleast_1d(povm[0]).shape[-1])
+    if ranks is None:
+        rounded, reports = _orthogonalize_corners(ms[None], (ms.shape[-1],))
+        return list(rounded[0][0]), reports[0]
+    if not all(0 < r <= ms.shape[-1] for r in ranks):
+        raise ValueError(f"corner ranks {ranks} must lie in 1..{ms.shape[-1]}")
+    return _orthogonalize_corners(ms, ranks)
+
+
+def _orthogonalize_corners(ms: np.ndarray, ranks) -> tuple[list, list]:
+    """The greedy rounding of every leading block of a validated stack.
+
+    Corners run one at a time, each as one stacked greedy over the X
+    POVMs: padding every corner to the full rank would multiply the
+    eigensolve work (for ranks 1, 2, ..., r the n^3 cost sums to about
+    r^4 / 4, against r^4 padded).
+    """
+    rounded, reports = [], []
+    for k, r in enumerate(ranks):
+        block = require_hermitian(ms[..., :r, :r], f"corner {k} POVM")
+        rs = _greedy_pvms(block)
+        # squared Frobenius norms per POVM; tr(m^2) = ||m||_F^2 for Hermitian m
+        distance_sq = np.linalg.norm((block - rs).reshape(len(block), -1), axis=-1) ** 2 / r
+        purity = np.linalg.norm(block.reshape(len(block), -1), axis=-1) ** 2 / r
+        budget = ORTHOGONALIZATION_CONSTANT * (1.0 - purity)
+        rounded.append(rs)
+        reports += [
+            OrthogonalizationReport(r, ms.shape[1], float(d), float(b), bool(d <= b + 1e-12))
+            for d, b in zip(distance_sq, budget)
+        ]
+    return rounded, reports
 
 
 @dataclass(eq=False)
@@ -318,32 +393,17 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
     symmetrized = symmetrized_correlation(s.pvms_a, rho, game.questions)
     decomp = corner_decomposition(rho)
     corner = corner_correlation(s.pvms_a, decomp, game.questions)
-    compressions = corner_compressions(s.pvms_a, decomp)
-
-    blocks = []
-    reports = []
+    rounded, reports = orthogonalize_povm(
+        corner_compressions(s.pvms_a, decomp, game.questions), decomp.ranks
+    )
     # spectrum in the numerical-zero band is excluded from the corners,
     # so the kept weights can fall short of 1 by up to the merge
     # tolerance; renormalize for the strategy's exact weight contract
     normalized_weights = decomp.weights / float(decomp.weights.sum())
-    for k in range(decomp.n_corners):
-        pvms = {}
-        for q in game.questions:
-            pvm, report = orthogonalize_povm(compressions[k][q])
-            pvms[q] = pvm
-            reports.append(
-                {
-                    "corner": k,
-                    "question": q,
-                    "dim": report.dim,
-                    "distance_sq": report.distance_sq,
-                    "budget": report.budget,
-                    "holds": report.holds,
-                }
-            )
-        blocks.append(
-            TracialBlock(float(normalized_weights[k]), decomp.ranks[k], pvms)
-        )
+    blocks = [
+        TracialBlock(float(w), r, dict(zip(game.questions, pvms)))
+        for w, r, pvms in zip(normalized_weights, decomp.ranks, rounded)
+    ]
     tracial = TracialStrategy(blocks)
     tracial_table = tracial_correlation(tracial, game.questions)
 
@@ -383,7 +443,19 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
         holds_first=d1_first <= bound_first + BOUND_SLACK,
         holds_total=d1_total <= bound_total + BOUND_SLACK,
         holds_game=value_out >= 1.0 - bound_game - BOUND_SLACK,
-        orthogonalization=reports,
+        orthogonalization=[
+            {
+                "corner": k,
+                "question": q,
+                "dim": report.dim,
+                "distance_sq": report.distance_sq,
+                "budget": report.budget,
+                "holds": report.holds,
+            }
+            for (k, q), report in zip(
+                itertools.product(range(decomp.n_corners), game.questions), reports
+            )
+        ],
     )
     return RoundingResult(tracial, cert)
 
@@ -411,38 +483,37 @@ class DualDistanceReport:
         return self.holds_comm and self.holds_dual
 
 
-def _povm_sqrt(element: np.ndarray) -> np.ndarray:
-    """Square root of a POVM element, clipping roundoff within POVM_TOL."""
-    dec = eigh(element)
-    low = float(dec.eigenvalues.min())
-    if low < -POVM_TOL:
+def _povm_sqrt(elements: np.ndarray) -> np.ndarray:
+    """Square root of each element of a POVM stack, clipping roundoff
+    within POVM_TOL."""
+    dec = eigh(elements)
+    lows = dec.eigenvalues[..., 0]
+    if np.any(lows < -POVM_TOL):
+        low = lows[lows < -POVM_TOL][0]
         raise ValueError(f"POVM element is not PSD: min eigenvalue {low:.3e}")
+    v = dec.eigenvectors
     vals = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    out = (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T
-    return (out + out.conj().T) / 2
+    return _hermitian_part((v * vals[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def verify_dual_distance(
     game: SynchronousGame, s: CommutingStrategy
 ) -> DualDistanceReport:
-    """Evaluate both intermediate inequalities on a concrete strategy."""
+    """Evaluate both intermediate inequalities on a concrete strategy.
+
+    Both sums run over the stacked (X, A, d, d) families at once: one
+    stacked eigensolve gives every square root of the dual POVMs, and
+    the squared norms are mu-weighted reductions over the stack.
+    """
     delta = synchronicity_deficit(game, s)
     rho = reduced_density(s)
     sqrt_rho = functional_calculus(rho.decomposition, "sqrt")
     dual = standard_form_dual(s)
-    mu = game.mu
-    comm_sq = 0.0
-    dual_sq = 0.0
-    for x_idx, x in enumerate(game.questions):
-        for a in range(game.n_answers):
-            p = s.pvms_a[x][a]
-            comm_sq += mu[x_idx] * float(
-                np.linalg.norm(p @ sqrt_rho - sqrt_rho @ p) ** 2
-            )
-            sqrt_dual = _povm_sqrt(dual[x][a])
-            dual_sq += mu[x_idx] * float(
-                np.linalg.norm(sqrt_rho @ (p - sqrt_dual)) ** 2
-            )
+    p = _stack(s.pvms_a, game.questions)
+    sqrt_dual = _povm_sqrt(_stack(dual, game.questions))
+    weights = game.mu[:, None, None, None]
+    comm_sq = float(np.sum(weights * np.abs(p @ sqrt_rho - sqrt_rho @ p) ** 2))
+    dual_sq = float(np.sum(weights * np.abs(sqrt_rho @ (p - sqrt_dual)) ** 2))
     comm_budget = 4.0 * delta
     dual_budget = float(6.0 * np.sqrt(delta))
     return DualDistanceReport(

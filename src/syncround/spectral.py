@@ -38,81 +38,128 @@ PVM_TOL = 1e-8            # projection / partition-of-unity tolerance (Frobenius
 POVM_TOL = 1e-8
 
 
+def _element(what: str, index: tuple, noun: str = "element") -> str:
+    """Name entry ``index`` of a stack; the bare ``what`` for one matrix."""
+    if not index:
+        return what
+    return f"{what} {noun} {index[0] if len(index) == 1 else index}"
+
+
+def _first_failure(failed: np.ndarray) -> tuple | None:
+    """Stack index of the first True entry (C order), or None."""
+    hits = np.argwhere(failed)
+    return tuple(int(i) for i in hits[0]) if len(hits) else None
+
+
+def _first_excess(residual: np.ndarray, floor: float, allowed=None):
+    """(index, norm) of the first matrix of a stack whose Frobenius norm
+    exceeds its allowance, or None.
+
+    Every allowance is at least ``floor`` and no matrix's norm exceeds
+    the whole array's, so one norm accepts the stack; only past that are
+    per-matrix norms and the allowances ``allowed()`` (default ``floor``)
+    computed.
+    """
+    if np.linalg.norm(residual) <= floor:
+        return None
+    norms = np.linalg.norm(residual, axis=(-2, -1))
+    bad = _first_failure(norms > (floor if allowed is None else allowed()))
+    return None if bad is None else (bad, norms[bad])
+
+
 def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
     """Validate Hermitianity entrywise and return the complex ndarray.
 
-    The deviation max |H - H*| must not exceed
-    ``HERMITIAN_TOL * (1 + max |H|)``.
+    ``matrix`` is one square matrix or a stack of them, shape (..., n, n).
+    For each matrix H the deviation max |H - H*| must not exceed
+    ``HERMITIAN_TOL * (1 + max |H|)``; a failing stack names the first
+    failing element.
     """
     h = np.asarray(matrix, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {h.shape}")
     if h.size == 0:
         raise ValueError(f"{what} must be non-empty")
-    scale = float(np.abs(h).max())
-    deviation = float(np.abs(h - h.conj().T).max())
-    allowed = HERMITIAN_TOL * (1.0 + scale)
-    if deviation > allowed:
+    deviation = np.abs(h - h.conj().swapaxes(-1, -2))
+    # every matrix is allowed at least HERMITIAN_TOL, so one reduction over
+    # the whole array accepts it; only past that is the scale looked at
+    if deviation.max() <= HERMITIAN_TOL:
+        return h
+    deviation = deviation.max(axis=(-2, -1))
+    allowed = HERMITIAN_TOL * (1.0 + np.abs(h).max(axis=(-2, -1)))
+    bad = _first_failure(deviation > allowed)
+    if bad is not None:
         raise ValueError(
-            f"{what} is not Hermitian: max entry of |H - H*| is {deviation:.3e}"
-            f" which exceeds the allowed {allowed:.3e}"
+            f"{_element(what, bad)} is not Hermitian: max entry of |H - H*| is"
+            f" {deviation[bad]:.3e} which exceeds the allowed {allowed[bad]:.3e}"
         )
     return h
 
 
-def require_pvm(family, dim: int, what: str = "PVM") -> list[np.ndarray]:
-    """Validate a projection-valued family summing to the identity.
-
-    Each element must be Hermitian with ``||p^2 - p||_F <= PVM_TOL`` and
-    the family must sum to the identity within ``PVM_TOL`` in Frobenius
-    norm.  Zero elements are allowed.
-    """
+def _family_stack(family, dim: int, what: str) -> np.ndarray:
+    """One family, a sequence of (dim, dim) operators, or an array stack
+    of families (..., A, dim, dim), as one Hermitian-checked array."""
     if len(family) == 0:
         raise ValueError(f"{what} must have at least one outcome")
-    ops = []
-    for k, p in enumerate(family):
-        p = require_hermitian(p, f"{what} element {k}")
-        if p.shape != (dim, dim):
-            raise ValueError(
-                f"{what} element {k} has shape {p.shape}, expected {(dim, dim)}"
-            )
-        idem = float(np.linalg.norm(p @ p - p))
-        if idem > PVM_TOL:
-            raise ValueError(
-                f"{what} element {k} is not a projection: ||p^2 - p||_F = {idem:.3e}"
-            )
-        ops.append(p)
-    total = sum(ops)
-    dev = float(np.linalg.norm(total - np.eye(dim)))
-    if dev > PVM_TOL:
-        raise ValueError(
-            f"{what} does not sum to the identity: ||sum - 1||_F = {dev:.3e}"
-        )
+    if not isinstance(family, np.ndarray):
+        for k, op in enumerate(family):
+            if np.shape(op) != (dim, dim):
+                raise ValueError(
+                    f"{what} element {k} has shape {np.shape(op)}, expected {(dim, dim)}"
+                )
+    ops = require_hermitian(family, what)
+    if ops.ndim < 3 or ops.shape[-1] != dim:
+        raise ValueError(f"{what} has shape {ops.shape}, expected (..., A, {dim}, {dim})")
     return ops
 
 
-def require_povm(family, dim: int, what: str = "POVM") -> list[np.ndarray]:
-    """Validate a positive family summing to the identity within POVM_TOL."""
-    if len(family) == 0:
-        raise ValueError(f"{what} must have at least one outcome")
-    ops = []
-    for k, m in enumerate(family):
-        m = require_hermitian(m, f"{what} element {k}")
-        if m.shape != (dim, dim):
-            raise ValueError(
-                f"{what} element {k} has shape {m.shape}, expected {(dim, dim)}"
-            )
-        low = float(np.linalg.eigvalsh(m).min())
-        if low < -POVM_TOL:
-            raise ValueError(
-                f"{what} element {k} is not PSD: min eigenvalue {low:.3e}"
-            )
-        ops.append(m)
-    dev = float(np.linalg.norm(sum(ops) - np.eye(dim)))
-    if dev > POVM_TOL:
+def _require_unit_sum(ops: np.ndarray, tol: float, what: str) -> None:
+    excess = _first_excess(ops.sum(axis=-3) - np.eye(ops.shape[-1]), tol)
+    if excess:
         raise ValueError(
-            f"{what} does not sum to the identity: ||sum - 1||_F = {dev:.3e}"
+            f"{_element(what, excess[0], 'family')} does not sum to the identity:"
+            f" ||sum - 1||_F = {excess[1]:.3e}"
         )
+
+
+def require_pvm(family, dim: int, what: str = "PVM") -> np.ndarray:
+    """Validate a projection-valued family summing to the identity.
+
+    ``family`` is one PVM, a sequence of (dim, dim) operators, or an
+    array stack of PVMs, shape (..., A, dim, dim).  Each element must be
+    Hermitian with ``||p^2 - p||_F <= PVM_TOL`` and each family must sum
+    to the identity within ``PVM_TOL`` in Frobenius norm; a failure
+    names the first failing element or family.  Zero elements are
+    allowed.  Returns the validated stack as one complex array.
+    """
+    ops = _family_stack(family, dim, what)
+    excess = _first_excess(ops @ ops - ops, PVM_TOL)
+    if excess:
+        raise ValueError(
+            f"{_element(what, excess[0])} is not a projection:"
+            f" ||p^2 - p||_F = {excess[1]:.3e}"
+        )
+    _require_unit_sum(ops, PVM_TOL, what)
+    return ops
+
+
+def require_povm(family, dim: int, what: str = "POVM") -> np.ndarray:
+    """Validate a positive family summing to the identity within POVM_TOL.
+
+    ``family`` is one POVM, a sequence of (dim, dim) operators, or an
+    array stack of POVMs, shape (..., A, dim, dim).  Every element must
+    be PSD down to -POVM_TOL and every POVM must sum to the identity
+    within POVM_TOL in Frobenius norm; a failure names the first failing
+    element or POVM.  Returns the validated stack as one complex array.
+    """
+    ops = _family_stack(family, dim, what)
+    low = np.linalg.eigvalsh(ops)[..., 0]
+    bad = _first_failure(low < -POVM_TOL)
+    if bad is not None:
+        raise ValueError(
+            f"{_element(what, bad)} is not PSD: min eigenvalue {low[bad]:.3e}"
+        )
+    _require_unit_sum(ops, POVM_TOL, what)
     return ops
 
 
@@ -123,7 +170,9 @@ class SpectralDecomposition:
     ``eigenvalues`` are ascending, ``eigenvectors`` holds the matching
     orthonormal columns, and ``clusters`` partitions the indices into
     groups of eigenvalues equal within ``merge_tol``, ordered so that the
-    cluster representatives are strictly decreasing.
+    cluster representatives are strictly decreasing.  The decomposition
+    of a stack holds stacked arrays and one ``merge_tol`` per matrix; the
+    cluster methods take one matrix.
     """
 
     eigenvalues: np.ndarray
@@ -132,7 +181,7 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.eigenvectors.shape[0]
+        return self.eigenvectors.shape[-1]
 
     @property
     def clusters(self) -> tuple[np.ndarray, ...]:
@@ -152,17 +201,27 @@ class SpectralDecomposition:
         return np.add.reduceat(self.eigenvalues, starts) / sizes, sizes
 
     def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        v = self.eigenvectors
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real positive."""
-    top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    """Make the largest-magnitude component of each column real positive.
+
+    ``vectors`` is one matrix or a stack (..., n, m), read by flat index:
+    entry (i, j) of matrix b sits at b n m + i m + j.
+    """
+    rows, cols = vectors.shape[-2:]
+    top_row = np.argmax(np.abs(vectors), axis=-2)
+    flat = top_row * cols + np.arange(cols)
+    if vectors.ndim > 2:
+        flat += np.arange(0, vectors.size, rows * cols).reshape(flat.shape[:-1] + (1,))
+    top = vectors.reshape(-1)[flat]
     size = np.abs(top)
     phase = np.ones_like(top)
     nonzero = size > 0
     phase[nonzero] = np.conj(top[nonzero]) / size[nonzero]
-    return vectors * phase
+    return vectors * phase[..., None, :]
 
 
 def _cluster_starts(values: np.ndarray, tol: float) -> np.ndarray:
@@ -181,24 +240,33 @@ def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix with deterministic phases.
 
     Returns eigenvalues ascending together with the unitary of
-    eigenvectors and the degenerate clusters.  Raises ``ValueError`` on
-    non-Hermitian input, reporting the violating entry norm.
+    eigenvectors.  A stack (..., n, n) is decomposed matrix by matrix
+    into stacked eigenvalues and eigenvectors, each matrix checked with
+    the same tolerances and with its own merge tolerance.  Raises
+    ``ValueError`` on non-Hermitian input, reporting the violating
+    entry norm.
     """
     h = require_hermitian(matrix, what)
     w, v = np.linalg.eigh(h)
     v = _fix_phases(v)
-    radius = float(np.abs(w).max()) if w.size else 0.0
+    radius = np.abs(w).max(axis=-1)
     tol = MERGE_TOL_SCALE * (1.0 + radius)
-    dec = SpectralDecomposition(w, v, tol)
-    recon = float(np.linalg.norm(dec.reconstruct() - h))
-    if recon > DECOMP_TOL * (1.0 + float(np.linalg.norm(h))):
+    dec = SpectralDecomposition(w, v, float(tol) if tol.ndim == 0 else tol)
+    excess = _first_excess(
+        dec.reconstruct() - h,
+        DECOMP_TOL,
+        lambda: DECOMP_TOL * (1.0 + np.linalg.norm(h, axis=(-2, -1))),
+    )
+    if excess:
         raise ValueError(
-            f"eigendecomposition of {what} failed to reconstruct: residual {recon:.3e}"
+            f"eigendecomposition of {_element(what, excess[0])} failed to"
+            f" reconstruct: residual {excess[1]:.3e}"
         )
-    ortho = float(np.linalg.norm(v.conj().T @ v - np.eye(h.shape[0])))
-    if ortho > DECOMP_TOL:
+    excess = _first_excess(v.conj().swapaxes(-1, -2) @ v - np.eye(h.shape[-1]), DECOMP_TOL)
+    if excess:
         raise ValueError(
-            f"eigenvectors of {what} are not orthonormal: residual {ortho:.3e}"
+            f"eigenvectors of {_element(what, excess[0])} are not orthonormal:"
+            f" residual {excess[1]:.3e}"
         )
     return dec
 

@@ -67,7 +67,10 @@ def _pvm_dict(pvms, dim: int, side: str) -> dict[str, list[np.ndarray]]:
     out = {}
     n_answers = None
     for question, family in pvms.items():
-        ops = require_pvm(family, dim, f"{side} PVM for question {question!r}")
+        require_pvm(family, dim, f"{side} PVM for question {question!r}")
+        # keep the caller's arrays: views of the validated stack would pin
+        # a second copy of every family the caller still holds
+        ops = [np.asarray(p, dtype=np.complex128) for p in family]
         if n_answers is None:
             n_answers = len(ops)
         elif len(ops) != n_answers:
@@ -153,8 +156,7 @@ class TracialStrategy:
             if len(next(iter(b.pvms.values()))) != n_answers:
                 raise ValueError("all blocks must share the answer count")
         # a synchronous strategy puts no mass on tau(r^x_a r^x_b), a != b
-        same = np.arange(len(questions))
-        cross = _tracial_table(self.blocks, questions)[same, same]
+        cross = _tracial_table(self.blocks, questions, same_question=True)
         off_diagonal = ~np.eye(n_answers, dtype=bool)
         worst = float(np.abs(cross[:, off_diagonal]).max(initial=0.0))
         if worst > SYNC_TOL:
@@ -216,12 +218,25 @@ def _stack(pvms: dict[str, list[np.ndarray]], order) -> np.ndarray:
     return np.array([pvms[q] for q in order])
 
 
-def _tracial_table(blocks: list[TracialBlock], order) -> np.ndarray:
-    """sum_k w_k tr_k(r^x_a r^y_b) over the blocks, shape (X, Y, A, A)."""
+def _tracial_table(
+    blocks: list[TracialBlock], order, same_question: bool = False
+) -> np.ndarray:
+    """sum_k w_k tr_k(r^x_a r^y_b) over the blocks, shape (X, Y, A, A).
+
+    With ``same_question`` only the x = y blocks, shape (X, A, A): each
+    question is paired with itself alone, X A^2 traces instead of
+    X^2 A^2.
+    """
     data = 0.0
     for blk in blocks:
         stack = _stack(blk.pvms, order)
-        data = data + blk.weight / blk.dim * trace_pairing(stack, stack).real
+        if same_question:
+            nx, na, d, _ = stack.shape
+            flat = stack.reshape(nx, na, d * d)
+            pair = flat @ stack.swapaxes(-1, -2).reshape(nx, na, d * d).swapaxes(-1, -2)
+        else:
+            pair = trace_pairing(stack, stack)
+        data = data + blk.weight / blk.dim * pair.real
     return data
 
 
@@ -280,7 +295,7 @@ def standard_form_dual(s: CommutingStrategy) -> dict[str, list[np.ndarray]]:
     stacked = (stacked + stacked.conj().swapaxes(-1, -2)) / 2
     stacked[:, 0] += np.eye(s.dim_a) - support
     dual = {
-        q: require_povm(list(family), s.dim_a, f"dual POVM for question {q!r}")
+        q: list(require_povm(family, s.dim_a, f"dual POVM for question {q!r}"))
         for q, family in zip(order, stacked)
     }
     table = correlation_of_commuting(s)

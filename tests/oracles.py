@@ -199,3 +199,33 @@ def payoff_operator_kron(game, pvms_a, pvms_b):
                     if game.predicate[x, y, a, b]:
                         payoff += game.nu[x, y] * np.kron(pvms_a[x][a], pvms_b[y][b])
     return payoff
+
+
+def orthogonalize_povm_loop(povm):
+    """Greedy rounding of one POVM at full size: per outcome by decreasing
+    trace, the spectral projection above 1/2 of comp m comp, where comp
+    projects onto the unassigned subspace; the residual goes to the
+    outcome with the largest residual expectation.  Returns the PVM stack,
+    distance_sq, budget, holds and the smallest distance of an eigenvalue
+    met on the way from the 1/2 threshold."""
+    ms = np.array(povm, dtype=complex)
+    dim = ms.shape[-1]
+    comp = np.eye(dim, dtype=complex)
+    rs = np.zeros_like(ms)
+    gap = np.inf
+    for a in np.argsort(-np.trace(ms, axis1=1, axis2=2).real, kind="stable"):
+        b = comp @ ms[a] @ comp
+        dec = eigh((b + b.conj().T) / 2)
+        gap = min(gap, float(np.abs(dec.eigenvalues - 0.5).min()))
+        v = dec.eigenvectors[:, dec.eigenvalues > 0.5]
+        r = v @ v.conj().T
+        rs[a] = (r + r.conj().T) / 2
+        comp = comp - rs[a]
+    residual = (comp + comp.conj().T) / 2
+    if float(np.trace(residual).real) > 1e-12:
+        scores = np.trace(residual @ ms, axis1=1, axis2=2).real
+        rs[int(np.argmax(scores))] += residual
+    distance_sq = float(np.linalg.norm(ms - rs) ** 2) / dim
+    purity = float(np.trace(ms @ ms, axis1=1, axis2=2).real.sum()) / dim
+    budget = 9.0 * (1.0 - purity)
+    return rs, distance_sq, budget, distance_sq <= budget + 1e-12, gap

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from syncround import (
     corner_correlation,
@@ -17,6 +19,7 @@ from syncround import (
     tracial_correlation,
     verify_dual_distance,
 )
+import syncround.rounding
 from syncround.rounding import corner_compressions
 from syncround.sampling import (
     random_povm,
@@ -30,7 +33,7 @@ from syncround.strategies import CommutingStrategy, DensityOperator
 from syncround import reduced_density
 
 from conftest import assert_close, diagonal_game_doc, random_commuting_strategy
-from oracles import corner_table_loop, corner_table_quadrature
+from oracles import corner_table_loop, corner_table_quadrature, orthogonalize_povm_loop
 
 
 def density_from_diag(values):
@@ -195,9 +198,10 @@ class TestCornerCorrelation:
         pvms = {q: random_pvm(rng, dim, na) for q in questions}
         table = corner_correlation(pvms, decomp, questions)
         assert_close(table.data, corner_table_loop(pvms, decomp, questions), 1e-10)
-        for basis, compressed in zip(decomp.bases, corner_compressions(pvms, decomp)):
-            for q in questions:
-                for p, c in zip(pvms[q], compressed[q]):
+        stack = corner_compressions(pvms, decomp)
+        for basis, r in zip(decomp.bases, decomp.ranks):
+            for q, compressed in zip(questions, stack[:, :, :r, :r]):
+                for p, c in zip(pvms[q], compressed):
                     assert_close(c, basis.conj().T @ p @ basis, 1e-12)
 
 
@@ -229,6 +233,16 @@ class TestOrthogonalizePovm:
         assert_close(report.budget, 9 * (1 - 0.82), 1e-12)
         assert report.holds
 
+    def test_half_half_hand_example(self):
+        # no eigenvalue passes 1/2: the whole space is the residual and
+        # goes to the first of the tied outcomes
+        rounded, report = orthogonalize_povm([np.eye(2) / 2, np.eye(2) / 2])
+        assert_close(rounded[0], np.eye(2), 1e-15)
+        assert_close(rounded[1], np.zeros((2, 2)), 1e-15)
+        assert_close(report.distance_sq, 0.5, 1e-15)
+        assert_close(report.budget, 4.5, 1e-15)
+        assert report.holds
+
     def test_sums_to_identity_exactly(self):
         rng = rng_for(152, 0)
         for trial in range(20):
@@ -238,6 +252,129 @@ class TestOrthogonalizePovm:
             assert np.linalg.norm(sum(rounded) - np.eye(dim)) <= 1e-12
             for r in rounded:
                 assert np.linalg.norm(r @ r - r) <= 1e-12
+
+
+def _ragged_pvm(rng, dim, n_outcomes):
+    """PVM on C^dim in a Haar basis with random (possibly zero) ranks."""
+    cuts = np.sort(rng.integers(0, dim + 1, n_outcomes - 1))
+    sizes = np.diff(np.concatenate([[0], cuts, [dim]]))
+    u = random_unitary(rng, dim)
+    columns = np.split(u, np.cumsum(sizes)[:-1], axis=1)
+    return np.array([v @ v.conj().T for v in columns])
+
+
+def _nested_povm_stack(kind, seed, dim, n_questions, n_answers, ranks):
+    """(X, A, dim, dim) stack of POVMs whose leading blocks are POVMs.
+
+    ``povm``: Wishart POVMs; ``pvm``: Haar PVMs with ragged ranks, so
+    the leading blocks are proper POVMs; ``block-pvm``: PVMs that are
+    block-diagonal along the nested ranks, so every leading block is an
+    exact projection family (eigenvalues 0 and 1).
+    """
+    rng = rng_for(191, seed)
+    families = []
+    for _ in range(n_questions):
+        if kind == "povm":
+            families.append(np.array(random_povm(rng, dim, n_answers)))
+        elif kind == "pvm":
+            families.append(_ragged_pvm(rng, dim, n_answers))
+        else:
+            edges = sorted({0, *ranks, dim})
+            family = np.zeros((n_answers, dim, dim), dtype=complex)
+            for lo, hi in zip(edges, edges[1:]):
+                family[:, lo:hi, lo:hi] = _ragged_pvm(rng, hi - lo, n_answers)
+            families.append(family)
+    stack = np.array(families)
+    return (stack + stack.conj().swapaxes(-1, -2)) / 2
+
+
+@st.composite
+def nested_povm_instances(draw):
+    dim = draw(st.integers(1, 6))
+    ranks = tuple(sorted(draw(st.sets(st.integers(1, dim), min_size=1))))
+    return (
+        draw(st.sampled_from(["povm", "pvm", "block-pvm"])),
+        draw(st.integers(0, 10**6)),
+        dim,
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 5)),
+        ranks,
+    )
+
+
+class TestOrthogonalizeNested:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(instance=nested_povm_instances())
+    @example(instance=("povm", 1, 3, 2, 5, (1, 2, 3)))  # |A| > d, ranks down to 1
+    @example(instance=("block-pvm", 2, 6, 3, 3, (1, 3, 6)))  # exact projections
+    @example(instance=("pvm", 3, 5, 3, 4, (2, 5)))  # ragged ranks across questions
+    @example(instance=("povm", 4, 4, 2, 1, (1, 4)))  # a single outcome
+    def test_matches_per_povm_loop(self, instance):
+        stack = _nested_povm_stack(*instance)
+        ranks = instance[-1]
+        rounded, reports = orthogonalize_povm(stack, ranks)
+        assert len(rounded) == len(ranks)
+        assert len(reports) == len(ranks) * len(stack)
+        for k, r in enumerate(ranks):
+            assert rounded[k].shape == (len(stack), stack.shape[1], r, r)
+            for x, family in enumerate(stack[:, :, :r, :r]):
+                pvm, distance_sq, budget, holds, gap = orthogonalize_povm_loop(family)
+                assume(gap > 1e-9)
+                report = reports[k * len(stack) + x]
+                assert_close(rounded[k][x], pvm, 1e-12)
+                assert report.dim == r and report.n_outcomes == stack.shape[1]
+                assert abs(report.distance_sq - distance_sq) <= 1e-12
+                assert abs(report.budget - budget) <= 1e-12
+                assert report.holds == holds
+
+    def test_single_povm_matches_loop(self):
+        povm = random_povm(rng_for(192, 0), 5, 3)
+        rounded, report = orthogonalize_povm(povm)
+        pvm, distance_sq, budget, holds, _ = orthogonalize_povm_loop(povm)
+        assert isinstance(rounded, list) and len(rounded) == 3
+        assert_close(np.array(rounded), pvm, 1e-12)
+        assert abs(report.distance_sq - distance_sq) <= 1e-12
+        assert abs(report.budget - budget) <= 1e-12
+        assert report.holds == holds
+
+    def test_non_psd_full_stack_rejected(self):
+        # the leading 2 x 2 blocks are POVMs, the full stack is not PSD
+        stack = _nested_povm_stack("block-pvm", 5, 4, 2, 2, (1, 2))
+        stack[0, 0, 3, 3] += 0.02
+        stack[0, 1, 3, 3] -= 0.02
+        low = np.linalg.eigvalsh(stack[0, :, :2, :2]).min()
+        assert low >= -1e-12
+        with pytest.raises(ValueError, match=r"POVM element \(0, 1\) is not PSD"):
+            orthogonalize_povm(stack, (1, 2))
+
+    def test_hermitian_check_per_block(self):
+        # two rank-1 projections on C^2: the full elements reach 0.9, the
+        # 1 x 1 leading block of the first is 0.1; an imaginary 1.2e-12
+        # deviation passes the full scale (1.9e-12), not the block's (1.1e-12)
+        m = np.array([[0.1, 0.3], [0.3, 0.9]], dtype=complex)
+        stack = np.array([[m, np.eye(2) - m]])
+        stack[0, 0, 0, 0] += 0.6e-12j
+        with pytest.raises(ValueError, match=r"corner 0 POVM element \(0, 0\) is not Hermitian"):
+            orthogonalize_povm(stack, (1, 2))
+
+    def test_eigh_calls_at_most_corners_times_answers(self, k2_game, monkeypatch):
+        # three corners, two questions, three answers: one stacked
+        # eigensolve per visit step and corner, never one per POVM
+        e = [np.diag(np.eye(3)[i]).astype(complex) for i in range(3)]
+        pvms = {"v0": e, "v1": [e[0] + e[1], e[2], 0 * e[0]]}
+        s = CommutingStrategy(3, 3, np.diag(np.sqrt([0.5, 0.3, 0.2])), pvms, pvms)
+        calls = []
+        inner = syncround.rounding.eigh
+        monkeypatch.setattr(
+            syncround.rounding, "eigh", lambda *a, **k: calls.append(1) or inner(*a, **k)
+        )
+        result = round_strategy(k2_game, s)
+        assert len(result.tracial.blocks) == 3 and len(k2_game.questions) == 2
+        assert len(calls) <= 3 * k2_game.n_answers
+        # the compressions are exact projections and v0's has rank 1 per
+        # outcome, so corner k runs out of unassigned columns after k + 1
+        # visits; in corner 1, v1 is empty after one visit and only padded
+        assert len(calls) == 1 + 2 + 3
 
 
 class TestRoundStrategy:
@@ -262,6 +399,22 @@ class TestRoundStrategy:
         decomp = corner_decomposition(reduced_density(s))
         assert decomp.ranks == (1,)
         assert_close(decomp.weights, [schmidt_sq[0]], 1e-15)
+        assert round_strategy(k2_game, s).certificate.holds
+
+    def test_dropped_zero_spectrum_above_table_tolerance(self, k2_game, k2_strategy):
+        # ten Schmidt^2 values of 1.4e-9 fall in the zero band and carry
+        # 1.4e-8 of the trace, more than the table's 1e-8 sum tolerance;
+        # the corner table is divided by the kept mass
+        lift = {
+            side: {q: [np.kron(p, np.eye(4)) for p in fam] for q, fam in pvms.items()}
+            for side, pvms in (("a", k2_strategy.pvms_a), ("b", k2_strategy.pvms_b))
+        }
+        schmidt_sq = np.array([(1 - 1.4e-8) / 2] * 2 + [1.4e-9] * 10)
+        s = CommutingStrategy(12, 12, np.diag(np.sqrt(schmidt_sq)), lift["a"], lift["b"])
+        decomp = corner_decomposition(reduced_density(s))
+        assert decomp.ranks == (2,)
+        corner = corner_correlation(s.pvms_a, decomp, k2_game.questions)
+        assert_close(corner.data.sum(axis=(2, 3)), 1.0, 1e-15)
         assert round_strategy(k2_game, s).certificate.holds
 
     def test_single_answer_game_trivial(self):

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syncround.sampling import random_hermitian, random_psd, rng_for
+from syncround.sampling import random_hermitian, random_psd, random_pvm, rng_for
 from syncround.spectral import (
     _cluster_indices,
     _fix_phases,
     eigh,
     functional_calculus,
+    require_hermitian,
+    require_povm,
     require_pvm,
 )
 
@@ -62,6 +64,66 @@ class TestEigh:
         zero = np.zeros((dim, 2), dtype=complex)
         for v in (vectors, np.hstack([vectors[:, :4], tied, zero])):
             assert np.array_equal(_fix_phases(v), fix_phases_loop(v))
+        # a stack of non-square column blocks, fixed matrix by matrix
+        stack = np.array([[v, 1j * v], [v[::-1], -v]])
+        fixed = _fix_phases(stack)
+        for idx in np.ndindex(2, 2):
+            assert np.array_equal(fixed[idx], fix_phases_loop(stack[idx]))
+
+
+class TestStacks:
+    def test_stacked_eigh_equals_per_matrix(self):
+        rng = rng_for(24, 0)
+        stack = np.array(
+            [[random_hermitian(rng, 5) for _ in range(3)] for _ in range(2)]
+            + [[np.diag([0.0, 0.0, 1.0, 1.0, 2.0])] * 3]
+        )
+        dec = eigh(stack)
+        assert dec.eigenvalues.shape == (3, 3, 5) and dec.merge_tol.shape == (3, 3)
+        for idx in np.ndindex(3, 3):
+            single = eigh(stack[idx])
+            assert_close(dec.eigenvalues[idx], single.eigenvalues, 1e-13)
+            assert_close(dec.eigenvectors[idx], single.eigenvectors, 1e-13)
+            assert dec.merge_tol[idx] == single.merge_tol
+        assert_close(dec.reconstruct(), stack, 1e-12)
+
+    def test_non_hermitian_element_named(self):
+        stack = np.array([[np.eye(3)] * 3] * 2, dtype=complex)
+        stack[1, 2, 0, 1] = 1e-6
+        with pytest.raises(ValueError, match=r"matrix element \(1, 2\) is not Hermitian"):
+            eigh(stack)
+        with pytest.raises(ValueError, match=r"^x element 5 is not Hermitian"):
+            require_hermitian(stack.reshape(6, 3, 3), "x")
+
+    def test_hermitian_tolerance_per_matrix(self):
+        # 5e-12 is within 1e-12 (1 + 10) for the large matrix only
+        stack = np.array([np.eye(2) * 10, np.eye(2)], dtype=complex)
+        stack[:, 0, 1] = 5e-12
+        require_hermitian(stack[:1])
+        with pytest.raises(ValueError, match=r"element 1 is not Hermitian"):
+            require_hermitian(stack)
+
+    def test_non_psd_element_named(self):
+        rng = rng_for(25, 0)
+        stack = np.array([random_pvm(rng, 4, 3) for _ in range(2)])
+        stack[1, 0] -= 0.02 * np.eye(4)
+        stack[1, 1] += 0.02 * np.eye(4)
+        with pytest.raises(ValueError, match=r"POVM element \(1, 0\) is not PSD"):
+            require_povm(stack, 4)
+
+    def test_family_sums_checked_per_family(self):
+        rng = rng_for(26, 0)
+        stack = np.array([random_pvm(rng, 3, 2) for _ in range(3)])
+        assert require_pvm(stack, 3).shape == (3, 2, 3, 3)
+        stack[2, 1] = 0.0
+        with pytest.raises(ValueError, match=r"PVM family 2 does not sum"):
+            require_pvm(stack, 3)
+        with pytest.raises(ValueError, match=r"POVM family 2 does not sum"):
+            require_povm(stack, 3)
+
+    def test_shape_of_listed_element_named(self):
+        with pytest.raises(ValueError, match=r"element 1 has shape \(2, 2\)"):
+            require_pvm([np.eye(3), np.eye(2)], 3)
 
 
 TOL = 1e-9

@@ -27,7 +27,7 @@ from syncround import (
     tracial_correlation,
 )
 from syncround.sampling import random_pvm, random_unitary, rng_for
-from syncround.strategies import _payoff_operator
+from syncround.strategies import _payoff_operator, _tracial_table
 
 from conftest import assert_close, diagonal_game_doc, random_commuting_strategy
 from oracles import payoff_operator_kron, seesaw_value_loop
@@ -263,6 +263,18 @@ class TestTracialStrategy:
         )
         # bad is still a PVM (orthogonal rank-1 projections), so fine
         assert table.data[0, 0, 0, 1] <= 1e-12
+
+    def test_same_question_table_is_the_diagonal(self):
+        rng = rng_for(54, 0)
+        blocks = [
+            TracialBlock(0.3, 3, {q: random_pvm(rng, 3, 4) for q in "xyz"}),
+            TracialBlock(0.7, 5, {q: random_pvm(rng, 5, 4) for q in "xyz"}),
+        ]
+        same = np.arange(3)
+        full = _tracial_table(blocks, "zxy")
+        diagonal = _tracial_table(blocks, "zxy", same_question=True)
+        assert diagonal.shape == (3, 4, 4)
+        assert_close(diagonal, full[same, same], 1e-15)
 
     def test_weights_must_sum_to_one(self):
         pvm = [np.eye(2)]
