@@ -38,7 +38,6 @@ from .games import (
     table_l1_distance,
 )
 from .spectral import (
-    POVM_TOL,
     PSD_CLAMP,
     eigh,
     functional_calculus,
@@ -151,7 +150,7 @@ def symmetrized_correlation(
     """Symmetric table T_{x,y}(a, b) = Tr(p^x_a rho^(1/2) p^y_b rho^(1/2))."""
     order = tuple(questions) if questions is not None else tuple(pvms_a)
     na = len(pvms_a[order[0]])
-    sqrt_rho = functional_calculus(rho.decomposition, "sqrt")
+    sqrt_rho = functional_calculus(rho.decomposition)
     stack = np.array([pvms_a[q] for q in order])
     data = trace_pairing(stack, sqrt_rho @ stack @ sqrt_rho).real
     sums = data.sum(axis=(2, 3))
@@ -378,8 +377,7 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
 
     Requires alpha_of(game) > 0 (otherwise the value bound is vacuous
     and the run is rejected).  The corner stage uses only the A-side
-    PVMs and the reduced density, so conditioning problems in the dual
-    transport cannot occur here.
+    PVMs and the reduced density.
     """
     alpha = alpha_of(game)
     if alpha <= 0.0:
@@ -483,19 +481,6 @@ class DualDistanceReport:
         return self.holds_comm and self.holds_dual
 
 
-def _povm_sqrt(elements: np.ndarray) -> np.ndarray:
-    """Square root of each element of a POVM stack, clipping roundoff
-    within POVM_TOL."""
-    dec = eigh(elements)
-    lows = dec.eigenvalues[..., 0]
-    if np.any(lows < -POVM_TOL):
-        low = lows[lows < -POVM_TOL][0]
-        raise ValueError(f"POVM element is not PSD: min eigenvalue {low:.3e}")
-    v = dec.eigenvectors
-    vals = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    return _hermitian_part((v * vals[..., None, :]) @ v.conj().swapaxes(-1, -2))
-
-
 def verify_dual_distance(
     game: SynchronousGame, s: CommutingStrategy
 ) -> DualDistanceReport:
@@ -507,10 +492,10 @@ def verify_dual_distance(
     """
     delta = synchronicity_deficit(game, s)
     rho = reduced_density(s)
-    sqrt_rho = functional_calculus(rho.decomposition, "sqrt")
+    sqrt_rho = functional_calculus(rho.decomposition)
     dual = standard_form_dual(s)
     p = _stack(s.pvms_a, game.questions)
-    sqrt_dual = _povm_sqrt(_stack(dual, game.questions))
+    sqrt_dual = functional_calculus(_stack(dual, game.questions))
     weights = game.mu[:, None, None, None]
     comm_sq = float(np.sum(weights * np.abs(p @ sqrt_rho - sqrt_rho @ p) ** 2))
     dual_sq = float(np.sum(weights * np.abs(sqrt_rho @ (p - sqrt_dual)) ** 2))

@@ -1,7 +1,7 @@
 """Dense Hermitian spectral calculus.
 
 Eigendecomposition with a deterministic phase convention and clustered
-eigenvalues, functional calculus for positive semidefinite matrices,
+eigenvalues, the square root of positive semidefinite matrices,
 the trace pairing of two stacked operator families, and the matrix
 validation helpers (Hermitian / PVM / POVM) shared by the rest of the
 package.  Everything works on plain complex numpy arrays at desk scale
@@ -271,33 +271,27 @@ def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
     return dec
 
 
-def functional_calculus(matrix, kind: str) -> np.ndarray:
-    """Apply a named scalar function to a PSD matrix spectrally.
+def functional_calculus(matrix) -> np.ndarray:
+    """Square root of a PSD matrix, or of each matrix of a stack, spectrally.
 
-    Supported kinds:
-
-    - ``"sqrt"``: eigenvalue square root; input must be PSD up to clamp.
-    - ``"pinv_sqrt"``: Moore-Penrose inverse square root; eigenvalues
-      below the zero clamp map to 0.
+    ``matrix`` is one (n, n) matrix, a stack (..., n, n), or their
+    ``SpectralDecomposition``.  Eigenvalues in [-PSD_CLAMP, 0) are
+    roundoff and map to 0; a lower one is rejected, naming the first
+    failing element of a stack.
     """
     dec = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix)
     w = dec.eigenvalues
-    if float(w.min()) < -PSD_CLAMP:
+    low = w[..., 0]
+    bad = _first_failure(low < -PSD_CLAMP)
+    if bad is not None:
         raise ValueError(
-            "functional calculus input is not positive semidefinite: min"
-            f" eigenvalue {float(w.min()):.3e} is below the clamp -{PSD_CLAMP:.0e}"
+            f"{_element('functional calculus input', bad)} is not positive"
+            f" semidefinite: min eigenvalue {low[bad]:.3e} is below the clamp"
+            f" -{PSD_CLAMP:.0e}"
         )
-    w = np.clip(w, 0.0, None)
-    if kind == "sqrt":
-        vals = np.sqrt(w)
-    elif kind == "pinv_sqrt":
-        vals = np.zeros_like(w)
-        mask = w >= PSD_CLAMP
-        vals[mask] = w[mask] ** -0.5
-    else:
-        raise ValueError(f"unknown functional calculus kind {kind!r}")
-    out = (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T
-    return (out + out.conj().T) / 2
+    v = dec.eigenvectors
+    out = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def trace_pairing(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from .spectral import (
     PSD_CLAMP,
     SpectralDecomposition,
     eigh,
-    functional_calculus,
     require_povm,
     require_pvm,
     trace_pairing,
@@ -58,7 +57,6 @@ STATE_TOL = 1e-10
 IMAG_TOL = 1e-8
 WEIGHT_TOL = 1e-10
 SYNC_TOL = 1e-8
-DUAL_IDENTITY_TOL = 1e-6
 
 
 def _pvm_dict(pvms, dim: int, side: str) -> dict[str, list[np.ndarray]]:
@@ -195,13 +193,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def support_projection(self) -> np.ndarray:
-        dec = self.decomposition
-        sel = dec.eigenvalues >= PSD_CLAMP
-        v = dec.eigenvectors[:, sel]
-        p = v @ v.conj().T
-        return (p + p.conj().T) / 2
-
 
 def _question_order(strategy, questions) -> tuple[str, ...]:
     if questions is None:
@@ -277,43 +268,26 @@ def reduced_density(s: CommutingStrategy) -> DensityOperator:
 def standard_form_dual(s: CommutingStrategy) -> dict[str, list[np.ndarray]]:
     """Transport the B-side PVMs to A-side POVMs through the state.
 
-    Returns per question y a POVM (p'ated on the A side) satisfying
+    Returns per question y a POVM (p'^y_b on the A side) satisfying
 
         Tr(p^x_a rho^(1/2) p'^y_b rho^(1/2)) = P_{x,y}(a, b)
 
-    where rho is the reduced density of the state.  The rank deficit of
-    rho is completed on the first answer.  Raises a conditioning error
-    when the defining identity residual exceeds 1e-6.
+    where rho is the reduced density of the state.  With xi = U S V*,
+    the polar part J = U_s V_s* on the support (S^2 >= PSD_CLAMP) is the
+    modular conjugation of the standard form: rho^(1/2) J = xi, so
+    p'^y_b = J conj(q^y_b) J* meets the identity with no inverse.  The
+    kernel of rho is completed on the first answer.
     """
-    rho = reduced_density(s)
-    sqrt_rho = functional_calculus(rho.decomposition, "sqrt")
-    pinv_sqrt = functional_calculus(rho.decomposition, "pinv_sqrt")
-    support = rho.support_projection()
+    u, sigma, vh = np.linalg.svd(s.state, full_matrices=False)
+    kept = sigma**2 >= PSD_CLAMP
+    support = u[:, kept]
+    polar = support @ vh[kept]
     order = s.questions
-    conditional = _b_conditional_operators(s.state, _stack(s.pvms_b, order))
-    stacked = pinv_sqrt @ conditional @ pinv_sqrt
+    stacked = polar @ _stack(s.pvms_b, order).conj() @ polar.conj().T
     stacked = (stacked + stacked.conj().swapaxes(-1, -2)) / 2
-    stacked[:, 0] += np.eye(s.dim_a) - support
-    dual = {
-        q: list(require_povm(family, s.dim_a, f"dual POVM for question {q!r}"))
-        for q, family in zip(order, stacked)
-    }
-    table = correlation_of_commuting(s)
-    got = trace_pairing(
-        _stack(s.pvms_a, order), sqrt_rho @ _stack(dual, order) @ sqrt_rho
-    ).real
-    worst = float(np.abs(got - table.data).max())
-    if worst > DUAL_IDENTITY_TOL:
-        min_pos = float(
-            rho.decomposition.eigenvalues[
-                rho.decomposition.eigenvalues >= PSD_CLAMP
-            ].min()
-        )
-        raise ValueError(
-            f"dual construction is ill-conditioned: defining identity residual"
-            f" {worst:.3e} (min positive eigenvalue of rho {min_pos:.3e})"
-        )
-    return dual
+    stacked[:, 0] += np.eye(s.dim_a) - support @ support.conj().T
+    dual = require_povm(stacked, s.dim_a, "dual POVM")
+    return {q: list(family) for q, family in zip(order, dual)}
 
 
 def synchronicity_deficit(game: SynchronousGame, s: CommutingStrategy) -> float:

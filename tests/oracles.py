@@ -229,3 +229,26 @@ def orthogonalize_povm_loop(povm):
     purity = float(np.trace(ms @ ms, axis1=1, axis2=2).real.sum()) / dim
     budget = 9.0 * (1.0 - purity)
     return rs, distance_sq, budget, distance_sq <= budget + 1e-12, gap
+
+
+def standard_form_dual_pinv(strategy, cut=1e-10):
+    """The dual POVMs through the Moore-Penrose inverse square root of rho.
+
+    p'^y_b = rho^(-1/2) xi conj(q^y_b) xi* rho^(-1/2) on the support of
+    rho (eigenvalues >= ``cut``), plus the kernel projection of rho on
+    the first answer: one eigendecomposition of rho and an inverse, where
+    the library takes the polar part of one SVD of xi.
+    """
+    m = strategy.state
+    rho = m @ m.conj().T
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    kept = w >= cut
+    vs = v[:, kept]
+    pinv_sqrt = (vs / np.sqrt(w[kept])) @ vs.conj().T
+    kernel = np.eye(len(w)) - vs @ vs.conj().T
+    dual = {}
+    for q, family in strategy.pvms_b.items():
+        ops = [pinv_sqrt @ m @ qb.conj() @ m.conj().T @ pinv_sqrt for qb in family]
+        ops[0] = ops[0] + kernel
+        dual[q] = [(op + op.conj().T) / 2 for op in ops]
+    return dual

@@ -162,8 +162,10 @@ class TestVerify:
             main(["verify", "--suite", "connes", "--n", "3"])
         assert excinfo.value.code == 2
 
-    def test_reports_byte_identical_modulo_timings(self, capsys):
-        argv = ["verify", "--suite", "connes", "--n", "5", "--dims", "4", "--seed", "7"]
+    # rounding is the suite that runs verify_dual_distance
+    @pytest.mark.parametrize("suite", ["connes", "rounding"])
+    def test_reports_byte_identical_modulo_timings(self, capsys, suite):
+        argv = ["verify", "--suite", suite, "--n", "5", "--dims", "4", "--seed", "7"]
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         first.pop("timings")

@@ -561,9 +561,10 @@ class TestVerifyDualDistance:
         assert report.holds_comm and report.holds_dual
 
     def test_dual_povm_roundoff_tolerated(self):
-        # transported POVM elements may dip slightly below zero (within
-        # the POVM tolerance); the dual-distance evaluation must accept
-        # them instead of tripping the strict spectral clamp
+        # the transported POVM J conj(q) J* is PSD to roundoff (about
+        # 1e-15) by construction, so the square roots of the dual pass the
+        # strict -PSD_CLAMP clamp: the looser -POVM_TOL clamp that the
+        # inverse-square-root transport needed here is unreachable
         from syncround import graph_coloring_game, seesaw_optimize
 
         game = graph_coloring_game([("a", "b"), ("b", "c"), ("a", "c")], 3, "1/3")

@@ -163,28 +163,32 @@ class TestClustering:
 
 class TestFunctionalCalculus:
     def test_sqrt_diagonal(self):
-        assert_close(
-            functional_calculus(np.diag([4.0, 9.0]), "sqrt"), np.diag([2.0, 3.0]), 1e-12
-        )
-
-    def test_pinv_sqrt_kernel(self):
-        assert_close(
-            functional_calculus(np.diag([4.0, 0.0]), "pinv_sqrt"),
-            np.diag([0.5, 0.0]),
-            1e-12,
-        )
+        assert_close(functional_calculus(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), 1e-12)
 
     def test_sqrt_squares_back(self):
         x = random_psd(rng_for(4, 4), 6)
-        r = functional_calculus(x, "sqrt")
+        r = functional_calculus(x)
         assert np.linalg.norm(r @ r - x) <= 1e-9
+        # a (k, n, n) stack is rooted matrix by matrix
+        rng = rng_for(4, 5)
+        stack = np.array([random_psd(rng, 5) for _ in range(4)])
+        roots = functional_calculus(stack)
+        assert roots.shape == stack.shape
+        assert np.linalg.norm(roots @ roots - stack, axis=(-2, -1)).max() <= 1e-9
+        for root, m in zip(roots, stack):
+            assert_close(root, functional_calculus(m), 1e-12)
 
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
-            functional_calculus(np.diag([1.0, -1e-3]), "sqrt")
+            functional_calculus(np.diag([1.0, -1e-3]))
+        stack = np.array([np.eye(2), np.eye(2), np.diag([1.0, -1e-3])])
+        with pytest.raises(
+            ValueError, match="input element 2 is not positive semidefinite"
+        ):
+            functional_calculus(stack)
 
     def test_clamp_tolerates_roundoff(self):
-        out = functional_calculus(np.diag([1.0, -5e-11]), "sqrt")
+        out = functional_calculus(np.diag([1.0, -5e-11]))
         assert_close(out, np.diag([1.0, 0.0]), 1e-9)
 
 

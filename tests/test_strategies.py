@@ -25,15 +25,49 @@ from syncround import (
     standard_form_dual,
     synchronicity_deficit,
     tracial_correlation,
+    verify_dual_distance,
 )
 from syncround.sampling import random_pvm, random_unitary, rng_for
+from syncround.spectral import PSD_CLAMP, functional_calculus
 from syncround.strategies import _payoff_operator, _tracial_table
 
 from conftest import assert_close, diagonal_game_doc, random_commuting_strategy
-from oracles import payoff_operator_kron, seesaw_value_loop
+from oracles import payoff_operator_kron, seesaw_value_loop, standard_form_dual_pinv
 
 CYCLE5_EDGES = [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)]
 K4_EDGES = [(f"v{i}", f"v{j}") for i in range(4) for j in range(i + 1, 4)]
+
+
+def spread_strategy(rng, questions, n_answers, dim_a, dim_b):
+    """Random strategy whose Schmidt^2 values, drawn log-uniform over
+    [1e-5, 1] and normalized, all exceed 1e-6 (at most 5 of them)."""
+    rank = min(dim_a, dim_b)
+    schmidt_sq = 10.0 ** rng.uniform(-5.0, 0.0, rank)
+    schmidt_sq /= schmidt_sq.sum()
+    u = random_unitary(rng, dim_a)[:, :rank]
+    v = random_unitary(rng, dim_b)[:, :rank]
+    return CommutingStrategy(
+        dim_a,
+        dim_b,
+        u @ np.diag(np.sqrt(schmidt_sq)) @ v.T,
+        {q: random_pvm(rng, dim_a, n_answers) for q in questions},
+        {q: random_pvm(rng, dim_b, n_answers) for q in questions},
+    )
+
+
+def identity_residual(s, dual):
+    """Largest |Tr(p^x_a rho^(1/2) p'^y_b rho^(1/2)) - P_{x,y}(a, b)|."""
+    table = correlation_of_commuting(s)
+    sqrt_rho = functional_calculus(reduced_density(s).matrix)
+    worst = 0.0
+    for yi, y in enumerate(s.questions):
+        for b, dual_b in enumerate(dual[y]):
+            inner = sqrt_rho @ dual_b @ sqrt_rho
+            for xi, x in enumerate(s.questions):
+                for a, p in enumerate(s.pvms_a[x]):
+                    got = np.trace(p @ inner).real
+                    worst = max(worst, abs(got - table.data[xi, yi, a, b]))
+    return worst
 
 
 def product_strategy(rng, questions, n_answers, dim_a, dim_b):
@@ -155,23 +189,40 @@ class TestStandardFormDual:
     def test_defining_identity_residual(self, seed):
         rng = rng_for(seed, 34)
         s = random_commuting_strategy(rng, ("q0", "q1"), 2, 3, 3)
-        rho = reduced_density(s)
-        if float(rho.decomposition.eigenvalues.min()) < 1e-6:
-            return
-        dual = standard_form_dual(s)
-        table = correlation_of_commuting(s)
-        from syncround.spectral import functional_calculus
+        assert identity_residual(s, standard_form_dual(s)) <= 1e-7
 
-        sqrt_rho = functional_calculus(rho.matrix, "sqrt")
-        worst = 0.0
-        for yi, y in enumerate(s.questions):
-            for b in range(2):
-                inner = sqrt_rho @ dual[y][b] @ sqrt_rho
-                for xi, x in enumerate(s.questions):
-                    for a in range(2):
-                        got = np.trace(s.pvms_a[x][a] @ inner).real
-                        worst = max(worst, abs(got - table.data[xi, yi, a, b]))
-        assert worst <= 1e-7
+    def test_rank_deficient_rho(self, k2_game):
+        # Schmidt^2 values down to 3e-10 and 1e-9 lie on the support
+        # (>= PSD_CLAMP): an inverse square root of rho amplifies roundoff
+        # there by ~6e4 into a dual that is neither PSD nor a partition of
+        # unity, while the polar part of the state needs no inverse
+        rng = rng_for(36, 0)
+        schmidt_sq = np.array([0.4, 0.3, 0.2, 0.1 - 1.3e-9, 1e-9, 3e-10])
+        u, v = random_unitary(rng, 6), random_unitary(rng, 6)
+        s = CommutingStrategy(
+            6,
+            6,
+            u @ np.diag(np.sqrt(schmidt_sq)) @ v.T,
+            {q: random_pvm(rng, 6, 3) for q in k2_game.questions},
+            {q: random_pvm(rng, 6, 3) for q in k2_game.questions},
+        )
+        dual = standard_form_dual(s)
+        low = np.linalg.eigvalsh(np.array([dual[q] for q in s.questions])).min()
+        assert low >= -PSD_CLAMP
+        assert identity_residual(s, dual) <= 1e-10
+        assert verify_dual_distance(k2_game, s).holds
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(5, 3), (3, 5), (4, 4)])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_pinv_transport(self, dim_a, dim_b, seed):
+        s = spread_strategy(rng_for(seed, 35), ("q0", "q1"), 3, dim_a, dim_b)
+        rho = np.linalg.eigvalsh(s.state @ s.state.conj().T)
+        assert rho[-min(dim_a, dim_b)] >= 1e-6
+        expected = standard_form_dual_pinv(s)
+        dual = standard_form_dual(s)
+        for q in s.questions:
+            assert_close(dual[q], expected[q], 1e-10, q)
 
 
 class TestSynchronicityDeficit:
