@@ -4,7 +4,14 @@ One self-describing JSON report goes to stdout, a human summary to
 stderr.  Exit codes: 0 all certificates pass, 1 a certificate failed,
 2 input or usage error.  Randomized commands require an explicit seed
 and produce byte-identical reports (modulo the timing fields) for
-identical seeds and flags.  SYNCROUND_THREADS caps the sweep pool.
+identical seeds and flags.
+
+``verify`` samples every instance from its own seeded stream, groups the
+instances of each slab of VERIFY_SLAB indices by shape (matrix
+dimension; for the commutator suite also the outcome count) and
+evaluates each group as one stack, so each group costs one eigensolve
+per side.  The sweep's thread pool maps over these dimension batches;
+SYNCROUND_THREADS caps it.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import numpy as np
 
 from .games import GameFormatError, alpha_of, graph_coloring_game, load_game
 from .haagerup import (
+    _trace_product,
     commutator_certificate,
     connes_certificate,
     joint_spectral_measure,
@@ -31,6 +39,7 @@ from .haagerup import (
 )
 from .rounding import round_strategy, verify_dual_distance
 from .sampling import random_psd, random_pvm, rng_for
+from .spectral import eigh
 from .strategies import (
     cyclic_coloring_strategy,
     dump_commuting_strategy,
@@ -44,6 +53,10 @@ SUITES = ("connes", "measure", "commutator", "duality", "rounding")
 MOMENT_TOL = 1e-9
 DUALITY_TOL = 1e-8
 ROUNDING_ETAS = (0.02, 0.05, 0.1)
+# instances sampled and held at once: this bounds a sweep's memory, while
+# a README-size cycle of the four matrix suites still stacks into about
+# 150 eigensolves (one per side per shape group of each slab)
+VERIFY_SLAB = 256
 
 
 def _positive_int(text: str) -> int:
@@ -74,115 +87,160 @@ def _read(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# verify suite instances
+# verify suites
+#
+# A sampler draws instance ``index`` from its own stream rng_for(seed,
+# index) and returns the key of its shape group with its data fields.
+# A runner takes one group, its indices and each data field stacked over
+# the group, and returns one report row per instance.
 
 
-def _connes_instance(seed: int, index: int, dims: int) -> dict:
+def _sample_pair(seed: int, index: int, dims: int):
     rng = rng_for(seed, index)
     dim = int(rng.integers(1, dims + 1))
-    x = random_psd(rng, dim)
-    y = random_psd(rng, dim)
-    cert = connes_certificate(x, y)
-    return {
-        "index": index,
-        "dim": dim,
-        "lhs": cert.lhs,
-        "mid": cert.mid,
-        "rhs": cert.rhs,
-        "holds": cert.holds,
-    }
+    return (dim,), (random_psd(rng, dim), random_psd(rng, dim))
 
 
-def _measure_instance(seed: int, index: int, dims: int) -> dict:
-    rng = rng_for(seed, index)
-    dim = int(rng.integers(1, dims + 1))
-    x = random_psd(rng, dim)
-    y = random_psd(rng, dim)
-    measure = joint_spectral_measure(x, y)
-    moments = measure_moments(measure)
-    residuals = {
-        "norm_x_sq": abs(moments.norm_x_sq - float(np.trace(x @ x).real)),
-        "norm_y_sq": abs(moments.norm_y_sq - float(np.trace(y @ y).real)),
-        "inner_product": abs(moments.inner_product - float(np.trace(x @ y).real)),
-        "total_mass": abs(
-            measure.total_mass - float(np.trace((x + y) @ (x + y)).real)
-        ),
-        "chi_dual_path": abs(moments.chi_distance - threshold_chi_distance(x, y)),
-    }
-    holds = all(r <= MOMENT_TOL for r in residuals.values())
-    return {"index": index, "dim": dim, "residuals": residuals, "holds": holds}
-
-
-def _commutator_instance(seed: int, index: int, dims: int) -> dict:
+def _sample_commutator(seed: int, index: int, dims: int):
     rng = rng_for(seed, index)
     dim = int(rng.integers(1, dims + 1))
     x = random_psd(rng, dim)
     x = x / np.sqrt(float(np.trace(x @ x).real))
     n_outcomes = int(rng.integers(2, 5))
-    pvm = random_pvm(rng, dim, n_outcomes)
+    return (dim, n_outcomes), (x, random_pvm(rng, dim, n_outcomes))
+
+
+def _sample_rounding(seed: int, index: int, dims: int):
+    eta = ROUNDING_ETAS[index % len(ROUNDING_ETAS)]
+    return (), (eta, int(rng_for(seed, index).integers(2**31)))
+
+
+def _rows(indices: np.ndarray, fixed: dict, columns: dict) -> list[dict]:
+    """One row per instance: its index, the group's fixed fields, then
+    its entry of each column (a dict column holds one array per field)."""
+    rows = []
+    for i, index in enumerate(indices.tolist()):
+        row = {"index": index, **fixed}
+        for name, column in columns.items():
+            if isinstance(column, dict):
+                row[name] = {k: v[i].item() for k, v in column.items()}
+            else:
+                row[name] = column[i].item()
+        rows.append(row)
+    return rows
+
+
+def _connes_batch(key, indices, x, y) -> list[dict]:
+    cert = connes_certificate(x, y)
+    columns = {"lhs": cert.lhs, "mid": cert.mid, "rhs": cert.rhs, "holds": cert.holds}
+    return _rows(indices, {"dim": key[0]}, columns)
+
+
+def _measure_batch(key, indices, x, y) -> list[dict]:
+    # one decomposition per side serves the measure and the chi distance
+    xdec, ydec = eigh(x, "x"), eigh(y, "y")
+    measure = joint_spectral_measure(xdec, ydec)
+    moments = measure_moments(measure)
+    s = x + y
+    residuals = {
+        "norm_x_sq": np.abs(moments.norm_x_sq - _trace_product(x, x)),
+        "norm_y_sq": np.abs(moments.norm_y_sq - _trace_product(y, y)),
+        "inner_product": np.abs(moments.inner_product - _trace_product(x, y)),
+        "total_mass": np.abs(measure.total_mass - _trace_product(s, s)),
+        "chi_dual_path": np.abs(moments.chi_distance - threshold_chi_distance(xdec, ydec)),
+    }
+    holds = np.all([r <= MOMENT_TOL for r in residuals.values()], axis=0)
+    return _rows(indices, {"dim": key[0]}, {"residuals": residuals, "holds": holds})
+
+
+def _commutator_batch(key, indices, x, pvm) -> list[dict]:
     cert = commutator_certificate(x, pvm)
-    return {
-        "index": index,
-        "dim": dim,
-        "n_outcomes": n_outcomes,
+    columns = {
         "sum_comm_x": cert.sum_comm_x,
         "sum_comm_q": cert.sum_comm_q,
         "upper": cert.upper,
         "holds": cert.holds,
     }
+    return _rows(indices, {"dim": key[0], "n_outcomes": key[1]}, columns)
 
 
-def _duality_instance(seed: int, index: int, dims: int) -> dict:
-    rng = rng_for(seed, index)
-    dim = int(rng.integers(1, dims + 1))
-    x = random_psd(rng, dim)
-    y = random_psd(rng, dim)
-    residuals = {
-        "p2": lp_duality_check(x, y, 2.0),
-        "p3": lp_duality_check(x, y, 3.0),
-    }
-    holds = all(r <= DUALITY_TOL for r in residuals.values())
-    return {"index": index, "dim": dim, "residuals": residuals, "holds": holds}
+def _duality_batch(key, indices, x, y) -> list[dict]:
+    xdec = eigh(x, "x")  # one decomposition for both exponents
+    residuals = {"p2": lp_duality_check(xdec, y, 2.0), "p3": lp_duality_check(xdec, y, 3.0)}
+    holds = np.all([r <= DUALITY_TOL for r in residuals.values()], axis=0)
+    return _rows(indices, {"dim": key[0]}, {"residuals": residuals, "holds": holds})
 
 
-def _rounding_instance(seed: int, index: int, dims: int) -> dict:
-    eta = ROUNDING_ETAS[index % len(ROUNDING_ETAS)]
+def _rounding_batch(key, indices, etas, perturb_seeds) -> list[dict]:
     game = graph_coloring_game([("v0", "v1")], 3, "1/2")
     base = cyclic_coloring_strategy(game.questions, 3)
-    perturbed = perturb_b_side(base, eta, int(rng_for(seed, index).integers(2**31)))
-    result = round_strategy(game, perturbed)
-    dual = verify_dual_distance(game, perturbed)
-    cert = result.certificate
-    return {
-        "index": index,
-        "eta": eta,
-        "delta": cert.delta,
-        "d1_total": cert.d1_total,
-        "bound_total": cert.bound_total,
-        "value_in": cert.value_in,
-        "value_out": cert.value_out,
-        "holds_bounds": cert.holds,
-        "holds_dual": dual.holds,
-        "holds": cert.holds and dual.holds,
-    }
+    rows = []
+    for index, eta, seed in zip(indices.tolist(), etas.tolist(), perturb_seeds.tolist()):
+        perturbed = perturb_b_side(base, eta, seed)
+        result = round_strategy(game, perturbed)
+        dual = verify_dual_distance(game, perturbed)
+        cert = result.certificate
+        rows.append({
+            "index": index,
+            "eta": eta,
+            "delta": cert.delta,
+            "d1_total": cert.d1_total,
+            "bound_total": cert.bound_total,
+            "value_in": cert.value_in,
+            "value_out": cert.value_out,
+            "holds_bounds": cert.holds,
+            "holds_dual": dual.holds,
+            "holds": cert.holds and dual.holds,
+        })
+    return rows
 
 
-_INSTANCE_RUNNERS = {
-    "connes": _connes_instance,
-    "measure": _measure_instance,
-    "commutator": _commutator_instance,
-    "duality": _duality_instance,
-    "rounding": _rounding_instance,
+_SAMPLERS = {
+    "connes": _sample_pair,
+    "measure": _sample_pair,
+    "commutator": _sample_commutator,
+    "duality": _sample_pair,
+    "rounding": _sample_rounding,
 }
+# one runner per suite, called once per shape group of a slab
+_INSTANCE_RUNNERS = {
+    "connes": _connes_batch,
+    "measure": _measure_batch,
+    "commutator": _commutator_batch,
+    "duality": _duality_batch,
+    "rounding": _rounding_batch,
+}
+
+
+def _verify_instances(suite: str, n: int, dims: int, seed: int) -> list[dict]:
+    """The report rows of a sweep, in index order.
+
+    The instances are taken VERIFY_SLAB at a time: sampled, grouped by
+    shape, and the slab's groups mapped over the pool as stacks.
+    """
+    sample = _SAMPLERS[suite]
+    # looked up per call, so that a wrapper installed on the dict applies
+    runner = _INSTANCE_RUNNERS[suite]
+
+    def run_group(group):
+        key, items = group
+        return runner(key, *(np.array(field) for field in zip(*items)))
+
+    rows = []
+    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
+        for first in range(0, n, VERIFY_SLAB):
+            groups: dict[tuple, list] = {}
+            for index in range(first, min(first + VERIFY_SLAB, n)):
+                key, data = sample(seed, index, dims)
+                groups.setdefault(key, []).append((index, *data))
+            for batch in pool.map(run_group, groups.items()):
+                rows += batch
+    return sorted(rows, key=lambda r: r["index"])
 
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    runner = _INSTANCE_RUNNERS[args.suite]
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        instances = list(
-            pool.map(lambda i: runner(args.seed, i, args.dims), range(args.n))
-        )
+    instances = _verify_instances(args.suite, args.n, args.dims, args.seed)
     violations = [inst["index"] for inst in instances if not inst["holds"]]
     passed = not violations
     report = {

@@ -32,6 +32,13 @@ moment functionals, the squared L_2 distance of threshold projections,
 the two-sided comparison between that distance and the L_2 distance of
 the operators themselves, the commutator comparison for partitions of
 unity, and the trace duality check between conjugate exponents.
+
+Every function takes one matrix or a stack (N, d, d) of them, and any
+matrix argument may be passed as its ``SpectralDecomposition`` instead,
+so that a caller eigensolving once can evaluate several integrals.  One
+matrix gives Python floats and bools; a stack gives arrays of shape
+(N,) in the same dataclasses, and a failing element of a stack is named
+by its index.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ import numpy as np
 from .spectral import (
     PSD_CLAMP,
     SpectralDecomposition,
+    _element,
+    _first_failure,
     eigh,
     require_hermitian,
     require_pvm,
@@ -69,22 +78,50 @@ CHAIN_SLACK = 1e-9       # slack for the certified inequality chains
 NORMED_TOL = 1e-8
 
 
+def _unstack(value):
+    """A Python float or bool for one matrix; the array for a stack."""
+    return value.item() if np.ndim(value) == 0 else value
+
+
+def _matrix(x) -> np.ndarray:
+    """x as a complex array: the input, or a decomposition rebuilt."""
+    if isinstance(x, SpectralDecomposition):
+        return x.reconstruct()
+    return np.asarray(x, dtype=complex)
+
+
+def _trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re Tr(x y) of every matrix pair of two stacks."""
+    return np.einsum("...ij,...ji->...", x, y).real
+
+
+def _require_psd_spectrum(low: np.ndarray, what: str) -> None:
+    bad = _first_failure(low < -PSD_CLAMP)
+    if bad is not None:
+        raise ValueError(f"{_element(what, bad)} is not PSD: min eigenvalue {low[bad]:.3e}")
+
+
 def _psd_spectrum(matrix, what: str) -> tuple[np.ndarray, SpectralDecomposition]:
-    """Clustered eigenvalues of a PSD matrix (ascending, clipped at 0)."""
+    """Clustered eigenvalues of a PSD matrix or stack (ascending, clipped at 0)."""
     dec = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix, what)
-    low = float(dec.eigenvalues.min())
-    if low < -PSD_CLAMP:
-        raise ValueError(f"{what} is not PSD: min eigenvalue {low:.3e}")
+    _require_psd_spectrum(dec.eigenvalues[..., 0], what)
     return np.clip(dec.cluster_levels(), 0.0, None), dec
+
+
+def _above_merge_tol(a: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
+    return a > np.asarray(dec.merge_tol)[..., None]
 
 
 def _psd_pair(x, y):
     """Spectra of a PSD pair and the overlap O_ij = |<u_i, v_j>|^2."""
     a, xdec = _psd_spectrum(x, "x")
     b, ydec = _psd_spectrum(y, "y")
-    if xdec.dim != ydec.dim:
-        raise ValueError(f"dimension mismatch: {xdec.dim} vs {ydec.dim}")
-    overlap = np.abs(xdec.eigenvectors.conj().T @ ydec.eigenvectors) ** 2
+    if xdec.eigenvectors.shape != ydec.eigenvectors.shape:
+        raise ValueError(
+            f"dimension mismatch: x has shape {xdec.eigenvectors.shape},"
+            f" y has shape {ydec.eigenvectors.shape}"
+        )
+    overlap = np.abs(xdec.eigenvectors.conj().swapaxes(-1, -2) @ ydec.eigenvectors) ** 2
     return a, b, overlap
 
 
@@ -100,6 +137,10 @@ class JointSpectralMeasure:
     for Borel f, g >= 0 with f(0) g(0) = 0, where x-hat, y-hat are the
     scaling-fiber realizations.  Atoms sit at l = a / (a + b) over
     eigenvalue pairs (a, b) with mass Tr(P Q) (a + b)^2.
+
+    The measure of one pair holds 1-d arrays of its atoms.  The measures
+    of a stack hold one row per pair, of equal length; an entry of mass
+    0 in a row is padding, not an atom.
     """
 
     lambdas: np.ndarray
@@ -108,21 +149,23 @@ class JointSpectralMeasure:
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
         self.masses = np.asarray(self.masses, dtype=float)
-        if self.lambdas.shape != self.masses.shape or self.lambdas.ndim != 1:
-            raise ValueError("atoms must be parallel 1-d arrays")
+        if self.lambdas.shape != self.masses.shape or self.lambdas.ndim not in (1, 2):
+            raise ValueError("atoms must be parallel 1-d arrays, or rows of a stack")
         if self.lambdas.size and (
             float(self.lambdas.min()) < 0 or float(self.lambdas.max()) > 1
         ):
             raise ValueError("atom positions must lie in [0, 1]")
-        if self.masses.size and float(self.masses.min()) <= 0:
+        # only the rows of a stack pad with zero masses
+        positive = self.masses >= 0 if self.masses.ndim == 2 else self.masses > 0
+        if not positive.all():
             raise ValueError("atom masses must be positive")
 
     @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
+    def total_mass(self):
+        return _unstack(self.masses.sum(axis=-1))
 
     def integrate(self, fn) -> float:
-        """Exact integral of a scalar function against the measure."""
+        """Exact integral of a scalar function against the measure of one pair."""
         return float(sum(m * fn(l) for l, m in zip(self.lambdas, self.masses)))
 
 
@@ -134,51 +177,66 @@ def joint_spectral_measure(x, y) -> JointSpectralMeasure:
     closer than LAMBDA_MERGE_TOL are merged.  The (0, 0) pair has no
     counterpart in the measure and is excluded, as are overlaps below
     1e-12.  The total mass is validated against Tr((x + y)^2).
+
+    Each row of eigenpairs is sorted with the dropped pairs last, and
+    the merge is one sum over the flattened rows, cut at every atom
+    start and at the first dropped pair of each row.
     """
     a, b, overlap = _psd_pair(x, y)
-    s = a[:, None] + b[None, :]
+    s = a[..., :, None] + b[..., None, :]
     keep = (s > 0) & (overlap > MASS_DROP_TOL)
-    lam = (a[:, None] / np.where(keep, s, 1.0))[keep]
-    mass = (overlap * s * s)[keep]
-    order = np.argsort(lam, kind="stable")
-    lam, mass = lam[order], mass[order]
-    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > LAMBDA_MERGE_TOL)
-    if lam.size:
-        lam, mass = lam[starts], np.add.reduceat(mass, starts)
-    measure = JointSpectralMeasure(lam, mass)
-    xm = np.asarray(x, dtype=complex)
-    ym = np.asarray(y, dtype=complex)
-    expected = float(np.trace((xm + ym) @ (xm + ym)).real)
-    if abs(measure.total_mass - expected) > MASS_CHECK_TOL * (1.0 + expected):
+    lam = a[..., :, None] / np.where(keep, s, 1.0)
+    mass = overlap * s * s
+    rows = lam.shape[:-2] + (-1,)
+    lam, mass, keep = lam.reshape(rows), mass.reshape(rows), keep.reshape(rows)
+    order = np.argsort(np.where(keep, lam, np.inf), axis=-1, kind="stable")
+    lam, mass, keep = (np.take_along_axis(v, order, -1) for v in (lam, mass, keep))
+    starts = keep & (np.diff(lam, axis=-1, prepend=-np.inf) > LAMBDA_MERGE_TOL)
+    first_dropped = ~keep & np.diff(keep, axis=-1, prepend=True)
+    cuts = np.flatnonzero(starts | first_dropped)
+    merged = np.zeros(mass.shape)
+    merged.reshape(-1)[cuts] = np.add.reduceat(mass.reshape(-1), cuts)
+    if lam.ndim == 1:
+        measure = JointSpectralMeasure(lam[starts], merged[starts])
+    else:
+        measure = JointSpectralMeasure(
+            np.where(starts, lam, 0.0), np.where(starts, merged, 0.0)
+        )
+    xm, ym = _matrix(x), _matrix(y)
+    expected = _trace_product(xm + ym, xm + ym)
+    total = measure.masses.sum(axis=-1)
+    bad = _first_failure(np.abs(total - expected) > MASS_CHECK_TOL * (1.0 + expected))
+    if bad is not None:
         raise ValueError(
-            f"total mass {measure.total_mass!r} does not match Tr((x+y)^2)"
-            f" = {expected!r}"
+            f"{_element('total mass', bad, 'of pair')} {total[bad].item()!r} does not"
+            f" match Tr((x+y)^2) = {expected[bad].item()!r}"
         )
     return measure
 
 
 @dataclass(eq=False)
 class MeasureMoments:
-    """The four moment functionals of a joint spectral measure."""
+    """The four moment functionals of a joint spectral measure: floats
+    for one pair, arrays of shape (N,) for a stack."""
 
-    norm_x_sq: float
-    norm_y_sq: float
-    chi_distance: float
-    inner_product: float
+    norm_x_sq: float | np.ndarray
+    norm_y_sq: float | np.ndarray
+    chi_distance: float | np.ndarray
+    inner_product: float | np.ndarray
 
 
 def measure_moments(measure: JointSpectralMeasure) -> MeasureMoments:
     """Exact atom sums of l^2, (1-l)^2, |2l - 1| and l(1-l)."""
     l, m = measure.lambdas, measure.masses
     return MeasureMoments(
-        norm_x_sq=float(np.sum(m * l**2)),
-        norm_y_sq=float(np.sum(m * (1 - l) ** 2)),
-        chi_distance=float(np.sum(m * np.abs(2 * l - 1))),
-        inner_product=float(np.sum(m * l * (1 - l))),
+        norm_x_sq=_unstack(np.sum(m * l**2, axis=-1)),
+        norm_y_sq=_unstack(np.sum(m * (1 - l) ** 2, axis=-1)),
+        chi_distance=_unstack(np.sum(m * np.abs(2 * l - 1), axis=-1)),
+        inner_product=_unstack(np.sum(m * l * (1 - l), axis=-1)),
     )
 
 
-def threshold_chi_distance(x, y) -> float:
+def threshold_chi_distance(x, y):
     """Squared L_2(tau) distance of the threshold projections.
 
     In the fiber model this is
@@ -191,7 +249,8 @@ def threshold_chi_distance(x, y) -> float:
     Tr x^2 + Tr y^2 - 2 sum_ij O_ij min(a_i, b_j)^2.
     """
     a, b, overlap = _psd_pair(x, y)
-    return float(np.sum(overlap * np.abs(a[:, None] ** 2 - b[None, :] ** 2)))
+    gaps = np.abs(a[..., :, None] ** 2 - b[..., None, :] ** 2)
+    return _unstack(np.sum(overlap * gaps, axis=(-2, -1)))
 
 
 @dataclass(eq=False)
@@ -200,22 +259,24 @@ class ConnesCertificate:
 
     ||x - y||^2 <= ||chi(x-hat) - chi(y-hat)||^2_L2(tau)
                 <= ||x - y|| ||x + y||.
+
+    Floats and a bool for one pair, arrays of shape (N,) for a stack.
     """
 
-    lhs: float
-    mid: float
-    rhs: float
-    holds: bool
+    lhs: float | np.ndarray
+    mid: float | np.ndarray
+    rhs: float | np.ndarray
+    holds: bool | np.ndarray
 
 
 def connes_certificate(x, y) -> ConnesCertificate:
-    xm = np.asarray(x, dtype=complex)
-    ym = np.asarray(y, dtype=complex)
-    lhs = float(np.linalg.norm(xm - ym) ** 2)
+    xm, ym = _matrix(x), _matrix(y)
+    diff = np.linalg.norm(xm - ym, axis=(-2, -1))
+    lhs = diff**2
     mid = threshold_chi_distance(x, y)
-    rhs = float(np.linalg.norm(xm - ym) * np.linalg.norm(xm + ym))
-    holds = lhs <= mid + CHAIN_SLACK and mid <= rhs + CHAIN_SLACK
-    return ConnesCertificate(lhs, mid, rhs, holds)
+    rhs = diff * np.linalg.norm(xm + ym, axis=(-2, -1))
+    holds = (lhs <= mid + CHAIN_SLACK) & (mid <= rhs + CHAIN_SLACK)
+    return ConnesCertificate(_unstack(lhs), mid, _unstack(rhs), _unstack(holds))
 
 
 @dataclass(eq=False)
@@ -224,36 +285,42 @@ class CommutatorCertificate:
 
     sum_k ||[p_k, x]||^2 <= sum_k ||[p_k, chi(x-hat)]||^2_L2(tau)
                          <= 2 (sum_k ||[p_k, x]||^2)^(1/2).
+
+    Floats and a bool for one x, arrays of shape (N,) for a stack.
     """
 
-    sum_comm_x: float
-    sum_comm_q: float
-    upper: float
-    holds: bool
+    sum_comm_x: float | np.ndarray
+    sum_comm_q: float | np.ndarray
+    upper: float | np.ndarray
+    holds: bool | np.ndarray
 
 
 def commutator_certificate(x, pvm) -> CommutatorCertificate:
+    """The commutator chain of x, or of each matrix of a stack (N, d, d)
+    with the matching PVM of a stack (N, K, d, d)."""
     a, xdec = _psd_spectrum(x, "x")
-    xm = np.asarray(x, dtype=complex)
-    norm_sq = float(np.trace(xm @ xm).real)
-    if abs(norm_sq - 1.0) > NORMED_TOL:
-        raise ValueError(f"x must satisfy Tr(x^2) = 1, got {norm_sq!r}")
+    xm = _matrix(x)
+    norm_sq = _trace_product(xm, xm)
+    bad = _first_failure(np.abs(norm_sq - 1.0) > NORMED_TOL)
+    if bad is not None:
+        raise ValueError(
+            f"{_element('x', bad)} must satisfy Tr(x^2) = 1, got {norm_sq[bad].item()!r}"
+        )
     ops = require_pvm(pvm, xdec.dim)
-    sum_comm_x = float(np.sum(np.abs(ops @ xm - xm @ ops) ** 2))
+    xk = xm[..., None, :, :]
+    sum_comm_x = np.sum(np.abs(ops @ xk - xk @ ops) ** 2, axis=(-3, -2, -1))
     # ||[p, chi_t(x)]||^2 = sum of |p~_ij|^2 over the pairs split by t,
     # and int 2t dt over the split thresholds is |a_i^2 - a_j^2|
-    u = xdec.eigenvectors
-    weights = np.sum(np.abs(u.conj().T @ ops @ u) ** 2, axis=0)
-    sum_comm_q = float(np.sum(weights * np.abs(a[:, None] ** 2 - a[None, :] ** 2)))
-    upper = float(2.0 * np.sqrt(sum_comm_x))
-    holds = bool(
-        sum_comm_x <= sum_comm_q + CHAIN_SLACK
-        and sum_comm_q <= upper + CHAIN_SLACK
-    )
-    return CommutatorCertificate(sum_comm_x, sum_comm_q, upper, holds)
+    u = xdec.eigenvectors[..., None, :, :]
+    weights = np.sum(np.abs(u.conj().swapaxes(-1, -2) @ ops @ u) ** 2, axis=-3)
+    gaps = np.abs(a[..., :, None] ** 2 - a[..., None, :] ** 2)
+    sum_comm_q = np.sum(weights * gaps, axis=(-2, -1))
+    upper = 2.0 * np.sqrt(sum_comm_x)
+    holds = (sum_comm_x <= sum_comm_q + CHAIN_SLACK) & (sum_comm_q <= upper + CHAIN_SLACK)
+    return CommutatorCertificate(*map(_unstack, (sum_comm_x, sum_comm_q, upper, holds)))
 
 
-def lp_duality_check(x, y, p: float) -> float:
+def lp_duality_check(x, y, p: float):
     """Residual of the trace duality between conjugate exponents.
 
     For PSD x (as an L_p element) and y (as an L_p' element),
@@ -268,21 +335,22 @@ def lp_duality_check(x, y, p: float) -> float:
         raise ValueError(f"exponent must satisfy p > 1, got {p!r}")
     a, xdec = _psd_spectrum(x, "x")
     ym = require_hermitian(y, "y")
-    low = float(np.linalg.eigvalsh(ym).min())
-    if low < -PSD_CLAMP:
-        raise ValueError(f"y is not PSD: min eigenvalue {low:.3e}")
-    if ym.shape[0] != xdec.dim:
-        raise ValueError(f"dimension mismatch: {xdec.dim} vs {ym.shape[0]}")
-    xm = np.asarray(x, dtype=complex)
-    lhs = float(np.trace(xm @ ym).real)
+    _require_psd_spectrum(np.linalg.eigvalsh(ym)[..., 0], "y")
+    if ym.shape != xdec.eigenvectors.shape:
+        raise ValueError(
+            f"dimension mismatch: x has shape {xdec.eigenvectors.shape},"
+            f" y has shape {ym.shape}"
+        )
+    lhs = _trace_product(_matrix(x), ym)
     u = xdec.eigenvectors
-    diagonal = np.sum(u.conj() * (ym @ u), axis=0).real
-    pos = a > xdec.merge_tol
-    rhs = float(np.sum(a[pos] ** p * a[pos] ** (1.0 - p) * diagonal[pos]))
-    return abs(lhs - rhs)
+    diagonal = np.sum(u.conj() * (ym @ u), axis=-2).real
+    pos = _above_merge_tol(a, xdec)
+    kept = np.where(pos, a, 1.0)
+    rhs = np.sum(np.where(pos, kept**p * kept ** (1.0 - p) * diagonal, 0.0), axis=-1)
+    return _unstack(np.abs(lhs - rhs))
 
 
-def threshold_integral(x, p: float) -> float:
+def threshold_integral(x, p: float):
     """Exact weight integral int_0^inf p t^(p-1) Tr(chi_(t,inf)(x)) dt.
 
     Equals Tr(x^p) = sum_i a_i^p over the eigenvalues above the merge
@@ -292,4 +360,4 @@ def threshold_integral(x, p: float) -> float:
     if not p >= 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p!r}")
     a, xdec = _psd_spectrum(x, "x")
-    return float(np.sum(a[a > xdec.merge_tol] ** p))
+    return _unstack(np.sum(np.where(_above_merge_tol(a, xdec), a, 0.0) ** p, axis=-1))

@@ -486,16 +486,16 @@ def verify_dual_distance(
 ) -> DualDistanceReport:
     """Evaluate both intermediate inequalities on a concrete strategy.
 
-    Both sums run over the stacked (X, A, d, d) families at once: one
-    stacked eigensolve gives every square root of the dual POVMs, and
-    the squared norms are mu-weighted reductions over the stack.
+    Both sums run over the stacked (X, A, d, d) families at once: the
+    one stacked eigensolve that validates the dual POVMs also gives
+    their square roots, and the squared norms are mu-weighted reductions
+    over the stack.
     """
     delta = synchronicity_deficit(game, s)
     rho = reduced_density(s)
     sqrt_rho = functional_calculus(rho.decomposition)
-    dual = standard_form_dual(s)
     p = _stack(s.pvms_a, game.questions)
-    sqrt_dual = functional_calculus(_stack(dual, game.questions))
+    sqrt_dual = functional_calculus(standard_form_dual(s, game.questions, decompose=True))
     weights = game.mu[:, None, None, None]
     comm_sq = float(np.sum(weights * np.abs(p @ sqrt_rho - sqrt_rho @ p) ** 2))
     dual_sq = float(np.sum(weights * np.abs(sqrt_rho @ (p - sqrt_dual)) ** 2))

@@ -143,24 +143,27 @@ def require_pvm(family, dim: int, what: str = "PVM") -> np.ndarray:
     return ops
 
 
-def require_povm(family, dim: int, what: str = "POVM") -> np.ndarray:
+def require_povm(family, dim: int, what: str = "POVM", decompose: bool = False):
     """Validate a positive family summing to the identity within POVM_TOL.
 
     ``family`` is one POVM, a sequence of (dim, dim) operators, or an
     array stack of POVMs, shape (..., A, dim, dim).  Every element must
     be PSD down to -POVM_TOL and every POVM must sum to the identity
     within POVM_TOL in Frobenius norm; a failure names the first failing
-    element or POVM.  Returns the validated stack as one complex array.
+    element or POVM.  Returns the validated stack as one complex array,
+    or with ``decompose`` its ``eigh``, whose eigenvalues then serve the
+    PSD check, for a caller that goes on to a functional calculus.
     """
     ops = _family_stack(family, dim, what)
-    low = np.linalg.eigvalsh(ops)[..., 0]
+    dec = eigh(ops, what) if decompose else None
+    low = (dec.eigenvalues if decompose else np.linalg.eigvalsh(ops))[..., 0]
     bad = _first_failure(low < -POVM_TOL)
     if bad is not None:
         raise ValueError(
             f"{_element(what, bad)} is not PSD: min eigenvalue {low[bad]:.3e}"
         )
     _require_unit_sum(ops, POVM_TOL, what)
-    return ops
+    return dec if decompose else ops
 
 
 @dataclass(eq=False)
@@ -171,8 +174,8 @@ class SpectralDecomposition:
     orthonormal columns, and ``clusters`` partitions the indices into
     groups of eigenvalues equal within ``merge_tol``, ordered so that the
     cluster representatives are strictly decreasing.  The decomposition
-    of a stack holds stacked arrays and one ``merge_tol`` per matrix; the
-    cluster methods take one matrix.
+    of a stack holds stacked arrays and one ``merge_tol`` per matrix;
+    ``cluster_levels`` takes either, the other cluster methods one matrix.
     """
 
     eigenvalues: np.ndarray
@@ -192,13 +195,18 @@ class SpectralDecomposition:
         return self._cluster_means()[0][::-1]
 
     def cluster_levels(self) -> np.ndarray:
-        """Each eigenvalue replaced by its cluster's value, ascending."""
-        return np.repeat(*self._cluster_means())
+        """Each eigenvalue replaced by its cluster's value, ascending; of
+        every matrix of a stack, shape (..., n)."""
+        return np.repeat(*self._cluster_means()).reshape(self.eigenvalues.shape)
 
     def _cluster_means(self) -> tuple[np.ndarray, np.ndarray]:
-        starts = _cluster_starts(self.eigenvalues, self.merge_tol)
-        sizes = np.diff(starts, append=self.dim)
-        return np.add.reduceat(self.eigenvalues, starts) / sizes, sizes
+        """Cluster means and sizes over the flattened spectra: every row
+        of a stack starts a new cluster, so no cluster spans two matrices
+        and a row's means are those of its matrix alone."""
+        values = self.eigenvalues
+        starts = _cluster_starts(values, np.asarray(self.merge_tol)[..., None])
+        sizes = np.diff(starts, append=values.size)
+        return np.add.reduceat(values.reshape(-1), starts) / sizes, sizes
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -224,9 +232,11 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase[..., None, :]
 
 
-def _cluster_starts(values: np.ndarray, tol: float) -> np.ndarray:
-    """First index of each cluster of an ascending spectrum: consecutive
-    eigenvalues within ``tol`` chain into one cluster, whatever its span."""
+def _cluster_starts(values: np.ndarray, tol) -> np.ndarray:
+    """First (flat) index of each cluster of an ascending spectrum, or of
+    each row of a stack with one ``tol`` per row, shape (..., 1):
+    consecutive eigenvalues within ``tol`` chain into one cluster,
+    whatever its span."""
     return np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
 
 

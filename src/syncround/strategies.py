@@ -265,7 +265,9 @@ def reduced_density(s: CommutingStrategy) -> DensityOperator:
     return DensityOperator(rho, eigh(rho, "reduced density"))
 
 
-def standard_form_dual(s: CommutingStrategy) -> dict[str, list[np.ndarray]]:
+def standard_form_dual(
+    s: CommutingStrategy, questions=None, decompose: bool = False
+) -> dict[str, list[np.ndarray]] | SpectralDecomposition:
     """Transport the B-side PVMs to A-side POVMs through the state.
 
     Returns per question y a POVM (p'^y_b on the A side) satisfying
@@ -276,17 +278,22 @@ def standard_form_dual(s: CommutingStrategy) -> dict[str, list[np.ndarray]]:
     the polar part J = U_s V_s* on the support (S^2 >= PSD_CLAMP) is the
     modular conjugation of the standard form: rho^(1/2) J = xi, so
     p'^y_b = J conj(q^y_b) J* meets the identity with no inverse.  The
-    kernel of rho is completed on the first answer.
+    kernel of rho is completed on the first answer.  ``questions`` picks
+    and orders the questions (default: the strategy's).  With
+    ``decompose`` the result is the ``eigh`` of the (Y, B, d, d) stack
+    that validated it as a POVM, for a caller that needs its square roots.
     """
     u, sigma, vh = np.linalg.svd(s.state, full_matrices=False)
     kept = sigma**2 >= PSD_CLAMP
     support = u[:, kept]
     polar = support @ vh[kept]
-    order = s.questions
+    order = _question_order(s, questions)
     stacked = polar @ _stack(s.pvms_b, order).conj() @ polar.conj().T
     stacked = (stacked + stacked.conj().swapaxes(-1, -2)) / 2
     stacked[:, 0] += np.eye(s.dim_a) - support @ support.conj().T
-    dual = require_povm(stacked, s.dim_a, "dual POVM")
+    dual = require_povm(stacked, s.dim_a, "dual POVM", decompose)
+    if decompose:
+        return dual
     return {q: list(family) for q, family in zip(order, dual)}
 
 

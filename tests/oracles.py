@@ -3,11 +3,23 @@
 These deliberately avoid the library's exact kernel evaluators:
 quadrature over the scaling fiber, per-breakpoint and per-corner sums
 of projection traces, and column loops provide a second computational
-route for every derived identity.
+route for every derived identity.  The per-instance verify runners
+evaluate each sweep instance through the single-matrix certificates,
+against which the CLI's stacked suites are compared.
 """
 
 import numpy as np
 
+from syncround.cli import DUALITY_TOL, MOMENT_TOL
+from syncround.haagerup import (
+    commutator_certificate,
+    connes_certificate,
+    joint_spectral_measure,
+    lp_duality_check,
+    measure_moments,
+    threshold_chi_distance,
+)
+from syncround.sampling import random_psd, random_pvm, rng_for
 from syncround.spectral import eigh
 
 
@@ -252,3 +264,84 @@ def standard_form_dual_pinv(strategy, cut=1e-10):
         ops[0] = ops[0] + kernel
         dual[q] = [(op + op.conj().T) / 2 for op in ops]
     return dual
+
+
+def connes_instance(seed, index, dims):
+    """One `verify --suite connes` row, from the instance's own stream."""
+    rng = rng_for(seed, index)
+    dim = int(rng.integers(1, dims + 1))
+    x = random_psd(rng, dim)
+    y = random_psd(rng, dim)
+    cert = connes_certificate(x, y)
+    return {
+        "index": index,
+        "dim": dim,
+        "lhs": cert.lhs,
+        "mid": cert.mid,
+        "rhs": cert.rhs,
+        "holds": cert.holds,
+    }
+
+
+def measure_instance(seed, index, dims):
+    """One `verify --suite measure` row; the chi distance eigensolves x
+    and y a second time."""
+    rng = rng_for(seed, index)
+    dim = int(rng.integers(1, dims + 1))
+    x = random_psd(rng, dim)
+    y = random_psd(rng, dim)
+    measure = joint_spectral_measure(x, y)
+    moments = measure_moments(measure)
+    residuals = {
+        "norm_x_sq": abs(moments.norm_x_sq - float(np.trace(x @ x).real)),
+        "norm_y_sq": abs(moments.norm_y_sq - float(np.trace(y @ y).real)),
+        "inner_product": abs(moments.inner_product - float(np.trace(x @ y).real)),
+        "total_mass": abs(
+            measure.total_mass - float(np.trace((x + y) @ (x + y)).real)
+        ),
+        "chi_dual_path": abs(moments.chi_distance - threshold_chi_distance(x, y)),
+    }
+    holds = all(r <= MOMENT_TOL for r in residuals.values())
+    return {"index": index, "dim": dim, "residuals": residuals, "holds": holds}
+
+
+def commutator_instance(seed, index, dims):
+    """One `verify --suite commutator` row."""
+    rng = rng_for(seed, index)
+    dim = int(rng.integers(1, dims + 1))
+    x = random_psd(rng, dim)
+    x = x / np.sqrt(float(np.trace(x @ x).real))
+    n_outcomes = int(rng.integers(2, 5))
+    pvm = random_pvm(rng, dim, n_outcomes)
+    cert = commutator_certificate(x, pvm)
+    return {
+        "index": index,
+        "dim": dim,
+        "n_outcomes": n_outcomes,
+        "sum_comm_x": cert.sum_comm_x,
+        "sum_comm_q": cert.sum_comm_q,
+        "upper": cert.upper,
+        "holds": cert.holds,
+    }
+
+
+def duality_instance(seed, index, dims):
+    """One `verify --suite duality` row; each exponent eigensolves x."""
+    rng = rng_for(seed, index)
+    dim = int(rng.integers(1, dims + 1))
+    x = random_psd(rng, dim)
+    y = random_psd(rng, dim)
+    residuals = {
+        "p2": lp_duality_check(x, y, 2.0),
+        "p3": lp_duality_check(x, y, 3.0),
+    }
+    holds = all(r <= DUALITY_TOL for r in residuals.values())
+    return {"index": index, "dim": dim, "residuals": residuals, "holds": holds}
+
+
+VERIFY_INSTANCES = {
+    "connes": connes_instance,
+    "measure": measure_instance,
+    "commutator": commutator_instance,
+    "duality": duality_instance,
+}

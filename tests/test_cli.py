@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from syncround import (
 from syncround.cli import main
 
 from conftest import diagonal_game_doc
+from oracles import VERIFY_INSTANCES
 
 
 @pytest.fixture
@@ -188,6 +190,58 @@ class TestVerify:
         )
         assert code == 2
         assert "SYNCROUND_THREADS" in err
+
+
+def assert_rows_match(stacked, oracle, path="row"):
+    """Same fields in the same order, numbers within 1e-10 (1 + |v|),
+    identical flags and integers."""
+    if isinstance(oracle, dict):
+        assert list(stacked) == list(oracle), path
+        for key in oracle:
+            assert_rows_match(stacked[key], oracle[key], f"{path}.{key}")
+    elif isinstance(oracle, float):
+        assert abs(stacked - oracle) <= 1e-10 * (1.0 + abs(oracle)), path
+    else:
+        assert type(stacked) is type(oracle) and stacked == oracle, path
+
+
+class TestStackedSuites:
+    """Each stacked suite against the per-instance oracle runner."""
+
+    @pytest.mark.parametrize("suite", sorted(VERIFY_INSTANCES))
+    @pytest.mark.parametrize(
+        "n, dims, seed",
+        [
+            (12, 1, 4),  # 1x1 matrices, one group
+            (3, 8, 5),  # most dimension groups empty
+            (10, 3, 14),  # some group holds a single instance
+        ],
+    )
+    def test_rows_match_per_instance_oracle(self, capsys, suite, n, dims, seed):
+        code, report, _ = run_cli(
+            capsys,
+            ["verify", "--suite", suite, "--n", str(n), "--dims", str(dims),
+             "--seed", str(seed)],
+        )
+        oracle = [VERIFY_INSTANCES[suite](seed, i, dims) for i in range(n)]
+        assert code == 0
+        assert len(report["instances"]) == n
+        for stacked, expected in zip(report["instances"], oracle):
+            assert_rows_match(stacked, expected, f"{suite} row {expected['index']}")
+        if dims == 3:
+            groups = Counter((r["dim"], r.get("n_outcomes")) for r in oracle)
+            assert len(groups) > 1 and 1 in groups.values()
+
+
+    @pytest.mark.parametrize("suite", sorted(VERIFY_INSTANCES))
+    def test_slabs_match_per_instance_oracle(self, capsys, monkeypatch, suite):
+        monkeypatch.setattr("syncround.cli.VERIFY_SLAB", 4)
+        _, report, _ = run_cli(
+            capsys, ["verify", "--suite", suite, "--n", "10", "--dims", "2", "--seed", "6"]
+        )
+        assert [row["index"] for row in report["instances"]] == list(range(10))
+        for i, stacked in enumerate(report["instances"]):
+            assert_rows_match(stacked, VERIFY_INSTANCES[suite](6, i, 2), f"{suite} row {i}")
 
 
 class TestOptimize:

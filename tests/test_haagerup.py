@@ -13,6 +13,7 @@ from syncround import (
     threshold_integral,
 )
 from syncround.sampling import random_psd, random_pvm, random_unitary, rng_for
+from syncround.spectral import eigh
 
 from conftest import assert_close
 from oracles import (
@@ -269,3 +270,116 @@ class TestFiberWeightNormalization:
         rng = rng_for(112, 0)
         x = random_psd(rng, 5)
         assert_close(threshold_integral(x, 2.0), np.trace(x @ x).real, 1e-10)
+
+
+def psd_stack(seed, count=5, dim=4):
+    rng = rng_for(seed, 0)
+    return np.array([random_psd(rng, dim) for _ in range(count)])
+
+
+def unit_stack(seed, count=5, dim=4):
+    x = psd_stack(seed, count, dim)
+    return x / np.sqrt(np.einsum("nij,nji->n", x, x).real)[:, None, None]
+
+
+class TestStackContracts:
+    """(N, d, d) stacks: element-wise equal to single calls, failures
+    named by index, single calls still scalar."""
+
+    def test_single_calls_return_python_scalars(self):
+        rng = rng_for(121, 0)
+        x, y = random_psd(rng, 3), random_psd(rng, 3)
+        x_unit = x / np.sqrt(np.trace(x @ x).real)
+        connes = connes_certificate(x, y)
+        comm = commutator_certificate(x_unit, random_pvm(rng, 3, 2))
+        moments = measure_moments(joint_spectral_measure(x, y))
+        for value in (
+            connes.lhs, connes.mid, connes.rhs, comm.sum_comm_x, comm.sum_comm_q,
+            comm.upper, moments.norm_x_sq, moments.norm_y_sq, moments.chi_distance,
+            moments.inner_product, joint_spectral_measure(x, y).total_mass,
+            threshold_chi_distance(x, y), lp_duality_check(x, y, 2.0),
+            threshold_integral(x, 2.0),
+        ):
+            assert type(value) is float
+        assert type(connes.holds) is bool and type(comm.holds) is bool
+
+    def test_stacked_equals_single_element_by_element(self):
+        x, y, x_unit = psd_stack(122), psd_stack(123), unit_stack(124)
+        pvms = np.array([random_pvm(rng_for(125, i), 4, 3) for i in range(len(x))])
+        connes = connes_certificate(x, y)
+        comm = commutator_certificate(x_unit, pvms)
+        measure = joint_spectral_measure(x, y)
+        moments = measure_moments(measure)
+        chi = threshold_chi_distance(x, y)
+        dual = lp_duality_check(x, y, 3.0)
+        power = threshold_integral(x, 2.0)
+        for i in range(len(x)):
+            one = connes_certificate(x[i], y[i])
+            assert_close([connes.lhs[i], connes.mid[i], connes.rhs[i]],
+                         [one.lhs, one.mid, one.rhs], 1e-12)
+            assert connes.holds[i] == one.holds
+            one = commutator_certificate(x_unit[i], pvms[i])
+            assert_close([comm.sum_comm_x[i], comm.sum_comm_q[i], comm.upper[i]],
+                         [one.sum_comm_x, one.sum_comm_q, one.upper], 1e-12)
+            assert comm.holds[i] == one.holds
+            single = joint_spectral_measure(x[i], y[i])
+            atoms = measure.masses[i] > 0
+            assert np.array_equal(measure.lambdas[i][atoms], single.lambdas)
+            assert np.array_equal(measure.masses[i][atoms], single.masses)
+            m = measure_moments(single)
+            assert_close([moments.norm_x_sq[i], moments.chi_distance[i]],
+                         [m.norm_x_sq, m.chi_distance], 1e-12)
+            assert chi[i] == threshold_chi_distance(x[i], y[i])
+            assert_close(dual[i], lp_duality_check(x[i], y[i], 3.0), 1e-12)
+            assert_close(power[i], threshold_integral(x[i], 2.0), 1e-12)
+
+    def test_decomposition_inputs_match_matrices(self):
+        x, y = psd_stack(126), psd_stack(127)
+        xdec, ydec = eigh(x), eigh(y)
+        chi = threshold_chi_distance(x, y)
+        assert np.array_equal(threshold_chi_distance(xdec, ydec), chi)
+        assert_close(lp_duality_check(xdec, y, 2.0), lp_duality_check(x, y, 2.0), 1e-9)
+        measure = joint_spectral_measure(x, y)
+        assert np.array_equal(joint_spectral_measure(xdec, ydec).masses, measure.masses)
+
+    def test_cluster_levels_stacked_equal_single(self):
+        x = psd_stack(128, count=4, dim=6)
+        x[2] = np.diag([1.0, 1.0 + 5e-10, 2.0, 2.0, 3.0, 0.0])
+        dec = eigh(x)
+        levels = dec.cluster_levels()
+        assert levels.shape == (4, 6)
+        for i in range(4):
+            assert np.array_equal(levels[i], eigh(x[i]).cluster_levels())
+        assert_close(levels[2], [0.0, 1.0 + 2.5e-10, 1.0 + 2.5e-10, 2.0, 2.0, 3.0], 1e-15)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, y: connes_certificate(x, y),
+            lambda x, y: joint_spectral_measure(x, y),
+            lambda x, y: threshold_chi_distance(y, x),
+            lambda x, y: lp_duality_check(x, y, 2.0),
+            lambda x, y: lp_duality_check(y, x, 2.0),
+        ],
+    )
+    def test_non_psd_element_named_by_index(self, call):
+        x, y = psd_stack(129), psd_stack(130)
+        x[3] = np.diag([1.0, 0.5, -0.5, 0.2])
+        with pytest.raises(ValueError, match=r"element 3 is not PSD"):
+            call(x, y)
+
+    def test_commutator_names_failing_element(self):
+        x = unit_stack(131)
+        pvms = np.array([random_pvm(rng_for(132, i), 4, 2) for i in range(len(x))])
+        bad = x.copy()
+        bad[2] *= 2.0
+        with pytest.raises(ValueError, match=r"x element 2 must satisfy Tr"):
+            commutator_certificate(bad, pvms)
+        bad = x.copy()
+        bad[4] = np.diag([0.5, 0.5, 0.5, -0.5])
+        with pytest.raises(ValueError, match=r"x element 4 is not PSD"):
+            commutator_certificate(bad, pvms)
+
+    def test_stacked_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            joint_spectral_measure(psd_stack(133, count=3), psd_stack(134, count=4))

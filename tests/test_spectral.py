@@ -111,6 +111,18 @@ class TestStacks:
         with pytest.raises(ValueError, match=r"POVM element \(1, 0\) is not PSD"):
             require_povm(stack, 4)
 
+    def test_decomposed_povm_check_matches_eigvalsh(self):
+        rng = rng_for(27, 0)
+        stack = np.array([random_pvm(rng, 4, 3) for _ in range(2)]) * 0.9
+        stack[:, 0] += 0.1 * np.eye(4)
+        dec = require_povm(stack, 4, decompose=True)
+        assert_close(dec.eigenvalues, np.linalg.eigvalsh(stack), 1e-12)
+        assert_close(dec.reconstruct(), stack, 1e-12)
+        stack[1, 0] -= 0.2 * np.eye(4)
+        stack[1, 1] += 0.2 * np.eye(4)
+        with pytest.raises(ValueError, match=r"POVM element \(1, 0\) is not PSD"):
+            require_povm(stack, 4, decompose=True)
+
     def test_family_sums_checked_per_family(self):
         rng = rng_for(26, 0)
         stack = np.array([random_pvm(rng, 3, 2) for _ in range(3)])

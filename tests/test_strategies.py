@@ -212,6 +212,16 @@ class TestStandardFormDual:
         assert identity_residual(s, dual) <= 1e-10
         assert verify_dual_distance(k2_game, s).holds
 
+    def test_decomposed_dual_in_question_order(self):
+        rng = rng_for(37, 0)
+        s = random_commuting_strategy(rng, ("q0", "q1", "q2"), 3, 4, 3)
+        dual = standard_form_dual(s)
+        order = ("q2", "q0")
+        dec = standard_form_dual(s, order, decompose=True)
+        assert dec.eigenvectors.shape == (2, 3, 4, 4)
+        assert_close(dec.reconstruct(), np.array([dual[q] for q in order]), 1e-10)
+        assert list(standard_form_dual(s, order)) == list(order)
+
     @pytest.mark.parametrize("dim_a, dim_b", [(5, 3), (3, 5), (4, 4)])
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6))
