@@ -1,10 +1,10 @@
 """Command-line surface.
 
-One self-describing JSON report goes to stdout, a human summary to
-stderr.  Exit codes: 0 all certificates pass, 1 a certificate failed,
-2 input or usage error.  Randomized commands require an explicit seed
-and produce byte-identical reports (modulo the timing fields) for
-identical seeds and flags.
+One self-describing JSON report, a single compact document, goes to
+stdout, a human summary to stderr.  Exit codes: 0 all certificates
+pass, 1 a certificate failed, 2 input or usage error.  Randomized
+commands require an explicit seed and produce byte-identical reports
+(modulo the timing fields) for identical seeds and flags.
 
 ``verify`` samples every instance from its own seeded stream, groups the
 instances of each slab of VERIFY_SLAB indices by shape (matrix
@@ -78,7 +78,7 @@ def _pool_size() -> int:
 
 def _emit(report: dict, summary: str, started: float) -> None:
     report["timings"] = {"wall_s": time.monotonic() - started}
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report))
     print(summary, file=sys.stderr)
 
 

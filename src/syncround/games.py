@@ -322,16 +322,15 @@ def load_game(text: str) -> SynchronousGame:
                 )
             predicate[pos] = bool(v)
             explicit[pos] = True
-    for i in range(nq):
-        for k in range(na):
-            for l in range(na):
-                want = k == l
-                if explicit[i, i, k, l] and predicate[i, i, k, l] != want:
-                    raise GameFormatError(
-                        "conflicting diagonal predicate entry at "
-                        f"({questions[i]!r}, {answers[k]!r}, {answers[l]!r})"
-                    )
-                predicate[i, i, k, l] = want
+    diagonal, want = np.arange(nq), np.eye(na, dtype=bool)
+    conflicts = explicit[diagonal, diagonal] & (predicate[diagonal, diagonal] != want)
+    if conflicts.any():
+        i, k, l = np.argwhere(conflicts)[0]
+        raise GameFormatError(
+            "conflicting diagonal predicate entry at "
+            f"({questions[i]!r}, {answers[k]!r}, {answers[l]!r})"
+        )
+    predicate[diagonal, diagonal] = want
     return SynchronousGame(tuple(questions), tuple(answers), nu, predicate, nu_exact)
 
 
@@ -351,30 +350,20 @@ def save_game(game: SynchronousGame) -> str:
                     continue
                 w_out = w
             entries.append({"x": game.questions[i], "y": game.questions[j], "w": w_out})
-    off_diag = [
-        bool(game.predicate[i, j, k, l])
-        for i in range(game.n_questions)
-        for j in range(game.n_questions)
-        if i != j
-        for k in range(game.n_answers)
-        for l in range(game.n_answers)
+    off_diagonal = game.predicate[~np.eye(game.n_questions, dtype=bool)]
+    default = 1 if 2 * int(off_diagonal.sum()) >= off_diagonal.size else 0
+    # pairs i < j in lexicographic (i, j, k, l) order, as np.argwhere lists them
+    upper = np.triu(np.ones((game.n_questions,) * 2, dtype=bool), 1)[:, :, None, None]
+    pred_entries = [
+        {
+            "x": game.questions[i],
+            "y": game.questions[j],
+            "a": game.answers[k],
+            "b": game.answers[l],
+            "v": 1 - default,
+        }
+        for i, j, k, l in np.argwhere(upper & (game.predicate != bool(default))).tolist()
     ]
-    default = 1 if sum(off_diag) * 2 >= len(off_diag) else 0
-    pred_entries = []
-    for i in range(game.n_questions):
-        for j in range(i + 1, game.n_questions):
-            for k in range(game.n_answers):
-                for l in range(game.n_answers):
-                    if bool(game.predicate[i, j, k, l]) != bool(default):
-                        pred_entries.append(
-                            {
-                                "x": game.questions[i],
-                                "y": game.questions[j],
-                                "a": game.answers[k],
-                                "b": game.answers[l],
-                                "v": int(game.predicate[i, j, k, l]),
-                            }
-                        )
     doc = {
         "questions": list(game.questions),
         "answers": list(game.answers),

@@ -50,7 +50,6 @@ from .strategies import (
     DensityOperator,
     TracialBlock,
     TracialStrategy,
-    _deficit_of_table,
     _stack,
     correlation_of_commuting,
     reduced_density,
@@ -386,7 +385,7 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
             " the rounding bound is vacuous and unsupported"
         )
     original = correlation_of_commuting(s, game.questions)
-    delta = _deficit_of_table(game, original)
+    delta = synchronicity_deficit(game, s)
     rho = reduced_density(s)
     symmetrized = symmetrized_correlation(s.pvms_a, rho, game.questions)
     decomp = corner_decomposition(rho)

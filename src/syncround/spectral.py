@@ -36,10 +36,14 @@ MERGE_TOL_SCALE = 1e-9    # eigenvalue clustering: tol = scale * (1 + spectral r
 PSD_CLAMP = 1e-10         # eigenvalues in [-PSD_CLAMP, 0) are clamped to 0
 PVM_TOL = 1e-8            # projection / partition-of-unity tolerance (Frobenius)
 POVM_TOL = 1e-8
+CHECK_SLAB_BYTES = 1 << 17  # validator temporaries: malloc's default trim threshold
 
 
-def _element(what: str, index: tuple, noun: str = "element") -> str:
-    """Name entry ``index`` of a stack; the bare ``what`` for one matrix."""
+def _element(what, index: tuple, noun: str = "element") -> str:
+    """Name entry ``index`` of a stack; the bare ``what`` for one matrix.
+    A sequence ``what`` holds a caller's labels, one per leading index."""
+    if not isinstance(what, str):
+        what, index = what[index[0]], index[1:]
     if not index:
         return what
     return f"{what} {noun} {index[0] if len(index) == 1 else index}"
@@ -67,6 +71,15 @@ def _first_excess(residual: np.ndarray, floor: float, allowed=None):
     return None if bad is None else (bad, norms[bad])
 
 
+def _per_matrix(stack: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` of each matrix of a stack, run CHECK_SLAB_BYTES at a time:
+    larger temporaries make malloc return memory to the OS and refault it."""
+    flat = stack.reshape((-1,) + stack.shape[-2:])
+    step = max(1, CHECK_SLAB_BYTES // flat[0].nbytes)
+    slabs = [reduce(flat[i : i + step]) for i in range(0, len(flat), step)]
+    return np.concatenate(slabs).reshape(stack.shape[:-2])
+
+
 def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
     """Validate Hermitianity entrywise and return the complex ndarray.
 
@@ -80,12 +93,12 @@ def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
         raise ValueError(f"{what} must be a square matrix, got shape {h.shape}")
     if h.size == 0:
         raise ValueError(f"{what} must be non-empty")
-    deviation = np.abs(h - h.conj().swapaxes(-1, -2))
-    # every matrix is allowed at least HERMITIAN_TOL, so one reduction over
-    # the whole array accepts it; only past that is the scale looked at
+    deviation = _per_matrix(
+        h, lambda s: np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    )
+    # each allowance is at least HERMITIAN_TOL
     if deviation.max() <= HERMITIAN_TOL:
         return h
-    deviation = deviation.max(axis=(-2, -1))
     allowed = HERMITIAN_TOL * (1.0 + np.abs(h).max(axis=(-2, -1)))
     bad = _first_failure(deviation > allowed)
     if bad is not None:
@@ -122,22 +135,22 @@ def _require_unit_sum(ops: np.ndarray, tol: float, what: str) -> None:
         )
 
 
-def require_pvm(family, dim: int, what: str = "PVM") -> np.ndarray:
+def require_pvm(family, dim: int, what: str | list[str] = "PVM") -> np.ndarray:
     """Validate a projection-valued family summing to the identity.
 
     ``family`` is one PVM, a sequence of (dim, dim) operators, or an
     array stack of PVMs, shape (..., A, dim, dim).  Each element must be
     Hermitian with ``||p^2 - p||_F <= PVM_TOL`` and each family must sum
     to the identity within ``PVM_TOL`` in Frobenius norm; a failure
-    names the first failing element or family.  Zero elements are
-    allowed.  Returns the validated stack as one complex array.
+    names the first failing element or family (a list ``what`` names each
+    family).  Zero elements are allowed.  Returns the validated stack.
     """
     ops = _family_stack(family, dim, what)
-    excess = _first_excess(ops @ ops - ops, PVM_TOL)
-    if excess:
+    norms = _per_matrix(ops, lambda s: np.linalg.norm(s @ s - s, axis=(-2, -1)))
+    bad = _first_failure(norms > PVM_TOL)
+    if bad is not None:
         raise ValueError(
-            f"{_element(what, excess[0])} is not a projection:"
-            f" ||p^2 - p||_F = {excess[1]:.3e}"
+            f"{_element(what, bad)} is not a projection: ||p^2 - p||_F = {norms[bad]:.3e}"
         )
     _require_unit_sum(ops, PVM_TOL, what)
     return ops

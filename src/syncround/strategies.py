@@ -60,23 +60,26 @@ SYNC_TOL = 1e-8
 
 
 def _pvm_dict(pvms, dim: int, side: str) -> dict[str, list[np.ndarray]]:
+    """The families of ``pvms`` as lists of complex arrays, checked as one
+    (X, A, dim, dim) stack whose errors name the question."""
     if not pvms:
         raise ValueError(f"{side} has no question PVMs")
-    out = {}
-    n_answers = None
-    for question, family in pvms.items():
-        require_pvm(family, dim, f"{side} PVM for question {question!r}")
-        # keep the caller's arrays: views of the validated stack would pin
-        # a second copy of every family the caller still holds
-        ops = [np.asarray(p, dtype=np.complex128) for p in family]
-        if n_answers is None:
-            n_answers = len(ops)
-        elif len(ops) != n_answers:
-            raise ValueError(
-                f"{side} PVM for question {question!r} has {len(ops)} outcomes,"
-                f" expected {n_answers}"
-            )
-        out[str(question)] = ops
+    # keep the caller's arrays: storing the checked stack instead would pin
+    # a second copy of every family the caller still holds
+    out = {str(q): [np.asarray(p, dtype=complex) for p in f] for q, f in pvms.items()}
+    names = [f"{side} PVM for question {q!r}" for q in out]
+    n_answers = len(next(iter(out.values())))
+    for name, ops in zip(names, out.values()):
+        if not ops:
+            raise ValueError(f"{name} must have at least one outcome")
+        if len(ops) != n_answers:
+            raise ValueError(f"{name} has {len(ops)} outcomes, expected {n_answers}")
+        for k, op in enumerate(ops):
+            if op.shape != (dim, dim):
+                raise ValueError(
+                    f"{name} element {k} has shape {op.shape}, expected {(dim, dim)}"
+                )
+    require_pvm(_stack(out, out), dim, names)
     return out
 
 
@@ -298,19 +301,14 @@ def standard_form_dual(
 
 
 def synchronicity_deficit(game: SynchronousGame, s: CommutingStrategy) -> float:
-    """One minus the mu-averaged probability of equal answers, in [0, 1]."""
-    return _deficit_of_table(game, correlation_of_commuting(s, game.questions))
-
-
-def _deficit_of_table(game: SynchronousGame, table: CorrelationTable) -> float:
-    """synchronicity_deficit of a strategy whose table over the game's
-    questions is already at hand."""
-    mu = game.mu
-    agreement = sum(
-        mu[x] * float(np.trace(table.data[x, x]))
-        for x in range(game.n_questions)
-    )
-    return float(min(1.0, max(0.0, 1.0 - agreement)))
+    """The mu-averaged probability of unequal answers to equal questions,
+    sum_x mu(x) sum_a ||p^x_a M (1 - conj q^x_a)||_F^2 (for a unit state,
+    1 - sum_x mu(x) sum_a P_{x,x}(a, a)).  No term is negative, so no clamp,
+    and the rounding error is about 1e-16 sqrt(delta), not 1e-16."""
+    order = _question_order(s, game.questions)
+    p, q = _stack(s.pvms_a, order), _stack(s.pvms_b, order)
+    miss = p @ (s.state @ (np.eye(s.dim_b) - q.conj()))
+    return float(game.mu @ (miss.real**2 + miss.imag**2).sum(axis=(1, 2, 3)))
 
 
 def tracial_correlation(t: TracialStrategy, questions=None) -> CorrelationTable:

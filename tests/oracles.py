@@ -8,6 +8,8 @@ evaluate each sweep instance through the single-matrix certificates,
 against which the CLI's stacked suites are compared.
 """
 
+import json
+
 import numpy as np
 
 from syncround.cli import DUALITY_TOL, MOMENT_TOL
@@ -264,6 +266,59 @@ def standard_form_dual_pinv(strategy, cut=1e-10):
         ops[0] = ops[0] + kernel
         dual[q] = [(op + op.conj().T) / 2 for op in ops]
     return dual
+
+
+def save_game_loop(game):
+    """The game document by explicit loops over (i, j, k, l): the
+    off-diagonal majority sets the predicate default, and every i < j
+    entry that differs from it is listed in lexicographic order."""
+    import json
+
+    nq, na = game.n_questions, game.n_answers
+    entries = []
+    for i in range(nq):
+        for j in range(i, nq):
+            if game.nu_exact is not None:
+                w = game.nu_exact[i][j]
+                if w == 0:
+                    continue
+                w_out = str(w)
+            else:
+                w_out = float(game.nu[i, j])
+                if w_out == 0.0:
+                    continue
+            entries.append({"x": game.questions[i], "y": game.questions[j], "w": w_out})
+    off_diag = [
+        bool(game.predicate[i, j, k, l])
+        for i in range(nq)
+        for j in range(nq)
+        if i != j
+        for k in range(na)
+        for l in range(na)
+    ]
+    default = 1 if sum(off_diag) * 2 >= len(off_diag) else 0
+    pred_entries = []
+    for i in range(nq):
+        for j in range(i + 1, nq):
+            for k in range(na):
+                for l in range(na):
+                    if bool(game.predicate[i, j, k, l]) != bool(default):
+                        pred_entries.append(
+                            {
+                                "x": game.questions[i],
+                                "y": game.questions[j],
+                                "a": game.answers[k],
+                                "b": game.answers[l],
+                                "v": int(game.predicate[i, j, k, l]),
+                            }
+                        )
+    doc = {
+        "questions": list(game.questions),
+        "answers": list(game.answers),
+        "nu": entries,
+        "predicate": {"default": default, "entries": pred_entries},
+    }
+    return json.dumps(doc, indent=2)
 
 
 def connes_instance(seed, index, dims):

@@ -140,6 +140,26 @@ class TestRound:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("fault", ["not a projection", "2 outcomes"])
+    def test_faulty_pvm_in_strategy_file_exit_two(
+        self, capsys, tmp_path, k2_game_file, k2_strategy_file, fault
+    ):
+        doc = json.loads(open(k2_strategy_file).read())
+        family = doc["pvmsB"]["v1"]
+        if fault == "not a projection":
+            family[2] = [[[0.5 * re, im] for re, im in row] for row in family[2]]
+        else:
+            del family[2]
+        spath = tmp_path / "faulty.json"
+        spath.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run_cli(
+            capsys,
+            ["round", "--game", k2_game_file, "--strategy", str(spath),
+             "--out", str(tmp_path / "out.json")],
+        )
+        assert code == 2 and report is None
+        assert "'v1'" in err and fault in err
+
 
 class TestVerify:
     @pytest.mark.parametrize(

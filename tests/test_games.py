@@ -19,6 +19,7 @@ from syncround import (
 )
 
 from conftest import diagonal_game_doc
+from oracles import save_game_loop
 
 
 def coloring_doc(asymmetric=False, bad_total=None):
@@ -92,6 +93,18 @@ class TestLoadGame:
         with pytest.raises(GameFormatError, match="diagonal"):
             load_game(json.dumps(doc))
 
+    def test_first_conflicting_diagonal_entry_named(self):
+        doc = json.loads(diagonal_game_doc(["q0", "q1"], ["a", "b"]))
+        doc["predicate"]["entries"] = [
+            {"x": "q1", "y": "q1", "a": "a", "b": "b", "v": 1},
+            {"x": "q0", "y": "q0", "a": "b", "b": "b", "v": 0},
+            {"x": "q0", "y": "q0", "a": "b", "b": "a", "v": 1},
+        ]
+        # the (q0, b, a) entry also sets its mirror (q0, a, b), the first
+        # conflict in (question, answer, answer) order
+        with pytest.raises(GameFormatError, match=r"at \('q0', 'a', 'b'\)$"):
+            load_game(json.dumps(doc))
+
     def test_malformed_json_rejected(self):
         with pytest.raises(GameFormatError, match="JSON"):
             load_game("{not json")
@@ -117,6 +130,31 @@ class TestLoadGame:
         assert game.nu_exact is None
         again = load_game(save_game(game))
         assert np.abs(again.nu - game.nu).max() <= 1e-15
+
+
+class TestSaveGame:
+    CYCLES = {n: [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)] for n in (5, 7)}
+    K4 = [(f"v{i}", f"v{j}") for i in range(4) for j in range(i + 1, 4)]
+
+    @pytest.mark.parametrize("edges", [CYCLES[5], CYCLES[7], K4], ids=["C5", "C7", "K4"])
+    def test_coloring_games_match_loop_oracle(self, edges):
+        game = graph_coloring_game(edges, 3, "1/2")
+        assert save_game(game) == save_game_loop(game)
+
+    def test_diagonal_game_matches_loop_oracle(self):
+        game = load_game(diagonal_game_doc(["q0", "q1", "q2"], ["x", "y"]))
+        assert save_game(game) == save_game_loop(game)
+
+    def test_mostly_losing_predicate_matches_loop_oracle(self):
+        # off-diagonal majority 0: the listed entries carry v = 1
+        game = graph_coloring_game(self.K4, 3, "1/2")
+        predicate = game.predicate.copy()
+        off = ~np.eye(4, dtype=bool)
+        predicate[off] = np.eye(3, dtype=bool)
+        game = SynchronousGame(game.questions, game.answers, game.nu, predicate)
+        text = save_game(game)
+        assert json.loads(text)["predicate"]["default"] == 0
+        assert text == save_game_loop(game)
 
 
 class TestAlpha:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from syncround import spectral
 from syncround.sampling import random_hermitian, random_psd, random_pvm, rng_for
 from syncround.spectral import (
     _cluster_indices,
@@ -132,6 +133,22 @@ class TestStacks:
             require_pvm(stack, 3)
         with pytest.raises(ValueError, match=r"POVM family 2 does not sum"):
             require_povm(stack, 3)
+
+    @pytest.mark.parametrize("slab_bytes", [1, 1 << 17])
+    def test_slabs_name_the_same_element(self, monkeypatch, slab_bytes):
+        # one matrix per slab, or the whole stack in one
+        monkeypatch.setattr(spectral, "CHECK_SLAB_BYTES", slab_bytes)
+        rng = rng_for(28, 0)
+        stack = np.array([random_pvm(rng, 4, 3) for _ in range(3)])
+        assert require_pvm(stack, 4).shape == (3, 3, 4, 4)
+        skew = stack.copy()
+        skew[1, 2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match=r"PVM element \(1, 2\) is not Hermitian"):
+            require_pvm(skew, 4)
+        halved = stack.copy()
+        halved[2, 1] *= 0.5
+        with pytest.raises(ValueError, match=r"PVM element \(2, 1\) is not a projection"):
+            require_pvm(halved, 4)
 
     def test_shape_of_listed_element_named(self):
         with pytest.raises(ValueError, match=r"element 1 has shape \(2, 2\)"):

@@ -21,6 +21,7 @@ from syncround import (
     maximally_entangled_state,
     perturb_b_side,
     reduced_density,
+    round_strategy,
     seesaw_optimize,
     standard_form_dual,
     synchronicity_deficit,
@@ -257,6 +258,28 @@ class TestSynchronicityDeficit:
         assert delta > 0
         assert_close(delta, direct, 1e-12)
 
+    @staticmethod
+    def rotated_k2(k2_strategy, theta):
+        """The K2 colouring strategy with its B side conjugated by the real
+        rotation by theta in the (0, 1) plane: delta = 2 sin^2(theta) / 3."""
+        r = np.eye(3)
+        r[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        pvms_b = {q: [r @ p @ r.T for p in fam] for q, fam in k2_strategy.pvms_b.items()}
+        return CommutingStrategy(3, 3, k2_strategy.state, k2_strategy.pvms_a, pvms_b)
+
+    @pytest.mark.parametrize("theta", [1e-6, 1e-8])
+    def test_tiny_deficit_keeps_relative_accuracy(self, k2_game, k2_strategy, theta):
+        s = self.rotated_k2(k2_strategy, theta)
+        exact = 2.0 * np.sin(theta) ** 2 / 3.0
+        delta = synchronicity_deficit(k2_game, s)
+        assert abs(delta - exact) <= 1e-9 * exact
+
+    def test_tiny_deficit_certificate_holds_without_slack(self, k2_game, k2_strategy):
+        cert = round_strategy(k2_game, self.rotated_k2(k2_strategy, 1e-8)).certificate
+        assert cert.delta > 0
+        assert cert.d1_total <= cert.bound_total
+        assert cert.d1_first <= cert.bound_first
+
 
 class TestTracialStrategy:
     def test_single_block_fixed_pvm(self):
@@ -458,6 +481,37 @@ class TestSerialization:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("projection", r"^B side PVM for question 'v1' element 2 is not a projection"),
+            ("hermitian", r"^B side PVM for question 'v1' element 2 is not Hermitian"),
+            ("sum", r"^B side PVM for question 'v1' does not sum to the identity"),
+            ("shape", r"^B side PVM for question 'v1' element 2 has shape \(2, 2\)"),
+            ("outcomes", r"^B side PVM for question 'v1' has 2 outcomes, expected 3"),
+        ],
+    )
+    def test_stacked_check_names_the_question(self, k2_strategy, fault, message):
+        family = list(k2_strategy.pvms_b["v1"])
+        if fault == "projection":
+            family[2] = 0.5 * family[2]
+        elif fault == "hermitian":
+            family[2] = family[2] + 1e-3 * np.triu(np.ones((3, 3)), 1)
+        elif fault == "sum":
+            family[2] = np.zeros((3, 3))
+        elif fault == "shape":
+            family[2] = np.eye(2)
+        else:
+            family = family[:2]
+        pvms_b = {**k2_strategy.pvms_b, "v1": family}
+        with pytest.raises(ValueError, match=message):
+            CommutingStrategy(3, 3, k2_strategy.state, k2_strategy.pvms_a, pvms_b)
+
+    def test_tracial_block_names_the_question(self):
+        pvms = {"q0": [np.eye(2), np.zeros((2, 2))], "q1": [np.eye(2), np.eye(2)]}
+        with pytest.raises(ValueError, match=r"^block\(dim=2\) PVM for question 'q1' does not"):
+            TracialBlock(1.0, 2, pvms)
+
     def test_non_unit_state_rejected(self):
         pvm = [np.eye(2)]
         with pytest.raises(ValueError, match="unit vector"):
