@@ -32,6 +32,7 @@ from .haagerup import (
 )
 from .rounding import (
     CornerDecomposition,
+    CornerRounding,
     DualDistanceReport,
     OrthogonalizationReport,
     RoundingCertificate,
@@ -39,6 +40,7 @@ from .rounding import (
     corner_correlation,
     corner_decomposition,
     orthogonalize_povm,
+    round_corners,
     round_strategy,
     symmetrized_correlation,
     verify_dual_distance,

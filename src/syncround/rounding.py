@@ -21,6 +21,14 @@ The certified constants are implementation commitments:
   whenever the input value is 1 - eps, since the deficit of a strategy
   with value 1 - eps on an alpha-synchronous game is at most
   eps / alpha and eps <= (eps / alpha)^(1/4).
+
+The corner stage uses only the state and the A-side PVMs (Connes'
+distribution lemma applied to rho^(1/2) p rho^(1/2)); the B side enters
+through delta and the input correlation alone.  ``round_corners`` is
+that stage as a value: strategies that share a state and an A side,
+such as the B-side perturbations of one strategy, can share one
+``CornerRounding`` and pay only the per-strategy terms in
+``round_strategy`` and ``verify_dual_distance``.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from .strategies import (
     DensityOperator,
     TracialBlock,
     TracialStrategy,
+    _question_order,
     _stack,
     correlation_of_commuting,
     reduced_density,
@@ -64,6 +73,7 @@ __all__ = [
     "GAME_CONSTANT",
     "ORTHOGONALIZATION_CONSTANT",
     "CornerDecomposition",
+    "CornerRounding",
     "OrthogonalizationReport",
     "RoundingCertificate",
     "RoundingResult",
@@ -72,6 +82,7 @@ __all__ = [
     "symmetrized_correlation",
     "corner_correlation",
     "orthogonalize_povm",
+    "round_corners",
     "round_strategy",
     "verify_dual_distance",
 ]
@@ -86,6 +97,14 @@ SYM_SUM_TOL = 1e-9
 BOUND_SLACK = 1e-6
 TRIANGLE_SLACK = 1e-8
 DUAL_SLACK = 1e-8
+# a POVM that is already a PVM has distance and budget both 0 up to the
+# roundoff of their squared Frobenius norms, which can leave the budget
+# a few ulps below the distance
+ORTHOGONALIZATION_SLACK = 1e-12
+# a bound at or above these values holds for every input: no L1 distance
+# between correlation tables exceeds 2, and no value is below 0
+VACUOUS_DISTANCE = 2.0
+VACUOUS_VALUE_GAP = 1.0
 
 
 @dataclass(eq=False)
@@ -149,9 +168,8 @@ def symmetrized_correlation(
     """Symmetric table T_{x,y}(a, b) = Tr(p^x_a rho^(1/2) p^y_b rho^(1/2))."""
     order = tuple(questions) if questions is not None else tuple(pvms_a)
     na = len(pvms_a[order[0]])
-    sqrt_rho = functional_calculus(rho.decomposition)
     stack = np.array([pvms_a[q] for q in order])
-    data = trace_pairing(stack, sqrt_rho @ stack @ sqrt_rho).real
+    data = trace_pairing(stack, rho.sqrt @ stack @ rho.sqrt).real
     sums = data.sum(axis=(2, 3))
     worst = float(np.abs(sums - 1.0).max())
     if worst > SYM_SUM_TOL:
@@ -326,10 +344,96 @@ def _orthogonalize_corners(ms: np.ndarray, ranks) -> tuple[list, list]:
         budget = ORTHOGONALIZATION_CONSTANT * (1.0 - purity)
         rounded.append(rs)
         reports += [
-            OrthogonalizationReport(r, ms.shape[1], float(d), float(b), bool(d <= b + 1e-12))
+            OrthogonalizationReport(
+                r, ms.shape[1], float(d), float(b), bool(d <= b + ORTHOGONALIZATION_SLACK)
+            )
             for d, b in zip(distance_sq, budget)
         ]
     return rounded, reports
+
+
+@dataclass(eq=False)
+class CornerRounding:
+    """The half of a rounding run that depends only on the state, the
+    A-side PVMs and the question order.
+
+    ``stack_a`` holds the A-side families in ``questions`` order, ``rho``
+    the reduced density (with its cached square root), and the rest the
+    corner stage built from them: the symmetrized and corner tables, the
+    orthogonalized tracial strategy with its table, and one
+    orthogonalization report per corner and question.  ``state`` is a
+    copy of the state it was built for, so ``require_match`` can refuse
+    another strategy's input.
+    """
+
+    questions: tuple[str, ...]
+    state: np.ndarray = field(repr=False)
+    stack_a: np.ndarray = field(repr=False)
+    rho: DensityOperator = field(repr=False)
+    decomposition: CornerDecomposition
+    symmetrized: CorrelationTable = field(repr=False)
+    corner: CorrelationTable = field(repr=False)
+    tracial: TracialStrategy = field(repr=False)
+    tracial_table: CorrelationTable = field(repr=False)
+    reports: list[OrthogonalizationReport] = field(repr=False)
+
+    def require_match(self, game: SynchronousGame, s: CommutingStrategy) -> None:
+        """Raise unless ``s`` has this state and A side in ``game``'s
+        question order (exact equality: a check on the caller's input)."""
+        questions = tuple(game.questions)
+        if questions != self.questions:
+            raise ValueError(
+                f"corners were built for question order {self.questions!r},"
+                f" not {questions!r}"
+            )
+        if not np.array_equal(s.state, self.state):
+            raise ValueError("corners were built for another state")
+        stack_a = _stack(s.pvms_a, _question_order(s, questions))
+        if not np.array_equal(stack_a, self.stack_a):
+            raise ValueError("corners were built for another A side")
+
+
+def _state_side(game: SynchronousGame, s: CommutingStrategy):
+    """The reduced density of ``s`` and its A-side families stacked in
+    ``game``'s question order: all that the corner stage and the
+    commutator terms read of a strategy besides its B side."""
+    order = _question_order(s, game.questions)
+    return reduced_density(s), _stack(s.pvms_a, order)
+
+
+def round_corners(game: SynchronousGame, s: CommutingStrategy) -> CornerRounding:
+    """The corner stage of ``round_strategy`` for ``s`` in ``game``'s
+    question order, to be shared by strategies with the same state and
+    A side."""
+    questions = tuple(game.questions)
+    rho, stack_a = _state_side(game, s)
+    symmetrized = symmetrized_correlation(s.pvms_a, rho, questions)
+    decomp = corner_decomposition(rho)
+    corner = corner_correlation(s.pvms_a, decomp, questions)
+    rounded, reports = orthogonalize_povm(
+        corner_compressions(s.pvms_a, decomp, questions), decomp.ranks
+    )
+    # spectrum in the numerical-zero band is excluded from the corners,
+    # so the kept weights can fall short of 1 by up to the merge
+    # tolerance; renormalize for the strategy's exact weight contract
+    normalized_weights = decomp.weights / float(decomp.weights.sum())
+    blocks = [
+        TracialBlock(float(w), r, dict(zip(questions, pvms)))
+        for w, r, pvms in zip(normalized_weights, decomp.ranks, rounded)
+    ]
+    tracial = TracialStrategy(blocks)
+    return CornerRounding(
+        questions,
+        s.state.copy(),
+        stack_a,
+        rho,
+        decomp,
+        symmetrized,
+        corner,
+        tracial,
+        tracial_correlation(tracial, questions),
+        reports,
+    )
 
 
 @dataclass(eq=False)
@@ -341,6 +445,10 @@ class RoundingCertificate:
     ``d1_first`` and ``d1_total`` are the direct distances from the
     input table to the corner table and to the final tracial table,
     which the two certified fourth-root bounds are checked against.
+    ``vacuous_total`` and ``vacuous_game`` flag a bound that no input can
+    violate (a distance bound of at least 2, a value bound of at least
+    1); ``holds_by_slack`` flags a ``holds_*`` that is true only through
+    ``BOUND_SLACK``.
     """
 
     delta: float
@@ -358,6 +466,9 @@ class RoundingCertificate:
     holds_first: bool
     holds_total: bool
     holds_game: bool
+    vacuous_total: bool
+    vacuous_game: bool
+    holds_by_slack: bool
     orthogonalization: list[dict] = field(default_factory=list)
 
     @property
@@ -371,12 +482,17 @@ class RoundingResult:
     certificate: RoundingCertificate
 
 
-def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResult:
+def round_strategy(
+    game: SynchronousGame, s: CommutingStrategy, corners: CornerRounding | None = None
+) -> RoundingResult:
     """Round a commuting strategy into a tracial strategy with certificate.
 
     Requires alpha_of(game) > 0 (otherwise the value bound is vacuous
     and the run is rejected).  The corner stage uses only the A-side
-    PVMs and the reduced density.
+    PVMs and the reduced density; ``corners`` is that stage built by
+    ``round_corners`` for the same state, A side and question order
+    (checked; a mismatch raises ``ValueError``), and without it the
+    stage is built here.
     """
     alpha = alpha_of(game)
     if alpha <= 0.0:
@@ -384,25 +500,15 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
             "game has alpha = 0 (some question carries no diagonal mass);"
             " the rounding bound is vacuous and unsupported"
         )
+    if corners is None:
+        corners = round_corners(game, s)
+    else:
+        corners.require_match(game, s)
     original = correlation_of_commuting(s, game.questions)
     delta = synchronicity_deficit(game, s)
-    rho = reduced_density(s)
-    symmetrized = symmetrized_correlation(s.pvms_a, rho, game.questions)
-    decomp = corner_decomposition(rho)
-    corner = corner_correlation(s.pvms_a, decomp, game.questions)
-    rounded, reports = orthogonalize_povm(
-        corner_compressions(s.pvms_a, decomp, game.questions), decomp.ranks
+    symmetrized, corner, tracial_table = (
+        corners.symmetrized, corners.corner, corners.tracial_table
     )
-    # spectrum in the numerical-zero band is excluded from the corners,
-    # so the kept weights can fall short of 1 by up to the merge
-    # tolerance; renormalize for the strategy's exact weight contract
-    normalized_weights = decomp.weights / float(decomp.weights.sum())
-    blocks = [
-        TracialBlock(float(w), r, dict(zip(game.questions, pvms)))
-        for w, r, pvms in zip(normalized_weights, decomp.ranks, rounded)
-    ]
-    tracial = TracialStrategy(blocks)
-    tracial_table = tracial_correlation(tracial, game.questions)
 
     d1_sym = table_l1_distance(game, original, symmetrized)
     d1_corner = table_l1_distance(game, symmetrized, corner)
@@ -424,6 +530,12 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
     bound_first = FIRST_HALF_CONSTANT * root
     bound_total = TOTAL_CONSTANT * root
     bound_game = GAME_CONSTANT * (eps / alpha) ** 0.25
+    # each check as (without slack, with slack)
+    checks = [
+        (d1_first <= bound_first, d1_first <= bound_first + BOUND_SLACK),
+        (d1_total <= bound_total, d1_total <= bound_total + BOUND_SLACK),
+        (value_out >= 1.0 - bound_game, value_out >= 1.0 - bound_game - BOUND_SLACK),
+    ]
     cert = RoundingCertificate(
         delta=delta,
         alpha=alpha,
@@ -437,9 +549,12 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
         bound_first=bound_first,
         bound_total=bound_total,
         bound_game=bound_game,
-        holds_first=d1_first <= bound_first + BOUND_SLACK,
-        holds_total=d1_total <= bound_total + BOUND_SLACK,
-        holds_game=value_out >= 1.0 - bound_game - BOUND_SLACK,
+        holds_first=checks[0][1],
+        holds_total=checks[1][1],
+        holds_game=checks[2][1],
+        vacuous_total=bound_total >= VACUOUS_DISTANCE,
+        vacuous_game=bound_game >= VACUOUS_VALUE_GAP,
+        holds_by_slack=any(slack and not strict for strict, slack in checks),
         orthogonalization=[
             {
                 "corner": k,
@@ -450,11 +565,12 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
                 "holds": report.holds,
             }
             for (k, q), report in zip(
-                itertools.product(range(decomp.n_corners), game.questions), reports
+                itertools.product(range(corners.decomposition.n_corners), game.questions),
+                corners.reports,
             )
         ],
     )
-    return RoundingResult(tracial, cert)
+    return RoundingResult(corners.tracial, cert)
 
 
 @dataclass(eq=False)
@@ -481,19 +597,24 @@ class DualDistanceReport:
 
 
 def verify_dual_distance(
-    game: SynchronousGame, s: CommutingStrategy
+    game: SynchronousGame, s: CommutingStrategy, corners: CornerRounding | None = None
 ) -> DualDistanceReport:
     """Evaluate both intermediate inequalities on a concrete strategy.
 
     Both sums run over the stacked (X, A, d, d) families at once: the
     one stacked eigensolve that validates the dual POVMs also gives
     their square roots, and the squared norms are mu-weighted reductions
-    over the stack.
+    over the stack.  rho, its square root and the A stack come from
+    ``corners`` when given (checked as in ``round_strategy``); without
+    it they are built here, with no corner stage.
     """
     delta = synchronicity_deficit(game, s)
-    rho = reduced_density(s)
-    sqrt_rho = functional_calculus(rho.decomposition)
-    p = _stack(s.pvms_a, game.questions)
+    if corners is None:
+        rho, p = _state_side(game, s)
+    else:
+        corners.require_match(game, s)
+        rho, p = corners.rho, corners.stack_a
+    sqrt_rho = rho.sqrt
     sqrt_dual = functional_calculus(standard_form_dual(s, game.questions, decompose=True))
     weights = game.mu[:, None, None, None]
     comm_sq = float(np.sum(weights * np.abs(p @ sqrt_rho - sqrt_rho @ p) ** 2))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .spectral import (
     PSD_CLAMP,
     SpectralDecomposition,
     eigh,
+    functional_calculus,
     require_povm,
     require_pvm,
     trace_pairing,
@@ -177,7 +179,8 @@ class TracialStrategy:
 
 @dataclass(eq=False)
 class DensityOperator:
-    """Unit-trace PSD matrix together with its spectral decomposition."""
+    """Unit-trace PSD matrix together with its spectral decomposition;
+    ``sqrt`` is rho^(1/2), computed from that decomposition on first use."""
 
     matrix: np.ndarray
     decomposition: SpectralDecomposition
@@ -195,6 +198,10 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        return functional_calculus(self.decomposition)
 
 
 def _question_order(strategy, questions) -> tuple[str, ...]:

@@ -5,14 +5,17 @@ quadrature over the scaling fiber, per-breakpoint and per-corner sums
 of projection traces, and column loops provide a second computational
 route for every derived identity.  The per-instance verify runners
 evaluate each sweep instance through the single-matrix certificates,
-against which the CLI's stacked suites are compared.
+against which the CLI's stacked suites are compared; the rounding
+suite's runner rounds every instance from scratch, against the CLI's
+one corner stage per group.
 """
 
 import json
 
 import numpy as np
 
-from syncround.cli import DUALITY_TOL, MOMENT_TOL
+from syncround.cli import DUALITY_TOL, MOMENT_TOL, ROUNDING_ETAS
+from syncround.games import graph_coloring_game
 from syncround.haagerup import (
     commutator_certificate,
     connes_certificate,
@@ -21,8 +24,10 @@ from syncround.haagerup import (
     measure_moments,
     threshold_chi_distance,
 )
+from syncround.rounding import round_strategy, verify_dual_distance
 from syncround.sampling import random_psd, random_pvm, rng_for
 from syncround.spectral import eigh
+from syncround.strategies import cyclic_coloring_strategy, perturb_b_side
 
 
 def fiber_quadrature_indicator(x, y, c_x, c_y, n_points=10_000):
@@ -400,3 +405,29 @@ VERIFY_INSTANCES = {
     "commutator": commutator_instance,
     "duality": duality_instance,
 }
+
+
+def rounding_instance(seed, index, dims):
+    """One `verify --suite rounding` row, its B-side perturbation of the
+    K2 colouring strategy rounded from scratch (``dims`` is unused)."""
+    game = graph_coloring_game([("v0", "v1")], 3, "1/2")
+    base = cyclic_coloring_strategy(game.questions, 3)
+    eta = ROUNDING_ETAS[index % len(ROUNDING_ETAS)]
+    perturbed = perturb_b_side(base, eta, int(rng_for(seed, index).integers(2**31)))
+    cert = round_strategy(game, perturbed).certificate
+    dual = verify_dual_distance(game, perturbed)
+    return {
+        "index": index,
+        "eta": eta,
+        "delta": cert.delta,
+        "d1_total": cert.d1_total,
+        "bound_total": cert.bound_total,
+        "value_in": cert.value_in,
+        "value_out": cert.value_out,
+        "vacuous_total": cert.vacuous_total,
+        "vacuous_game": cert.vacuous_game,
+        "holds_by_slack": cert.holds_by_slack,
+        "holds_bounds": cert.holds,
+        "holds_dual": dual.holds,
+        "holds": cert.holds and dual.holds,
+    }

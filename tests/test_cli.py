@@ -18,7 +18,7 @@ from syncround import (
 from syncround.cli import main
 
 from conftest import diagonal_game_doc
-from oracles import VERIFY_INSTANCES
+from oracles import VERIFY_INSTANCES, rounding_instance
 
 
 @pytest.fixture
@@ -98,6 +98,9 @@ class TestRound:
         tracial = load_tracial_strategy(out.read_text())
         value = game_value(game, tracial_correlation(tracial, game.questions))
         assert abs(value - cert["value_out"]) <= 1e-9
+        # delta = 0 gives zero bounds, which d1_total meets only by slack
+        assert cert["holds_by_slack"] is True
+        assert cert["vacuous_total"] is False and cert["vacuous_game"] is False
 
     def test_perturbed_strategy_exit_zero(
         self, capsys, tmp_path, k2_game_file, k2_strategy_file
@@ -114,6 +117,8 @@ class TestRound:
         )
         assert code == 0
         assert report["certificate"]["delta"] > 0
+        assert report["certificate"]["vacuous_total"] is True
+        assert report["certificate"]["holds_by_slack"] is False
         assert report["summary"]["pass"] is True
 
     def test_alpha_zero_game_rejected(self, capsys, tmp_path, k2_strategy_file):
@@ -262,6 +267,42 @@ class TestStackedSuites:
         assert [row["index"] for row in report["instances"]] == list(range(10))
         for i, stacked in enumerate(report["instances"]):
             assert_rows_match(stacked, VERIFY_INSTANCES[suite](6, i, 2), f"{suite} row {i}")
+
+
+class TestRoundingSuite:
+    """The rounding suite, one corner stage per group, against rounding
+    every instance from scratch: the rows must be identical."""
+
+    def test_readme_size_rows_equal_oracle(self, capsys):
+        code, report, _ = run_cli(
+            capsys, ["verify", "--suite", "rounding", "--n", "60", "--seed", "7"]
+        )
+        assert code == 0
+        oracle = [rounding_instance(7, i, 8) for i in range(60)]
+        assert json.dumps(report["instances"]) == json.dumps(oracle)
+        # at these perturbation sizes every total bound exceeds 2
+        bounds = [row["bound_total"] for row in report["instances"]]
+        assert all(row["vacuous_total"] for row in report["instances"])
+        assert 4.5 < min(bounds) and max(bounds) < 16.5
+
+    def test_corners_rebuilt_per_slab(self, capsys, monkeypatch):
+        import syncround.cli
+
+        built = []
+        original = syncround.cli.round_corners
+
+        def counting(game, s):
+            built.append(s)
+            return original(game, s)
+
+        monkeypatch.setattr("syncround.cli.VERIFY_SLAB", 4)
+        monkeypatch.setattr("syncround.cli.round_corners", counting)
+        _, report, _ = run_cli(
+            capsys, ["verify", "--suite", "rounding", "--n", "10", "--seed", "6"]
+        )
+        assert len(built) == 3
+        oracle = [rounding_instance(6, i, 8) for i in range(10)]
+        assert json.dumps(report["instances"]) == json.dumps(oracle)
 
 
 class TestOptimize:

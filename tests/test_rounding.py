@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from syncround import (
     dump_tracial_strategy,
     orthogonalize_povm,
     perturb_b_side,
+    round_corners,
     round_strategy,
     symmetrized_correlation,
     tracial_correlation,
@@ -602,3 +604,101 @@ class TestBoundsAgainstDistances:
                 root = cert.delta**0.25
                 assert cert.d1_first <= 9 * root + 1e-6
                 assert cert.d1_total <= 57 * root + 1e-6
+
+
+def _certificate_fields(result):
+    return json.dumps(asdict(result.certificate))
+
+
+class TestRoundCorners:
+    """A shared corner stage gives the same numbers as building it per
+    strategy, and refuses a strategy it was not built for."""
+
+    def test_perturbations_share_corners(self, k2_game, k2_strategy):
+        corners = round_corners(k2_game, k2_strategy)
+        for eta, seed in [(0.02, 0), (0.05, 1), (0.1, 2), (0.0, 3)]:
+            s = perturb_b_side(k2_strategy, eta, seed)
+            shared = round_strategy(k2_game, s, corners)
+            fresh = round_strategy(k2_game, s)
+            assert _certificate_fields(shared) == _certificate_fields(fresh)
+            assert shared.tracial is corners.tracial
+            assert asdict(verify_dual_distance(k2_game, s, corners)) == asdict(
+                verify_dual_distance(k2_game, s)
+            )
+
+    def test_multicorner_state_shares_corners(self):
+        from syncround import graph_coloring_game
+
+        game = graph_coloring_game([("a", "b"), ("b", "c"), ("a", "c")], 3, "1/3")
+        s = random_commuting_strategy(rng_for(181, 0), game.questions, 3, 4, 4)
+        corners = round_corners(game, s)
+        assert corners.decomposition.n_corners >= 2
+        for seed in (0, 1):
+            t = perturb_b_side(s, 0.05, seed)
+            assert _certificate_fields(round_strategy(game, t, corners)) == (
+                _certificate_fields(round_strategy(game, t))
+            )
+            assert asdict(verify_dual_distance(game, t, corners)) == asdict(
+                verify_dual_distance(game, t)
+            )
+
+    def _mismatches(self, k2_game, k2_strategy):
+        rng = rng_for(191, 0)
+        state = np.diag(np.sqrt([0.5, 0.3, 0.2])).astype(complex)
+        other_state = CommutingStrategy(
+            3, 3, state, k2_strategy.pvms_a, k2_strategy.pvms_b
+        )
+        other_a = CommutingStrategy(
+            3,
+            3,
+            k2_strategy.state,
+            {q: random_pvm(rng, 3, 3) for q in k2_game.questions},
+            k2_strategy.pvms_b,
+        )
+        swapped = load_game(
+            json.dumps(
+                {
+                    "questions": ["v1", "v0"],
+                    "answers": ["0", "1", "2"],
+                    "nu": [
+                        {"x": "v0", "y": "v0", "w": "1/4"},
+                        {"x": "v1", "y": "v1", "w": "1/4"},
+                        {"x": "v0", "y": "v1", "w": "1/4"},
+                    ],
+                    "predicate": {"default": 1, "entries": []},
+                }
+            )
+        )
+        return [
+            (k2_game, other_state, "state"),
+            (k2_game, other_a, "A side"),
+            (swapped, k2_strategy, "question order"),
+        ]
+
+    def test_mismatched_corners_rejected(self, k2_game, k2_strategy):
+        corners = round_corners(k2_game, k2_strategy)
+        for game, s, what in self._mismatches(k2_game, k2_strategy):
+            with pytest.raises(ValueError, match=what):
+                round_strategy(game, s, corners)
+            with pytest.raises(ValueError, match=what):
+                verify_dual_distance(game, s, corners)
+            # the same input with its own corners is accepted
+            round_strategy(game, s, round_corners(game, s))
+
+    def test_dual_distance_runs_no_greedy(self, k2_game, k2_strategy, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corner stage ran")
+
+        monkeypatch.setattr(syncround.rounding, "orthogonalize_povm", refuse)
+        monkeypatch.setattr(syncround.rounding, "corner_decomposition", refuse)
+        s = perturb_b_side(k2_strategy, 0.05, 2)
+        assert verify_dual_distance(k2_game, s).holds
+
+
+class TestCertificateFlags:
+    def test_exact_strategy_holds_by_slack(self, k2_game, k2_strategy):
+        # delta = 0 makes every bound 0, and d1_total is roundoff above it
+        cert = round_strategy(k2_game, k2_strategy).certificate
+        assert cert.delta == 0.0 and cert.d1_total > 0.0
+        assert cert.holds and cert.holds_by_slack
+        assert not cert.vacuous_total and not cert.vacuous_game

@@ -279,6 +279,11 @@ class TestSynchronicityDeficit:
         assert cert.delta > 0
         assert cert.d1_total <= cert.bound_total
         assert cert.d1_first <= cert.bound_first
+        # the value bound is another matter: value_in rounds to 1 or just
+        # above, so eps = 0 and bound_game = 0, and a value_out an ulp
+        # below 1 then holds only through the slack, which the flag says
+        assert cert.bound_game == 0.0
+        assert cert.holds_by_slack == (cert.value_out < 1.0)
 
 
 class TestTracialStrategy:
