@@ -53,6 +53,7 @@ from .spectral import (
 from .strategies import (
     CommutingStrategy,
     DensityOperator,
+    PVMStack,
     SeesawResult,
     TracialBlock,
     TracialStrategy,

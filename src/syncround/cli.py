@@ -58,6 +58,11 @@ DUALITY_TOL = 1e-8
 # few ulps below the value it replaced
 MONOTONE_TOL = 1e-10
 ROUNDING_ETAS = (0.02, 0.05, 0.1)
+# the certificate fields of a rounding suite row, in report order
+ROUNDING_ROW_FIELDS = (
+    "delta", "d1_total", "bound_total", "value_in", "value_out",
+    "vacuous_total", "vacuous_game", "holds_by_slack",
+)
 # instances sampled and held at once: this bounds a sweep's memory, while
 # a README-size cycle of the four matrix suites still stacks into about
 # 150 eigensolves (one per side per shape group of each slab)
@@ -191,14 +196,7 @@ def _rounding_batch(key, indices, etas, perturb_seeds) -> list[dict]:
         rows.append({
             "index": index,
             "eta": eta,
-            "delta": cert.delta,
-            "d1_total": cert.d1_total,
-            "bound_total": cert.bound_total,
-            "value_in": cert.value_in,
-            "value_out": cert.value_out,
-            "vacuous_total": cert.vacuous_total,
-            "vacuous_game": cert.vacuous_game,
-            "holds_by_slack": cert.holds_by_slack,
+            **{name: getattr(cert, name) for name in ROUNDING_ROW_FIELDS},
             "holds_bounds": cert.holds,
             "holds_dual": dual.holds,
             "holds": cert.holds and dual.holds,

@@ -64,19 +64,13 @@ class SynchronousGame:
         self.nu = np.asarray(self.nu, dtype=float)
         if self.nu.shape != (nq, nq):
             raise GameFormatError(f"nu must have shape {(nq, nq)}, got {self.nu.shape}")
-        if self.nu_exact is not None:
-            for i in range(nq):
-                for j in range(nq):
-                    if self.nu_exact[i][j] != self.nu_exact[j][i]:
-                        raise GameFormatError(
-                            "nu is not symmetric at "
-                            f"({self.questions[i]!r}, {self.questions[j]!r})"
-                        )
-        if not np.array_equal(self.nu, self.nu.T):
-            i, j = np.argwhere(self.nu != self.nu.T)[0]
-            raise GameFormatError(
-                f"nu is not symmetric at ({self.questions[i]!r}, {self.questions[j]!r})"
-            )
+        exact = [] if self.nu_exact is None else [np.array(self.nu_exact, dtype=object)]
+        for nu in exact + [self.nu]:
+            if not np.array_equal(nu, nu.T):
+                i, j = np.argwhere(nu != nu.T)[0]
+                raise GameFormatError(
+                    f"nu is not symmetric at ({self.questions[i]!r}, {self.questions[j]!r})"
+                )
         if float(self.nu.min()) < 0:
             i, j = np.argwhere(self.nu < 0)[0]
             raise GameFormatError(
@@ -218,8 +212,8 @@ def _parse_weight(raw, where: str):
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise GameFormatError(f"invalid weight {raw!r} in {where}: {exc}") from exc
-    if isinstance(raw, float):
-        return float(raw)
+    if isinstance(raw, float) and np.isfinite(raw):
+        return raw
     raise GameFormatError(f"invalid weight {raw!r} in {where}")
 
 
@@ -281,16 +275,11 @@ def load_game(text: str) -> SynchronousGame:
             )
         weights = {k: w / total for k, w in weights.items()}
     nu = np.zeros((nq, nq))
-    nu_exact = None
-    if exact:
-        rows = [[Fraction(0)] * nq for _ in range(nq)]
-        for (i, j), w in weights.items():
-            rows[i][j] = w
-            nu[i, j] = float(w)
-        nu_exact = tuple(tuple(r) for r in rows)
-    else:
-        for (i, j), w in weights.items():
-            nu[i, j] = float(w)
+    rows = [[Fraction(0)] * nq for _ in range(nq)]
+    for (i, j), w in weights.items():
+        rows[i][j] = w
+        nu[i, j] = float(w)
+    nu_exact = tuple(tuple(r) for r in rows) if exact else None
 
     if not isinstance(pred_doc, dict) or "default" not in pred_doc:
         raise GameFormatError("predicate must be an object with a 'default' field")
@@ -339,17 +328,10 @@ def save_game(game: SynchronousGame) -> str:
     entries = []
     for i in range(game.n_questions):
         for j in range(i, game.n_questions):
-            if game.nu_exact is not None:
-                w = game.nu_exact[i][j]
-                if w == 0:
-                    continue
-                w_out = str(w)
-            else:
-                w = float(game.nu[i, j])
-                if w == 0.0:
-                    continue
-                w_out = w
-            entries.append({"x": game.questions[i], "y": game.questions[j], "w": w_out})
+            w = float(game.nu[i, j]) if game.nu_exact is None else game.nu_exact[i][j]
+            if w != 0:
+                w_out = w if game.nu_exact is None else str(w)
+                entries.append({"x": game.questions[i], "y": game.questions[j], "w": w_out})
     off_diagonal = game.predicate[~np.eye(game.n_questions, dtype=bool)]
     default = 1 if 2 * int(off_diagonal.sum()) >= off_diagonal.size else 0
     # pairs i < j in lexicographic (i, j, k, l) order, as np.argwhere lists them
@@ -420,14 +402,12 @@ def graph_coloring_game(edges, n_colors: int, diagonal_mass) -> SynchronousGame:
         rows[j][i] += per_pair
     nu = np.array([[float(w) for w in row] for row in rows])
     answers = tuple(str(c) for c in range(n_colors))
+    same = np.eye(n_colors, dtype=bool)
     predicate = np.ones((nq, nq, n_colors, n_colors), dtype=bool)
-    for i in range(nq):
-        predicate[i, i] = np.eye(n_colors, dtype=bool)
+    predicate[np.arange(nq), np.arange(nq)] = same
     for u, v in edge_list:
         i, j = q_index[u], q_index[v]
-        for c in range(n_colors):
-            predicate[i, j, c, c] = False
-            predicate[j, i, c, c] = False
+        predicate[[i, j], [j, i]] &= ~same
     return SynchronousGame(
         tuple(vertices), answers, nu, predicate, tuple(tuple(r) for r in rows)
     )

@@ -56,12 +56,11 @@ from .spectral import (
 from .strategies import (
     CommutingStrategy,
     DensityOperator,
+    PVMStack,
     TracialBlock,
     TracialStrategy,
-    _question_order,
-    _stack,
+    _pvm_stack,
     correlation_of_commuting,
-    reduced_density,
     standard_form_dual,
     synchronicity_deficit,
     tracial_correlation,
@@ -162,19 +161,18 @@ def corner_decomposition(rho: DensityOperator) -> CornerDecomposition:
     )
 
 
-def symmetrized_correlation(
-    pvms_a: dict[str, list[np.ndarray]], rho: DensityOperator, questions=None
-) -> CorrelationTable:
-    """Symmetric table T_{x,y}(a, b) = Tr(p^x_a rho^(1/2) p^y_b rho^(1/2))."""
-    order = tuple(questions) if questions is not None else tuple(pvms_a)
-    na = len(pvms_a[order[0]])
-    stack = np.array([pvms_a[q] for q in order])
+def symmetrized_correlation(pvms_a, rho: DensityOperator, questions=None) -> CorrelationTable:
+    """Symmetric table T_{x,y}(a, b) = Tr(p^x_a rho^(1/2) p^y_b rho^(1/2)) of the
+    A side ``pvms_a``, a ``PVMStack`` or a dict of question -> PVM (as below)."""
+    pvms_a = _pvm_stack(pvms_a)
+    order = tuple(questions or pvms_a.questions)
+    stack = pvms_a.in_order(order)
     data = trace_pairing(stack, rho.sqrt @ stack @ rho.sqrt).real
     sums = data.sum(axis=(2, 3))
     worst = float(np.abs(sums - 1.0).max())
     if worst > SYM_SUM_TOL:
         raise ValueError(f"symmetrized blocks do not sum to 1: deviation {worst:.3e}")
-    return CorrelationTable(order, na, data)
+    return CorrelationTable(order, pvms_a.n_answers, data)
 
 
 def _kept_eigenbasis_stack(pvms_a, decomp: CornerDecomposition, order) -> np.ndarray:
@@ -184,24 +182,17 @@ def _kept_eigenbasis_stack(pvms_a, decomp: CornerDecomposition, order) -> np.nda
     ranks[k] x ranks[k] block of every rotated element.
     """
     basis = decomp.bases[-1]
-    return _hermitian_part(basis.conj().T @ _stack(pvms_a, order) @ basis)
+    return _hermitian_part(basis.conj().T @ _pvm_stack(pvms_a).in_order(order) @ basis)
 
 
-def corner_compressions(
-    pvms_a: dict[str, list[np.ndarray]], decomp: CornerDecomposition, questions=None
-) -> np.ndarray:
+def corner_compressions(pvms_a, decomp: CornerDecomposition, questions=None) -> np.ndarray:
     """The POVMs (B_k+ p^x_a B_k) on the range of every corner P_k as one
     rotated (X, A, r, r) stack: corner k is its leading ranks[k] x
     ranks[k] block."""
-    order = tuple(questions) if questions is not None else tuple(pvms_a)
-    return _kept_eigenbasis_stack(pvms_a, decomp, order)
+    return _kept_eigenbasis_stack(pvms_a, decomp, questions)
 
 
-def corner_correlation(
-    pvms_a: dict[str, list[np.ndarray]],
-    decomp: CornerDecomposition,
-    questions=None,
-) -> CorrelationTable:
+def corner_correlation(pvms_a, decomp: CornerDecomposition, questions=None) -> CorrelationTable:
     """Weighted corner table sum_k (l_k - l_{k+1}) Tr(P_k p^x_a P_k p^y_b P_k).
 
     This is the weight integral over the nested threshold projections of
@@ -219,12 +210,12 @@ def corner_correlation(
     table is divided by it, as ``round_strategy`` divides the block
     weights.
     """
-    order = tuple(questions) if questions is not None else tuple(pvms_a)
-    na = len(pvms_a[order[0]])
+    pvms_a = _pvm_stack(pvms_a)
+    order = tuple(questions or pvms_a.questions)
     levels = np.repeat(decomp.values, np.diff((0,) + decomp.ranks))
     stack = _kept_eigenbasis_stack(pvms_a, decomp, order)
     data = trace_pairing(stack * np.minimum.outer(levels, levels), stack).real
-    return CorrelationTable(order, na, data / float(decomp.weights.sum()))
+    return CorrelationTable(order, pvms_a.n_answers, data / float(decomp.weights.sum()))
 
 
 @dataclass(eq=False)
@@ -361,9 +352,10 @@ class CornerRounding:
     the reduced density (with its cached square root), and the rest the
     corner stage built from them: the symmetrized and corner tables, the
     orthogonalized tracial strategy with its table, and one
-    orthogonalization report per corner and question.  ``state`` is a
-    copy of the state it was built for, so ``require_match`` can refuse
-    another strategy's input.
+    orthogonalization report per corner and question.  ``state`` and
+    ``stack_a`` are the arrays of the strategy it was built for, not
+    copies, kept so that ``require_match`` can refuse another
+    strategy's input.
     """
 
     questions: tuple[str, ...]
@@ -388,17 +380,8 @@ class CornerRounding:
             )
         if not np.array_equal(s.state, self.state):
             raise ValueError("corners were built for another state")
-        stack_a = _stack(s.pvms_a, _question_order(s, questions))
-        if not np.array_equal(stack_a, self.stack_a):
+        if not np.array_equal(s.pvms_a.in_order(questions), self.stack_a):
             raise ValueError("corners were built for another A side")
-
-
-def _state_side(game: SynchronousGame, s: CommutingStrategy):
-    """The reduced density of ``s`` and its A-side families stacked in
-    ``game``'s question order: all that the corner stage and the
-    commutator terms read of a strategy besides its B side."""
-    order = _question_order(s, game.questions)
-    return reduced_density(s), _stack(s.pvms_a, order)
 
 
 def round_corners(game: SynchronousGame, s: CommutingStrategy) -> CornerRounding:
@@ -406,7 +389,7 @@ def round_corners(game: SynchronousGame, s: CommutingStrategy) -> CornerRounding
     question order, to be shared by strategies with the same state and
     A side."""
     questions = tuple(game.questions)
-    rho, stack_a = _state_side(game, s)
+    rho = s.rho
     symmetrized = symmetrized_correlation(s.pvms_a, rho, questions)
     decomp = corner_decomposition(rho)
     corner = corner_correlation(s.pvms_a, decomp, questions)
@@ -418,21 +401,13 @@ def round_corners(game: SynchronousGame, s: CommutingStrategy) -> CornerRounding
     # tolerance; renormalize for the strategy's exact weight contract
     normalized_weights = decomp.weights / float(decomp.weights.sum())
     blocks = [
-        TracialBlock(float(w), r, dict(zip(questions, pvms)))
+        TracialBlock(float(w), r, PVMStack(questions, pvms, f"block(dim={r})"))
         for w, r, pvms in zip(normalized_weights, decomp.ranks, rounded)
     ]
     tracial = TracialStrategy(blocks)
     return CornerRounding(
-        questions,
-        s.state.copy(),
-        stack_a,
-        rho,
-        decomp,
-        symmetrized,
-        corner,
-        tracial,
-        tracial_correlation(tracial, questions),
-        reports,
+        questions, s.state, s.pvms_a.in_order(questions), rho, decomp, symmetrized,
+        corner, tracial, tracial_correlation(tracial, questions), reports,
     )
 
 
@@ -478,8 +453,13 @@ class RoundingCertificate:
 
 @dataclass(eq=False)
 class RoundingResult:
+    """The rounded strategy, its certificate, and the corner stage that
+    built it, which ``verify_dual_distance`` and B-side variants of the
+    strategy can reuse."""
+
     tracial: TracialStrategy
     certificate: RoundingCertificate
+    corners: CornerRounding = field(repr=False)
 
 
 def round_strategy(
@@ -526,7 +506,10 @@ def round_strategy(
         )
 
     root = delta**0.25
-    eps = max(0.0, 1.0 - value_in)
+    # eps is the nu-weighted losing mass, summed from the table's small
+    # entries: 1 - value_in cancels to 0 (or below) once eps nears 1e-16
+    losing = game.nu[:, :, None, None] * ~game.predicate * original.data
+    eps = max(0.0, float(losing.sum()))
     bound_first = FIRST_HALF_CONSTANT * root
     bound_total = TOTAL_CONSTANT * root
     bound_game = GAME_CONSTANT * (eps / alpha) ** 0.25
@@ -537,21 +520,10 @@ def round_strategy(
         (value_out >= 1.0 - bound_game, value_out >= 1.0 - bound_game - BOUND_SLACK),
     ]
     cert = RoundingCertificate(
-        delta=delta,
-        alpha=alpha,
-        d1_sym=d1_sym,
-        d1_corner=d1_corner,
-        d1_pvm=d1_pvm,
-        d1_first=d1_first,
-        d1_total=d1_total,
-        value_in=value_in,
-        value_out=value_out,
-        bound_first=bound_first,
-        bound_total=bound_total,
-        bound_game=bound_game,
-        holds_first=checks[0][1],
-        holds_total=checks[1][1],
-        holds_game=checks[2][1],
+        delta=delta, alpha=alpha, d1_sym=d1_sym, d1_corner=d1_corner, d1_pvm=d1_pvm,
+        d1_first=d1_first, d1_total=d1_total, value_in=value_in, value_out=value_out,
+        bound_first=bound_first, bound_total=bound_total, bound_game=bound_game,
+        holds_first=checks[0][1], holds_total=checks[1][1], holds_game=checks[2][1],
         vacuous_total=bound_total >= VACUOUS_DISTANCE,
         vacuous_game=bound_game >= VACUOUS_VALUE_GAP,
         holds_by_slack=any(slack and not strict for strict, slack in checks),
@@ -570,7 +542,7 @@ def round_strategy(
             )
         ],
     )
-    return RoundingResult(corners.tracial, cert)
+    return RoundingResult(corners.tracial, cert, corners)
 
 
 @dataclass(eq=False)
@@ -606,11 +578,11 @@ def verify_dual_distance(
     their square roots, and the squared norms are mu-weighted reductions
     over the stack.  rho, its square root and the A stack come from
     ``corners`` when given (checked as in ``round_strategy``); without
-    it they are built here, with no corner stage.
+    it they are the strategy's own, with no corner stage.
     """
     delta = synchronicity_deficit(game, s)
     if corners is None:
-        rho, p = _state_side(game, s)
+        rho, p = s.rho, s.pvms_a.in_order(game.questions)
     else:
         corners.require_match(game, s)
         rho, p = corners.rho, corners.stack_a

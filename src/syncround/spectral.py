@@ -84,21 +84,31 @@ def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
     """Validate Hermitianity entrywise and return the complex ndarray.
 
     ``matrix`` is one square matrix or a stack of them, shape (..., n, n).
-    For each matrix H the deviation max |H - H*| must not exceed
-    ``HERMITIAN_TOL * (1 + max |H|)``; a failing stack names the first
-    failing element.
+    Every entry must be finite, and for each matrix H the deviation
+    max |H - H*| must not exceed ``HERMITIAN_TOL * (1 + max |H|)``; a
+    failing stack names the first failing element.
     """
     h = np.asarray(matrix, dtype=np.complex128)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {h.shape}")
     if h.size == 0:
         raise ValueError(f"{what} must be non-empty")
-    deviation = _per_matrix(
-        h, lambda s: np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    )
+    with np.errstate(invalid="ignore"):  # inf - inf: reported below
+        deviation = _per_matrix(
+            h, lambda s: np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        )
     # each allowance is at least HERMITIAN_TOL
     if deviation.max() <= HERMITIAN_TOL:
         return h
+    # a NaN or infinite entry makes its matrix's deviation NaN or infinite
+    # (|H_ij - conj(H_ji)|, with inf - inf = NaN on the diagonal), and NaN
+    # fails every comparison, so it is caught here, before the allowances
+    bad = _first_failure(~np.isfinite(deviation))
+    if bad is not None:
+        entry = _first_failure(~np.isfinite(h[bad]))
+        raise ValueError(
+            f"{_element(what, bad)} has a non-finite entry {h[bad][entry]} at {entry}"
+        )
     allowed = HERMITIAN_TOL * (1.0 + np.abs(h).max(axis=(-2, -1)))
     bad = _first_failure(deviation > allowed)
     if bad is not None:

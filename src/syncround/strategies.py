@@ -15,6 +15,8 @@ weighted normalized traces and is synchronous by construction.
 from __future__ import annotations
 
 import json
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +36,7 @@ from .spectral import (
 
 __all__ = [
     "STATE_TOL",
+    "PVMStack",
     "CommutingStrategy",
     "TracialBlock",
     "TracialStrategy",
@@ -61,82 +64,154 @@ WEIGHT_TOL = 1e-10
 SYNC_TOL = 1e-8
 
 
-def _pvm_dict(pvms, dim: int, side: str) -> dict[str, list[np.ndarray]]:
-    """The families of ``pvms`` as lists of complex arrays, checked as one
-    (X, A, dim, dim) stack whose errors name the question."""
+class PVMStack(Mapping):
+    """PVM families, one per question, held as one read-only (X, A, d, d)
+    stack; as a mapping, question -> the (A, d, d) view of its family.
+
+    The stack is checked once, by one ``require_pvm`` call whose errors
+    name the question, and is held as given, not copied: the caller hands
+    it over and must not write to it afterwards.
+    """
+
+    def __init__(self, questions, stack: np.ndarray, side: str = "PVMs"):
+        self.questions = tuple(str(q) for q in questions)
+        stack = np.asarray(stack, dtype=np.complex128)
+        if stack.ndim != 4 or len(stack) != len(self.questions):
+            raise ValueError(f"{side} stack of shape {stack.shape} for {self.questions!r}")
+        require_pvm(stack, stack.shape[-1], [f"{side} PVM for question {q!r}" for q in self])
+        self.stack = stack.view()
+        self.stack.flags.writeable = False
+        self.n_answers, self.dim = stack.shape[1], stack.shape[-1]
+        self._index = {q: i for i, q in enumerate(self.questions)}
+
+    def __reduce__(self):  # unpickled through the constructor: checked and read-only again
+        return PVMStack, (self.questions, self.stack)
+
+    def __getitem__(self, question) -> np.ndarray:
+        return self.stack[self._index[question]]
+
+    def __iter__(self):
+        return iter(self.questions)
+
+    def __len__(self) -> int:
+        return len(self.questions)
+
+    def in_order(self, questions=None) -> np.ndarray:
+        """The families of ``questions`` (default: all) as one stack: a view
+        of the held stack when the order is its own, else a reordered copy."""
+        order = self.questions if questions is None else tuple(questions)
+        if order == self.questions:
+            return self.stack
+        missing = [q for q in order if q not in self._index]
+        if missing:
+            raise ValueError(f"strategy has no PVMs for questions {missing!r}")
+        return self.stack[[self._index[q] for q in order]]
+
+
+def _pvm_stack(pvms, dim: int | None = None, side: str = "PVMs") -> PVMStack:
+    """``pvms`` as a checked ``PVMStack`` of dimension ``dim`` (default:
+    that of its first element).  A ``PVMStack`` was checked when it was
+    built and is read-only, so it is taken as it is; any other mapping of
+    question -> family is stacked into a new array."""
+    if isinstance(pvms, PVMStack) and dim in (None, pvms.dim):
+        return pvms
     if not pvms:
         raise ValueError(f"{side} has no question PVMs")
-    # keep the caller's arrays: storing the checked stack instead would pin
-    # a second copy of every family the caller still holds
-    out = {str(q): [np.asarray(p, dtype=complex) for p in f] for q, f in pvms.items()}
-    names = [f"{side} PVM for question {q!r}" for q in out]
-    n_answers = len(next(iter(out.values())))
-    for name, ops in zip(names, out.values()):
+    families = [list(f) for f in pvms.values()]
+    if dim is None:
+        dim = np.shape(families[0][0])[-1] if families[0] else 0
+    names = [f"{side} PVM for question {q!r}" for q in pvms]
+    n_answers = len(families[0])
+    for name, ops in zip(names, families):
         if not ops:
             raise ValueError(f"{name} must have at least one outcome")
         if len(ops) != n_answers:
             raise ValueError(f"{name} has {len(ops)} outcomes, expected {n_answers}")
         for k, op in enumerate(ops):
-            if op.shape != (dim, dim):
+            if np.shape(op) != (dim, dim):
                 raise ValueError(
-                    f"{name} element {k} has shape {op.shape}, expected {(dim, dim)}"
+                    f"{name} element {k} has shape {np.shape(op)}, expected {(dim, dim)}"
                 )
-    require_pvm(_stack(out, out), dim, names)
-    return out
+    return PVMStack(pvms.keys(), np.array(families, dtype=np.complex128), side)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CommutingStrategy:
-    """Tensor-split commuting strategy with a shared pure state."""
+    """Tensor-split commuting strategy with a shared pure state.
+
+    Immutable: the state and both ``PVMStack`` sides are read-only, so
+    strategies can share them and ``rho`` is computed once.  The
+    constructor also takes each side as a plain mapping of question ->
+    family and stacks it.
+    """
 
     dim_a: int
     dim_b: int
     state: np.ndarray
-    pvms_a: dict[str, list[np.ndarray]]
-    pvms_b: dict[str, list[np.ndarray]]
+    pvms_a: PVMStack
+    pvms_b: PVMStack
 
     def __post_init__(self):
         if self.dim_a < 1 or self.dim_b < 1:
             raise ValueError("dimensions must be positive")
-        self.state = np.asarray(self.state, dtype=np.complex128)
-        if self.state.shape != (self.dim_a, self.dim_b):
+        state = np.asarray(self.state, dtype=np.complex128)
+        if state.flags.writeable:  # a read-only state, such as a strategy's, is shared
+            state = state.copy()
+            state.flags.writeable = False
+        if state.shape != (self.dim_a, self.dim_b):
             raise ValueError(
-                f"state must have shape {(self.dim_a, self.dim_b)},"
-                f" got {self.state.shape}"
+                f"state must have shape {(self.dim_a, self.dim_b)}, got {state.shape}"
             )
-        norm = float(np.linalg.norm(self.state))
-        if abs(norm - 1.0) > STATE_TOL:
+        norm = float(np.linalg.norm(state))
+        if not abs(norm - 1.0) <= STATE_TOL:  # NaN fails too
             raise ValueError(f"state is not a unit vector: norm {norm!r}")
-        self.pvms_a = _pvm_dict(self.pvms_a, self.dim_a, "A side")
-        self.pvms_b = _pvm_dict(self.pvms_b, self.dim_b, "B side")
-        if set(self.pvms_a) != set(self.pvms_b):
+        pvms_a = _pvm_stack(self.pvms_a, self.dim_a, "A side")
+        pvms_b = _pvm_stack(self.pvms_b, self.dim_b, "B side")
+        if set(pvms_a) != set(pvms_b):
             raise ValueError("A and B sides must share the same question set")
-        na = len(next(iter(self.pvms_a.values())))
-        nb = len(next(iter(self.pvms_b.values())))
-        if na != nb:
+        if pvms_a.n_answers != pvms_b.n_answers:
             raise ValueError("A and B sides must share the answer count")
+        for name, value in (("state", state), ("pvms_a", pvms_a), ("pvms_b", pvms_b)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # unpickled through the constructor, with no cached rho
+        return CommutingStrategy, (self.dim_a, self.dim_b, self.state, self.pvms_a, self.pvms_b)
 
     @property
     def questions(self) -> tuple[str, ...]:
-        return tuple(self.pvms_a)
+        return self.pvms_a.questions
 
     @property
     def n_answers(self) -> int:
-        return len(next(iter(self.pvms_a.values())))
+        return self.pvms_a.n_answers
+
+    @property
+    def rho(self) -> DensityOperator:
+        """The reduced density, computed by ``reduced_density`` and shared
+        by every use while something holds it, as the ``CornerRounding``
+        of a rounding result does.  The strategy holds it weakly, so a
+        held strategy that is not in use does not pin its eigenbasis."""
+        ref = self.__dict__.get("_rho")
+        rho = None if ref is None else ref()
+        if rho is None:
+            rho = reduced_density(self)
+            self.__dict__["_rho"] = weakref.ref(rho)
+        return rho
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TracialBlock:
     weight: float
     dim: int
-    pvms: dict[str, list[np.ndarray]]
+    pvms: PVMStack
 
     def __post_init__(self):
-        if self.weight <= 0:
+        if not self.weight > 0:  # NaN fails too
             raise ValueError(f"block weight must be positive, got {self.weight!r}")
         if self.dim < 1:
             raise ValueError("block dimension must be positive")
-        self.pvms = _pvm_dict(self.pvms, self.dim, f"block(dim={self.dim})")
+        pvms = _pvm_stack(self.pvms, self.dim, f"block(dim={self.dim})")
+        object.__setattr__(self, "pvms", pvms)
 
 
 @dataclass(eq=False)
@@ -149,18 +224,17 @@ class TracialStrategy:
         if not self.blocks:
             raise ValueError("tracial strategy needs at least one block")
         total = sum(b.weight for b in self.blocks)
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:  # NaN fails too
             raise ValueError(f"block weights must sum to 1, got {total!r}")
-        questions = self.blocks[0].pvms.keys()
-        n_answers = len(next(iter(self.blocks[0].pvms.values())))
+        questions = set(self.questions)
         for b in self.blocks[1:]:
-            if b.pvms.keys() != questions:
+            if set(b.pvms) != questions:
                 raise ValueError("all blocks must share the same question set")
-            if len(next(iter(b.pvms.values()))) != n_answers:
+            if b.pvms.n_answers != self.n_answers:
                 raise ValueError("all blocks must share the answer count")
         # a synchronous strategy puts no mass on tau(r^x_a r^x_b), a != b
-        cross = _tracial_table(self.blocks, questions, same_question=True)
-        off_diagonal = ~np.eye(n_answers, dtype=bool)
+        cross = _tracial_table(self.blocks, self.questions, same_question=True)
+        off_diagonal = ~np.eye(self.n_answers, dtype=bool)
         worst = float(np.abs(cross[:, off_diagonal]).max(initial=0.0))
         if worst > SYNC_TOL:
             raise ValueError(
@@ -170,11 +244,11 @@ class TracialStrategy:
 
     @property
     def questions(self) -> tuple[str, ...]:
-        return tuple(self.blocks[0].pvms)
+        return self.blocks[0].pvms.questions
 
     @property
     def n_answers(self) -> int:
-        return len(next(iter(self.blocks[0].pvms.values())))
+        return self.blocks[0].pvms.n_answers
 
 
 @dataclass(eq=False)
@@ -204,21 +278,6 @@ class DensityOperator:
         return functional_calculus(self.decomposition)
 
 
-def _question_order(strategy, questions) -> tuple[str, ...]:
-    if questions is None:
-        return strategy.questions
-    questions = tuple(questions)
-    missing = [q for q in questions if q not in strategy.questions]
-    if missing:
-        raise ValueError(f"strategy has no PVMs for questions {missing!r}")
-    return questions
-
-
-def _stack(pvms: dict[str, list[np.ndarray]], order) -> np.ndarray:
-    """The families of ``order`` as one (X, A, d, d) array."""
-    return np.array([pvms[q] for q in order])
-
-
 def _tracial_table(
     blocks: list[TracialBlock], order, same_question: bool = False
 ) -> np.ndarray:
@@ -230,7 +289,7 @@ def _tracial_table(
     """
     data = 0.0
     for blk in blocks:
-        stack = _stack(blk.pvms, order)
+        stack = blk.pvms.in_order(order)
         if same_question:
             nx, na, d, _ = stack.shape
             flat = stack.reshape(nx, na, d * d)
@@ -247,18 +306,16 @@ def _b_conditional_operators(state: np.ndarray, stack_b: np.ndarray) -> np.ndarr
     return state @ stack_b.conj() @ state.conj().T
 
 
-def correlation_of_commuting(
-    s: CommutingStrategy, questions=None
-) -> CorrelationTable:
+def correlation_of_commuting(s: CommutingStrategy, questions=None) -> CorrelationTable:
     """Correlation table P_{x,y}(a, b) = <(p^x_a x q^y_b) xi, xi>.
 
     Raises when the imaginary residue of any entry exceeds 1e-8; the
     residue is discarded after the check.
     """
-    order = _question_order(s, questions)
+    order = tuple(questions or s.questions)
     data = trace_pairing(
-        _stack(s.pvms_a, order),
-        _b_conditional_operators(s.state, _stack(s.pvms_b, order)),
+        s.pvms_a.in_order(order),
+        _b_conditional_operators(s.state, s.pvms_b.in_order(order)),
     )
     residue = float(np.abs(data.imag).max())
     if residue > IMAG_TOL:
@@ -277,10 +334,11 @@ def reduced_density(s: CommutingStrategy) -> DensityOperator:
 
 def standard_form_dual(
     s: CommutingStrategy, questions=None, decompose: bool = False
-) -> dict[str, list[np.ndarray]] | SpectralDecomposition:
+) -> dict[str, np.ndarray] | SpectralDecomposition:
     """Transport the B-side PVMs to A-side POVMs through the state.
 
-    Returns per question y a POVM (p'^y_b on the A side) satisfying
+    Returns per question y a POVM (p'^y_b on the A side), as the
+    (B, dA, dA) array of its elements, satisfying
 
         Tr(p^x_a rho^(1/2) p'^y_b rho^(1/2)) = P_{x,y}(a, b)
 
@@ -297,14 +355,14 @@ def standard_form_dual(
     kept = sigma**2 >= PSD_CLAMP
     support = u[:, kept]
     polar = support @ vh[kept]
-    order = _question_order(s, questions)
-    stacked = polar @ _stack(s.pvms_b, order).conj() @ polar.conj().T
+    order = tuple(questions or s.questions)
+    stacked = polar @ s.pvms_b.in_order(order).conj() @ polar.conj().T
     stacked = (stacked + stacked.conj().swapaxes(-1, -2)) / 2
     stacked[:, 0] += np.eye(s.dim_a) - support @ support.conj().T
     dual = require_povm(stacked, s.dim_a, "dual POVM", decompose)
     if decompose:
         return dual
-    return {q: list(family) for q, family in zip(order, dual)}
+    return dict(zip(order, dual))
 
 
 def synchronicity_deficit(game: SynchronousGame, s: CommutingStrategy) -> float:
@@ -312,15 +370,14 @@ def synchronicity_deficit(game: SynchronousGame, s: CommutingStrategy) -> float:
     sum_x mu(x) sum_a ||p^x_a M (1 - conj q^x_a)||_F^2 (for a unit state,
     1 - sum_x mu(x) sum_a P_{x,x}(a, a)).  No term is negative, so no clamp,
     and the rounding error is about 1e-16 sqrt(delta), not 1e-16."""
-    order = _question_order(s, game.questions)
-    p, q = _stack(s.pvms_a, order), _stack(s.pvms_b, order)
+    p, q = s.pvms_a.in_order(game.questions), s.pvms_b.in_order(game.questions)
     miss = p @ (s.state @ (np.eye(s.dim_b) - q.conj()))
     return float(game.mu @ (miss.real**2 + miss.imag**2).sum(axis=(1, 2, 3)))
 
 
 def tracial_correlation(t: TracialStrategy, questions=None) -> CorrelationTable:
     """Correlation sum_k w_k tr_k(r^x_a r^y_b) of a tracial strategy."""
-    order = _question_order(t, questions)
+    order = tuple(questions or t.questions)
     return CorrelationTable(order, t.n_answers, _tracial_table(t.blocks, order))
 
 
@@ -338,26 +395,18 @@ def conjugate_synchronous_strategy(pvms_a) -> CommutingStrategy:
     The resulting correlation is Tr(p^x_a p^y_b) / d, hence exactly
     synchronous.
     """
-    first = next(iter(pvms_a.values()))
-    dim = np.asarray(first[0]).shape[0]
-    pvms_b = {q: [np.asarray(p).conj() for p in fam] for q, fam in pvms_a.items()}
-    return CommutingStrategy(
-        dim, dim, maximally_entangled_state(dim), dict(pvms_a), pvms_b
-    )
+    a = _pvm_stack(pvms_a, side="A side")
+    b = PVMStack(a.questions, a.stack.conj(), "B side")
+    return CommutingStrategy(a.dim, a.dim, maximally_entangled_state(a.dim), a, b)
 
 
 def cyclic_coloring_strategy(questions, n_colors: int) -> CommutingStrategy:
     """Deterministic proper-coloring strategy on C^k for cyclically
     adjacent questions: question i answers color (a + i) mod k with the
     basis projection e_{(a+i) mod k}."""
-    basis = [np.zeros((n_colors, n_colors), dtype=complex) for _ in range(n_colors)]
-    for i in range(n_colors):
-        basis[i][i, i] = 1.0
-    pvms = {
-        q: [basis[(a + i) % n_colors] for a in range(n_colors)]
-        for i, q in enumerate(questions)
-    }
-    return conjugate_synchronous_strategy(pvms)
+    basis = np.einsum("ij,ik->ijk", np.eye(n_colors), np.eye(n_colors))
+    colors = (np.arange(n_colors) + np.arange(len(questions))[:, None]) % n_colors
+    return conjugate_synchronous_strategy(PVMStack(questions, basis[colors], "A side"))
 
 
 def perturb_b_side(s: CommutingStrategy, eta: float, seed: int) -> CommutingStrategy:
@@ -365,17 +414,19 @@ def perturb_b_side(s: CommutingStrategy, eta: float, seed: int) -> CommutingStra
     spectral norm drawn from the seed.  Produces synchronicity deficits
     of order eta^2 on exactly synchronous inputs."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((s.dim_b, s.dim_b)) + 1j * rng.standard_normal(
-        (s.dim_b, s.dim_b)
-    )
+    shape = (s.dim_b, s.dim_b)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     k = (g + g.conj().T) / 2
     k = k / float(np.abs(np.linalg.eigvalsh(k)).max())
     w, v = np.linalg.eigh(k)
     u = (v * np.exp(1j * eta * w)) @ v.conj().T
-    pvms_b = {
-        q: [u @ p @ u.conj().T for p in fam] for q, fam in s.pvms_b.items()
-    }
-    return CommutingStrategy(s.dim_a, s.dim_b, s.state.copy(), s.pvms_a, pvms_b)
+    # a question at a time: a stack-sized temporary fragments the heap (peak RSS +6 %)
+    stack = np.empty_like(s.pvms_b.stack)
+    for x, family in enumerate(s.pvms_b.stack):
+        stack[x] = u @ family @ u.conj().T
+    pvms_b = PVMStack(s.pvms_b.questions, stack, "B side")
+    # the state and the A side are read-only, so the result shares them
+    return CommutingStrategy(s.dim_a, s.dim_b, s.state, s.pvms_a, pvms_b)
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +561,9 @@ def seesaw_optimize(
             pvms_b[:, best_const] = np.eye(dim_b)
             current = float(fiber[best_const])
         values.append(current)
-    strategy = CommutingStrategy(
-        dim_a,
-        dim_b,
-        state,
-        {q: list(pvms_a[i]) for i, q in enumerate(game.questions)},
-        {q: list(pvms_b[i]) for i, q in enumerate(game.questions)},
-    )
-    return SeesawResult(strategy, values)
+    a_side = PVMStack(game.questions, pvms_a, "A side")
+    b_side = PVMStack(game.questions, pvms_b, "B side")
+    return SeesawResult(CommutingStrategy(dim_a, dim_b, state, a_side, b_side), values)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +573,16 @@ def seesaw_optimize(
 def _matrix_to_pairs(m: np.ndarray):
     m = np.asarray(m)
     return np.stack([m.real, m.imag], -1).tolist()
+
+
+def _stack_to_pairs(pvms: PVMStack) -> dict:
+    return dict(zip(pvms.questions, _matrix_to_pairs(pvms.stack)))
+
+
+def _pairs_to_families(doc: dict, what: str) -> dict:
+    return {
+        str(q): [_pairs_to_matrix(p, f"{what}[{q!r}]") for p in fam] for q, fam in doc.items()
+    }
 
 
 def _pairs_to_matrix(rows, what: str) -> np.ndarray:
@@ -547,8 +603,8 @@ def dump_commuting_strategy(s: CommutingStrategy) -> str:
         "dimA": s.dim_a,
         "dimB": s.dim_b,
         "xi": _matrix_to_pairs(s.state),
-        "pvmsA": {q: [_matrix_to_pairs(p) for p in fam] for q, fam in s.pvms_a.items()},
-        "pvmsB": {q: [_matrix_to_pairs(p) for p in fam] for q, fam in s.pvms_b.items()},
+        "pvmsA": _stack_to_pairs(s.pvms_a),
+        "pvmsB": _stack_to_pairs(s.pvms_b),
     }
     return json.dumps(doc)
 
@@ -558,34 +614,19 @@ def load_commuting_strategy(text: str) -> CommutingStrategy:
         doc = json.loads(text)
         dim_a, dim_b = int(doc["dimA"]), int(doc["dimB"])
         state = _pairs_to_matrix(doc["xi"], "xi")
-        pvms_a = {
-            str(q): [_pairs_to_matrix(p, f"pvmsA[{q!r}]") for p in fam]
-            for q, fam in doc["pvmsA"].items()
-        }
-        pvms_b = {
-            str(q): [_pairs_to_matrix(p, f"pvmsB[{q!r}]") for p in fam]
-            for q, fam in doc["pvmsB"].items()
-        }
+        pvms_a = _pairs_to_families(doc["pvmsA"], "pvmsA")
+        pvms_b = _pairs_to_families(doc["pvmsB"], "pvmsB")
     except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed strategy document: {exc}") from exc
     return CommutingStrategy(dim_a, dim_b, state, pvms_a, pvms_b)
 
 
 def dump_tracial_strategy(t: TracialStrategy) -> str:
-    doc = {
-        "blocks": [
-            {
-                "w": blk.weight,
-                "dim": blk.dim,
-                "pvms": {
-                    q: [_matrix_to_pairs(p) for p in fam]
-                    for q, fam in blk.pvms.items()
-                },
-            }
-            for blk in t.blocks
-        ]
-    }
-    return json.dumps(doc)
+    blocks = [
+        {"w": blk.weight, "dim": blk.dim, "pvms": _stack_to_pairs(blk.pvms)}
+        for blk in t.blocks
+    ]
+    return json.dumps({"blocks": blocks})
 
 
 def load_tracial_strategy(text: str) -> TracialStrategy:
@@ -595,10 +636,7 @@ def load_tracial_strategy(text: str) -> TracialStrategy:
             TracialBlock(
                 float(raw["w"]),
                 int(raw["dim"]),
-                {
-                    str(q): [_pairs_to_matrix(p, f"block pvms[{q!r}]") for p in fam]
-                    for q, fam in raw["pvms"].items()
-                },
+                _pairs_to_families(raw["pvms"], "block pvms"),
             )
             for raw in doc["blocks"]
         ]

@@ -145,7 +145,7 @@ class TestRound:
         assert code == 2
         assert "alpha" in err
 
-    @pytest.mark.parametrize("fault", ["not a projection", "2 outcomes"])
+    @pytest.mark.parametrize("fault", ["not a projection", "2 outcomes", "non-finite entry"])
     def test_faulty_pvm_in_strategy_file_exit_two(
         self, capsys, tmp_path, k2_game_file, k2_strategy_file, fault
     ):
@@ -153,6 +153,8 @@ class TestRound:
         family = doc["pvmsB"]["v1"]
         if fault == "not a projection":
             family[2] = [[[0.5 * re, im] for re, im in row] for row in family[2]]
+        elif fault == "non-finite entry":
+            family[2][0][0][0] = float("nan")
         else:
             del family[2]
         spath = tmp_path / "faulty.json"

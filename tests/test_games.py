@@ -53,6 +53,12 @@ class TestLoadGame:
         assert alpha_of(game) == 1.0
         assert game.nu_exact is not None
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_names_its_pair(self, weight):
+        message = r"^invalid weight (nan|inf) in nu entry \('v0', 'v1'\)$"
+        with pytest.raises(GameFormatError, match=message):
+            load_game(coloring_doc(bad_total=weight))
+
     def test_asymmetric_nu_rejected(self):
         with pytest.raises(GameFormatError, match="not symmetric"):
             load_game(coloring_doc(asymmetric=True))

@@ -221,6 +221,26 @@ class TestFunctionalCalculus:
         assert_close(out, np.diag([1.0, 0.0]), 1e-9)
 
 
+class TestFiniteness:
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((0, 1), np.nan), ((1, 1), np.inf), ((1, 0), complex(0.0, -np.inf))],
+    )
+    def test_non_finite_entry_named(self, entry, value):
+        stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
+        stack[1][entry] = value
+        with pytest.raises(ValueError, match=r"^m element 1 has a non-finite entry") as err:
+            require_hermitian(stack, "m")
+        assert str(err.value).endswith(f"at {entry}")
+
+    def test_validators_and_eigh_reject_nan(self):
+        pvm = [np.diag([1.0, np.nan]), np.diag([0.0, 1.0])]
+        for check in (lambda: require_pvm(pvm, 2), lambda: require_povm(pvm, 2),
+                      lambda: eigh(pvm[0])):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                check()
+
+
 class TestPvmValidation:
     def test_basis_pvm_accepted(self):
         e = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]

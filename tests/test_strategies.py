@@ -1,16 +1,21 @@
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import syncround
 from syncround import (
     CommutingStrategy,
+    PVMStack,
     TracialBlock,
     TracialStrategy,
     conjugate_synchronous_strategy,
     correlation_of_commuting,
+    cyclic_coloring_strategy,
     dump_commuting_strategy,
     dump_tracial_strategy,
     game_value,
@@ -21,6 +26,7 @@ from syncround import (
     maximally_entangled_state,
     perturb_b_side,
     reduced_density,
+    round_corners,
     round_strategy,
     seesaw_optimize,
     standard_form_dual,
@@ -279,11 +285,11 @@ class TestSynchronicityDeficit:
         assert cert.delta > 0
         assert cert.d1_total <= cert.bound_total
         assert cert.d1_first <= cert.bound_first
-        # the value bound is another matter: value_in rounds to 1 or just
-        # above, so eps = 0 and bound_game = 0, and a value_out an ulp
-        # below 1 then holds only through the slack, which the flag says
-        assert cert.bound_game == 0.0
-        assert cert.holds_by_slack == (cert.value_out < 1.0)
+        # value_in rounds to 1 or just above, so 1 - value_in would give
+        # eps = 0; eps as the losing mass keeps it, and the value bound
+        # holds without the slack too
+        assert cert.bound_game > 0
+        assert cert.holds_by_slack is False
 
 
 class TestTracialStrategy:
@@ -438,6 +444,104 @@ class TestPerturbation:
         ]
         ratio = deltas[1] / deltas[0]
         assert 3.0 <= ratio <= 5.0
+
+
+class TestReadOnlyStacks:
+    """Each side and each tracial block owns one read-only (X, A, d, d)
+    stack; strategies that share a side share its array."""
+
+    def test_writes_raise(self, k2_strategy):
+        s = k2_strategy
+        for array in (s.state, s.pvms_a.stack, s.pvms_b["v1"], s.pvms_a["v0"][1]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.state = np.eye(3)
+        block = TracialBlock(1.0, 2, {"q": [np.eye(2), np.zeros((2, 2))]})
+        with pytest.raises(ValueError, match="read-only"):
+            block.pvms.stack[0, 0, 0, 0] = 0.0
+
+    def test_family_is_a_view_of_the_stack(self, k2_strategy):
+        side = k2_strategy.pvms_a
+        assert isinstance(side, PVMStack) and side.stack.shape == (2, 3, 3, 3)
+        assert np.shares_memory(side["v1"], side.stack)
+        assert side.in_order(("v0", "v1")) is side.stack
+        assert_close(side.in_order(("v1", "v0")), side.stack[::-1], 0.0)
+        with pytest.raises(ValueError, match=r"no PVMs for questions \['w'\]"):
+            side.in_order(("v0", "w"))
+
+    def test_caller_arrays_are_not_kept(self):
+        pvm = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        state = maximally_entangled_state(2)
+        s = CommutingStrategy(2, 2, state, {"q": pvm}, {"q": pvm})
+        pvm[0][0, 0] = 0.5
+        state[0, 0] = 0.0
+        assert s.pvms_a["q"][0][0, 0] == 1.0
+        assert s.state[0, 0] != 0.0
+
+    def test_pickle_round_trip_stays_read_only(self, k2_strategy):
+        s = perturb_b_side(k2_strategy, 0.05, 4)
+        rho = s.rho  # a cached rho is not pickled
+        again = pickle.loads(pickle.dumps(s))
+        for mine, theirs in ((s.state, again.state), (s.pvms_b.stack, again.pvms_b.stack)):
+            assert np.array_equal(mine, theirs) and not theirs.flags.writeable
+        assert again.questions == s.questions
+        assert np.array_equal(again.rho.matrix, rho.matrix)
+
+    def test_perturbation_shares_state_and_a_side(self, k2_game, k2_strategy):
+        t = perturb_b_side(k2_strategy, 0.05, 4)
+        assert t.state is k2_strategy.state
+        assert t.pvms_a is k2_strategy.pvms_a
+        round_corners(k2_game, k2_strategy).require_match(k2_game, t)
+
+    def test_reduced_density_once_per_strategy(self, k2_game, monkeypatch):
+        calls = []
+        original = syncround.strategies.reduced_density
+
+        def counted(s):
+            calls.append(s)
+            return original(s)
+
+        monkeypatch.setattr(syncround.strategies, "reduced_density", counted)
+        s = perturb_b_side(cyclic_coloring_strategy(k2_game.questions, 3), 0.05, 6)
+        result = round_strategy(k2_game, s)
+        dual = verify_dual_distance(k2_game, s)
+        assert result.certificate.holds and dual.holds
+        assert calls == [s]
+        assert result.corners.rho is s.rho
+
+    def test_question_order_of_a_strategy_does_not_matter(self):
+        game = graph_coloring_game(CYCLE5_EDGES, 3, "1/2")
+        s = perturb_b_side(
+            random_commuting_strategy(rng_for(71, 0), game.questions, 3, 4, 4), 0.05, 1
+        )
+        backwards = CommutingStrategy(
+            4,
+            4,
+            s.state,
+            {q: s.pvms_a[q] for q in reversed(game.questions)},
+            {q: s.pvms_b[q] for q in reversed(game.questions)},
+        )
+        assert backwards.questions == tuple(reversed(game.questions))
+        for fn in (round_strategy, verify_dual_distance):
+            forward, backward = fn(game, s), fn(game, backwards)
+            if fn is round_strategy:
+                forward, backward = forward.certificate, backward.certificate
+            assert json.dumps(dataclasses.asdict(forward)) == json.dumps(
+                dataclasses.asdict(backward)
+            )
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_block_weight_rejected(self, weight):
+        pvm = {"q": [np.eye(2), np.zeros((2, 2))]}
+        with pytest.raises(ValueError, match="block weight|sum to 1"):
+            TracialStrategy([TracialBlock(weight, 2, pvm)])
+
+    def test_nan_state_rejected(self, k2_strategy):
+        state = np.array(k2_strategy.state)
+        state[1, 2] = np.nan
+        with pytest.raises(ValueError, match="unit vector: norm nan"):
+            CommutingStrategy(3, 3, state, k2_strategy.pvms_a, k2_strategy.pvms_b)
 
 
 class TestSerialization:
