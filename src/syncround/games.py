@@ -137,10 +137,17 @@ class CorrelationTable:
                 f"table must have shape {(nq, nq, na, na)}, got {self.data.shape}"
             )
         low = float(self.data.min())
+        worst = float(np.abs(self.data.sum(axis=(2, 3)) - 1.0).max())
+        # a NaN entry makes the minimum NaN, an infinite one the minimum or
+        # its block's sum; NaN fails every comparison, so name it first
+        if not np.isfinite(low + worst):
+            x, y, a, b = np.argwhere(~np.isfinite(self.data))[0]
+            raise ValueError(
+                f"table entry ({self.questions[x]!r}, {self.questions[y]!r}, {a}, {b})"
+                f" is not finite: {self.data[x, y, a, b]}"
+            )
         if low < -TABLE_NEG_TOL:
             raise ValueError(f"table entry {low:.3e} below -{TABLE_NEG_TOL:.0e}")
-        sums = self.data.sum(axis=(2, 3))
-        worst = float(np.abs(sums - 1.0).max())
         if worst > TABLE_SUM_TOL:
             raise ValueError(
                 f"some P_xy does not sum to 1: worst deviation {worst:.3e}"
@@ -181,7 +188,7 @@ def game_value(game: SynchronousGame, table: CorrelationTable) -> float:
     """nu-weighted winning probability of a correlation against D."""
     _check_table_matches(game, table)
     value = float(np.sum(game.nu[:, :, None, None] * game.predicate * table.data))
-    if value < -VALUE_SLACK or value > 1.0 + VALUE_SLACK:
+    if not -VALUE_SLACK <= value <= 1.0 + VALUE_SLACK:  # NaN fails too
         raise ValueError(f"game value {value!r} falls outside [0, 1] beyond slack")
     return value
 

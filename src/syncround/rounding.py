@@ -47,9 +47,9 @@ from .games import (
 )
 from .spectral import (
     PSD_CLAMP,
-    eigh,
+    _eigh_guarded,
+    _require_leading_hermitian,
     functional_calculus,
-    require_hermitian,
     require_povm,
     trace_pairing,
 )
@@ -236,14 +236,17 @@ class OrthogonalizationReport:
 
 
 def _hermitian_part(stack: np.ndarray) -> np.ndarray:
-    """(H + H*) / 2 of each matrix of a stack."""
-    out = stack.conj().swapaxes(-1, -2)
+    """(H + H*) / 2 of each matrix of a stack, as a new C-ordered stack.
+    Entries (i, j) and (j, i) are conj(s_ji) + s_ij and conj(s_ij) + s_ji
+    halved, exact conjugates of each other: the result is exactly
+    Hermitian in floating point."""
+    out = np.conjugate(stack.swapaxes(-1, -2), out=np.empty(stack.shape, complex))
     out += stack
     out *= 0.5
     return out
 
 
-def _greedy_pvms(ms: np.ndarray) -> np.ndarray:
+def _greedy_pvms(ms: np.ndarray, what: str = "POVM") -> np.ndarray:
     """Greedy rounding of F POVMs of one size, (F, A, n, n), to PVMs.
 
     Per POVM, outcomes are visited by decreasing trace.  W holds an
@@ -256,34 +259,47 @@ def _greedy_pvms(ms: np.ndarray) -> np.ndarray:
     eigenvalue (exact projections have eigenvalue 0) and never passes
     1/2.  The subspace left when the outcomes run out goes to the
     outcome with the largest expectation on it.
+
+    Each eigensolve runs the reconstruction and orthonormality guards of
+    ``_eigh_guarded``, a failure naming ``what`` element (x, a).  It
+    skips the rest of ``eigh``: W+ m W comes from ``_hermitian_part``,
+    which is exactly Hermitian in floating point, and the greedy reads
+    only the projector onto the taken columns and the span of the rest,
+    neither of which depends on column phases or clusters.
     """
     nf, na, n, _ = ms.shape
     order = np.argsort(-np.trace(ms, axis1=-2, axis2=-1).real, axis=-1, kind="stable")
     family = np.arange(nf)
-    basis = np.broadcast_to(np.eye(n, dtype=complex), (nf, n, n))
-    live = np.ones((nf, n), dtype=bool)
-    rs = np.zeros_like(ms)
+    basis = None  # W = 1 on the first visit
+    n_live = np.full(nf, n)
+    rs = np.empty_like(ms)
     for step, outcome in enumerate(order.T):
-        if basis.shape[-1] == 0:
-            break
-        # the first visit sees the whole space, W = 1
         m = ms[family, outcome]
-        comp = _hermitian_part(m if step == 0 else basis.conj().swapaxes(-1, -2) @ m @ basis)
-        pad_f, pad_c = np.nonzero(~live)
-        comp[pad_f, pad_c, pad_c] = -1.0
-        dec = eigh(comp)
-        vecs = dec.eigenvectors if step == 0 else basis @ dec.eigenvectors
-        taken = vecs * (dec.eigenvalues > 0.5)[:, None, :]
-        rs[family, outcome] = _hermitian_part(taken @ taken.conj().swapaxes(-1, -2))
-        rest = (dec.eigenvalues > -0.5) & (dec.eigenvalues <= 0.5)
-        keep = np.argsort(~rest, axis=-1, kind="stable")[:, : rest.sum(-1).max()]
-        live = np.take_along_axis(rest, keep, axis=-1)
-        basis = np.take_along_axis(vecs, keep[:, None, :], axis=-1) * live[:, None, :]
+        comp = _hermitian_part(m if basis is None else basis.conj().swapaxes(-1, -2) @ m @ basis)
+        width = comp.shape[-1]
+        if basis is not None:
+            np.einsum("fii->fi", comp)[np.arange(width) >= n_live[:, None]] = -1.0
+        labels = [f"{what} element ({x}, {a})" for x, a in enumerate(outcome.tolist())]
+        w, v = _eigh_guarded(comp, labels)
+        vecs = v if basis is None else basis @ v
+        taken = w > 0.5
+        rs[family, outcome] = (vecs * taken[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        # eigenvalues ascend: the -1 padding, then the rest, then the taken,
+        # so the next W is one contiguous range of columns per POVM
+        low = np.count_nonzero(w <= -0.5, axis=-1)
+        n_live = width - low - np.count_nonzero(taken, axis=-1)
+        columns = np.arange(n_live.max())
+        if columns.size == 0:
+            rs[family[:, None], order[:, step + 1 :]] = 0.0
+            return _hermitian_part(rs)
+        keep = np.minimum(low[:, None] + columns, width - 1)
+        basis = np.take_along_axis(vecs, keep[:, None, :], axis=-1)
+        basis *= (columns < n_live[:, None])[:, None, :]
     residual = _hermitian_part(basis @ basis.conj().swapaxes(-1, -2))
     scores = np.einsum("fij,faji->fa", residual, ms).real
-    open_f = np.flatnonzero(live.any(axis=-1))
+    open_f = np.flatnonzero(n_live)
     rs[open_f, np.argmax(scores[open_f], axis=-1)] += residual[open_f]
-    return rs
+    return _hermitian_part(rs)
 
 
 def orthogonalize_povm(povm, ranks=None):
@@ -300,11 +316,19 @@ def orthogonalize_povm(povm, ranks=None):
     a stack (X, A, r, r) of X POVMs whose leading ranks[k] x ranks[k]
     blocks are the POVMs of corner k; the result is a list with one
     (X, A, ranks[k], ranks[k]) PVM stack per corner, and the reports in
-    corner-then-question order.  The PSD and sum checks run once on the
-    full stack: by Cauchy interlacing, and since a leading block of
-    sum - 1 has no larger Frobenius norm, every leading block passes
-    them when the stack does.  The elementwise Hermitian check, whose
-    tolerance scales with the block's own entries, runs per block.
+    corner-then-question order.
+
+    Checks, and where they run:
+
+    - ``require_povm`` on the full stack: Hermitian, PSD and sum to the
+      identity.  By Cauchy interlacing, and since a leading block of
+      sum - 1 has no larger Frobenius norm, every leading block passes
+      the PSD and sum checks when the stack does.
+    - the elementwise Hermitian check of every leading block, whose
+      tolerance scales with the block's own entries, in one pass over
+      the stack before any greedy runs.
+    - in the greedy, every eigensolve's reconstruction and
+      orthonormality guards (see ``_greedy_pvms``).
     """
     if len(povm) == 0:
         raise ValueError("POVM must have at least one outcome")
@@ -317,22 +341,33 @@ def orthogonalize_povm(povm, ranks=None):
     return _orthogonalize_corners(ms, ranks)
 
 
+def _sum_of_squares(stack: np.ndarray, out: str) -> np.ndarray:
+    """Sum of |entry|^2 over a stack (X, A, n, n), as re^2 + im^2, onto
+    the einsum axes ``out`` of "xaij"."""
+    spec = f"xaij,xaij->{out}"
+    return np.einsum(spec, stack.real, stack.real) + np.einsum(spec, stack.imag, stack.imag)
+
+
 def _orthogonalize_corners(ms: np.ndarray, ranks) -> tuple[list, list]:
     """The greedy rounding of every leading block of a validated stack.
 
     Corners run one at a time, each as one stacked greedy over the X
     POVMs: padding every corner to the full rank would multiply the
     eigensolve work (for ranks 1, 2, ..., r the n^3 cost sums to about
-    r^4 / 4, against r^4 padded).
+    r^4 / 4, against r^4 padded).  Every leading block is checked
+    Hermitian against its own scale in one pass, and every corner's
+    purity, the sum of squared entries of its leading block, is read off
+    one 2-D prefix sum of the stack's squared entries.
     """
+    _require_leading_hermitian(ms, ranks, [f"corner {k} POVM" for k in range(len(ranks))])
+    prefix = _sum_of_squares(ms, "xij").cumsum(axis=-1).cumsum(axis=-2)
     rounded, reports = [], []
     for k, r in enumerate(ranks):
-        block = require_hermitian(ms[..., :r, :r], f"corner {k} POVM")
-        rs = _greedy_pvms(block)
-        # squared Frobenius norms per POVM; tr(m^2) = ||m||_F^2 for Hermitian m
-        distance_sq = np.linalg.norm((block - rs).reshape(len(block), -1), axis=-1) ** 2 / r
-        purity = np.linalg.norm(block.reshape(len(block), -1), axis=-1) ** 2 / r
-        budget = ORTHOGONALIZATION_CONSTANT * (1.0 - purity)
+        block = ms[..., :r, :r]
+        rs = _greedy_pvms(block, f"corner {k} POVM")
+        # tr(m^2) = ||m||_F^2 for Hermitian m
+        distance_sq = _sum_of_squares(block - rs, "x") / r
+        budget = ORTHOGONALIZATION_CONSTANT * (1.0 - prefix[:, r - 1, r - 1] / r)
         rounded.append(rs)
         reports += [
             OrthogonalizationReport(

@@ -262,6 +262,32 @@ class TestGameValue:
         assert game_value(bigger, table) >= game_value(game, table) - 1e-12
 
 
+class TestCorrelationTable:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, bad):
+        # NaN passes both the floor and the block-sum comparisons
+        data = np.full((2, 2, 3, 3), 1.0 / 9)
+        data[0, 1, 2, 1] = bad
+        with pytest.raises(
+            ValueError, match=r"table entry \('v0', 'v1', 2, 1\) is not finite: -?(nan|inf)"
+        ):
+            CorrelationTable(("v0", "v1"), 3, data)
+
+    def test_first_non_finite_entry_named(self):
+        data = np.full((2, 2, 3, 3), 1.0 / 9)
+        data[1, 0, 0, 0] = np.inf
+        data[0, 1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"\('v0', 'v1', 0, 0\) is not finite: nan"):
+            CorrelationTable(("v0", "v1"), 3, data)
+
+    def test_game_value_rejects_nan(self, k2_game):
+        # a table's data stays writable after the constructor's check
+        table = CorrelationTable(k2_game.questions, 3, np.full((2, 2, 3, 3), 1.0 / 9))
+        table.data[0, 1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="game value nan falls outside"):
+            game_value(k2_game, table)
+
+
 class TestColoringGenerator:
     def test_k2_alpha_closed_form(self):
         lam = Fraction(1, 2)

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -22,7 +23,7 @@ from syncround import (
     verify_dual_distance,
 )
 import syncround.rounding
-from syncround.rounding import corner_compressions
+from syncround.rounding import _hermitian_part, corner_compressions
 from syncround.sampling import (
     random_povm,
     random_psd,
@@ -30,12 +31,17 @@ from syncround.sampling import (
     random_unitary,
     rng_for,
 )
-from syncround.spectral import eigh
+from syncround.spectral import _require_leading_hermitian, eigh
 from syncround.strategies import CommutingStrategy, DensityOperator
 from syncround import reduced_density
 
 from conftest import assert_close, diagonal_game_doc, random_commuting_strategy
-from oracles import corner_table_loop, corner_table_quadrature, orthogonalize_povm_loop
+from oracles import (
+    corner_table_loop,
+    corner_table_quadrature,
+    leading_hermitian_loop,
+    orthogonalize_povm_loop,
+)
 
 
 def density_from_diag(values):
@@ -366,9 +372,11 @@ class TestOrthogonalizeNested:
         pvms = {"v0": e, "v1": [e[0] + e[1], e[2], 0 * e[0]]}
         s = CommutingStrategy(3, 3, np.diag(np.sqrt([0.5, 0.3, 0.2])), pvms, pvms)
         calls = []
-        inner = syncround.rounding.eigh
+        inner = syncround.rounding._eigh_guarded
         monkeypatch.setattr(
-            syncround.rounding, "eigh", lambda *a, **k: calls.append(1) or inner(*a, **k)
+            syncround.rounding,
+            "_eigh_guarded",
+            lambda *a, **k: calls.append(1) or inner(*a, **k),
         )
         result = round_strategy(k2_game, s)
         assert len(result.tracial.blocks) == 3 and len(k2_game.questions) == 2
@@ -377,6 +385,150 @@ class TestOrthogonalizeNested:
         # outcome, so corner k runs out of unassigned columns after k + 1
         # visits; in corner 1, v1 is empty after one visit and only padded
         assert len(calls) == 1 + 2 + 3
+
+
+@st.composite
+def complex_stacks(draw):
+    """(F, A, n, n) complex stacks with entries scaled by 1e-8 ... 1e8."""
+    shape = tuple(draw(st.integers(1, k)) for k in (4, 3)) + (draw(st.integers(1, 9)),) * 2
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return rng, entries * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
+class TestHermitianPart:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instance=complex_stacks())
+    def test_exactly_hermitian(self, instance):
+        # (i, j) is conj(s_ji) + s_ij halved and (j, i) conj(s_ij) + s_ji
+        # halved: exact conjugates, as rounding is sign-symmetric
+        rng, stack = instance
+        n = stack.shape[-1]
+        for source in (stack, stack[..., : max(1, n - 2), : max(1, n - 2)]):
+            h = _hermitian_part(source)
+            assert np.array_equal(h, h.conj().swapaxes(-1, -2))
+            # the greedy's -1 padding writes on the diagonal keep it so
+            dead = rng.random(h.shape[:-1]) < 0.4
+            np.einsum("...ii->...i", h)[dead] = -1.0
+            assert np.array_equal(h, h.conj().swapaxes(-1, -2))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(instance=complex_stacks(), columns=st.integers(0, 9))
+    def test_greedy_compressions_exactly_hermitian(self, instance, columns):
+        # the matrices the greedy eigensolves: W* m W, padded
+        rng, stack = instance
+        m = _hermitian_part(stack)[:, 0]
+        n = m.shape[-1]
+        width = min(columns, n) or 1
+        basis = np.linalg.qr(rng.normal(size=(len(m), n, width)) + 0j)[0]
+        basis[..., width // 2 :] = 0.0
+        comp = _hermitian_part(basis.conj().swapaxes(-1, -2) @ m @ basis)
+        np.einsum("fii->fi", comp)[:, width // 2 :] = -1.0
+        assert np.array_equal(comp, comp.conj().swapaxes(-1, -2))
+
+
+@st.composite
+def near_hermitian_stacks(draw):
+    """Hermitian (X, A, n, n) stacks of mixed entry scales with a few
+    imaginary deviations near the 1e-12 tolerance, and corner ranks."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3))) + (draw(st.integers(1, 6)),) * 2
+    ranks = tuple(sorted(draw(st.sets(st.integers(1, shape[-1]), min_size=1))))
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    exponents = rng.uniform(-3, 1, size=shape)
+    h = (h + h.conj().swapaxes(-1, -2)) * 10.0 ** (exponents + exponents.swapaxes(-1, -2))
+    for _ in range(draw(st.integers(0, 3))):
+        h[tuple(rng.integers(0, k) for k in shape)] += 1j * 10.0 ** rng.uniform(-12.5, -11)
+    return h, ranks
+
+
+class TestGreedyChecks:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(instance=near_hermitian_stacks())
+    def test_one_pass_hermitian_check_matches_per_block(self, instance):
+        h, ranks = instance
+        labels = [f"corner {k} POVM" for k in range(len(ranks))]
+        try:
+            _require_leading_hermitian(h, ranks, labels)
+            message = None
+        except ValueError as err:
+            message = str(err)
+        assert message == leading_hermitian_loop(h, ranks)
+
+    def test_hermitian_fault_in_one_middle_corner(self):
+        # corners of ranks 1, 2, 3 on C^4; element 0 is the projection on
+        # u, whose leading 3 x 3 block has entries 0.01 and whose (3, 3)
+        # entry is 0.97.  A 1.5e-12 deviation at (2, 0) of question 1
+        # passes the full scale (1.97e-12) and lies outside corners 0 and
+        # 1: only corner 2 fails, against its own scale (1.01e-12)
+        u = np.array([0.1, 0.1, 0.1, np.sqrt(0.97)])
+        p = np.outer(u, u).astype(complex)
+        stack = np.array([[p, np.eye(4) - p]] * 2)
+        stack[1, 0, 2, 0] += 1.5e-12j
+        with pytest.raises(ValueError, match=r"^corner 2 POVM element \(1, 0\) is not Hermitian"):
+            orthogonalize_povm(stack, (1, 2, 3))
+        # the same stack without the fault rounds
+        stack[1, 0, 2, 0] = p[2, 0]
+        orthogonalize_povm(stack, (1, 2, 3))
+
+    @staticmethod
+    def _stack_and_calls():
+        """A stack whose leading blocks are PVMs, and the width of each
+        stacked eigensolve its rounding makes, in call order."""
+        stack = _nested_povm_stack("block-pvm", 2, 4, 3, 3, (2, 4))
+        widths = []
+        real = np.linalg.eigh
+
+        def spy(h):
+            widths.append(h.shape[-1])
+            return real(h)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", spy)
+            orthogonalize_povm(stack, (2, 4))
+        return stack, widths
+
+    @staticmethod
+    def _inject(monkeypatch, call: int, family: int, corrupt):
+        """Corrupt matrix ``family`` of LAPACK's answer on eigensolve ``call``."""
+        real, calls = np.linalg.eigh, []
+
+        def faulty(h):
+            w, v = (a.copy() for a in real(h))
+            calls.append(1)
+            if len(calls) == call:
+                corrupt(w[family], v[family])
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
+
+    @staticmethod
+    def _rescale_column(w, v):
+        # V D (W D^-2) D V* = V W V*: reconstructs, not orthonormal
+        v[:, -1] *= 2.0
+        w[-1] /= 4.0
+
+    @staticmethod
+    def _shift_eigenvalue(w, v):
+        w[-1] += 0.25
+
+    @pytest.mark.parametrize("step", [0, 1])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [("_rescale_column", "eigenvectors of {} are not orthonormal"),
+         ("_shift_eigenvalue", "eigendecomposition of {} failed to reconstruct")],
+    )
+    def test_guard_names_failing_element(self, monkeypatch, step, corrupt, message):
+        stack, widths = self._stack_and_calls()
+        # corner 1 (rank 4) starts at the first width-4 solve, after corner 0
+        call = widths.index(4) + step + 1
+        assert len(widths) >= call
+        family = 2
+        order = np.argsort(-np.trace(stack, axis1=-2, axis2=-1).real, axis=-1, kind="stable")
+        name = f"corner 1 POVM element {(family, int(order[family, step]))}"
+        self._inject(monkeypatch, call, family, getattr(self, corrupt))
+        with pytest.raises(ValueError, match="^" + re.escape(message.format(name))):
+            orthogonalize_povm(stack, (2, 4))
 
 
 class TestRoundStrategy:
