@@ -283,7 +283,9 @@ def _greedy_pvms(ms: np.ndarray, what: str = "POVM") -> np.ndarray:
         w, v = _eigh_guarded(comp, labels)
         vecs = v if basis is None else basis @ v
         taken = w > 0.5
-        rs[family, outcome] = (vecs * taken[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        rs[family, outcome] = _hermitian_part(
+            (vecs * taken[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        )
         # eigenvalues ascend: the -1 padding, then the rest, then the taken,
         # so the next W is one contiguous range of columns per POVM
         low = np.count_nonzero(w <= -0.5, axis=-1)
@@ -291,7 +293,7 @@ def _greedy_pvms(ms: np.ndarray, what: str = "POVM") -> np.ndarray:
         columns = np.arange(n_live.max())
         if columns.size == 0:
             rs[family[:, None], order[:, step + 1 :]] = 0.0
-            return _hermitian_part(rs)
+            return rs
         keep = np.minimum(low[:, None] + columns, width - 1)
         basis = np.take_along_axis(vecs, keep[:, None, :], axis=-1)
         basis *= (columns < n_live[:, None])[:, None, :]
@@ -299,7 +301,7 @@ def _greedy_pvms(ms: np.ndarray, what: str = "POVM") -> np.ndarray:
     scores = np.einsum("fij,faji->fa", residual, ms).real
     open_f = np.flatnonzero(n_live)
     rs[open_f, np.argmax(scores[open_f], axis=-1)] += residual[open_f]
-    return _hermitian_part(rs)
+    return rs
 
 
 def orthogonalize_povm(povm, ranks=None):
