@@ -412,20 +412,6 @@ class TestHermitianPart:
             np.einsum("...ii->...i", h)[dead] = -1.0
             assert np.array_equal(h, h.conj().swapaxes(-1, -2))
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(instance=complex_stacks(), columns=st.integers(0, 9))
-    def test_greedy_compressions_exactly_hermitian(self, instance, columns):
-        # the matrices the greedy eigensolves: W* m W, padded
-        rng, stack = instance
-        m = _hermitian_part(stack)[:, 0]
-        n = m.shape[-1]
-        width = min(columns, n) or 1
-        basis = np.linalg.qr(rng.normal(size=(len(m), n, width)) + 0j)[0]
-        basis[..., width // 2 :] = 0.0
-        comp = _hermitian_part(basis.conj().swapaxes(-1, -2) @ m @ basis)
-        np.einsum("fii->fi", comp)[:, width // 2 :] = -1.0
-        assert np.array_equal(comp, comp.conj().swapaxes(-1, -2))
-
 
 @st.composite
 def near_hermitian_stacks(draw):
