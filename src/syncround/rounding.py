@@ -47,9 +47,9 @@ from .games import (
 )
 from .spectral import (
     PSD_CLAMP,
-    _eigh_guarded,
-    _require_leading_hermitian,
+    eigh,
     functional_calculus,
+    require_hermitian,
     require_povm,
     trace_pairing,
 )
@@ -246,7 +246,7 @@ def _hermitian_part(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _greedy_pvms(ms: np.ndarray, what: str = "POVM") -> np.ndarray:
+def _greedy_pvms(ms: np.ndarray, what: str) -> np.ndarray:
     """Greedy rounding of F POVMs of one size, (F, A, n, n), to PVMs.
 
     Per POVM, outcomes are visited by decreasing trace.  W holds an
@@ -260,12 +260,11 @@ def _greedy_pvms(ms: np.ndarray, what: str = "POVM") -> np.ndarray:
     1/2.  The subspace left when the outcomes run out goes to the
     outcome with the largest expectation on it.
 
-    Each eigensolve runs the reconstruction and orthonormality guards of
-    ``_eigh_guarded``, a failure naming ``what`` element (x, a).  It
-    skips the rest of ``eigh``: W+ m W comes from ``_hermitian_part``,
-    which is exactly Hermitian in floating point, and the greedy reads
-    only the projector onto the taken columns and the span of the rest,
-    neither of which depends on column phases or clusters.
+    Each eigensolve is one stacked ``eigh`` with all its checks, a
+    failure naming ``what`` element (x, a).  Its Hermitian check passes
+    on the cheap path, as W+ m W comes from ``_hermitian_part``, exactly
+    Hermitian in floating point.  Eigenvalues ascend, so the -1 padding,
+    the rest and the taken columns are three contiguous ranges.
     """
     nf, na, n, _ = ms.shape
     order = np.argsort(-np.trace(ms, axis1=-2, axis2=-1).real, axis=-1, kind="stable")
@@ -280,14 +279,14 @@ def _greedy_pvms(ms: np.ndarray, what: str = "POVM") -> np.ndarray:
         if basis is not None:
             np.einsum("fii->fi", comp)[np.arange(width) >= n_live[:, None]] = -1.0
         labels = [f"{what} element ({x}, {a})" for x, a in enumerate(outcome.tolist())]
-        w, v = _eigh_guarded(comp, labels)
-        vecs = v if basis is None else basis @ v
+        dec = eigh(comp, labels)
+        w = dec.eigenvalues
+        vecs = dec.eigenvectors if basis is None else basis @ dec.eigenvectors
         taken = w > 0.5
         rs[family, outcome] = _hermitian_part(
             (vecs * taken[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
         )
-        # eigenvalues ascend: the -1 padding, then the rest, then the taken,
-        # so the next W is one contiguous range of columns per POVM
+        # the next W is the rest: one contiguous range of columns per POVM
         low = np.count_nonzero(w <= -0.5, axis=-1)
         n_live = width - low - np.count_nonzero(taken, axis=-1)
         columns = np.arange(n_live.max())
@@ -326,11 +325,10 @@ def orthogonalize_povm(povm, ranks=None):
       identity.  By Cauchy interlacing, and since a leading block of
       sum - 1 has no larger Frobenius norm, every leading block passes
       the PSD and sum checks when the stack does.
-    - the elementwise Hermitian check of every leading block, whose
-      tolerance scales with the block's own entries, in one pass over
-      the stack before any greedy runs.
-    - in the greedy, every eigensolve's reconstruction and
-      orthonormality guards (see ``_greedy_pvms``).
+    - ``require_hermitian`` on every corner's leading block, whose
+      elementwise tolerance scales with the block's own entries.
+    - in the greedy, every eigensolve's ``eigh`` checks: Hermitian,
+      reconstruction and orthonormality (see ``_greedy_pvms``).
     """
     if len(povm) == 0:
         raise ValueError("POVM must have at least one outcome")
@@ -356,16 +354,14 @@ def _orthogonalize_corners(ms: np.ndarray, ranks) -> tuple[list, list]:
     Corners run one at a time, each as one stacked greedy over the X
     POVMs: padding every corner to the full rank would multiply the
     eigensolve work (for ranks 1, 2, ..., r the n^3 cost sums to about
-    r^4 / 4, against r^4 padded).  Every leading block is checked
-    Hermitian against its own scale in one pass, and every corner's
-    purity, the sum of squared entries of its leading block, is read off
-    one 2-D prefix sum of the stack's squared entries.
+    r^4 / 4, against r^4 padded).  Every corner's purity, the sum of
+    squared entries of its leading block, is read off one 2-D prefix sum
+    of the stack's squared entries.
     """
-    _require_leading_hermitian(ms, ranks, [f"corner {k} POVM" for k in range(len(ranks))])
     prefix = _sum_of_squares(ms, "xij").cumsum(axis=-1).cumsum(axis=-2)
     rounded, reports = [], []
     for k, r in enumerate(ranks):
-        block = ms[..., :r, :r]
+        block = require_hermitian(ms[..., :r, :r], f"corner {k} POVM")
         rs = _greedy_pvms(block, f"corner {k} POVM")
         # tr(m^2) = ||m||_F^2 for Hermitian m
         distance_sq = _sum_of_squares(block - rs, "x") / r

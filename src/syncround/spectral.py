@@ -72,28 +72,12 @@ def _first_excess(residual: np.ndarray, floor: float, allowed=None):
 
 
 def _per_matrix(stack: np.ndarray, reduce) -> np.ndarray:
-    """``reduce`` of each matrix of a stack, a scalar or a vector per
-    matrix, run CHECK_SLAB_BYTES at a time: larger temporaries make
-    malloc return memory to the OS and refault it."""
+    """``reduce`` of each matrix of a stack, run CHECK_SLAB_BYTES at a time:
+    larger temporaries make malloc return memory to the OS and refault it."""
     flat = stack.reshape((-1,) + stack.shape[-2:])
     step = max(1, CHECK_SLAB_BYTES // flat[0].nbytes)
     slabs = [reduce(flat[i : i + step]) for i in range(0, len(flat), step)]
-    return np.concatenate(slabs).reshape(stack.shape[:-2] + slabs[0].shape[1:])
-
-
-def _asymmetry(stack: np.ndarray) -> np.ndarray:
-    """|H - H*| entrywise, of each matrix of a stack."""
-    return np.abs(stack - stack.conj().swapaxes(-1, -2))
-
-
-def _require_within(deviation: np.ndarray, allowed: np.ndarray, what) -> None:
-    """Raise on the first matrix whose max |H - H*| exceeds its allowance."""
-    bad = _first_failure(deviation > allowed)
-    if bad is not None:
-        raise ValueError(
-            f"{_element(what, bad)} is not Hermitian: max entry of |H - H*| is"
-            f" {deviation[bad]:.3e} which exceeds the allowed {allowed[bad]:.3e}"
-        )
+    return np.concatenate(slabs).reshape(stack.shape[:-2])
 
 
 def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
@@ -110,7 +94,9 @@ def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
     if h.size == 0:
         raise ValueError(f"{what} must be non-empty")
     with np.errstate(invalid="ignore"):  # inf - inf: reported below
-        deviation = _per_matrix(h, lambda s: _asymmetry(s).max(axis=(-2, -1)))
+        deviation = _per_matrix(
+            h, lambda s: np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        )
     # each allowance is at least HERMITIAN_TOL
     if deviation.max() <= HERMITIAN_TOL:
         return h
@@ -124,37 +110,13 @@ def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
             f"{_element(what, bad)} has a non-finite entry {h[bad][entry]} at {entry}"
         )
     allowed = HERMITIAN_TOL * (1.0 + np.abs(h).max(axis=(-2, -1)))
-    _require_within(deviation, allowed, what)
+    bad = _first_failure(deviation > allowed)
+    if bad is not None:
+        raise ValueError(
+            f"{_element(what, bad)} is not Hermitian: max entry of |H - H*| is"
+            f" {deviation[bad]:.3e} which exceeds the allowed {allowed[bad]:.3e}"
+        )
     return h
-
-
-def _leading_maxima(magnitudes: np.ndarray) -> np.ndarray:
-    """Entry l of each matrix of a stack (..., n, n) of non-negative
-    entries: the max over its leading (l + 1) x (l + 1) block."""
-    shells = np.tril(np.maximum(magnitudes, magnitudes.swapaxes(-1, -2))).max(axis=-1)
-    return np.maximum.accumulate(shells, axis=-1)
-
-
-def _require_leading_hermitian(h: np.ndarray, ranks, what) -> None:
-    """``require_hermitian``'s check of every leading ranks[k] x ranks[k]
-    block of a finite stack (..., n, n), each block against its own
-    entries' scale, in one pass over the stack.
-
-    The deviation and the scale of a leading block are running maxima of
-    |H - H*| and |H| over growing leading blocks.  A failure names the
-    first failing block in corner-then-element order, ``what`` holding
-    one label per rank.
-    """
-    deviation = _per_matrix(h, lambda s: _asymmetry(s).max(axis=(-2, -1)))
-    # each allowance is at least HERMITIAN_TOL
-    if deviation.max() <= HERMITIAN_TOL:
-        return
-
-    def leading(magnitude):
-        maxima = _per_matrix(h, lambda s: _leading_maxima(magnitude(s)))
-        return np.moveaxis(maxima[..., np.asarray(ranks) - 1], -1, 0)
-
-    _require_within(leading(_asymmetry), HERMITIAN_TOL * (1.0 + leading(np.abs)), what)
 
 
 def _family_stack(family, dim: int, what: str) -> np.ndarray:
@@ -315,8 +277,9 @@ def _eigh_guarded(h: np.ndarray, what="matrix") -> tuple[np.ndarray, np.ndarray]
     decomposition within ``DECOMP_TOL * (1 + ||h||_F)`` and its
     eigenvectors must be orthonormal within ``DECOMP_TOL``, both in
     Frobenius norm; neither depends on the column phases.  ``h`` is not
-    checked for Hermitianity: LAPACK reads one triangle, so the caller
-    owns that check.  A failure names the first failing element.
+    checked for Hermitianity: LAPACK reads one triangle, so ``eigh``
+    checks it first, and fixes the phases after.  A failure names the
+    first failing element.
     """
     w, v = np.linalg.eigh(h)
     vh = v.conj().swapaxes(-1, -2)

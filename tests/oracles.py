@@ -26,7 +26,7 @@ from syncround.haagerup import (
 )
 from syncround.rounding import round_strategy, verify_dual_distance
 from syncround.sampling import random_psd, random_pvm, rng_for
-from syncround.spectral import eigh, require_hermitian
+from syncround.spectral import eigh
 from syncround.strategies import cyclic_coloring_strategy, perturb_b_side
 
 
@@ -248,18 +248,6 @@ def orthogonalize_povm_loop(povm):
     purity = float(np.trace(ms @ ms, axis1=1, axis2=2).real.sum()) / dim
     budget = 9.0 * (1.0 - purity)
     return rs, distance_sq, budget, distance_sq <= budget + 1e-12, gap
-
-
-def leading_hermitian_loop(stack, ranks):
-    """The Hermitian check of each leading ranks[k] block of a stack, one
-    ``require_hermitian`` call per corner: the first failure's message,
-    or None."""
-    for k, r in enumerate(ranks):
-        try:
-            require_hermitian(stack[..., :r, :r], f"corner {k} POVM")
-        except ValueError as err:
-            return str(err)
-    return None
 
 
 def standard_form_dual_pinv(strategy, cut=1e-10):
