@@ -269,19 +269,22 @@ def _cluster_indices(values: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     return tuple(groups[::-1])
 
 
-def _eigh_guarded(h: np.ndarray, what="matrix") -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of a Hermitian matrix or stack, guarded.
+def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
+    """Eigendecompose a Hermitian matrix with deterministic phases.
 
-    Returns the ascending eigenvalues and LAPACK's eigenvectors, phases
-    as they come.  Each matrix must be reconstructed by its
-    decomposition within ``DECOMP_TOL * (1 + ||h||_F)`` and its
-    eigenvectors must be orthonormal within ``DECOMP_TOL``, both in
-    Frobenius norm; neither depends on the column phases.  ``h`` is not
-    checked for Hermitianity: LAPACK reads one triangle, so ``eigh``
-    checks it first, and fixes the phases after.  A failure names the
-    first failing element.
+    Returns eigenvalues ascending together with the unitary of
+    eigenvectors.  A stack (..., n, n) is decomposed matrix by matrix
+    into stacked eigenvalues and eigenvectors, each matrix checked with
+    the same tolerances and with its own merge tolerance.  Raises
+    ``ValueError`` on non-Hermitian input, reporting the violating
+    entry norm, and on a decomposition that fails its guards: each
+    matrix must be reconstructed within ``DECOMP_TOL * (1 + ||h||_F)``
+    and its eigenvectors must be orthonormal within ``DECOMP_TOL``, both
+    in Frobenius norm, a failure naming the first failing element.
     """
+    h = require_hermitian(matrix, what)
     w, v = np.linalg.eigh(h)
+    v = _fix_phases(v)
     vh = v.conj().swapaxes(-1, -2)
     # residuals formed in place: each stack-sized temporary costs page faults
     residual = (v * w[..., None, :]) @ vh
@@ -302,24 +305,8 @@ def _eigh_guarded(h: np.ndarray, what="matrix") -> tuple[np.ndarray, np.ndarray]
             f"eigenvectors of {_element(what, excess[0])} are not orthonormal:"
             f" residual {excess[1]:.3e}"
         )
-    return w, v
-
-
-def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix with deterministic phases.
-
-    Returns eigenvalues ascending together with the unitary of
-    eigenvectors.  A stack (..., n, n) is decomposed matrix by matrix
-    into stacked eigenvalues and eigenvectors, each matrix checked with
-    the same tolerances and with its own merge tolerance.  Raises
-    ``ValueError`` on non-Hermitian input, reporting the violating
-    entry norm, and on a decomposition that fails the guards of
-    ``_eigh_guarded``.
-    """
-    h = require_hermitian(matrix, what)
-    w, v = _eigh_guarded(h, what)
     tol = MERGE_TOL_SCALE * (1.0 + np.abs(w).max(axis=-1))
-    return SpectralDecomposition(w, _fix_phases(v), float(tol) if tol.ndim == 0 else tol)
+    return SpectralDecomposition(w, v, float(tol) if tol.ndim == 0 else tol)
 
 
 def functional_calculus(matrix) -> np.ndarray:
