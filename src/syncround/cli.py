@@ -6,14 +6,18 @@ pass, 1 a certificate failed, 2 input or usage error.  Randomized
 commands require an explicit seed and produce byte-identical reports
 (modulo the timing fields) for identical seeds and flags.
 
-``verify`` samples every instance from its own seeded stream, groups the
+``verify`` draws every instance from its own seeded stream, groups the
 instances of each slab of VERIFY_SLAB indices by shape (matrix
-dimension; for the commutator suite also the outcome count) and
-evaluates each group as one stack, so each group costs one eigensolve
+dimension; for the commutator suite also the outcome count) and does
+each group's arithmetic as one stack: the Wishart and Haar transforms of
+``sampling`` turn the group's draws into its instances, bitwise those of
+the per-instance generators, and the certificates cost one eigensolve
 per side.  The rounding suite's instances perturb only the B side of one
 strategy, so each of its groups builds the state and A-side corner stage
 once (``round_corners``) and certifies every instance against it.  The
-sweep's thread pool maps over these batches; SYNCROUND_THREADS caps it.
+sweep's thread pool maps over these batches.  It has one thread per CPU
+the process may run on (its affinity mask), at most 8;
+SYNCROUND_THREADS overrides that.
 """
 
 from __future__ import annotations
@@ -40,7 +44,14 @@ from .haagerup import (
     threshold_chi_distance,
 )
 from .rounding import round_corners, round_strategy, verify_dual_distance
-from .sampling import random_psd, random_pvm, rng_for
+from .sampling import (
+    ginibre,
+    ginibre_draw,
+    haar_unitary,
+    pvm_from_unitary,
+    rng_for,
+    wishart,
+)
 from .spectral import eigh
 from .strategies import (
     cyclic_coloring_strategy,
@@ -83,6 +94,9 @@ def _pool_size() -> int:
             return max(1, int(raw))
         except ValueError:
             raise ValueError(f"SYNCROUND_THREADS must be an integer, got {raw!r}")
+    if hasattr(os, "sched_getaffinity"):
+        # the CPUs this process may run on, which an affinity mask narrows
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 
@@ -100,29 +114,47 @@ def _read(path: str) -> str:
 # verify suites
 #
 # A sampler draws instance ``index`` from its own stream rng_for(seed,
-# index) and returns the key of its shape group with its data fields.
-# A runner takes one group, its indices and each data field stacked over
-# the group, and returns one report row per instance.
+# index) and returns the key of its shape group with its raw draws.  A
+# suite's transform turns the draws of one group, each stacked over the
+# group, into its instances with the stack-capable transforms of
+# ``sampling``.  A runner takes one group, its indices and the stacked
+# instances, and returns one report row per instance.
 
 
 def _sample_pair(seed: int, index: int, dims: int):
     rng = rng_for(seed, index)
     dim = int(rng.integers(1, dims + 1))
-    return (dim,), (random_psd(rng, dim), random_psd(rng, dim))
+    return (dim,), (ginibre_draw(rng, dim, dim), ginibre_draw(rng, dim, dim))
 
 
 def _sample_commutator(seed: int, index: int, dims: int):
     rng = rng_for(seed, index)
     dim = int(rng.integers(1, dims + 1))
-    x = random_psd(rng, dim)
-    x = x / np.sqrt(float(np.trace(x @ x).real))
+    x = ginibre_draw(rng, dim, dim)
     n_outcomes = int(rng.integers(2, 5))
-    return (dim, n_outcomes), (x, random_pvm(rng, dim, n_outcomes))
+    return (dim, n_outcomes), (x, ginibre_draw(rng, dim, dim))
 
 
 def _sample_rounding(seed: int, index: int, dims: int):
     eta = ROUNDING_ETAS[index % len(ROUNDING_ETAS)]
     return (), (eta, int(rng_for(seed, index).integers(2**31)))
+
+
+def _psd_pair(key, x, y):
+    """The random_psd pair of each instance."""
+    return wishart(ginibre(x)), wishart(ginibre(y))
+
+
+def _unit_psd_and_pvm(key, x, u):
+    """x = random_psd scaled to unit Hilbert-Schmidt norm, and the
+    random_pvm with key[1] outcomes, of each instance."""
+    x = wishart(ginibre(x))
+    x = x / np.sqrt(np.trace(x @ x, axis1=-2, axis2=-1).real)[:, None, None]
+    return x, pvm_from_unitary(haar_unitary(ginibre(u)), key[1])
+
+
+def _drawn(key, *fields):
+    return fields
 
 
 def _rows(indices: np.ndarray, fixed: dict, columns: dict) -> list[dict]:
@@ -204,12 +236,13 @@ def _rounding_batch(key, indices, etas, perturb_seeds) -> list[dict]:
     return rows
 
 
+# the sampler and the transform of each suite
 _SAMPLERS = {
-    "connes": _sample_pair,
-    "measure": _sample_pair,
-    "commutator": _sample_commutator,
-    "duality": _sample_pair,
-    "rounding": _sample_rounding,
+    "connes": (_sample_pair, _psd_pair),
+    "measure": (_sample_pair, _psd_pair),
+    "commutator": (_sample_commutator, _unit_psd_and_pvm),
+    "duality": (_sample_pair, _psd_pair),
+    "rounding": (_sample_rounding, _drawn),
 }
 # one runner per suite, called once per shape group of a slab
 _INSTANCE_RUNNERS = {
@@ -224,16 +257,18 @@ _INSTANCE_RUNNERS = {
 def _verify_instances(suite: str, n: int, dims: int, seed: int) -> list[dict]:
     """The report rows of a sweep, in index order.
 
-    The instances are taken VERIFY_SLAB at a time: sampled, grouped by
-    shape, and the slab's groups mapped over the pool as stacks.
+    The instances are taken VERIFY_SLAB at a time: drawn, grouped by
+    shape, and the slab's groups mapped over the pool, each group's draws
+    transformed and certified as stacks.
     """
-    sample = _SAMPLERS[suite]
+    sample, transform = _SAMPLERS[suite]
     # looked up per call, so that a wrapper installed on the dict applies
     runner = _INSTANCE_RUNNERS[suite]
 
     def run_group(group):
         key, items = group
-        return runner(key, *(np.array(field) for field in zip(*items)))
+        indices, *draws = (np.array(field) for field in zip(*items))
+        return runner(key, indices, *transform(key, *draws))
 
     rows = []
     with ThreadPoolExecutor(max_workers=_pool_size()) as pool:

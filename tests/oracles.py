@@ -326,12 +326,28 @@ def save_game_loop(game):
     return json.dumps(doc, indent=2)
 
 
-def connes_instance(seed, index, dims):
-    """One `verify --suite connes` row, from the instance's own stream."""
+def pair_draw(seed, index, dims):
+    """The (dim, x, y) of instance ``index`` of the connes, measure and
+    duality suites, drawn one matrix at a time from its own stream."""
+    rng = rng_for(seed, index)
+    dim = int(rng.integers(1, dims + 1))
+    return dim, random_psd(rng, dim), random_psd(rng, dim)
+
+
+def commutator_draw(seed, index, dims):
+    """The (dim, x, n_outcomes, pvm) of commutator instance ``index``: x
+    scaled to unit Hilbert-Schmidt norm, pvm a list of projections."""
     rng = rng_for(seed, index)
     dim = int(rng.integers(1, dims + 1))
     x = random_psd(rng, dim)
-    y = random_psd(rng, dim)
+    x = x / np.sqrt(float(np.trace(x @ x).real))
+    n_outcomes = int(rng.integers(2, 5))
+    return dim, x, n_outcomes, random_pvm(rng, dim, n_outcomes)
+
+
+def connes_instance(seed, index, dims):
+    """One `verify --suite connes` row, from the instance's own stream."""
+    dim, x, y = pair_draw(seed, index, dims)
     cert = connes_certificate(x, y)
     return {
         "index": index,
@@ -346,10 +362,7 @@ def connes_instance(seed, index, dims):
 def measure_instance(seed, index, dims):
     """One `verify --suite measure` row; the chi distance eigensolves x
     and y a second time."""
-    rng = rng_for(seed, index)
-    dim = int(rng.integers(1, dims + 1))
-    x = random_psd(rng, dim)
-    y = random_psd(rng, dim)
+    dim, x, y = pair_draw(seed, index, dims)
     measure = joint_spectral_measure(x, y)
     moments = measure_moments(measure)
     residuals = {
@@ -367,12 +380,7 @@ def measure_instance(seed, index, dims):
 
 def commutator_instance(seed, index, dims):
     """One `verify --suite commutator` row."""
-    rng = rng_for(seed, index)
-    dim = int(rng.integers(1, dims + 1))
-    x = random_psd(rng, dim)
-    x = x / np.sqrt(float(np.trace(x @ x).real))
-    n_outcomes = int(rng.integers(2, 5))
-    pvm = random_pvm(rng, dim, n_outcomes)
+    dim, x, n_outcomes, pvm = commutator_draw(seed, index, dims)
     cert = commutator_certificate(x, pvm)
     return {
         "index": index,
@@ -387,10 +395,7 @@ def commutator_instance(seed, index, dims):
 
 def duality_instance(seed, index, dims):
     """One `verify --suite duality` row; each exponent eigensolves x."""
-    rng = rng_for(seed, index)
-    dim = int(rng.integers(1, dims + 1))
-    x = random_psd(rng, dim)
-    y = random_psd(rng, dim)
+    dim, x, y = pair_draw(seed, index, dims)
     residuals = {
         "p2": lp_duality_check(x, y, 2.0),
         "p3": lp_duality_check(x, y, 3.0),

@@ -1,6 +1,8 @@
 import json
+import os
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from syncround import (
@@ -15,10 +17,11 @@ from syncround import (
     cyclic_coloring_strategy,
     perturb_b_side,
 )
+from syncround import cli
 from syncround.cli import main
 
 from conftest import diagonal_game_doc
-from oracles import VERIFY_INSTANCES, rounding_instance
+from oracles import VERIFY_INSTANCES, commutator_draw, pair_draw, rounding_instance
 
 
 @pytest.fixture
@@ -210,6 +213,19 @@ class TestVerify:
         pooled.pop("timings")
         assert json.dumps(serial) == json.dumps(pooled)
 
+    def test_pool_sized_from_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("SYNCROUND_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._pool_size() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+        assert cli._pool_size() == 8
+        monkeypatch.setenv("SYNCROUND_THREADS", "3")
+        assert cli._pool_size() == 3
+        monkeypatch.delenv("SYNCROUND_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._pool_size() == 8
+
     def test_invalid_thread_cap_exit_two(self, capsys, monkeypatch):
         monkeypatch.setenv("SYNCROUND_THREADS", "lots")
         code, _, err = run_cli(
@@ -242,6 +258,7 @@ class TestStackedSuites:
             (12, 1, 4),  # 1x1 matrices, one group
             (3, 8, 5),  # most dimension groups empty
             (10, 3, 14),  # some group holds a single instance
+            (500, 8, 7),  # README size: two slabs of VERIFY_SLAB
         ],
     )
     def test_rows_match_per_instance_oracle(self, capsys, suite, n, dims, seed):
@@ -269,6 +286,40 @@ class TestStackedSuites:
         assert [row["index"] for row in report["instances"]] == list(range(10))
         for i, stacked in enumerate(report["instances"]):
             assert_rows_match(stacked, VERIFY_INSTANCES[suite](6, i, 2), f"{suite} row {i}")
+
+
+    def test_stacked_instances_equal_per_instance_generators(self, capsys, monkeypatch):
+        """The instances each runner receives are bitwise the per-instance
+        random_psd / random_pvm draws, at every dimension 1..8 and every
+        outcome count 2..4, zero projections (n_outcomes > dim) included."""
+        received = {}
+
+        def recording(suite):
+            runner = cli._INSTANCE_RUNNERS[suite]
+
+            def record(key, indices, *instances):
+                for i, index in enumerate(indices.tolist()):
+                    received[suite, index] = (key, [stack[i] for stack in instances])
+                return runner(key, indices, *instances)
+
+            return record
+
+        n = 300
+        for suite in ("connes", "commutator"):
+            monkeypatch.setitem(cli._INSTANCE_RUNNERS, suite, recording(suite))
+            run_cli(capsys, ["verify", "--suite", suite, "--n", str(n), "--seed", "21"])
+        shapes = set()
+        for index in range(n):
+            dim, x, y = pair_draw(21, index, 8)
+            key, (xs, ys) = received["connes", index]
+            assert key == (dim,)
+            assert np.array_equal(xs, x) and np.array_equal(ys, y), index
+            dim, x, n_outcomes, pvm = commutator_draw(21, index, 8)
+            key, (xs, pvms) = received["commutator", index]
+            assert key == (dim, n_outcomes)
+            assert np.array_equal(xs, x) and np.array_equal(pvms, np.array(pvm)), index
+            shapes.add(key)
+        assert shapes == {(d, a) for d in range(1, 9) for a in range(2, 5)}
 
 
 class TestRoundingSuite:
