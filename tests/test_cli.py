@@ -287,7 +287,6 @@ class TestStackedSuites:
         for i, stacked in enumerate(report["instances"]):
             assert_rows_match(stacked, VERIFY_INSTANCES[suite](6, i, 2), f"{suite} row {i}")
 
-
     def test_stacked_instances_equal_per_instance_generators(self, capsys, monkeypatch):
         """The instances each runner receives are bitwise the per-instance
         random_psd / random_pvm draws, at every dimension 1..8 and every
