@@ -52,7 +52,7 @@ from .sampling import (
     rng_for,
     wishart,
 )
-from .spectral import eigh
+from .spectral import DUALITY_TOL, IDENTITY_TOL, MONOTONE_TOL, eigh
 from .strategies import (
     cyclic_coloring_strategy,
     dump_commuting_strategy,
@@ -63,11 +63,6 @@ from .strategies import (
 )
 
 SUITES = ("connes", "measure", "commutator", "duality", "rounding")
-MOMENT_TOL = 1e-9
-DUALITY_TOL = 1e-8
-# see-saw values are recomputed contractions: a kept update can read a
-# few ulps below the value it replaced
-MONOTONE_TOL = 1e-10
 ROUNDING_ETAS = (0.02, 0.05, 0.1)
 # the certificate fields of a rounding suite row, in report order
 ROUNDING_ROW_FIELDS = (
@@ -115,10 +110,10 @@ def _read(path: str) -> str:
 #
 # A sampler draws instance ``index`` from its own stream rng_for(seed,
 # index) and returns the key of its shape group with its raw draws.  A
-# suite's transform turns the draws of one group, each stacked over the
-# group, into its instances with the stack-capable transforms of
-# ``sampling``.  A runner takes one group, its indices and the stacked
-# instances, and returns one report row per instance.
+# runner takes one group, its indices and its draws, each stacked over
+# the group, and returns one report row per instance.  A matrix suite's
+# runner first turns the draws into the group's instances with its
+# transform, built from the stack-capable transforms of ``sampling``.
 
 
 def _sample_pair(seed: int, index: int, dims: int):
@@ -140,21 +135,17 @@ def _sample_rounding(seed: int, index: int, dims: int):
     return (), (eta, int(rng_for(seed, index).integers(2**31)))
 
 
-def _psd_pair(key, x, y):
+def _psd_pair(x, y):
     """The random_psd pair of each instance."""
     return wishart(ginibre(x)), wishart(ginibre(y))
 
 
-def _unit_psd_and_pvm(key, x, u):
+def _unit_psd_and_pvm(x, u, n_outcomes: int):
     """x = random_psd scaled to unit Hilbert-Schmidt norm, and the
-    random_pvm with key[1] outcomes, of each instance."""
+    random_pvm with ``n_outcomes`` outcomes, of each instance."""
     x = wishart(ginibre(x))
     x = x / np.sqrt(np.trace(x @ x, axis1=-2, axis2=-1).real)[:, None, None]
-    return x, pvm_from_unitary(haar_unitary(ginibre(u)), key[1])
-
-
-def _drawn(key, *fields):
-    return fields
+    return x, pvm_from_unitary(haar_unitary(ginibre(u)), n_outcomes)
 
 
 def _rows(indices: np.ndarray, fixed: dict, columns: dict) -> list[dict]:
@@ -173,12 +164,14 @@ def _rows(indices: np.ndarray, fixed: dict, columns: dict) -> list[dict]:
 
 
 def _connes_batch(key, indices, x, y) -> list[dict]:
+    x, y = _psd_pair(x, y)
     cert = connes_certificate(x, y)
     columns = {"lhs": cert.lhs, "mid": cert.mid, "rhs": cert.rhs, "holds": cert.holds}
     return _rows(indices, {"dim": key[0]}, columns)
 
 
 def _measure_batch(key, indices, x, y) -> list[dict]:
+    x, y = _psd_pair(x, y)
     # one decomposition per side serves the measure and the chi distance
     xdec, ydec = eigh(x, "x"), eigh(y, "y")
     measure = joint_spectral_measure(xdec, ydec)
@@ -191,11 +184,12 @@ def _measure_batch(key, indices, x, y) -> list[dict]:
         "total_mass": np.abs(measure.total_mass - _trace_product(s, s)),
         "chi_dual_path": np.abs(moments.chi_distance - threshold_chi_distance(xdec, ydec)),
     }
-    holds = np.all([r <= MOMENT_TOL for r in residuals.values()], axis=0)
+    holds = np.all([r <= IDENTITY_TOL for r in residuals.values()], axis=0)
     return _rows(indices, {"dim": key[0]}, {"residuals": residuals, "holds": holds})
 
 
-def _commutator_batch(key, indices, x, pvm) -> list[dict]:
+def _commutator_batch(key, indices, x, u) -> list[dict]:
+    x, pvm = _unit_psd_and_pvm(x, u, key[1])
     cert = commutator_certificate(x, pvm)
     columns = {
         "sum_comm_x": cert.sum_comm_x,
@@ -207,6 +201,7 @@ def _commutator_batch(key, indices, x, pvm) -> list[dict]:
 
 
 def _duality_batch(key, indices, x, y) -> list[dict]:
+    x, y = _psd_pair(x, y)
     xdec = eigh(x, "x")  # one decomposition for both exponents
     residuals = {"p2": lp_duality_check(xdec, y, 2.0), "p3": lp_duality_check(xdec, y, 3.0)}
     holds = np.all([r <= DUALITY_TOL for r in residuals.values()], axis=0)
@@ -236,13 +231,13 @@ def _rounding_batch(key, indices, etas, perturb_seeds) -> list[dict]:
     return rows
 
 
-# the sampler and the transform of each suite
+# one sampler per suite, called once per instance
 _SAMPLERS = {
-    "connes": (_sample_pair, _psd_pair),
-    "measure": (_sample_pair, _psd_pair),
-    "commutator": (_sample_commutator, _unit_psd_and_pvm),
-    "duality": (_sample_pair, _psd_pair),
-    "rounding": (_sample_rounding, _drawn),
+    "connes": _sample_pair,
+    "measure": _sample_pair,
+    "commutator": _sample_commutator,
+    "duality": _sample_pair,
+    "rounding": _sample_rounding,
 }
 # one runner per suite, called once per shape group of a slab
 _INSTANCE_RUNNERS = {
@@ -259,16 +254,16 @@ def _verify_instances(suite: str, n: int, dims: int, seed: int) -> list[dict]:
 
     The instances are taken VERIFY_SLAB at a time: drawn, grouped by
     shape, and the slab's groups mapped over the pool, each group's draws
-    transformed and certified as stacks.
+    transformed and certified as stacks by its runner.
     """
-    sample, transform = _SAMPLERS[suite]
+    sample = _SAMPLERS[suite]
     # looked up per call, so that a wrapper installed on the dict applies
     runner = _INSTANCE_RUNNERS[suite]
 
     def run_group(group):
         key, items = group
         indices, *draws = (np.array(field) for field in zip(*items))
-        return runner(key, indices, *transform(key, *draws))
+        return runner(key, indices, *draws)
 
     rows = []
     with ThreadPoolExecutor(max_workers=_pool_size()) as pool:

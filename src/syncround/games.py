@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .spectral import NU_RENORM_TOL, NU_SUM_TOL, TABLE_NEG_TOL, TABLE_TOL
+
 __all__ = [
     "GameFormatError",
     "SynchronousGame",
@@ -27,12 +29,6 @@ __all__ = [
     "table_l1_distance",
     "graph_coloring_game",
 ]
-
-NU_SUM_TOL = 1e-12          # validated total mass after normalization
-NU_RENORM_TOL = 1e-9        # acceptable deviation before renormalization
-TABLE_NEG_TOL = 1e-10       # probability tables may carry this much negative roundoff
-TABLE_SUM_TOL = 1e-8
-VALUE_SLACK = 1e-8
 
 
 class GameFormatError(ValueError):
@@ -148,7 +144,7 @@ class CorrelationTable:
             )
         if low < -TABLE_NEG_TOL:
             raise ValueError(f"table entry {low:.3e} below -{TABLE_NEG_TOL:.0e}")
-        if worst > TABLE_SUM_TOL:
+        if worst > TABLE_TOL:
             raise ValueError(
                 f"some P_xy does not sum to 1: worst deviation {worst:.3e}"
             )
@@ -188,7 +184,7 @@ def game_value(game: SynchronousGame, table: CorrelationTable) -> float:
     """nu-weighted winning probability of a correlation against D."""
     _check_table_matches(game, table)
     value = float(np.sum(game.nu[:, :, None, None] * game.predicate * table.data))
-    if not -VALUE_SLACK <= value <= 1.0 + VALUE_SLACK:  # NaN fails too
+    if not -TABLE_TOL <= value <= 1.0 + TABLE_TOL:  # NaN fails too
         raise ValueError(f"game value {value!r} falls outside [0, 1] beyond slack")
     return value
 
@@ -224,6 +220,19 @@ def _parse_weight(raw, where: str):
     raise GameFormatError(f"invalid weight {raw!r} in {where}")
 
 
+def _array(value, name: str) -> list:
+    """``value`` if it is a JSON array, else a GameFormatError naming ``name``."""
+    if not isinstance(value, list):
+        raise GameFormatError(f"{name} must be a JSON array, got {value!r}")
+    return value
+
+
+def _labelled(index: dict, *labels) -> bool:
+    """Whether every label is a string key of ``index``; a list or an
+    object label is not hashable, so it is tested for type first."""
+    return all(isinstance(label, str) and label in index for label in labels)
+
+
 def load_game(text: str) -> SynchronousGame:
     """Parse and validate a game document (JSON text).
 
@@ -239,9 +248,9 @@ def load_game(text: str) -> SynchronousGame:
     if not isinstance(doc, dict):
         raise GameFormatError("top level must be a JSON object")
     try:
-        questions = [str(q) for q in doc["questions"]]
-        answers = [str(a) for a in doc["answers"]]
-        nu_entries = doc["nu"]
+        questions = [str(q) for q in _array(doc["questions"], "questions")]
+        answers = [str(a) for a in _array(doc["answers"], "answers")]
+        nu_entries = _array(doc["nu"], "nu")
         pred_doc = doc["predicate"]
     except KeyError as exc:
         raise GameFormatError(f"missing required field {exc}") from exc
@@ -257,7 +266,7 @@ def load_game(text: str) -> SynchronousGame:
             x, y, w = entry["x"], entry["y"], entry["w"]
         except (TypeError, KeyError) as exc:
             raise GameFormatError(f"malformed nu entry {entry!r}") from exc
-        if x not in q_index or y not in q_index:
+        if not _labelled(q_index, x, y):
             raise GameFormatError(f"nu entry references unknown question ({x!r}, {y!r})")
         i, j = q_index[x], q_index[y]
         w = _parse_weight(w, f"nu entry ({x!r}, {y!r})")
@@ -295,16 +304,16 @@ def load_game(text: str) -> SynchronousGame:
         raise GameFormatError(f"predicate default must be 0 or 1, got {default!r}")
     predicate = np.full((nq, nq, na, na), bool(default))
     explicit = np.zeros((nq, nq, na, na), dtype=bool)
-    for entry in pred_doc.get("entries", []):
+    for entry in _array(pred_doc.get("entries", []), "predicate entries"):
         try:
             x, y, a, b, v = entry["x"], entry["y"], entry["a"], entry["b"], entry["v"]
         except (TypeError, KeyError) as exc:
             raise GameFormatError(f"malformed predicate entry {entry!r}") from exc
-        if x not in q_index or y not in q_index:
+        if not _labelled(q_index, x, y):
             raise GameFormatError(
                 f"predicate entry references unknown question ({x!r}, {y!r})"
             )
-        if a not in a_index or b not in a_index:
+        if not _labelled(a_index, a, b):
             raise GameFormatError(
                 f"predicate entry references unknown answer ({a!r}, {b!r})"
             )

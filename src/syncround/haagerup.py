@@ -48,10 +48,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    PSD_CLAMP,
+    CHAIN_SLACK,
+    IDENTITY_TOL,
+    LAMBDA_MERGE_TOL,
+    MASS_DROP_TOL,
+    NORMED_TOL,
     SpectralDecomposition,
     _element,
     _first_failure,
+    _require_psd,
     eigh,
     require_hermitian,
     require_pvm,
@@ -71,13 +76,6 @@ __all__ = [
     "threshold_integral",
 ]
 
-MASS_DROP_TOL = 1e-12    # eigenvalue pairs with smaller overlap are dropped
-MASS_CHECK_TOL = 1e-9    # total mass must match Tr((x+y)^2) this closely
-LAMBDA_MERGE_TOL = 1e-12
-CHAIN_SLACK = 1e-9       # slack for the certified inequality chains
-NORMED_TOL = 1e-8
-
-
 def _unstack(value):
     """A Python float or bool for one matrix; the array for a stack."""
     return value.item() if np.ndim(value) == 0 else value
@@ -95,16 +93,10 @@ def _trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ji->...", x, y).real
 
 
-def _require_psd_spectrum(low: np.ndarray, what: str) -> None:
-    bad = _first_failure(low < -PSD_CLAMP)
-    if bad is not None:
-        raise ValueError(f"{_element(what, bad)} is not PSD: min eigenvalue {low[bad]:.3e}")
-
-
 def _psd_spectrum(matrix, what: str) -> tuple[np.ndarray, SpectralDecomposition]:
     """Clustered eigenvalues of a PSD matrix or stack (ascending, clipped at 0)."""
     dec = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix, what)
-    _require_psd_spectrum(dec.eigenvalues[..., 0], what)
+    _require_psd(dec.eigenvalues[..., 0], what)
     return np.clip(dec.cluster_levels(), 0.0, None), dec
 
 
@@ -205,7 +197,7 @@ def joint_spectral_measure(x, y) -> JointSpectralMeasure:
     xm, ym = _matrix(x), _matrix(y)
     expected = _trace_product(xm + ym, xm + ym)
     total = measure.masses.sum(axis=-1)
-    bad = _first_failure(np.abs(total - expected) > MASS_CHECK_TOL * (1.0 + expected))
+    bad = _first_failure(np.abs(total - expected) > IDENTITY_TOL * (1.0 + expected))
     if bad is not None:
         raise ValueError(
             f"{_element('total mass', bad, 'of pair')} {total[bad].item()!r} does not"
@@ -335,7 +327,7 @@ def lp_duality_check(x, y, p: float):
         raise ValueError(f"exponent must satisfy p > 1, got {p!r}")
     a, xdec = _psd_spectrum(x, "x")
     ym = require_hermitian(y, "y")
-    _require_psd_spectrum(np.linalg.eigvalsh(ym)[..., 0], "y")
+    _require_psd(np.linalg.eigvalsh(ym)[..., 0], "y")
     if ym.shape != xdec.eigenvectors.shape:
         raise ValueError(
             f"dimension mismatch: x has shape {xdec.eigenvectors.shape},"

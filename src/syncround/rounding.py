@@ -46,7 +46,11 @@ from .games import (
     table_l1_distance,
 )
 from .spectral import (
-    PSD_CLAMP,
+    BOUND_SLACK,
+    IDENTITY_TOL,
+    ORTHOGONALIZATION_SLACK,
+    ROUNDING_SLACK,
+    _hermitian_part,
     eigh,
     functional_calculus,
     require_hermitian,
@@ -91,15 +95,6 @@ TOTAL_CONSTANT = 57.0
 GAME_CONSTANT = 58.0
 ORTHOGONALIZATION_CONSTANT = 9.0
 
-WEIGHT_SUM_TOL = 1e-9
-SYM_SUM_TOL = 1e-9
-BOUND_SLACK = 1e-6
-TRIANGLE_SLACK = 1e-8
-DUAL_SLACK = 1e-8
-# a POVM that is already a PVM has distance and budget both 0 up to the
-# roundoff of their squared Frobenius norms, which can leave the budget
-# a few ulps below the distance
-ORTHOGONALIZATION_SLACK = 1e-12
 # a bound at or above these values holds for every input: no L1 distance
 # between correlation tables exceeds 2, and no value is below 0
 VACUOUS_DISTANCE = 2.0
@@ -126,8 +121,7 @@ class CornerDecomposition:
 
     def projection(self, k: int) -> np.ndarray:
         b = self.bases[k]
-        p = b @ b.conj().T
-        return (p + p.conj().T) / 2
+        return _hermitian_part(b @ b.conj().T)
 
     @property
     def n_corners(self) -> int:
@@ -137,12 +131,12 @@ class CornerDecomposition:
 def corner_decomposition(rho: DensityOperator) -> CornerDecomposition:
     """Corner decomposition of a unit-trace density operator.
 
-    Clusters at or below the zero tolerance are excluded; the corners
-    are nested and the weights sum to the kept mass within 1e-9.
+    Clusters at or below the merge tolerance are excluded; the corners
+    are nested and the weights sum to the kept mass within IDENTITY_TOL.
     """
     dec = rho.decomposition
     values = dec.cluster_values()
-    values = values[values > max(dec.merge_tol, PSD_CLAMP)]
+    values = values[values > dec.merge_tol]
     if values.size == 0:
         raise ValueError("density operator has no positive spectrum")
     levels = dec.cluster_levels()
@@ -154,7 +148,7 @@ def corner_decomposition(rho: DensityOperator) -> CornerDecomposition:
     total = float(weights.sum())
     dropped = dec.eigenvalues[: dec.dim - ranks[-1]]
     kept = 1.0 - float(np.clip(dropped, 0.0, None).sum())
-    if abs(total - kept) > WEIGHT_SUM_TOL:
+    if abs(total - kept) > IDENTITY_TOL:
         raise ValueError(f"corner weights sum to {total!r}, expected {kept!r}")
     return CornerDecomposition(
         values, tuple(ranks.tolist()), weights, [basis[:, :r] for r in ranks], dec.dim
@@ -170,7 +164,7 @@ def symmetrized_correlation(pvms_a, rho: DensityOperator, questions=None) -> Cor
     data = trace_pairing(stack, rho.sqrt @ stack @ rho.sqrt).real
     sums = data.sum(axis=(2, 3))
     worst = float(np.abs(sums - 1.0).max())
-    if worst > SYM_SUM_TOL:
+    if worst > IDENTITY_TOL:
         raise ValueError(f"symmetrized blocks do not sum to 1: deviation {worst:.3e}")
     return CorrelationTable(order, pvms_a.n_answers, data)
 
@@ -233,17 +227,6 @@ class OrthogonalizationReport:
     distance_sq: float
     budget: float
     holds: bool
-
-
-def _hermitian_part(stack: np.ndarray) -> np.ndarray:
-    """(H + H*) / 2 of each matrix of a stack, as a new C-ordered stack.
-    Entries (i, j) and (j, i) are conj(s_ji) + s_ij and conj(s_ij) + s_ji
-    halved, exact conjugates of each other: the result is exactly
-    Hermitian in floating point."""
-    out = np.conjugate(stack.swapaxes(-1, -2), out=np.empty(stack.shape, complex))
-    out += stack
-    out *= 0.5
-    return out
 
 
 def _greedy_pvms(ms: np.ndarray, what: str) -> np.ndarray:
@@ -532,7 +515,7 @@ def round_strategy(
     value_out = game_value(game, tracial_table)
 
     staged = d1_sym + d1_corner + d1_pvm
-    if abs(value_in - value_out) > staged + TRIANGLE_SLACK:
+    if abs(value_in - value_out) > staged + ROUNDING_SLACK:
         raise ValueError(
             f"value drift {abs(value_in - value_out):.3e} exceeds the staged"
             f" L1 budget {staged:.3e}"
@@ -630,8 +613,8 @@ def verify_dual_distance(
         delta=delta,
         comm_sq=comm_sq,
         comm_budget=comm_budget,
-        holds_comm=bool(comm_sq <= comm_budget + DUAL_SLACK),
+        holds_comm=bool(comm_sq <= comm_budget + ROUNDING_SLACK),
         dual_sq=dual_sq,
         dual_budget=dual_budget,
-        holds_dual=bool(dual_sq <= dual_budget + DUAL_SLACK),
+        holds_dual=bool(dual_sq <= dual_budget + ROUNDING_SLACK),
     )

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spectral import _hermitian_part
+
 __all__ = [
     "rng_for",
     "ginibre_draw",
@@ -46,10 +48,6 @@ def ginibre(draw: np.ndarray) -> np.ndarray:
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return ginibre(ginibre_draw(rng, rows, cols))
-
-
-def _hermitian_part(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
 def wishart(g: np.ndarray) -> np.ndarray:

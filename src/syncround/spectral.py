@@ -15,12 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "HERMITIAN_TOL",
-    "DECOMP_TOL",
-    "MERGE_TOL_SCALE",
-    "PSD_CLAMP",
-    "PVM_TOL",
-    "POVM_TOL",
     "SpectralDecomposition",
     "require_hermitian",
     "require_pvm",
@@ -30,12 +24,29 @@ __all__ = [
     "trace_pairing",
 ]
 
-HERMITIAN_TOL = 1e-12     # relative entrywise Hermitianity tolerance
-DECOMP_TOL = 1e-10        # reconstruction / orthonormality tolerance
-MERGE_TOL_SCALE = 1e-9    # eigenvalue clustering: tol = scale * (1 + spectral radius)
-PSD_CLAMP = 1e-10         # eigenvalues in [-PSD_CLAMP, 0) are clamped to 0
-PVM_TOL = 1e-8            # projection / partition-of-unity tolerance (Frobenius)
-POVM_TOL = 1e-8
+# The tolerance policy of the package: every threshold a check uses, with
+# what it guards.  Every other module imports its thresholds from here.
+HERMITIAN_TOL = 1e-12     # |H - H*| entrywise, per unit of 1 + max |H|
+DECOMP_TOL = 1e-10        # eigh reconstruction (per unit of 1 + ||h||_F), orthonormality
+MERGE_TOL_SCALE = 1e-9    # eigenvalues closer than this times 1 + spectral radius cluster
+PSD_CLAMP = 1e-10         # eigenvalues in [-PSD_CLAMP, 0) are roundoff and clamped to 0
+FAMILY_TOL = 1e-8         # PVM / POVM: ||p^2 - p||_F, ||sum - 1||_F and POVM min eigenvalue
+UNIT_TOL = 1e-10          # unit norm of a state, unit sum of block weights, unit trace of rho
+TABLE_TOL = 1e-8          # correlations: block sums, imaginary residue, sync cross terms, value
+TABLE_NEG_TOL = 1e-10     # negative roundoff a correlation entry may carry
+NU_SUM_TOL = 1e-12        # total mass of a validated nu
+NU_RENORM_TOL = 1e-9      # a game file's nu mass within this of 1 is renormalized
+IDENTITY_TOL = 1e-9       # closed forms: symmetrized sums, corner weights, mass, moments
+MASS_DROP_TOL = 1e-12     # eigenpairs of smaller overlap carry no atom of the joint measure
+LAMBDA_MERGE_TOL = 1e-12  # atoms of the joint measure closer than this merge
+NORMED_TOL = 1e-8         # Tr(x^2) = 1 for the commutator chain's input
+CHAIN_SLACK = 1e-9        # the Connes and commutator inequality chains
+DUALITY_TOL = 1e-8        # residual of the L_p trace duality
+MONOTONE_TOL = 1e-10      # see-saw values are recomputed: a kept update may read ulps lower
+BOUND_SLACK = 1e-6        # the delta^(1/4) bounds; a bound met only through it is flagged
+ROUNDING_SLACK = 1e-8     # value drift against the staged L1 sum, the dual-distance budgets
+ORTHOGONALIZATION_SLACK = 1e-12  # a PVM input: distance and budget are 0 up to ulps
+
 CHECK_SLAB_BYTES = 1 << 17  # validator temporaries: malloc's default trim threshold
 
 
@@ -69,6 +80,36 @@ def _first_excess(residual: np.ndarray, floor: float, allowed=None):
     norms = np.linalg.norm(residual, axis=(-2, -1))
     bad = _first_failure(norms > (floor if allowed is None else allowed()))
     return None if bad is None else (bad, norms[bad])
+
+
+def _hermitian_part(stack: np.ndarray) -> np.ndarray:
+    """(H + H*) / 2 of each matrix of a stack, as a new C-ordered stack.
+    Entries (i, j) and (j, i) are conj(s_ji) + s_ij and conj(s_ij) + s_ji
+    halved, exact conjugates of each other: the result is exactly
+    Hermitian in floating point.  It is bitwise numpy's (H + H*) / 2,
+    signed zeros included, with one temporary less and no division."""
+    out = np.conjugate(stack.swapaxes(-1, -2), out=np.empty(stack.shape, complex))
+    out += stack
+    # numpy divides z by 2 as ((re + im 0) / 2, (im - re 0) / 2): z (1/2 - 0i)
+    # has the same bits (only a component of +-5e-324 may halve to a zero of
+    # the other sign) at the cost of a multiplication
+    out *= complex(0.5, -0.0)
+    return out
+
+
+def _require_psd(low, what, floor: float = PSD_CLAMP) -> None:
+    """Raise unless every minimum eigenvalue ``low`` (one per matrix of a
+    stack) is at least -``floor``, naming the first failing element."""
+    bad = _first_failure(low < -floor)
+    if bad is not None:
+        raise ValueError(f"{_element(what, bad)} is not PSD: min eigenvalue {low[bad]:.3e}")
+
+
+def _require_shapes(ops, dim: int, what: str) -> None:
+    """Raise unless every element of the sequence ``ops`` is (dim, dim)."""
+    for k, op in enumerate(ops):
+        if np.shape(op) != (dim, dim):
+            raise ValueError(f"{what} element {k} has shape {np.shape(op)}, expected {(dim, dim)}")
 
 
 def _per_matrix(stack: np.ndarray, reduce) -> np.ndarray:
@@ -125,19 +166,15 @@ def _family_stack(family, dim: int, what: str) -> np.ndarray:
     if len(family) == 0:
         raise ValueError(f"{what} must have at least one outcome")
     if not isinstance(family, np.ndarray):
-        for k, op in enumerate(family):
-            if np.shape(op) != (dim, dim):
-                raise ValueError(
-                    f"{what} element {k} has shape {np.shape(op)}, expected {(dim, dim)}"
-                )
+        _require_shapes(family, dim, what)
     ops = require_hermitian(family, what)
     if ops.ndim < 3 or ops.shape[-1] != dim:
         raise ValueError(f"{what} has shape {ops.shape}, expected (..., A, {dim}, {dim})")
     return ops
 
 
-def _require_unit_sum(ops: np.ndarray, tol: float, what: str) -> None:
-    excess = _first_excess(ops.sum(axis=-3) - np.eye(ops.shape[-1]), tol)
+def _require_unit_sum(ops: np.ndarray, what: str) -> None:
+    excess = _first_excess(ops.sum(axis=-3) - np.eye(ops.shape[-1]), FAMILY_TOL)
     if excess:
         raise ValueError(
             f"{_element(what, excess[0], 'family')} does not sum to the identity:"
@@ -150,29 +187,29 @@ def require_pvm(family, dim: int, what: str | list[str] = "PVM") -> np.ndarray:
 
     ``family`` is one PVM, a sequence of (dim, dim) operators, or an
     array stack of PVMs, shape (..., A, dim, dim).  Each element must be
-    Hermitian with ``||p^2 - p||_F <= PVM_TOL`` and each family must sum
-    to the identity within ``PVM_TOL`` in Frobenius norm; a failure
+    Hermitian with ``||p^2 - p||_F <= FAMILY_TOL`` and each family must sum
+    to the identity within ``FAMILY_TOL`` in Frobenius norm; a failure
     names the first failing element or family (a list ``what`` names each
     family).  Zero elements are allowed.  Returns the validated stack.
     """
     ops = _family_stack(family, dim, what)
     norms = _per_matrix(ops, lambda s: np.linalg.norm(s @ s - s, axis=(-2, -1)))
-    bad = _first_failure(norms > PVM_TOL)
+    bad = _first_failure(norms > FAMILY_TOL)
     if bad is not None:
         raise ValueError(
             f"{_element(what, bad)} is not a projection: ||p^2 - p||_F = {norms[bad]:.3e}"
         )
-    _require_unit_sum(ops, PVM_TOL, what)
+    _require_unit_sum(ops, what)
     return ops
 
 
 def require_povm(family, dim: int, what: str = "POVM", decompose: bool = False):
-    """Validate a positive family summing to the identity within POVM_TOL.
+    """Validate a positive family summing to the identity within FAMILY_TOL.
 
     ``family`` is one POVM, a sequence of (dim, dim) operators, or an
     array stack of POVMs, shape (..., A, dim, dim).  Every element must
-    be PSD down to -POVM_TOL and every POVM must sum to the identity
-    within POVM_TOL in Frobenius norm; a failure names the first failing
+    be PSD down to -FAMILY_TOL and every POVM must sum to the identity
+    within FAMILY_TOL in Frobenius norm; a failure names the first failing
     element or POVM.  Returns the validated stack as one complex array,
     or with ``decompose`` its ``eigh``, whose eigenvalues then serve the
     PSD check, for a caller that goes on to a functional calculus.
@@ -180,12 +217,8 @@ def require_povm(family, dim: int, what: str = "POVM", decompose: bool = False):
     ops = _family_stack(family, dim, what)
     dec = eigh(ops, what) if decompose else None
     low = (dec.eigenvalues if decompose else np.linalg.eigvalsh(ops))[..., 0]
-    bad = _first_failure(low < -POVM_TOL)
-    if bad is not None:
-        raise ValueError(
-            f"{_element(what, bad)} is not PSD: min eigenvalue {low[bad]:.3e}"
-        )
-    _require_unit_sum(ops, POVM_TOL, what)
+    _require_psd(low, what, FAMILY_TOL)
+    _require_unit_sum(ops, what)
     return dec if decompose else ops
 
 
@@ -319,17 +352,10 @@ def functional_calculus(matrix) -> np.ndarray:
     """
     dec = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix)
     w = dec.eigenvalues
-    low = w[..., 0]
-    bad = _first_failure(low < -PSD_CLAMP)
-    if bad is not None:
-        raise ValueError(
-            f"{_element('functional calculus input', bad)} is not positive"
-            f" semidefinite: min eigenvalue {low[bad]:.3e} is below the clamp"
-            f" -{PSD_CLAMP:.0e}"
-        )
+    _require_psd(w[..., 0], "functional calculus input")
     v = dec.eigenvectors
-    out = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (out + out.conj().swapaxes(-1, -2)) / 2
+    root = np.sqrt(np.clip(w, 0.0, None))
+    return _hermitian_part((v * root[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def trace_pairing(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -26,7 +26,12 @@ from .games import CorrelationTable, SynchronousGame
 from .sampling import random_pvm, random_state
 from .spectral import (
     PSD_CLAMP,
+    TABLE_TOL,
+    UNIT_TOL,
     SpectralDecomposition,
+    _hermitian_part,
+    _require_psd,
+    _require_shapes,
     eigh,
     functional_calculus,
     require_povm,
@@ -35,7 +40,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "STATE_TOL",
     "PVMStack",
     "CommutingStrategy",
     "TracialBlock",
@@ -57,11 +61,6 @@ __all__ = [
     "dump_tracial_strategy",
     "load_tracial_strategy",
 ]
-
-STATE_TOL = 1e-10
-IMAG_TOL = 1e-8
-WEIGHT_TOL = 1e-10
-SYNC_TOL = 1e-8
 
 
 class PVMStack(Mapping):
@@ -127,11 +126,7 @@ def _pvm_stack(pvms, dim: int | None = None, side: str = "PVMs") -> PVMStack:
             raise ValueError(f"{name} must have at least one outcome")
         if len(ops) != n_answers:
             raise ValueError(f"{name} has {len(ops)} outcomes, expected {n_answers}")
-        for k, op in enumerate(ops):
-            if np.shape(op) != (dim, dim):
-                raise ValueError(
-                    f"{name} element {k} has shape {np.shape(op)}, expected {(dim, dim)}"
-                )
+        _require_shapes(ops, dim, name)
     return PVMStack(pvms.keys(), np.array(families, dtype=np.complex128), side)
 
 
@@ -163,7 +158,7 @@ class CommutingStrategy:
                 f"state must have shape {(self.dim_a, self.dim_b)}, got {state.shape}"
             )
         norm = float(np.linalg.norm(state))
-        if not abs(norm - 1.0) <= STATE_TOL:  # NaN fails too
+        if not abs(norm - 1.0) <= UNIT_TOL:  # NaN fails too
             raise ValueError(f"state is not a unit vector: norm {norm!r}")
         pvms_a = _pvm_stack(self.pvms_a, self.dim_a, "A side")
         pvms_b = _pvm_stack(self.pvms_b, self.dim_b, "B side")
@@ -224,7 +219,7 @@ class TracialStrategy:
         if not self.blocks:
             raise ValueError("tracial strategy needs at least one block")
         total = sum(b.weight for b in self.blocks)
-        if not abs(total - 1.0) <= WEIGHT_TOL:  # NaN fails too
+        if not abs(total - 1.0) <= UNIT_TOL:  # NaN fails too
             raise ValueError(f"block weights must sum to 1, got {total!r}")
         questions = set(self.questions)
         for b in self.blocks[1:]:
@@ -236,10 +231,10 @@ class TracialStrategy:
         cross = _tracial_table(self.blocks, self.questions, same_question=True)
         off_diagonal = ~np.eye(self.n_answers, dtype=bool)
         worst = float(np.abs(cross[:, off_diagonal]).max(initial=0.0))
-        if worst > SYNC_TOL:
+        if worst > TABLE_TOL:
             raise ValueError(
                 f"strategy is not synchronous: cross term {worst:.3e} exceeds"
-                f" {SYNC_TOL:.0e}"
+                f" {TABLE_TOL:.0e}"
             )
 
     @property
@@ -261,13 +256,9 @@ class DensityOperator:
 
     def __post_init__(self):
         tr = float(np.trace(self.matrix).real)
-        if abs(tr - 1.0) > STATE_TOL:
+        if abs(tr - 1.0) > UNIT_TOL:
             raise ValueError(f"density operator must have unit trace, got {tr!r}")
-        low = float(self.decomposition.eigenvalues.min())
-        if low < -PSD_CLAMP:
-            raise ValueError(
-                f"density operator is not PSD: min eigenvalue {low:.3e}"
-            )
+        _require_psd(self.decomposition.eigenvalues.min(), "density operator")
 
     @property
     def dim(self) -> int:
@@ -309,7 +300,7 @@ def _b_conditional_operators(state: np.ndarray, stack_b: np.ndarray) -> np.ndarr
 def correlation_of_commuting(s: CommutingStrategy, questions=None) -> CorrelationTable:
     """Correlation table P_{x,y}(a, b) = <(p^x_a x q^y_b) xi, xi>.
 
-    Raises when the imaginary residue of any entry exceeds 1e-8; the
+    Raises when the imaginary residue of any entry exceeds TABLE_TOL; the
     residue is discarded after the check.
     """
     order = tuple(questions or s.questions)
@@ -318,7 +309,7 @@ def correlation_of_commuting(s: CommutingStrategy, questions=None) -> Correlatio
         _b_conditional_operators(s.state, s.pvms_b.in_order(order)),
     )
     residue = float(np.abs(data.imag).max())
-    if residue > IMAG_TOL:
+    if residue > TABLE_TOL:
         raise ValueError(
             f"correlation entries have imaginary residue {residue:.3e}"
         )
@@ -327,8 +318,7 @@ def correlation_of_commuting(s: CommutingStrategy, questions=None) -> Correlatio
 
 def reduced_density(s: CommutingStrategy) -> DensityOperator:
     """Partial trace of |xi><xi| over the B side."""
-    rho = s.state @ s.state.conj().T
-    rho = (rho + rho.conj().T) / 2
+    rho = _hermitian_part(s.state @ s.state.conj().T)
     return DensityOperator(rho, eigh(rho, "reduced density"))
 
 
@@ -356,8 +346,7 @@ def standard_form_dual(
     support = u[:, kept]
     polar = support @ vh[kept]
     order = tuple(questions or s.questions)
-    stacked = polar @ s.pvms_b.in_order(order).conj() @ polar.conj().T
-    stacked = (stacked + stacked.conj().swapaxes(-1, -2)) / 2
+    stacked = _hermitian_part(polar @ s.pvms_b.in_order(order).conj() @ polar.conj().T)
     stacked[:, 0] += np.eye(s.dim_a) - support @ support.conj().T
     dual = require_povm(stacked, s.dim_a, "dual POVM", decompose)
     if decompose:
@@ -416,7 +405,7 @@ def perturb_b_side(s: CommutingStrategy, eta: float, seed: int) -> CommutingStra
     rng = np.random.default_rng(seed)
     shape = (s.dim_b, s.dim_b)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    k = (g + g.conj().T) / 2
+    k = _hermitian_part(g)
     k = k / float(np.abs(np.linalg.eigvalsh(k)).max())
     w, v = np.linalg.eigh(k)
     u = (v * np.exp(1j * eta * w)) @ v.conj().T
@@ -462,8 +451,7 @@ def _assign_basis(basis: np.ndarray, effective: np.ndarray) -> np.ndarray:
     answers = np.arange(effective.shape[1])[:, None]
     chosen = np.argmax(scores, axis=1)[:, None, :] == answers
     columns = basis[:, None] * chosen[:, :, None, :]
-    p = columns @ basis[:, None].conj().swapaxes(-1, -2)
-    return (p + p.conj().swapaxes(-1, -2)) / 2
+    return _hermitian_part(columns @ basis[:, None].conj().swapaxes(-1, -2))
 
 
 def _sweep(weights, state, theirs, mine, schmidt, mirror=None) -> np.ndarray:
@@ -476,8 +464,7 @@ def _sweep(weights, state, theirs, mine, schmidt, mirror=None) -> np.ndarray:
     column by column, the current PVMs ``mine``, then ``mirror`` if given.
     """
     paired = np.einsum("xyab,ybij->xaij", weights, theirs)
-    f = state @ paired.swapaxes(-1, -2) @ state.conj().T
-    effective = (f + f.conj().swapaxes(-1, -2)) / 2
+    effective = _hermitian_part(state @ paired.swapaxes(-1, -2) @ state.conj().T)
     levels = np.arange(1, effective.shape[1] + 1)[:, None, None]
     basis = np.linalg.eigh((levels * effective).sum(axis=1))[1]
     candidates = [
@@ -538,8 +525,7 @@ def seesaw_optimize(
         mirror = pvms_a.conj() if dim_a == dim_b else None
         pvms_b = _sweep(mirrored, state.T, pvms_a, pvms_b, vh.T, mirror)
         # state update: top eigenvector of the global payoff operator
-        payoff = _payoff_operator(weights, pvms_a, pvms_b)
-        payoff = (payoff + payoff.conj().T) / 2
+        payoff = _hermitian_part(_payoff_operator(weights, pvms_a, pvms_b))
         candidate_state = np.linalg.eigh(payoff)[1][:, -1].reshape(dim_a, dim_b)
         current = _seesaw_value(weights, pvms_a, pvms_b, candidate_state)
         if current >= values[-1]:

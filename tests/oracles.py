@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from syncround.cli import DUALITY_TOL, MOMENT_TOL, ROUNDING_ETAS
+from syncround.cli import ROUNDING_ETAS
 from syncround.games import graph_coloring_game
 from syncround.haagerup import (
     commutator_certificate,
@@ -26,7 +26,7 @@ from syncround.haagerup import (
 )
 from syncround.rounding import round_strategy, verify_dual_distance
 from syncround.sampling import random_psd, random_pvm, rng_for
-from syncround.spectral import eigh
+from syncround.spectral import DUALITY_TOL, IDENTITY_TOL, eigh
 from syncround.strategies import cyclic_coloring_strategy, perturb_b_side
 
 
@@ -374,7 +374,7 @@ def measure_instance(seed, index, dims):
         ),
         "chi_dual_path": abs(moments.chi_distance - threshold_chi_distance(x, y)),
     }
-    holds = all(r <= MOMENT_TOL for r in residuals.values())
+    holds = all(r <= IDENTITY_TOL for r in residuals.values())
     return {"index": index, "dim": dim, "residuals": residuals, "holds": holds}
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 from collections import Counter
 
 import numpy as np
@@ -68,6 +69,14 @@ class TestInspect:
         code, report, err = run_cli(capsys, ["inspect", "--game", str(path)])
         assert code == 2
         assert "error" in err
+
+    def test_string_questions_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "split.json"
+        doc = dict(json.loads(diagonal_game_doc(["v", "0"], ["a"])), questions="v0")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run_cli(capsys, ["inspect", "--game", str(path)])
+        assert code == 2 and report is None
+        assert "questions must be a JSON array" in err
 
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -288,24 +297,36 @@ class TestStackedSuites:
             assert_rows_match(stacked, VERIFY_INSTANCES[suite](6, i, 2), f"{suite} row {i}")
 
     def test_stacked_instances_equal_per_instance_generators(self, capsys, monkeypatch):
-        """The instances each runner receives are bitwise the per-instance
-        random_psd / random_pvm draws, at every dimension 1..8 and every
-        outcome count 2..4, zero projections (n_outcomes > dim) included."""
+        """The instances each runner's transform makes are bitwise the
+        per-instance random_psd / random_pvm draws, at every dimension 1..8
+        and every outcome count 2..4, zero projections (n_outcomes > dim)
+        included."""
         received = {}
+        # the runner's group, read by the transform it calls on its thread
+        group = threading.local()
 
-        def recording(suite):
-            runner = cli._INSTANCE_RUNNERS[suite]
+        def indexing(runner):
+            def run(key, indices, *draws):
+                group.key, group.indices = key, indices
+                return runner(key, indices, *draws)
 
-            def record(key, indices, *instances):
-                for i, index in enumerate(indices.tolist()):
-                    received[suite, index] = (key, [stack[i] for stack in instances])
-                return runner(key, indices, *instances)
+            return run
+
+        def recording(suite, transform):
+            def record(*draws):
+                instances = transform(*draws)
+                for i, index in enumerate(group.indices.tolist()):
+                    received[suite, index] = (group.key, [stack[i] for stack in instances])
+                return instances
 
             return record
 
         n = 300
-        for suite in ("connes", "commutator"):
-            monkeypatch.setitem(cli._INSTANCE_RUNNERS, suite, recording(suite))
+        transforms = {"connes": "_psd_pair", "commutator": "_unit_psd_and_pvm"}
+        for suite, name in transforms.items():
+            runner = cli._INSTANCE_RUNNERS[suite]
+            monkeypatch.setitem(cli._INSTANCE_RUNNERS, suite, indexing(runner))
+            monkeypatch.setattr(cli, name, recording(suite, getattr(cli, name)))
             run_cli(capsys, ["verify", "--suite", suite, "--n", str(n), "--seed", "21"])
         shapes = set()
         for index in range(n):

@@ -111,6 +111,42 @@ class TestLoadGame:
         with pytest.raises(GameFormatError, match=r"at \('q0', 'a', 'b'\)$"):
             load_game(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"questions": 5}, r"^questions must be a JSON array, got 5$"),
+            ({"questions": "v0"}, r"^questions must be a JSON array, got 'v0'$"),
+            ({"answers": "ab"}, r"^answers must be a JSON array, got 'ab'$"),
+            ({"nu": 3}, r"^nu must be a JSON array, got 3$"),
+            (
+                {"predicate": {"default": 1, "entries": 7}},
+                r"^predicate entries must be a JSON array, got 7$",
+            ),
+            (
+                {"nu": [{"x": ["v"], "y": "v", "w": 1}]},
+                r"^nu entry references unknown question \(\['v'\], 'v'\)$",
+            ),
+            (
+                {"predicate": {"default": 1, "entries": [
+                    {"x": "v", "y": ["0"], "a": "a", "b": "b", "v": 0}]}},
+                r"^predicate entry references unknown question \('v', \['0'\]\)$",
+            ),
+            (
+                {"predicate": {"default": 1, "entries": [
+                    {"x": "v", "y": "0", "a": ["a"], "b": "b", "v": 0}]}},
+                r"^predicate entry references unknown answer \(\['a'\], 'b'\)$",
+            ),
+        ],
+        ids=["questions-int", "questions-str", "answers-str", "nu-int", "entries-int",
+             "nu-x-list", "predicate-y-list", "predicate-a-list"],
+    )
+    def test_malformed_field_named(self, field, message):
+        # a string of labels is not split into one-character labels: "v0"
+        # would read as the questions "v" and "0" of the document below
+        doc = dict(json.loads(diagonal_game_doc(["v", "0"], ["a", "b"])), **field)
+        with pytest.raises(GameFormatError, match=message):
+            load_game(json.dumps(doc))
+
     def test_malformed_json_rejected(self):
         with pytest.raises(GameFormatError, match="JSON"):
             load_game("{not json")

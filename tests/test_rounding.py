@@ -400,6 +400,11 @@ class TestHermitianPart:
         for source in (stack, stack[..., : max(1, n - 2), : max(1, n - 2)]):
             h = _hermitian_part(source)
             assert np.array_equal(h, h.conj().swapaxes(-1, -2))
+            # every module's Hermitian part: bitwise the plain formula, on
+            # the stack and on a 2-D slice of it
+            for x in (source, source[(0,) * (source.ndim - 2)]):
+                plain = (x + x.conj().swapaxes(-1, -2)) / 2
+                assert _hermitian_part(x).tobytes() == plain.tobytes()
             # the greedy's -1 padding writes on the diagonal keep it so
             dead = rng.random(h.shape[:-1]) < 0.4
             np.einsum("...ii->...i", h)[dead] = -1.0
@@ -669,7 +674,7 @@ class TestVerifyDualDistance:
     def test_dual_povm_roundoff_tolerated(self):
         # the transported POVM J conj(q) J* is PSD to roundoff (about
         # 1e-15) by construction, so the square roots of the dual pass the
-        # strict -PSD_CLAMP clamp: the looser -POVM_TOL clamp that the
+        # strict -PSD_CLAMP clamp: the looser -FAMILY_TOL clamp that the
         # inverse-square-root transport needed here is unreachable
         from syncround import graph_coloring_game, seesaw_optimize
 

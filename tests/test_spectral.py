@@ -1,8 +1,12 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import syncround
 from syncround import spectral
 from syncround.sampling import random_hermitian, random_psd, random_pvm, rng_for
 from syncround.spectral import (
@@ -208,12 +212,10 @@ class TestFunctionalCalculus:
             assert_close(root, functional_calculus(m), 1e-12)
 
     def test_negative_input_rejected(self):
-        with pytest.raises(ValueError, match="not positive semidefinite"):
+        with pytest.raises(ValueError, match="not PSD"):
             functional_calculus(np.diag([1.0, -1e-3]))
         stack = np.array([np.eye(2), np.eye(2), np.diag([1.0, -1e-3])])
-        with pytest.raises(
-            ValueError, match="input element 2 is not positive semidefinite"
-        ):
+        with pytest.raises(ValueError, match="input element 2 is not PSD"):
             functional_calculus(stack)
 
     def test_clamp_tolerates_roundoff(self):
@@ -253,3 +255,20 @@ class TestPvmValidation:
     def test_non_projection_rejected(self):
         with pytest.raises(ValueError, match="not a projection"):
             require_pvm([np.diag([0.5, 0.5]), np.diag([0.5, 0.5])], 2)
+
+
+class TestTolerancePolicy:
+    def test_every_tolerance_is_the_tables(self):
+        """A module of the package names a threshold (*TOL*, *SLACK* or
+        *CLAMP*) only by importing the entry of spectral's table."""
+        modules = [syncround] + [
+            importlib.import_module(f"syncround.{info.name}")
+            for info in pkgutil.iter_modules(syncround.__path__)
+        ]
+        seen = 0
+        for module in modules:
+            for name, value in vars(module).items():
+                if name.isupper() and any(k in name for k in ("TOL", "SLACK", "CLAMP")):
+                    assert value is getattr(spectral, name, None), f"{module.__name__}.{name}"
+                    seen += 1
+        assert seen  # the scan found the table itself
