@@ -227,6 +227,15 @@ def _array(value, name: str) -> list:
     return value
 
 
+def _labels(value, name: str) -> list[str]:
+    """The labels of the JSON array ``value``, each a JSON string."""
+    labels = _array(value, name)
+    for label in labels:
+        if not isinstance(label, str):
+            raise GameFormatError(f"{name} label {label!r} is not a JSON string")
+    return labels
+
+
 def _labelled(index: dict, *labels) -> bool:
     """Whether every label is a string key of ``index``; a list or an
     object label is not hashable, so it is tested for type first."""
@@ -248,8 +257,8 @@ def load_game(text: str) -> SynchronousGame:
     if not isinstance(doc, dict):
         raise GameFormatError("top level must be a JSON object")
     try:
-        questions = [str(q) for q in _array(doc["questions"], "questions")]
-        answers = [str(a) for a in _array(doc["answers"], "answers")]
+        questions = _labels(doc["questions"], "questions")
+        answers = _labels(doc["answers"], "answers")
         nu_entries = _array(doc["nu"], "nu")
         pred_doc = doc["predicate"]
     except KeyError as exc:

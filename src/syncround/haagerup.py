@@ -39,10 +39,26 @@ so that a caller eigensolving once can evaluate several integrals.  One
 matrix gives Python floats and bools; a stack gives arrays of shape
 (N,) in the same dataclasses, and a failing element of a stack is named
 by its index.
+
+A caller that passes the same matrix to several certificates gets it
+eigensolved once: the eigendecompositions of the last
+``SPECTRUM_MEMO_SIZE`` = 4 matrix operands (2-D arrays) are kept.  An
+entry matches only the same array object, held by a weak reference,
+while its content still equals the entry's private complex copy (shape
+first, then ``np.array_equal``), so an equal copy, an array mutated in
+place and any NaN entry miss.  Entries are read-only, the least
+recently used is dropped first, and a hit still runs the PSD check
+under the caller's label.  The memo holds up to 4 x (copy +
+eigenvectors), about 1.2 MB at d = 96.  A stack, whose copy would grow
+with N, and a ``SpectralDecomposition`` argument bypass it: a caller
+reusing a stack passes its decomposition.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +109,61 @@ def _trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ji->...", x, y).real
 
 
+SPECTRUM_MEMO_SIZE = 4  # about one fiber op's operands: x, y and the unit x
+
+
+class _SpectrumMemo:
+    """The eigendecompositions of the last few matrix operands, least
+    recently used first; see the module docstring for what matches.
+
+    Lookups and inserts hold a lock, so pool threads may share it; the
+    eigensolve of a miss runs outside the lock.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict[int, tuple] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def decompose(self, matrix, what: str) -> SpectralDecomposition:
+        if not isinstance(matrix, np.ndarray) or matrix.ndim != 2:
+            return eigh(matrix, what)
+        key = id(matrix)
+        with self._lock:
+            entry = self._entries.get(key)
+            if (
+                entry is not None
+                and entry[0]() is matrix
+                and matrix.shape == entry[1].shape
+                and np.array_equal(matrix, entry[1])
+            ):
+                self._entries.move_to_end(key)
+                return entry[2]
+        copy = np.array(matrix, dtype=complex)
+        dec = eigh(copy, what)
+        for array in (copy, dec.eigenvalues, dec.eigenvectors):
+            array.flags.writeable = False
+        with self._lock:
+            self._entries[key] = (weakref.ref(matrix), copy, dec)
+            self._entries.move_to_end(key)
+            while len(self._entries) > SPECTRUM_MEMO_SIZE:
+                self._entries.popitem(last=False)
+        return dec
+
+
+_SPECTRA = _SpectrumMemo()
+
+
 def _psd_spectrum(matrix, what: str) -> tuple[np.ndarray, SpectralDecomposition]:
-    """Clustered eigenvalues of a PSD matrix or stack (ascending, clipped at 0)."""
-    dec = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix, what)
+    """Clustered eigenvalues of a PSD matrix or stack (ascending, clipped at
+    0); a matrix operand is eigensolved through the memo."""
+    dec = matrix if isinstance(matrix, SpectralDecomposition) else _SPECTRA.decompose(matrix, what)
     _require_psd(dec.eigenvalues[..., 0], what)
     return np.clip(dec.cluster_levels(), 0.0, None), dec
 

@@ -112,13 +112,24 @@ def _require_shapes(ops, dim: int, what: str) -> None:
             raise ValueError(f"{what} element {k} has shape {np.shape(op)}, expected {(dim, dim)}")
 
 
-def _per_matrix(stack: np.ndarray, reduce) -> np.ndarray:
-    """``reduce`` of each matrix of a stack, run CHECK_SLAB_BYTES at a time:
-    larger temporaries make malloc return memory to the OS and refault it."""
+def _slabs(stack: np.ndarray) -> list[np.ndarray]:
+    """The matrices of a stack, CHECK_SLAB_BYTES at a time: larger
+    temporaries make malloc return memory to the OS and refault it."""
     flat = stack.reshape((-1,) + stack.shape[-2:])
+    if flat.nbytes <= CHECK_SLAB_BYTES:
+        return [flat]
     step = max(1, CHECK_SLAB_BYTES // flat[0].nbytes)
-    slabs = [reduce(flat[i : i + step]) for i in range(0, len(flat), step)]
+    return [flat[i : i + step] for i in range(0, len(flat), step)]
+
+
+def _per_matrix(stack: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` of each matrix of a stack, run slab by slab."""
+    slabs = [reduce(slab) for slab in _slabs(stack)]
     return np.concatenate(slabs).reshape(stack.shape[:-2])
+
+
+def _anti_hermitian(stack: np.ndarray) -> np.ndarray:
+    return stack - stack.conj().swapaxes(-1, -2)
 
 
 def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
@@ -135,9 +146,12 @@ def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
     if h.size == 0:
         raise ValueError(f"{what} must be non-empty")
     with np.errstate(invalid="ignore"):  # inf - inf: reported below
-        deviation = _per_matrix(
-            h, lambda s: np.abs(s - s.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        )
+        # stacks the package builds are exactly Hermitian, so H - H* is zero
+        # everywhere; a NaN or infinite entry makes it NaN or infinite
+        # (inf - inf is NaN), so non-finite input goes on below
+        if not any(_anti_hermitian(slab).any() for slab in _slabs(h)):
+            return h
+        deviation = _per_matrix(h, lambda s: np.abs(_anti_hermitian(s)).max(axis=(-2, -1)))
     # each allowance is at least HERMITIAN_TOL
     if deviation.max() <= HERMITIAN_TOL:
         return h

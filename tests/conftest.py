@@ -7,8 +7,15 @@ from syncround import (
     CommutingStrategy,
     cyclic_coloring_strategy,
     graph_coloring_game,
+    haagerup,
     load_game,
 )
+
+
+@pytest.fixture(autouse=True)
+def empty_spectrum_memo():
+    """No test passes on a decomposition another test left in the memo."""
+    haagerup._SPECTRA.clear()
 
 
 @pytest.fixture

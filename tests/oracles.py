@@ -26,7 +26,14 @@ from syncround.haagerup import (
 )
 from syncround.rounding import round_strategy, verify_dual_distance
 from syncround.sampling import random_psd, random_pvm, rng_for
-from syncround.spectral import DUALITY_TOL, IDENTITY_TOL, eigh
+from syncround.spectral import (
+    DUALITY_TOL,
+    HERMITIAN_TOL,
+    IDENTITY_TOL,
+    _element,
+    _first_failure,
+    eigh,
+)
 from syncround.strategies import cyclic_coloring_strategy, perturb_b_side
 
 
@@ -96,6 +103,33 @@ def corner_table_quadrature(rho_matrix, p_a, p_b, n_points):
 
 def schmidt_coefficients(state_matrix):
     return np.linalg.svd(np.asarray(state_matrix), compute_uv=False)
+
+
+def require_hermitian_formula(matrix, what="matrix"):
+    """Hermitian validation by the deviation formula alone, on the whole
+    stack at once: each matrix finite, with max |H - H*| within
+    HERMITIAN_TOL (1 + max |H|); the first failing element is named."""
+    h = np.asarray(matrix, dtype=np.complex128)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"{what} must be a square matrix, got shape {h.shape}")
+    if h.size == 0:
+        raise ValueError(f"{what} must be non-empty")
+    with np.errstate(invalid="ignore"):
+        deviation = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = _first_failure(~np.isfinite(deviation))
+    if bad is not None:
+        entry = _first_failure(~np.isfinite(h[bad]))
+        raise ValueError(
+            f"{_element(what, bad)} has a non-finite entry {h[bad][entry]} at {entry}"
+        )
+    allowed = HERMITIAN_TOL * (1.0 + np.abs(h).max(axis=(-2, -1)))
+    bad = _first_failure(deviation > allowed)
+    if bad is not None:
+        raise ValueError(
+            f"{_element(what, bad)} is not Hermitian: max entry of |H - H*| is"
+            f" {deviation[bad]:.3e} which exceeds the allowed {allowed[bad]:.3e}"
+        )
+    return h
 
 
 def fix_phases_loop(vectors):

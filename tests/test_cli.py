@@ -78,6 +78,15 @@ class TestInspect:
         assert code == 2 and report is None
         assert "questions must be a JSON array" in err
 
+    def test_integer_labels_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "ints.json"
+        doc = json.loads(diagonal_game_doc(["v", "0"], ["a"]))
+        doc.update(questions=[0, 1], nu=[{"x": 0, "y": 0, "w": 1}])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run_cli(capsys, ["inspect", "--game", str(path)])
+        assert code == 2 and report is None
+        assert "questions label 0 is not a JSON string" in err
+
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["inspect", "--game", str(tmp_path / "missing.json")]

@@ -136,9 +136,19 @@ class TestLoadGame:
                     {"x": "v", "y": "0", "a": ["a"], "b": "b", "v": 0}]}},
                 r"^predicate entry references unknown answer \(\['a'\], 'b'\)$",
             ),
+            (
+                {"questions": [0, 1], "nu": [{"x": 0, "y": 0, "w": 1}]},
+                r"^questions label 0 is not a JSON string$",
+            ),
+            (
+                {"questions": [["q"], {"r": 1}]},
+                r"^questions label \['q'\] is not a JSON string$",
+            ),
+            ({"answers": ["a", None]}, r"^answers label None is not a JSON string$"),
         ],
         ids=["questions-int", "questions-str", "answers-str", "nu-int", "entries-int",
-             "nu-x-list", "predicate-y-list", "predicate-a-list"],
+             "nu-x-list", "predicate-y-list", "predicate-a-list", "question-labels-int",
+             "question-labels-list-object", "answer-label-null"],
     )
     def test_malformed_field_named(self, field, message):
         # a string of labels is not split into one-character labels: "v0"

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from syncround import (
     commutator_certificate,
+    haagerup,
     connes_certificate,
     joint_spectral_measure,
     lp_duality_check,
@@ -383,3 +387,172 @@ class TestStackContracts:
     def test_stacked_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             joint_spectral_measure(psd_stack(133, count=3), psd_stack(134, count=4))
+
+
+def fiber_op(x, y, x_unit, pvm):
+    """Every certificate of one PSD pair, as a fiber benchmark op runs them."""
+    measure = joint_spectral_measure(x, y)
+    connes = connes_certificate(x, y)
+    comm = commutator_certificate(x_unit, pvm)
+    return [
+        measure.lambdas, measure.masses, measure_moments(measure).chi_distance,
+        connes.lhs, connes.mid, connes.rhs, connes.holds, comm.sum_comm_q, comm.holds,
+        lp_duality_check(x, y, 2.0), lp_duality_check(x, y, 3.0), threshold_integral(x, 2.0),
+    ]
+
+
+def fiber_inputs(seed, dim=12):
+    rng = rng_for(seed, 0)
+    x, y = random_psd(rng, dim), random_psd(rng, dim)
+    return x, y, x / np.sqrt(np.trace(x @ x).real), random_pvm(rng, dim, 4)
+
+
+def fresh(inputs):
+    """Equal copies, so that nothing of a memo entry can be reused."""
+    return tuple(np.array(v, copy=True) for v in inputs)
+
+
+def assert_same(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Inputs of every eigensolve the fiber functions make."""
+    calls = []
+
+    def counted(matrix, what="matrix"):
+        calls.append(what)
+        return eigh(matrix, what)
+
+    monkeypatch.setattr(haagerup, "eigh", counted)
+    return calls
+
+
+class TestSpectrumMemo:
+    """The last few array operands are eigensolved once: the same object
+    with the same content hits, anything else misses."""
+
+    def test_fiber_op_eigensolves_each_operand_once(self, eigensolves):
+        first, second = fiber_inputs(141), fiber_inputs(142)
+        got = fiber_op(*first)
+        assert eigensolves == ["x", "y", "x"]  # x, y and the unit x
+        assert_same(fiber_op(*second), fiber_op(*fresh(second)))
+        assert len(eigensolves) == 3 + 3 + 3
+        assert_same(got, fiber_op(*fresh(first)))
+
+    def test_entries_are_read_only(self):
+        x = random_psd(rng_for(143, 0), 5)
+        threshold_integral(x, 2.0)
+        (_, copy, dec), = haagerup._SPECTRA._entries.values()
+        for array in (copy, dec.eigenvalues, dec.eigenvectors):
+            assert not array.flags.writeable
+        assert x.flags.writeable
+
+    def test_in_place_mutation_misses(self, eigensolves):
+        x, y, x_unit, pvm = fiber_inputs(144)
+        before = threshold_chi_distance(x, y)
+        x *= 2.0
+        x[0, 1] += 0.25
+        x[1, 0] += 0.25
+        after = threshold_chi_distance(x, y)
+        assert eigensolves == ["x", "y", "x"]
+        assert after == threshold_chi_distance(*fresh((x, y)))
+        assert after != before
+
+    def test_equal_copy_misses(self, eigensolves):
+        x = random_psd(rng_for(145, 0), 6)
+        threshold_integral(x, 2.0)
+        threshold_integral(x.copy(), 2.0)
+        threshold_integral(x, 3.0)
+        assert len(eigensolves) == 2
+
+    def test_dead_operand_never_matches(self, eigensolves):
+        # an array made after the operand is freed may take its id; the
+        # weak reference tells the two apart
+        x = random_psd(rng_for(153, 0), 4)
+        threshold_integral(x, 2.0)
+        key, content = id(x), x.copy()
+        del x
+        arrays = [content.copy() for _ in range(8)]
+        reused = [z for z in arrays if id(z) == key]
+        if not reused:
+            pytest.skip("no new array took the freed operand's id")
+        threshold_integral(reused[0], 2.0)
+        assert len(eigensolves) == 2
+
+    def test_nan_entry_never_matches(self, eigensolves):
+        x = random_psd(rng_for(146, 0), 4)
+        threshold_integral(x, 2.0)
+        x[0, 0] = np.nan
+        for _ in range(2):
+            with pytest.raises(ValueError, match="x has a non-finite entry"):
+                threshold_integral(x, 2.0)
+        assert len(eigensolves) == 3
+
+    def test_non_psd_operand_raises_on_every_call(self, eigensolves):
+        x = np.diag([1.0, 0.5, -0.5])
+        y = random_psd(rng_for(147, 0), 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^x is not PSD"):
+                joint_spectral_measure(x, y)
+        # y is solved as this call's x; the hit on x is checked as its y
+        with pytest.raises(ValueError, match="^y is not PSD"):
+            threshold_chi_distance(y, x)
+        assert eigensolves == ["x", "x"]
+
+    def test_decomposition_bypasses_memo(self, eigensolves):
+        x, y, _, _ = fiber_inputs(148)
+        xdec = eigh(x)
+        threshold_chi_distance(xdec, y)
+        assert eigensolves == ["y"] and len(haagerup._SPECTRA) == 1
+
+    def test_stacks_bypass_memo(self, eigensolves):
+        x, y = psd_stack(149), psd_stack(150)
+        chi = threshold_chi_distance(x, y)
+        assert np.array_equal(connes_certificate(x, y).mid, chi)
+        assert len(eigensolves) == 4 and len(haagerup._SPECTRA) == 0
+
+    def test_at_most_four_entries(self, eigensolves):
+        rng = rng_for(151, 0)
+        operands = [random_psd(rng, 3) for _ in range(6)]
+        for x in operands:
+            threshold_integral(x, 2.0)
+            assert len(haagerup._SPECTRA) <= 4
+        assert len(haagerup._SPECTRA) == 4
+        # the two least recently used are gone, the last four hit
+        for x in operands[2:] + operands[:2]:
+            threshold_integral(x, 2.0)
+        assert len(eigensolves) == 6 + 2
+
+    def test_threads_agree_with_serial(self):
+        pairs = [fiber_inputs(152 + k, dim=8) for k in range(3)]
+        serial = [fiber_op(*fresh(inputs)) for inputs in pairs]
+        results, errors = {}, []
+        barrier = threading.Barrier(4)
+
+        def work(k):
+            try:
+                barrier.wait(timeout=10)
+                for round_ in range(20):
+                    i = (k + round_) % len(pairs)
+                    results[k, round_] = (i, fiber_op(*pairs[i]))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(results) == 4 * 20
+        for i, got in results.values():
+            assert_same(got, serial[i])
+        assert len(haagerup._SPECTRA) <= 4

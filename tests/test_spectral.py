@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ import syncround
 from syncround import spectral
 from syncround.sampling import random_hermitian, random_psd, random_pvm, rng_for
 from syncround.spectral import (
+    HERMITIAN_TOL,
     _cluster_indices,
     _fix_phases,
+    _hermitian_part,
     eigh,
     functional_calculus,
     require_hermitian,
@@ -20,7 +23,7 @@ from syncround.spectral import (
 )
 
 from conftest import assert_close
-from oracles import cluster_indices_loop, fix_phases_loop
+from oracles import cluster_indices_loop, fix_phases_loop, require_hermitian_formula
 
 
 class TestEigh:
@@ -241,6 +244,53 @@ class TestFiniteness:
                       lambda: eigh(pvm[0])):
             with pytest.raises(ValueError, match="non-finite entry"):
                 check()
+
+
+@st.composite
+def hermitian_candidates(draw):
+    """Exactly Hermitian stacks at three scales, one matrix or a stack,
+    as they are or with one entry moved to about the allowance's edge,
+    set to NaN or set to an infinity, and the bytes per check slab."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    h = _hermitian_part(scale * (rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))))
+    m, i, j = (draw(st.integers(0, size - 1)) for size in (k, n, n))
+    kind = draw(st.sampled_from(["exact", "near", "nan", "inf"]))
+    if kind == "near":
+        # |H_ij - conj(H_ji)| = factor * allowance off the diagonal,
+        # |2 i Im H_ii| on it
+        allowed = HERMITIAN_TOL * (1.0 + np.abs(h[m]).max())
+        factor = draw(st.sampled_from([0.5, 0.999, 1.001, 2.0]))
+        h[m, i, j] += factor * allowed if i != j else 0.5j * factor * allowed
+    elif kind != "exact":
+        value = np.nan if kind == "nan" else draw(st.sampled_from([1.0, -1.0])) * np.inf
+        h[m, i, j] = draw(st.sampled_from([value, 1j * value, complex(value, 1.0)]))
+    single = k == 1 and draw(st.booleans())
+    slab_bytes = draw(st.sampled_from([16, spectral.CHECK_SLAB_BYTES]))
+    return (h[0] if single else h), slab_bytes
+
+
+def _outcome(check, matrix):
+    try:
+        return "accepted", check(matrix, "m")
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+class TestRequireHermitian:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=hermitian_candidates())
+    def test_matches_deviation_formula(self, case):
+        matrix, slab_bytes = case
+        with mock.patch.object(spectral, "CHECK_SLAB_BYTES", slab_bytes):
+            got = _outcome(require_hermitian, matrix)
+        want = _outcome(require_hermitian_formula, matrix)
+        assert got[0] == want[0]
+        if got[0] == "accepted":
+            assert np.array_equal(got[1], want[1])
+        else:
+            assert got[1] == want[1]
 
 
 class TestPvmValidation:
