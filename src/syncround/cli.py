@@ -6,13 +6,15 @@ pass, 1 a certificate failed, 2 input or usage error.  Randomized
 commands require an explicit seed and produce byte-identical reports
 (modulo the timing fields) for identical seeds and flags.
 
-``verify`` draws every instance from its own seeded stream, groups the
-instances of each slab of VERIFY_SLAB indices by shape (matrix
-dimension; for the commutator suite also the outcome count) and does
-each group's arithmetic as one stack: the Wishart and Haar transforms of
-``sampling`` turn the group's draws into its instances, bitwise those of
-the per-instance generators, and the certificates cost one eigensolve
-per side.  The rounding suite's instances perturb only the B side of one
+``verify`` draws every instance from its own seeded stream
+``rng_for(seed, index)``.  The streams of each slab of VERIFY_SLAB
+indices are seeded in one pass by the bulk form of ``rng_for``, bitwise
+the streams of the per-index calls.  The sweep groups the slab's
+instances by shape (matrix dimension; for the commutator suite also the
+outcome count) and does each group's arithmetic as one stack: the
+Wishart and Haar transforms of ``sampling`` turn the group's draws into
+its instances, bitwise those of the per-instance generators, and the
+certificates cost one eigensolve per side.  The rounding suite's instances perturb only the B side of one
 strategy, so each of its groups builds the state and A-side corner stage
 once (``round_corners``) and certifies every instance against it.  The
 sweep's thread pool maps over these batches.  It has one thread per CPU
@@ -108,31 +110,29 @@ def _read(path: str) -> str:
 # ---------------------------------------------------------------------------
 # verify suites
 #
-# A sampler draws instance ``index`` from its own stream rng_for(seed,
-# index) and returns the key of its shape group with its raw draws.  A
-# runner takes one group, its indices and its draws, each stacked over
-# the group, and returns one report row per instance.  A matrix suite's
-# runner first turns the draws into the group's instances with its
-# transform, built from the stack-capable transforms of ``sampling``.
+# A sampler draws one instance from its own stream, the generator
+# rng_for(seed, index), and returns the key of its shape group with its
+# raw draws.  A runner takes one group, its indices and its draws, each
+# stacked over the group, and returns one report row per instance.  A
+# matrix suite's runner first turns the draws into the group's instances
+# with its transform, built from the stack-capable transforms of
+# ``sampling``.
 
 
-def _sample_pair(seed: int, index: int, dims: int):
-    rng = rng_for(seed, index)
+def _sample_pair(rng, dims: int):
     dim = int(rng.integers(1, dims + 1))
     return (dim,), (ginibre_draw(rng, dim, dim), ginibre_draw(rng, dim, dim))
 
 
-def _sample_commutator(seed: int, index: int, dims: int):
-    rng = rng_for(seed, index)
+def _sample_commutator(rng, dims: int):
     dim = int(rng.integers(1, dims + 1))
     x = ginibre_draw(rng, dim, dim)
     n_outcomes = int(rng.integers(2, 5))
     return (dim, n_outcomes), (x, ginibre_draw(rng, dim, dim))
 
 
-def _sample_rounding(seed: int, index: int, dims: int):
-    eta = ROUNDING_ETAS[index % len(ROUNDING_ETAS)]
-    return (), (eta, int(rng_for(seed, index).integers(2**31)))
+def _sample_rounding(rng, dims: int):
+    return (), (int(rng.integers(2**31)),)
 
 
 def _psd_pair(x, y):
@@ -150,15 +150,22 @@ def _unit_psd_and_pvm(x, u, n_outcomes: int):
 
 def _rows(indices: np.ndarray, fixed: dict, columns: dict) -> list[dict]:
     """One row per instance: its index, the group's fixed fields, then
-    its entry of each column (a dict column holds one array per field)."""
+    its entry of each column (a dict column holds one array per field).
+    Each column becomes Python floats and bools in one ``tolist``."""
+    columns = {
+        name: {k: v.tolist() for k, v in column.items()}
+        if isinstance(column, dict)
+        else column.tolist()
+        for name, column in columns.items()
+    }
     rows = []
     for i, index in enumerate(indices.tolist()):
         row = {"index": index, **fixed}
         for name, column in columns.items():
             if isinstance(column, dict):
-                row[name] = {k: v[i].item() for k, v in column.items()}
+                row[name] = {k: v[i] for k, v in column.items()}
             else:
-                row[name] = column[i].item()
+                row[name] = column[i]
         rows.append(row)
     return rows
 
@@ -208,14 +215,15 @@ def _duality_batch(key, indices, x, y) -> list[dict]:
     return _rows(indices, {"dim": key[0]}, {"residuals": residuals, "holds": holds})
 
 
-def _rounding_batch(key, indices, etas, perturb_seeds) -> list[dict]:
+def _rounding_batch(key, indices, perturb_seeds) -> list[dict]:
     game = graph_coloring_game([("v0", "v1")], 3, "1/2")
     base = cyclic_coloring_strategy(game.questions, 3)
     # every instance perturbs only the B side, so one corner stage serves
     # the group
     corners = round_corners(game, base)
     rows = []
-    for index, eta, seed in zip(indices.tolist(), etas.tolist(), perturb_seeds.tolist()):
+    for index, seed in zip(indices.tolist(), perturb_seeds.tolist()):
+        eta = ROUNDING_ETAS[index % len(ROUNDING_ETAS)]
         perturbed = perturb_b_side(base, eta, seed)
         result = round_strategy(game, perturbed, corners)
         dual = verify_dual_distance(game, perturbed, corners)
@@ -252,9 +260,10 @@ _INSTANCE_RUNNERS = {
 def _verify_instances(suite: str, n: int, dims: int, seed: int) -> list[dict]:
     """The report rows of a sweep, in index order.
 
-    The instances are taken VERIFY_SLAB at a time: drawn, grouped by
-    shape, and the slab's groups mapped over the pool, each group's draws
-    transformed and certified as stacks by its runner.
+    The instances are taken VERIFY_SLAB at a time: the slab's streams
+    seeded in one pass, its instances drawn and grouped by shape, and the
+    slab's groups mapped over the pool, each group's draws transformed
+    and certified as stacks by its runner.
     """
     sample = _SAMPLERS[suite]
     # looked up per call, so that a wrapper installed on the dict applies
@@ -268,9 +277,10 @@ def _verify_instances(suite: str, n: int, dims: int, seed: int) -> list[dict]:
     rows = []
     with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
         for first in range(0, n, VERIFY_SLAB):
+            indices = np.arange(first, min(first + VERIFY_SLAB, n))
             groups: dict[tuple, list] = {}
-            for index in range(first, min(first + VERIFY_SLAB, n)):
-                key, data = sample(seed, index, dims)
+            for index, rng in zip(indices.tolist(), rng_for(seed, indices)):
+                key, data = sample(rng, dims)
                 groups.setdefault(key, []).append((index, *data))
             for batch in pool.map(run_group, groups.items()):
                 rows += batch

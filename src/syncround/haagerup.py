@@ -48,7 +48,9 @@ while its content still equals the entry's private complex copy (shape
 first, then ``np.array_equal``), so an equal copy, an array mutated in
 place and any NaN entry miss.  Entries are read-only, the least
 recently used is dropped first, and a hit still runs the PSD check
-under the caller's label.  The memo holds up to 4 x (copy +
+under the caller's label.  ``lp_duality_check`` reads the least
+eigenvalue of a y the memo holds from its entry instead of solving
+``eigvalsh`` again.  The memo holds up to 4 x (copy +
 eigenvectors), about 1.2 MB at d = 96.  A stack, whose copy would grow
 with N, and a ``SpectralDecomposition`` argument bypass it: a caller
 reusing a stack passes its decomposition.
@@ -131,9 +133,10 @@ class _SpectrumMemo:
         with self._lock:
             self._entries.clear()
 
-    def decompose(self, matrix, what: str) -> SpectralDecomposition:
+    def lookup(self, matrix) -> SpectralDecomposition | None:
+        """The held decomposition of a matrix operand, or None."""
         if not isinstance(matrix, np.ndarray) or matrix.ndim != 2:
-            return eigh(matrix, what)
+            return None
         key = id(matrix)
         with self._lock:
             entry = self._entries.get(key)
@@ -145,6 +148,15 @@ class _SpectrumMemo:
             ):
                 self._entries.move_to_end(key)
                 return entry[2]
+        return None
+
+    def decompose(self, matrix, what: str) -> SpectralDecomposition:
+        if not isinstance(matrix, np.ndarray) or matrix.ndim != 2:
+            return eigh(matrix, what)
+        dec = self.lookup(matrix)
+        if dec is not None:
+            return dec
+        key = id(matrix)
         copy = np.array(matrix, dtype=complex)
         dec = eigh(copy, what)
         for array in (copy, dec.eigenvalues, dec.eigenvectors):
@@ -395,7 +407,10 @@ def lp_duality_check(x, y, p: float):
         raise ValueError(f"exponent must satisfy p > 1, got {p!r}")
     a, xdec = _psd_spectrum(x, "x")
     ym = require_hermitian(y, "y")
-    _require_psd(np.linalg.eigvalsh(ym)[..., 0], "y")
+    # a y the memo holds has its least eigenvalue there already
+    ydec = _SPECTRA.lookup(y)
+    low = ydec.eigenvalues[..., 0] if ydec is not None else np.linalg.eigvalsh(ym)[..., 0]
+    _require_psd(low, "y")
     if ym.shape != xdec.eigenvectors.shape:
         raise ValueError(
             f"dimension mismatch: x has shape {xdec.eigenvectors.shape},"

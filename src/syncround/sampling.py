@@ -6,6 +6,13 @@ transforms that take any stack ``(..., d, d)``: ``ginibre``, ``wishart``,
 from its own stream ``rng_for(seed, index)`` and applies the transforms
 once per stack of same-shape draws; its instances are bitwise those of
 the per-instance generators, which compose the same draw and transforms.
+
+``rng_for(seed, index)`` is ``np.random.default_rng([seed, index])``.
+Given an array of indices it seeds all their streams in one pass: it
+reproduces numpy's SeedSequence hash (entropy words, the 4-word pool,
+``generate_state``) as uint32 array arithmetic and lets each PCG64 seed
+itself in C from its four words, so every stream is bitwise the one of
+the per-index call.
 """
 
 from __future__ import annotations
@@ -30,9 +37,121 @@ __all__ = [
 ]
 
 
-def rng_for(seed: int, *index: int) -> np.random.Generator:
-    """Generator derived from a base seed and an instance index path."""
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
+# uint32 words, hashmix and mix with these multipliers, XSHIFT = 16
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def rng_for(seed: int, *index):
+    """Generator derived from a base seed and an instance index path:
+    ``np.random.default_rng([seed, *index])``.
+
+    When the last index is a 1-D integer array, returns one new,
+    independent Generator per entry i, bitwise the stream of
+    ``rng_for(seed, *path, i)``.  That form runs numpy's SeedSequence
+    hash once for all entries, as uint32 array arithmetic, and hands
+    each PCG64 its four seed words, so numpy still seeds PCG64 in C.
+    Its generators carry no spawnable seed sequence.
+    """
+    if index and np.ndim(index[-1]) == 1:
+        return _rngs_for([int(seed), *map(int, index[:-1])], np.asarray(index[-1]))
     return np.random.default_rng([int(seed), *map(int, index)])
+
+
+def _uint32_words(value: int) -> list[int]:
+    """numpy's entropy words of a non-negative int, least significant first."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _rngs_for(prefix: list[int], indices: np.ndarray) -> list[np.random.Generator]:
+    if indices.size == 0:
+        return []
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise TypeError(f"indices must be integers, got dtype {indices.dtype}")
+    if indices.min() < 0:
+        raise ValueError("expected non-negative integer")
+    head = [w for value in prefix for w in _uint32_words(value)]
+    indices = indices.astype(np.uint64)
+    # the low and high entropy word of each index
+    digits = np.stack([indices & _MASK32, indices >> np.uint64(32)]).astype(np.uint32)
+    rngs = [None] * len(indices)
+    # an index below 2**32 is one entropy word, any other two
+    one_word = digits[1] == 0
+    for n_words, members in enumerate((np.flatnonzero(one_word), np.flatnonzero(~one_word)), 1):
+        if members.size == 0:
+            continue
+        words = np.empty((len(head) + n_words, members.size), np.uint32)
+        words[: len(head)] = np.array(head, np.uint32)[:, None]
+        words[len(head) :] = digits[:n_words, members]
+        for i, state in zip(members.tolist(), _pcg64_seeds(words)):
+            rngs[i] = np.random.Generator(np.random.PCG64(_SeedWords(state)))
+    return rngs
+
+
+def _pcg64_seeds(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for each
+    column of a (L, N) uint32 entropy array: one (N, 4) uint64 array."""
+    constants = _hash_constants(_INIT_A, _MULT_A)
+
+    def hashmix(value):
+        value = (value ^ next(constants)) * next(constants)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    n_words = len(words)
+    # SeedSequence.mix_entropy: fill the pool, cross-mix it, then fold in
+    # each word beyond the pool size
+    pool = [hashmix(words[i] if i < n_words else np.zeros_like(words[0]))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[src]))
+    # SeedSequence.generate_state: 8 uint32 words cycling over the pool,
+    # read as 4 little-endian uint64 words
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    state = np.empty((len(words[0]), 2 * _POOL_SIZE), np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = (pool[i % _POOL_SIZE] ^ next(constants)) * next(constants)
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _hash_constants(init: int, mult: int):
+    """The running hash constant of a SeedSequence loop, before and after
+    each multiplication: it does not depend on the data."""
+    const = init
+    while True:
+        yield np.uint32(const)
+        const = const * mult & _MASK32
+        yield np.uint32(const)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """The four uint64 seed words one PCG64 asks its seed sequence for."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds only the 4 uint64 words of a PCG64 seed")
+        return self._state
 
 
 def ginibre_draw(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from syncround import (
 )
 from syncround import cli
 from syncround.cli import main
+from syncround.sampling import rng_for
 
 from conftest import diagonal_game_doc
 from oracles import VERIFY_INSTANCES, commutator_draw, pair_draw, rounding_instance
@@ -206,6 +207,28 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "connes", "--n", "0", "--seed", "1"])
         assert excinfo.value.code == 2
+
+    def test_negative_seed_exit_two(self, capsys):
+        code, report, err = run_cli(
+            capsys, ["verify", "--suite", "connes", "--n", "3", "--seed", "-1"]
+        )
+        assert code == 2 and report is None
+        assert "expected non-negative integer" in err
+
+    def test_each_slab_seeded_in_one_call(self, capsys, monkeypatch):
+        seeded = []
+
+        def recording(seed, *index):
+            seeded.append((seed, *(np.asarray(i).tolist() for i in index)))
+            return rng_for(seed, *index)
+
+        monkeypatch.setattr("syncround.cli.VERIFY_SLAB", 4)
+        monkeypatch.setattr(cli, "rng_for", recording)
+        code, _, _ = run_cli(
+            capsys, ["verify", "--suite", "measure", "--n", "10", "--dims", "2", "--seed", "6"]
+        )
+        assert code == 0
+        assert seeded == [(6, [0, 1, 2, 3]), (6, [4, 5, 6, 7]), (6, [8, 9])]
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

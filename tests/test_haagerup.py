@@ -526,6 +526,46 @@ class TestSpectrumMemo:
             threshold_integral(x, 2.0)
         assert len(eigensolves) == 6 + 2
 
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        """Shapes of every np.linalg.eigvalsh input."""
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_duality_reads_a_held_y_from_the_memo(self, eigvalsh_calls):
+        x, y, _, _ = fiber_inputs(154)
+        joint_spectral_measure(x, y)
+        held = [lp_duality_check(x, y, p) for p in (2.0, 3.0)]
+        assert eigvalsh_calls == []
+        # an equal copy misses and is checked by its own eigvalsh
+        assert [lp_duality_check(x, y.copy(), p) for p in (2.0, 3.0)] == held
+        assert eigvalsh_calls == [y.shape, y.shape]
+
+    def test_duality_checks_a_stack_with_eigvalsh(self, eigvalsh_calls):
+        x, y = psd_stack(155), psd_stack(156)
+        lp_duality_check(x, y, 2.0)
+        assert eigvalsh_calls == [y.shape]
+
+    def test_duality_names_a_non_psd_y_on_miss_and_hit(self, eigvalsh_calls):
+        x = random_psd(rng_for(157, 0), 3)
+        y = np.diag([1.0, 0.5, -0.5])
+        with pytest.raises(ValueError, match="^y is not PSD"):
+            lp_duality_check(x, y, 2.0)
+        assert len(eigvalsh_calls) == 1
+        # solving y as an x leaves it in the memo, so the next check hits
+        with pytest.raises(ValueError, match="^x is not PSD"):
+            threshold_integral(y, 2.0)
+        with pytest.raises(ValueError, match="^y is not PSD"):
+            lp_duality_check(x, y, 2.0)
+        assert len(eigvalsh_calls) == 1
+
     def test_threads_agree_with_serial(self):
         pairs = [fiber_inputs(152 + k, dim=8) for k in range(3)]
         serial = [fiber_op(*fresh(inputs)) for inputs in pairs]
