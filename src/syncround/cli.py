@@ -14,10 +14,11 @@ instances by shape (matrix dimension; for the commutator suite also the
 outcome count) and does each group's arithmetic as one stack: the
 Wishart and Haar transforms of ``sampling`` turn the group's draws into
 its instances, bitwise those of the per-instance generators, and the
-certificates cost one eigensolve per side.  The rounding suite's instances perturb only the B side of one
-strategy, so each of its groups builds the state and A-side corner stage
-once (``round_corners``) and certifies every instance against it.  The
-sweep's thread pool maps over these batches.  It has one thread per CPU
+certificates cost one eigensolve per side.  The rounding suite's
+instances perturb only the B side of one strategy, so each of its groups
+builds the state and A-side corner stage once (``round_corners``) and
+rounds every instance against it, sharing the rho it holds.
+The sweep's thread pool maps over these batches.  It has one thread per CPU
 the process may run on (its affinity mask), at most 8;
 SYNCROUND_THREADS overrides that.
 """
@@ -218,15 +219,15 @@ def _duality_batch(key, indices, x, y) -> list[dict]:
 def _rounding_batch(key, indices, perturb_seeds) -> list[dict]:
     game = graph_coloring_game([("v0", "v1")], 3, "1/2")
     base = cyclic_coloring_strategy(game.questions, 3)
-    # every instance perturbs only the B side, so one corner stage serves
-    # the group
+    # every instance perturbs only the B side, so one corner stage, and
+    # the reduced density it holds, serves the group
     corners = round_corners(game, base)
     rows = []
     for index, seed in zip(indices.tolist(), perturb_seeds.tolist()):
         eta = ROUNDING_ETAS[index % len(ROUNDING_ETAS)]
         perturbed = perturb_b_side(base, eta, seed)
         result = round_strategy(game, perturbed, corners)
-        dual = verify_dual_distance(game, perturbed, corners)
+        dual = verify_dual_distance(game, perturbed)
         cert = result.certificate
         rows.append({
             "index": index,

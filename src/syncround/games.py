@@ -112,13 +112,13 @@ class SynchronousGame:
         return self.nu.sum(axis=1)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CorrelationTable:
     """Per question pair (x, y), a probability table P_{x,y}(a, b).
 
     Answers are positional (index into the owning game's answer list).
     Entries may carry roundoff down to -1e-10; each block sums to 1
-    within 1e-8.
+    within 1e-8.  Frozen, as a tracial strategy shares its table.
     """
 
     questions: tuple[str, ...]
@@ -127,7 +127,7 @@ class CorrelationTable:
 
     def __post_init__(self):
         nq, na = len(self.questions), self.n_answers
-        self.data = np.asarray(self.data, dtype=float)
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
         if self.data.shape != (nq, nq, na, na):
             raise ValueError(
                 f"table must have shape {(nq, nq, na, na)}, got {self.data.shape}"

@@ -403,8 +403,8 @@ def lp_duality_check(x, y, p: float):
     u_i of x contributes a_i^p a_i^(1-p) <u_i, y u_i> for each a_i above
     the merge tolerance.  Returns |lhs - rhs|.
     """
-    if not p > 1:
-        raise ValueError(f"exponent must satisfy p > 1, got {p!r}")
+    if not 1 < p < np.inf:  # NaN fails too
+        raise ValueError(f"exponent must be finite with p > 1, got {p!r}")
     a, xdec = _psd_spectrum(x, "x")
     ym = require_hermitian(y, "y")
     # a y the memo holds has its least eigenvalue there already
@@ -432,7 +432,7 @@ def threshold_integral(x, p: float):
     tolerance for PSD x; with p = 1 and a unit-trace density this is the
     normalization of the fiber weight.
     """
-    if not p >= 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p!r}")
+    if not 1 <= p < np.inf:  # NaN fails too
+        raise ValueError(f"exponent must be finite with p >= 1, got {p!r}")
     a, xdec = _psd_spectrum(x, "x")
     return _unstack(np.sum(np.where(_above_merge_tol(a, xdec), a, 0.0) ** p, axis=-1))

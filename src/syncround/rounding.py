@@ -28,7 +28,8 @@ through delta and the input correlation alone.  ``round_corners`` is
 that stage as a value: strategies that share a state and an A side,
 such as the B-side perturbations of one strategy, can share one
 ``CornerRounding`` and pay only the per-strategy terms in
-``round_strategy`` and ``verify_dual_distance``.
+``round_strategy``; ``verify_dual_distance`` reads rho from the
+strategy, which a B-side perturbation shares with the strategy it perturbs.
 """
 
 from __future__ import annotations
@@ -109,19 +110,18 @@ class CornerDecomposition:
     after clustering; P_k projects onto eigenvectors with eigenvalue
     >= l_k, and w_k = (l_k - l_{k+1}) rank(P_k) with l_{m+1} = 0.  The
     weights sum to the kept trace: 1 less the eigenvalues dropped as
-    numerical zeros.  ``bases[k]`` is the view of the leading ranks[k]
-    columns of one kept eigenbasis, ordered by descending eigenvalue.
+    numerical zeros.  ``basis`` is the kept eigenbasis, its columns
+    ordered by descending eigenvalue, so that P_k projects onto its
+    leading ranks[k] columns; ``levels`` holds each column's clustered
+    eigenvalue.
     """
 
     values: np.ndarray
     ranks: tuple[int, ...]
     weights: np.ndarray
-    bases: list[np.ndarray] = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+    levels: np.ndarray = field(repr=False)
     dim: int = 0
-
-    def projection(self, k: int) -> np.ndarray:
-        b = self.bases[k]
-        return _hermitian_part(b @ b.conj().T)
 
     @property
     def n_corners(self) -> int:
@@ -151,7 +151,7 @@ def corner_decomposition(rho: DensityOperator) -> CornerDecomposition:
     if abs(total - kept) > IDENTITY_TOL:
         raise ValueError(f"corner weights sum to {total!r}, expected {kept!r}")
     return CornerDecomposition(
-        values, tuple(ranks.tolist()), weights, [basis[:, :r] for r in ranks], dec.dim
+        values, tuple(ranks.tolist()), weights, basis, levels[columns], dec.dim
     )
 
 
@@ -175,7 +175,7 @@ def _kept_eigenbasis_stack(pvms_a, decomp: CornerDecomposition, order) -> np.nda
     Columns run by descending cluster, so corner k is the leading
     ranks[k] x ranks[k] block of every rotated element.
     """
-    basis = decomp.bases[-1]
+    basis = decomp.basis
     return _hermitian_part(basis.conj().T @ _pvm_stack(pvms_a).in_order(order) @ basis)
 
 
@@ -206,9 +206,8 @@ def corner_correlation(pvms_a, decomp: CornerDecomposition, questions=None) -> C
     """
     pvms_a = _pvm_stack(pvms_a)
     order = tuple(questions or pvms_a.questions)
-    levels = np.repeat(decomp.values, np.diff((0,) + decomp.ranks))
     stack = _kept_eigenbasis_stack(pvms_a, decomp, order)
-    data = trace_pairing(stack * np.minimum.outer(levels, levels), stack).real
+    data = trace_pairing(stack * np.minimum.outer(decomp.levels, decomp.levels), stack).real
     return CorrelationTable(order, pvms_a.n_answers, data / float(decomp.weights.sum()))
 
 
@@ -371,7 +370,8 @@ class CornerRounding:
     orthogonalization report per corner and question.  ``state`` and
     ``stack_a`` are the arrays of the strategy it was built for, not
     copies, kept so that ``require_match`` can refuse another
-    strategy's input.
+    strategy's input.  ``rho`` keeps the strategy's weakly held reduced
+    density, shared by its B-side perturbations, alive.
     """
 
     questions: tuple[str, ...]
@@ -470,8 +470,8 @@ class RoundingCertificate:
 @dataclass(eq=False)
 class RoundingResult:
     """The rounded strategy, its certificate, and the corner stage that
-    built it, which ``verify_dual_distance`` and B-side variants of the
-    strategy can reuse."""
+    built it, which B-side variants of the strategy can reuse; it holds
+    the rho that ``verify_dual_distance`` reads through the strategy."""
 
     tracial: TracialStrategy
     certificate: RoundingCertificate
@@ -584,25 +584,20 @@ class DualDistanceReport:
         return self.holds_comm and self.holds_dual
 
 
-def verify_dual_distance(
-    game: SynchronousGame, s: CommutingStrategy, corners: CornerRounding | None = None
-) -> DualDistanceReport:
+def verify_dual_distance(game: SynchronousGame, s: CommutingStrategy) -> DualDistanceReport:
     """Evaluate both intermediate inequalities on a concrete strategy.
 
     Both sums run over the stacked (X, A, d, d) families at once: the
     one stacked eigensolve that validates the dual POVMs also gives
     their square roots, and the squared norms are mu-weighted reductions
-    over the stack.  rho, its square root and the A stack come from
-    ``corners`` when given (checked as in ``round_strategy``); without
-    it they are the strategy's own, with no corner stage.
+    over the stack.  rho, its square root and the A stack are the
+    strategy's own, with no corner stage: ``s.rho`` is computed once
+    while a rounding result of ``s``, or of the strategy it perturbs,
+    holds it.
     """
     delta = synchronicity_deficit(game, s)
-    if corners is None:
-        rho, p = s.rho, s.pvms_a.in_order(game.questions)
-    else:
-        corners.require_match(game, s)
-        rho, p = corners.rho, corners.stack_a
-    sqrt_rho = rho.sqrt
+    p = s.pvms_a.in_order(game.questions)
+    sqrt_rho = s.rho.sqrt
     sqrt_dual = functional_calculus(standard_form_dual(s, game.questions, decompose=True))
     weights = game.mu[:, None, None, None]
     comm_sq = float(np.sum(weights * np.abs(p @ sqrt_rho - sqrt_rho @ p) ** 2))

@@ -240,12 +240,11 @@ def require_povm(family, dim: int, what: str = "POVM", decompose: bool = False):
 class SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    ``eigenvalues`` are ascending, ``eigenvectors`` holds the matching
-    orthonormal columns, and ``clusters`` partitions the indices into
-    groups of eigenvalues equal within ``merge_tol``, ordered so that the
-    cluster representatives are strictly decreasing.  The decomposition
+    ``eigenvalues`` are ascending and ``eigenvectors`` holds the matching
+    orthonormal columns.  Consecutive eigenvalues within ``merge_tol``
+    chain into one cluster, represented by its mean.  The decomposition
     of a stack holds stacked arrays and one ``merge_tol`` per matrix;
-    ``cluster_levels`` takes either, the other cluster methods one matrix.
+    ``cluster_levels`` takes either, ``cluster_values`` one matrix.
     """
 
     eigenvalues: np.ndarray
@@ -255,10 +254,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvectors.shape[-1]
-
-    @property
-    def clusters(self) -> tuple[np.ndarray, ...]:
-        return _cluster_indices(self.eigenvalues, self.merge_tol)
 
     def cluster_values(self) -> np.ndarray:
         """Representative (mean) eigenvalue per cluster, strictly decreasing."""
@@ -308,12 +303,6 @@ def _cluster_starts(values: np.ndarray, tol) -> np.ndarray:
     consecutive eigenvalues within ``tol`` chain into one cluster,
     whatever its span."""
     return np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
-
-
-def _cluster_indices(values: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    # values ascending, clusters reported by decreasing representative
-    groups = np.split(np.arange(values.size), _cluster_starts(values, tol))[1:]
-    return tuple(groups[::-1])
 
 
 def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -101,10 +101,14 @@ class PVMStack(Mapping):
         order = self.questions if questions is None else tuple(questions)
         if order == self.questions:
             return self.stack
-        missing = [q for q in order if q not in self._index]
+        return self.stack[self.positions(order)]
+
+    def positions(self, questions) -> list[int]:
+        """The index of each of ``questions`` in the held order."""
+        missing = [q for q in questions if q not in self._index]
         if missing:
             raise ValueError(f"strategy has no PVMs for questions {missing!r}")
-        return self.stack[[self._index[q] for q in order]]
+        return [self._index[q] for q in questions]
 
 
 def _pvm_stack(pvms, dim: int | None = None, side: str = "PVMs") -> PVMStack:
@@ -158,7 +162,8 @@ class CommutingStrategy:
                 f"state must have shape {(self.dim_a, self.dim_b)}, got {state.shape}"
             )
         norm = float(np.linalg.norm(state))
-        if not abs(norm - 1.0) <= UNIT_TOL:  # NaN fails too
+        # norm^2 is tr rho, which DensityOperator holds to the same tolerance
+        if not abs(norm**2 - 1.0) <= UNIT_TOL:  # NaN fails too
             raise ValueError(f"state is not a unit vector: norm {norm!r}")
         pvms_a = _pvm_stack(self.pvms_a, self.dim_a, "A side")
         pvms_b = _pvm_stack(self.pvms_b, self.dim_b, "B side")
@@ -209,13 +214,21 @@ class TracialBlock:
         object.__setattr__(self, "pvms", pvms)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TracialStrategy:
-    """Weighted direct sum of matrix blocks with per-question PVMs."""
+    """Weighted direct sum of matrix blocks with per-question PVMs.
 
-    blocks: list[TracialBlock]
+    Immutable, with its blocks held as a tuple.  ``table`` is the
+    correlation sum_k w_k tr_k(r^x_a r^y_b), (X, X, A, A) in ``questions``
+    order, built once, one ``trace_pairing`` per block: the synchronicity
+    check reads its x = y blocks and ``tracial_correlation`` returns it.
+    """
+
+    blocks: tuple[TracialBlock, ...]
+    table: CorrelationTable = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise ValueError("tracial strategy needs at least one block")
         total = sum(b.weight for b in self.blocks)
@@ -227,15 +240,21 @@ class TracialStrategy:
                 raise ValueError("all blocks must share the same question set")
             if b.pvms.n_answers != self.n_answers:
                 raise ValueError("all blocks must share the answer count")
+        data = 0.0
+        for b in self.blocks:
+            stack = b.pvms.in_order(self.questions)
+            data = data + b.weight / b.dim * trace_pairing(stack, stack).real
         # a synchronous strategy puts no mass on tau(r^x_a r^x_b), a != b
-        cross = _tracial_table(self.blocks, self.questions, same_question=True)
         off_diagonal = ~np.eye(self.n_answers, dtype=bool)
-        worst = float(np.abs(cross[:, off_diagonal]).max(initial=0.0))
+        cross = np.einsum("xxab->xab", data)[:, off_diagonal]
+        worst = float(np.abs(cross).max(initial=0.0))
         if worst > TABLE_TOL:
             raise ValueError(
                 f"strategy is not synchronous: cross term {worst:.3e} exceeds"
                 f" {TABLE_TOL:.0e}"
             )
+        data.flags.writeable = False
+        object.__setattr__(self, "table", CorrelationTable(self.questions, self.n_answers, data))
 
     @property
     def questions(self) -> tuple[str, ...]:
@@ -267,28 +286,6 @@ class DensityOperator:
     @cached_property
     def sqrt(self) -> np.ndarray:
         return functional_calculus(self.decomposition)
-
-
-def _tracial_table(
-    blocks: list[TracialBlock], order, same_question: bool = False
-) -> np.ndarray:
-    """sum_k w_k tr_k(r^x_a r^y_b) over the blocks, shape (X, Y, A, A).
-
-    With ``same_question`` only the x = y blocks, shape (X, A, A): each
-    question is paired with itself alone, X A^2 traces instead of
-    X^2 A^2.
-    """
-    data = 0.0
-    for blk in blocks:
-        stack = blk.pvms.in_order(order)
-        if same_question:
-            nx, na, d, _ = stack.shape
-            flat = stack.reshape(nx, na, d * d)
-            pair = flat @ stack.swapaxes(-1, -2).reshape(nx, na, d * d).swapaxes(-1, -2)
-        else:
-            pair = trace_pairing(stack, stack)
-        data = data + blk.weight / blk.dim * pair.real
-    return data
 
 
 def _b_conditional_operators(state: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
@@ -365,9 +362,13 @@ def synchronicity_deficit(game: SynchronousGame, s: CommutingStrategy) -> float:
 
 
 def tracial_correlation(t: TracialStrategy, questions=None) -> CorrelationTable:
-    """Correlation sum_k w_k tr_k(r^x_a r^y_b) of a tracial strategy."""
+    """Correlation sum_k w_k tr_k(r^x_a r^y_b) of a tracial strategy: its
+    ``table``, reindexed when ``questions`` gives another order."""
     order = tuple(questions or t.questions)
-    return CorrelationTable(order, t.n_answers, _tracial_table(t.blocks, order))
+    if order == t.questions:
+        return t.table
+    index = t.blocks[0].pvms.positions(order)
+    return CorrelationTable(order, t.n_answers, t.table.data[np.ix_(index, index)])
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +415,12 @@ def perturb_b_side(s: CommutingStrategy, eta: float, seed: int) -> CommutingStra
     for x, family in enumerate(s.pvms_b.stack):
         stack[x] = u @ family @ u.conj().T
     pvms_b = PVMStack(s.pvms_b.questions, stack, "B side")
-    # the state and the A side are read-only, so the result shares them
-    return CommutingStrategy(s.dim_a, s.dim_b, s.state, s.pvms_a, pvms_b)
+    # the state and the A side are read-only, so the result shares them,
+    # and with the state the reduced density that ``s`` holds
+    t = CommutingStrategy(s.dim_a, s.dim_b, s.state, s.pvms_a, pvms_b)
+    if "_rho" in s.__dict__:
+        t.__dict__["_rho"] = s.__dict__["_rho"]
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +589,15 @@ def _pairs_to_matrix(rows, what: str) -> np.ndarray:
     return pairs[..., 0] + 1j * pairs[..., 1]
 
 
+def _json_field(raw, kind, what: str):
+    """``raw`` if it is a JSON integer (``kind`` int) or number (``kind``
+    (int, float)), not a bool, else a TypeError naming ``what``."""
+    if isinstance(raw, bool) or not isinstance(raw, kind):
+        noun = "integer" if kind is int else "number"
+        raise TypeError(f"{what} must be a JSON {noun}, got {raw!r}")
+    return raw
+
+
 def dump_commuting_strategy(s: CommutingStrategy) -> str:
     doc = {
         "dimA": s.dim_a,
@@ -598,7 +612,7 @@ def dump_commuting_strategy(s: CommutingStrategy) -> str:
 def load_commuting_strategy(text: str) -> CommutingStrategy:
     try:
         doc = json.loads(text)
-        dim_a, dim_b = int(doc["dimA"]), int(doc["dimB"])
+        dim_a, dim_b = (_json_field(doc[key], int, key) for key in ("dimA", "dimB"))
         state = _pairs_to_matrix(doc["xi"], "xi")
         pvms_a = _pairs_to_families(doc["pvmsA"], "pvmsA")
         pvms_b = _pairs_to_families(doc["pvmsB"], "pvmsB")
@@ -620,11 +634,11 @@ def load_tracial_strategy(text: str) -> TracialStrategy:
         doc = json.loads(text)
         blocks = [
             TracialBlock(
-                float(raw["w"]),
-                int(raw["dim"]),
+                float(_json_field(raw["w"], (int, float), f"block {k} w")),
+                _json_field(raw["dim"], int, f"block {k} dim"),
                 _pairs_to_families(raw["pvms"], "block pvms"),
             )
-            for raw in doc["blocks"]
+            for k, raw in enumerate(doc["blocks"])
         ]
     except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed tracial strategy document: {exc}") from exc

@@ -160,8 +160,8 @@ def corner_table_loop(pvms_a, decomp, questions):
     na = len(pvms_a[questions[0]])
     gaps = decomp.values - np.append(decomp.values[1:], 0.0)
     data = np.zeros((len(questions), len(questions), na, na))
-    for k in range(decomp.n_corners):
-        basis = decomp.bases[k]
+    for k, r in enumerate(decomp.ranks):
+        basis = decomp.basis[:, :r]
         comp = {
             q: [basis.conj().T @ p @ basis for p in pvms_a[q]] for q in questions
         }
@@ -175,12 +175,28 @@ def corner_table_loop(pvms_a, decomp, questions):
     return data
 
 
+def tracial_table_loop(t, questions):
+    """sum_k w_k tr_k(r^x_a r^y_b) of a tracial strategy, one block and one
+    entry at a time."""
+    na = t.n_answers
+    data = np.zeros((len(questions), len(questions), na, na))
+    for blk in t.blocks:
+        for xi, x in enumerate(questions):
+            for yi, y in enumerate(questions):
+                for a in range(na):
+                    for b in range(na):
+                        data[xi, yi, a, b] += blk.weight / blk.dim * float(
+                            np.trace(blk.pvms[x][a] @ blk.pvms[y][b]).real
+                        )
+    return data
+
+
 def _cluster_projections(matrix):
     """Clustered PSD spectrum: values (descending), projections, decomposition."""
     dec = eigh(matrix)
     values = np.clip(dec.cluster_values(), 0.0, None)
     projections = []
-    for cluster in dec.clusters:
+    for cluster in cluster_indices_loop(dec.eigenvalues, dec.merge_tol):
         v = dec.eigenvectors[:, list(cluster)]
         projections.append(v @ v.conj().T)
     return values, projections, dec

@@ -190,6 +190,32 @@ class TestRound:
         assert "'v1'" in err and fault in err
 
 
+    @pytest.mark.parametrize(
+        "key, value, code, message",
+        [
+            ("dimA", 3.9, 2, "dimA must be a JSON integer, got 3.9"),
+            ("dimB", "x", 2, "dimB must be a JSON integer, got 'x'"),
+            # ||xi|| - 1 = 9e-11 puts tr rho 1.8e-10 from 1
+            ("xi", 1 + 9e-11, 2, "state is not a unit vector"),
+            ("xi", 1 + 4.5e-11, 0, "bounds hold"),
+        ],
+        ids=["dim-fraction", "dim-string", "mass-outside", "mass-inside"],
+    )
+    def test_strategy_file_fields(
+        self, capsys, tmp_path, k2_game_file, k2_strategy_file, key, value, code, message
+    ):
+        doc = json.loads(open(k2_strategy_file).read())
+        doc[key] = (np.array(doc["xi"]) * value).tolist() if key == "xi" else value
+        spath = tmp_path / "edited.json"
+        spath.write_text(json.dumps(doc), encoding="utf-8")
+        exit_code, _, err = run_cli(
+            capsys,
+            ["round", "--game", k2_game_file, "--strategy", str(spath),
+             "--out", str(tmp_path / "out.json")],
+        )
+        assert exit_code == code and message in err
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "suite", ["connes", "measure", "commutator", "duality", "rounding"]

@@ -263,6 +263,11 @@ class TestLpDuality:
         with pytest.raises(ValueError, match="exponent"):
             lp_duality_check(np.eye(2), np.eye(2), 1.0)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_non_finite_exponent_rejected(self, p):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            lp_duality_check(np.eye(2), np.eye(2), p)
+
 
 class TestFiberWeightNormalization:
     def test_unit_trace_density_normalizes(self):
@@ -274,6 +279,11 @@ class TestFiberWeightNormalization:
         rng = rng_for(112, 0)
         x = random_psd(rng, 5)
         assert_close(threshold_integral(x, 2.0), np.trace(x @ x).real, 1e-10)
+
+    @pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
+    def test_invalid_exponent_rejected(self, p):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            threshold_integral(np.eye(2), p)
 
 
 def psd_stack(seed, count=5, dim=4):

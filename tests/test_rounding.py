@@ -35,8 +35,14 @@ from syncround.spectral import eigh
 from syncround.strategies import CommutingStrategy, DensityOperator
 from syncround import reduced_density
 
-from conftest import assert_close, diagonal_game_doc, random_commuting_strategy
+from conftest import assert_close, diagonal_game_doc, fresh_copy, random_commuting_strategy
 from oracles import corner_table_loop, corner_table_quadrature, orthogonalize_povm_loop
+
+
+def corner_projection(decomp, k):
+    """P_k, the projection onto the leading ranks[k] kept eigenvectors."""
+    b = decomp.basis[:, : decomp.ranks[k]]
+    return b @ b.conj().T
 
 
 def density_from_diag(values):
@@ -69,28 +75,28 @@ class TestCornerDecomposition:
         decomp = corner_decomposition(density_from_diag([0.25] * 4))
         assert decomp.n_corners == 1
         assert_close(decomp.weights, [1.0], 1e-12)
-        assert_close(decomp.projection(0), np.eye(4), 1e-12)
+        assert_close(corner_projection(decomp, 0), np.eye(4), 1e-12)
 
     def test_two_level_example(self):
         decomp = corner_decomposition(density_from_diag([0.7, 0.3]))
         assert_close(decomp.values, [0.7, 0.3], 1e-12)
         assert decomp.ranks == (1, 2)
         assert_close(decomp.weights, [0.4, 0.6], 1e-12)
-        assert_close(decomp.projection(0), np.diag([1.0, 0.0]), 1e-12)
-        assert_close(decomp.projection(1), np.eye(2), 1e-12)
+        assert_close(corner_projection(decomp, 0), np.diag([1.0, 0.0]), 1e-12)
+        assert_close(corner_projection(decomp, 1), np.eye(2), 1e-12)
 
     def test_degenerate_spectrum_excludes_kernel(self):
         decomp = corner_decomposition(density_from_diag([0.5, 0.5, 0.0]))
         assert decomp.n_corners == 1
         assert_close(decomp.weights, [1.0], 1e-12)
-        assert_close(decomp.projection(0), np.diag([1.0, 1.0, 0.0]), 1e-12)
+        assert_close(corner_projection(decomp, 0), np.diag([1.0, 1.0, 0.0]), 1e-12)
 
     def test_projections_nested(self):
         rng = rng_for(121, 0)
         rho_m = random_psd(rng, 5, norm="trace")
         decomp = corner_decomposition(DensityOperator(rho_m, eigh(rho_m)))
         for k in range(decomp.n_corners - 1):
-            p, q = decomp.projection(k), decomp.projection(k + 1)
+            p, q = corner_projection(decomp, k), corner_projection(decomp, k + 1)
             # range(P_k) inside range(P_{k+1})
             assert np.linalg.norm(q @ p - p) <= 1e-9
         assert_close(decomp.weights.sum(), 1.0, 1e-9)
@@ -105,7 +111,7 @@ class TestCornerDecomposition:
             z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
             z = (z + z.conj().T) / 2
             lhs = sum(
-                float(gaps[k]) * float(np.trace(decomp.projection(k) @ z).real)
+                float(gaps[k]) * float(np.trace(corner_projection(decomp, k) @ z).real)
                 for k in range(decomp.n_corners)
             )
             assert abs(lhs - float(np.trace(rho_m @ z).real)) <= 1e-9
@@ -201,8 +207,11 @@ class TestCornerCorrelation:
         pvms = {q: random_pvm(rng, dim, na) for q in questions}
         table = corner_correlation(pvms, decomp, questions)
         assert_close(table.data, corner_table_loop(pvms, decomp, questions), 1e-10)
+        levels = np.repeat(decomp.values, np.diff((0,) + decomp.ranks))
+        assert np.array_equal(decomp.levels, levels)
         stack = corner_compressions(pvms, decomp)
-        for basis, r in zip(decomp.bases, decomp.ranks):
+        for r in decomp.ranks:
+            basis = decomp.basis[:, :r]
             for q, compressed in zip(questions, stack[:, :, :r, :r]):
                 for p, c in zip(pvms[q], compressed):
                     assert_close(c, basis.conj().T @ p @ basis, 1e-12)
@@ -721,7 +730,8 @@ def _certificate_fields(result):
 
 class TestRoundCorners:
     """A shared corner stage gives the same numbers as building it per
-    strategy, and refuses a strategy it was not built for."""
+    strategy, and refuses a strategy it was not built for; the dual
+    report of a strategy that shares the held rho is that of a fresh copy."""
 
     def test_perturbations_share_corners(self, k2_game, k2_strategy):
         corners = round_corners(k2_game, k2_strategy)
@@ -731,8 +741,9 @@ class TestRoundCorners:
             fresh = round_strategy(k2_game, s)
             assert _certificate_fields(shared) == _certificate_fields(fresh)
             assert shared.tracial is corners.tracial
-            assert asdict(verify_dual_distance(k2_game, s, corners)) == asdict(
-                verify_dual_distance(k2_game, s)
+            assert s.rho is corners.rho
+            assert asdict(verify_dual_distance(k2_game, s)) == asdict(
+                verify_dual_distance(k2_game, fresh_copy(s))
             )
 
     def test_multicorner_state_shares_corners(self):
@@ -747,8 +758,9 @@ class TestRoundCorners:
             assert _certificate_fields(round_strategy(game, t, corners)) == (
                 _certificate_fields(round_strategy(game, t))
             )
-            assert asdict(verify_dual_distance(game, t, corners)) == asdict(
-                verify_dual_distance(game, t)
+            assert t.rho is corners.rho
+            assert asdict(verify_dual_distance(game, t)) == asdict(
+                verify_dual_distance(game, fresh_copy(t))
             )
 
     def _mismatches(self, k2_game, k2_strategy):
@@ -789,10 +801,14 @@ class TestRoundCorners:
         for game, s, what in self._mismatches(k2_game, k2_strategy):
             with pytest.raises(ValueError, match=what):
                 round_strategy(game, s, corners)
-            with pytest.raises(ValueError, match=what):
-                verify_dual_distance(game, s, corners)
             # the same input with its own corners is accepted
             round_strategy(game, s, round_corners(game, s))
+            # the dual report reads the strategy's own rho and A side, not
+            # those of the held corners
+            assert (s.rho is corners.rho) == (s is k2_strategy)
+            assert asdict(verify_dual_distance(game, s)) == asdict(
+                verify_dual_distance(game, fresh_copy(s))
+            )
 
     def test_dual_distance_runs_no_greedy(self, k2_game, k2_strategy, monkeypatch):
         def refuse(*args, **kwargs):

@@ -12,7 +12,7 @@ from syncround import spectral
 from syncround.sampling import random_hermitian, random_psd, random_pvm, rng_for
 from syncround.spectral import (
     HERMITIAN_TOL,
-    _cluster_indices,
+    _cluster_starts,
     _fix_phases,
     _hermitian_part,
     eigh,
@@ -30,12 +30,12 @@ class TestEigh:
     def test_identity_single_cluster(self):
         dec = eigh(np.eye(3))
         assert_close(dec.eigenvalues, [1.0, 1.0, 1.0], 1e-14)
-        assert len(dec.clusters) == 1
+        assert len(dec.cluster_values()) == 1
 
     def test_diagonal_ascending(self):
         dec = eigh(np.diag([3.0, 1.0, 2.0]))
         assert_close(dec.eigenvalues, [1.0, 2.0, 3.0], 1e-14)
-        assert len(dec.clusters) == 3
+        assert len(dec.cluster_values()) == 3
         assert_close(dec.cluster_values(), [3.0, 2.0, 1.0], 1e-14)
 
     def test_random_reconstruction(self):
@@ -185,8 +185,9 @@ class TestClustering:
     @given(values=clustered_spectra())
     @example(values=np.arange(12) * 0.1 * TOL)  # one cluster spanning 1.1 tol
     def test_split_matches_loop(self, values):
-        clusters = _cluster_indices(values, TOL)
-        assert [tuple(c.tolist()) for c in clusters] == list(
+        # ascending groups, listed by decreasing representative as the loop does
+        clusters = np.split(np.arange(values.size), _cluster_starts(values, TOL))[1:]
+        assert [tuple(c.tolist()) for c in clusters[::-1]] == list(
             cluster_indices_loop(values, TOL)
         )
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -36,10 +37,15 @@ from syncround import (
 )
 from syncround.sampling import random_pvm, random_unitary, rng_for
 from syncround.spectral import PSD_CLAMP, functional_calculus
-from syncround.strategies import _payoff_operator, _tracial_table
+from syncround.strategies import _payoff_operator
 
-from conftest import assert_close, diagonal_game_doc, random_commuting_strategy
-from oracles import payoff_operator_kron, seesaw_value_loop, standard_form_dual_pinv
+from conftest import assert_close, diagonal_game_doc, fresh_copy, random_commuting_strategy
+from oracles import (
+    payoff_operator_kron,
+    seesaw_value_loop,
+    standard_form_dual_pinv,
+    tracial_table_loop,
+)
 
 CYCLE5_EDGES = [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)]
 K4_EDGES = [(f"v{i}", f"v{j}") for i in range(4) for j in range(i + 1, 4)]
@@ -361,15 +367,51 @@ class TestTracialStrategy:
 
     def test_same_question_table_is_the_diagonal(self):
         rng = rng_for(54, 0)
-        blocks = [
-            TracialBlock(0.3, 3, {q: random_pvm(rng, 3, 4) for q in "xyz"}),
-            TracialBlock(0.7, 5, {q: random_pvm(rng, 5, 4) for q in "xyz"}),
-        ]
-        same = np.arange(3)
-        full = _tracial_table(blocks, "zxy")
-        diagonal = _tracial_table(blocks, "zxy", same_question=True)
-        assert diagonal.shape == (3, 4, 4)
-        assert_close(diagonal, full[same, same], 1e-15)
+        t = TracialStrategy(
+            [
+                TracialBlock(0.3, 3, {q: random_pvm(rng, 3, 4) for q in "xyz"}),
+                TracialBlock(0.7, 5, {q: random_pvm(rng, 5, 4) for q in "xyz"}),
+            ]
+        )
+        # "zxy" is the held order "xyz" permuted by [2, 0, 1]
+        order, same = [2, 0, 1], np.arange(3)
+        permuted = tracial_correlation(t, "zxy")
+        assert permuted.questions == ("z", "x", "y")
+        assert np.array_equal(permuted.data[same, same], t.table.data[order, order])
+        assert np.array_equal(permuted.data, t.table.data[np.ix_(order, order)])
+
+    def test_table_matches_per_entry_loop(self):
+        # dims 1-5, more answers than most dims, unequal weights, and the
+        # first three blocks with equal w / d
+        rng = rng_for(55, 0)
+        weights, dims = [0.1, 0.2, 0.3, 0.15, 0.25], [1, 2, 3, 4, 5]
+        t = TracialStrategy(
+            [
+                TracialBlock(w, d, {q: random_pvm(rng, d, 4) for q in "xyz"})
+                for w, d in zip(weights, dims)
+            ]
+        )
+        assert t.questions == ("x", "y", "z")
+        assert_close(t.table.data, tracial_table_loop(t, t.questions), 1e-14)
+        assert tracial_correlation(t) is t.table
+        for order in ("zxy", "yzx", ("z", "y")):
+            table = tracial_correlation(t, order)
+            assert_close(table.data, tracial_table_loop(t, tuple(order)), 1e-14)
+
+    def test_strategy_is_frozen(self):
+        t = TracialStrategy([TracialBlock(1.0, 2, {"q": [np.eye(2), np.zeros((2, 2))]})])
+        assert isinstance(t.blocks, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.blocks = ()
+        with pytest.raises(ValueError, match="read-only"):
+            t.table.data[0, 0, 0, 0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tracial_correlation(t).data = np.zeros_like(t.table.data)
+
+    def test_unknown_question_rejected(self):
+        t = TracialStrategy([TracialBlock(1.0, 2, {"q": [np.eye(2), np.zeros((2, 2))]})])
+        with pytest.raises(ValueError, match=r"strategy has no PVMs for questions \['w'\]"):
+            tracial_correlation(t, ["q", "w"])
 
     def test_weights_must_sum_to_one(self):
         pvm = [np.eye(2)]
@@ -494,6 +536,17 @@ class TestReadOnlyStacks:
         assert t.pvms_a is k2_strategy.pvms_a
         round_corners(k2_game, k2_strategy).require_match(k2_game, t)
 
+    def test_perturbation_shares_held_rho(self, k2_game):
+        s = random_commuting_strategy(rng_for(72, 0), k2_game.questions, 3, 3, 4)
+        rho = s.rho
+        t = perturb_b_side(s, 0.05, 4)
+        assert t.rho is rho
+        fresh = fresh_copy(t)
+        assert fresh.rho is not rho
+        assert json.dumps(dataclasses.asdict(verify_dual_distance(k2_game, t))) == (
+            json.dumps(dataclasses.asdict(verify_dual_distance(k2_game, fresh)))
+        )
+
     def test_reduced_density_once_per_strategy(self, k2_game, monkeypatch):
         calls = []
         original = syncround.strategies.reduced_density
@@ -537,6 +590,19 @@ class TestReadOnlyStacks:
         with pytest.raises(ValueError, match="block weight|sum to 1"):
             TracialStrategy([TracialBlock(weight, 2, pvm)])
 
+    @pytest.mark.parametrize("norm_excess, accepted", [(4.5e-11, True), (9e-11, False)])
+    def test_unit_mass_is_the_density_check(self, k2_game, k2_strategy, norm_excess, accepted):
+        # ||xi||^2 = tr rho: 1 + 9e-11 is accepted, 1 + 1.8e-10 is not
+        state = k2_strategy.state * (1.0 + norm_excess)
+        sides = k2_strategy.pvms_a, k2_strategy.pvms_b
+        if not accepted:
+            with pytest.raises(ValueError, match="unit vector"):
+                CommutingStrategy(3, 3, state, *sides)
+            return
+        s = perturb_b_side(CommutingStrategy(3, 3, state, *sides), 0.05, 1)
+        assert round_strategy(k2_game, s).certificate.holds
+        assert verify_dual_distance(k2_game, s).holds
+
     def test_nan_state_rejected(self, k2_strategy):
         state = np.array(k2_strategy.state)
         state[1, 2] = np.nan
@@ -569,6 +635,34 @@ class TestSerialization:
         assert_close(
             tracial_correlation(again).data, tracial_correlation(t).data, 1e-15
         )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dimA", 3.9), ("dimB", 3.0), ("dimA", "x"), ("dimB", True)],
+        ids=["fraction", "float", "string", "bool"],
+    )
+    def test_dimensions_must_be_json_integers(self, k2_strategy, key, value):
+        doc = json.loads(dump_commuting_strategy(k2_strategy))
+        doc[key] = value
+        message = f"malformed strategy document: {key} must be a JSON integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_commuting_strategy(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("dim", 3.7, "integer"), ("dim", True, "integer"), ("w", True, "number"),
+         ("w", "1.0", "number")],
+        ids=["dim-fraction", "dim-bool", "w-bool", "w-string"],
+    )
+    def test_block_fields_must_be_json_numbers(self, key, value, kind):
+        pvm = {"q": [np.eye(3), np.zeros((3, 3))]}
+        doc = json.loads(dump_tracial_strategy(TracialStrategy([TracialBlock(1.0, 3, pvm)])))
+        doc["blocks"][0][key] = value
+        message = f"block 0 {key} must be a JSON {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_tracial_strategy(json.dumps(doc))
+        doc["blocks"][0][key] = 1 if key == "w" else 3
+        assert load_tracial_strategy(json.dumps(doc)).blocks[0].weight == 1.0
 
     def test_malformed_strategy_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
