@@ -1,0 +1,143 @@
+"""Print one SHA-256 per seeded output of the checkout, minus timings and paths.
+
+Each line is ``<case> <output> <sha256>``, over three families of cases:
+
+- ``verify <suite> seed=<s>``: the ``syncround verify`` report of every
+  suite at its README size (``--dims 8``), seeds 1 and 7;
+- ``round <game> seed=<s>``: ``optimize --dims 12 --iters 5`` then
+  ``round`` on the 3-colouring games of C5, C7 and K4 (diagonal mass
+  1/2), seeds 0-2: both reports, the strategy file and the tracial file;
+- ``multicorner C7-L24#<i>``: ``round_strategy`` and
+  ``verify_dual_distance`` on the benchmark's multi-corner instances 0-2:
+  the certificate, the dual report and the tracial strategy's arrays.
+
+Reports lose their ``timings`` and the flags that name a file, so equal
+lines mean byte-identical outputs.  The instances and the README sizes
+come from ``perfbench/workloads.py`` of the same checkout.  To compare
+two checkouts, run the script in each and diff the lines:
+
+    python3 bench/outputs.py > change.txt
+    (cd ../parent && python3 bench/outputs.py) > parent.txt
+    diff parent.txt change.txt
+
+``--n N`` runs every verify suite at N instances instead of its README size.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# the checkout's own source and benchmark inputs, ahead of anything installed
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import syncround as sr
+import syncround.cli
+import workloads
+
+VERIFY_SEEDS = (1, 7)
+ROUND_GAMES = ("C5", "C7", "K4")
+ROUND_SEEDS = (0, 1, 2)
+MULTICORNER = (7, 24, range(3))  # C7, 24 corners, instances 0-2
+PATH_FLAGS = ("game", "strategy", "out")
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def tracial_digest(t) -> str:
+    """The digest of a tracial strategy's weights, dimensions and PVM
+    stacks: equal exactly when its dumps are, without writing the 20 MB
+    dump of a 24-corner strategy at d = 48."""
+    h = hashlib.sha256()
+    for block in t.blocks:
+        h.update(f"{block.weight!r} {block.dim} {block.pvms.questions!r}".encode())
+        h.update(block.pvms.stack.tobytes())
+    return h.hexdigest()
+
+
+def report_text(stdout: str) -> str:
+    """A report without its timings and its file-path flags."""
+    report = json.loads(stdout)
+    del report["timings"]
+    report["flags"] = {k: v for k, v in report["flags"].items() if k not in PATH_FLAGS}
+    return json.dumps(report)
+
+
+def cli(argv: list[str]) -> str:
+    code, stdout = workloads.run_cli(sr, argv)
+    if code == 2:
+        raise SystemExit(f"syncround {' '.join(argv)} exited 2")
+    return stdout
+
+
+def verify_lines(n: int | None) -> list[str]:
+    lines = []
+    for suite, size in workloads.VERIFY_SUITES:
+        for seed in VERIFY_SEEDS:
+            argv = ["verify", "--suite", suite, "--n", str(n or size), "--dims", "8",
+                    "--seed", str(seed)]
+            lines.append(f"verify {suite} seed={seed} report {digest(report_text(cli(argv)))}")
+    return lines
+
+
+def round_lines(workdir: Path) -> list[str]:
+    game_path, strategy_path, tracial_path = (
+        str(workdir / name) for name in ("game.json", "strategy.json", "tracial.json")
+    )
+    lines = []
+    for name in ROUND_GAMES:
+        game = sr.graph_coloring_game(workloads.GAMES[name], 3, "1/2")
+        Path(game_path).write_text(sr.save_game(game), encoding="utf-8")
+        for seed in ROUND_SEEDS:
+            optimized = cli(["optimize", "--game", game_path, "--dims", "12", "--iters", "5",
+                             "--seed", str(seed), "--out", strategy_path])
+            rounded = cli(["round", "--game", game_path, "--strategy", strategy_path,
+                           "--out", tracial_path])
+            outputs = {
+                "optimize": report_text(optimized),
+                "strategy": Path(strategy_path).read_text(encoding="utf-8"),
+                "round": report_text(rounded),
+                "tracial": Path(tracial_path).read_text(encoding="utf-8"),
+            }
+            lines += [f"round {name} seed={seed} {key} {digest(text)}"
+                      for key, text in outputs.items()]
+    return lines
+
+
+def multicorner_lines() -> list[str]:
+    n_cycle, levels, indices = MULTICORNER
+    lines = []
+    for index in indices:
+        game, strategy = workloads.multicorner_instance(sr, n_cycle, levels, index)
+        result = sr.round_strategy(game, strategy)
+        outputs = {
+            "certificate": digest(json.dumps(asdict(result.certificate))),
+            "dual": digest(json.dumps(asdict(sr.verify_dual_distance(game, strategy)))),
+            "tracial": tracial_digest(result.tracial),
+        }
+        lines += [f"multicorner C{n_cycle}-L{levels}#{index} {key} {value}"
+                  for key, value in outputs.items()]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, default=None,
+                        help="instances per verify suite (default: its README size)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = verify_lines(args.n) + round_lines(Path(tmp)) + multicorner_lines()
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,8 +16,9 @@ Wishart and Haar transforms of ``sampling`` turn the group's draws into
 its instances, bitwise those of the per-instance generators, and the
 certificates cost one eigensolve per side.  The rounding suite's
 instances perturb only the B side of one strategy, so each of its groups
-builds the state and A-side corner stage once (``round_corners``) and
-rounds every instance against it, sharing the rho it holds.
+holds that strategy's corner stage (``round_corners``) while it rounds
+every instance: each perturbation finds the stage, and the rho it holds,
+in the holder it shares with the base strategy.
 The sweep's thread pool maps over these batches.  It has one thread per CPU
 the process may run on (its affinity mask), at most 8;
 SYNCROUND_THREADS overrides that.
@@ -220,13 +221,14 @@ def _rounding_batch(key, indices, perturb_seeds) -> list[dict]:
     game = graph_coloring_game([("v0", "v1")], 3, "1/2")
     base = cyclic_coloring_strategy(game.questions, 3)
     # every instance perturbs only the B side, so one corner stage, and
-    # the reduced density it holds, serves the group
+    # the reduced density it holds, serves the group: held here, each
+    # round_strategy finds it in the holder the perturbation shares
     corners = round_corners(game, base)
     rows = []
     for index, seed in zip(indices.tolist(), perturb_seeds.tolist()):
         eta = ROUNDING_ETAS[index % len(ROUNDING_ETAS)]
         perturbed = perturb_b_side(base, eta, seed)
-        result = round_strategy(game, perturbed, corners)
+        result = round_strategy(game, perturbed)
         dual = verify_dual_distance(game, perturbed)
         cert = result.certificate
         rows.append({

@@ -242,6 +242,11 @@ def _labelled(index: dict, *labels) -> bool:
     return all(isinstance(label, str) and label in index for label in labels)
 
 
+def _is_bit(raw) -> bool:
+    """Whether ``raw`` is the JSON integer 0 or 1 (``True in (0, 1)`` holds)."""
+    return type(raw) is int and raw in (0, 1)
+
+
 def load_game(text: str) -> SynchronousGame:
     """Parse and validate a game document (JSON text).
 
@@ -309,8 +314,10 @@ def load_game(text: str) -> SynchronousGame:
     if not isinstance(pred_doc, dict) or "default" not in pred_doc:
         raise GameFormatError("predicate must be an object with a 'default' field")
     default = pred_doc["default"]
-    if default not in (0, 1):
-        raise GameFormatError(f"predicate default must be 0 or 1, got {default!r}")
+    if not _is_bit(default):
+        raise GameFormatError(
+            f"predicate default must be the JSON integer 0 or 1, got {default!r}"
+        )
     predicate = np.full((nq, nq, na, na), bool(default))
     explicit = np.zeros((nq, nq, na, na), dtype=bool)
     for entry in _array(pred_doc.get("entries", []), "predicate entries"):
@@ -326,8 +333,10 @@ def load_game(text: str) -> SynchronousGame:
             raise GameFormatError(
                 f"predicate entry references unknown answer ({a!r}, {b!r})"
             )
-        if v not in (0, 1):
-            raise GameFormatError(f"predicate value must be 0 or 1 in entry {entry!r}")
+        if not _is_bit(v):
+            raise GameFormatError(
+                f"predicate value must be the JSON integer 0 or 1 in entry {entry!r}"
+            )
         i, j, k, l = q_index[x], q_index[y], a_index[a], a_index[b]
         for pos in ((i, j, k, l), (j, i, l, k)):
             if explicit[pos] and predicate[pos] != bool(v):

@@ -25,11 +25,11 @@ The certified constants are implementation commitments:
 The corner stage uses only the state and the A-side PVMs (Connes'
 distribution lemma applied to rho^(1/2) p rho^(1/2)); the B side enters
 through delta and the input correlation alone.  ``round_corners`` is
-that stage as a value: strategies that share a state and an A side,
-such as the B-side perturbations of one strategy, can share one
-``CornerRounding`` and pay only the per-strategy terms in
-``round_strategy``; ``verify_dual_distance`` reads rho from the
-strategy, which a B-side perturbation shares with the strategy it perturbs.
+that stage as a value, held weakly by the strategy like its rho, one
+entry per question order.  A ``perturb_b_side`` variant shares the
+holder, so while one rounding result (or a caller) holds the stage,
+every B-side variant's ``round_strategy`` pays only the per-strategy
+terms, and ``verify_dual_distance`` reads the same rho.
 """
 
 from __future__ import annotations
@@ -363,20 +363,15 @@ class CornerRounding:
     """The half of a rounding run that depends only on the state, the
     A-side PVMs and the question order.
 
-    ``stack_a`` holds the A-side families in ``questions`` order, ``rho``
-    the reduced density (with its cached square root), and the rest the
-    corner stage built from them: the symmetrized and corner tables, the
-    orthogonalized tracial strategy with its table, and one
-    orthogonalization report per corner and question.  ``state`` and
-    ``stack_a`` are the arrays of the strategy it was built for, not
-    copies, kept so that ``require_match`` can refuse another
-    strategy's input.  ``rho`` keeps the strategy's weakly held reduced
-    density, shared by its B-side perturbations, alive.
+    ``rho`` is the reduced density (with its cached square root), and the
+    rest the corner stage built from it and the A side: the symmetrized
+    and corner tables, the orthogonalized tracial strategy with its
+    table, and one orthogonalization report per corner and question.
+    The strategy holds both this stage and ``rho`` weakly, so holding the
+    stage keeps ``rho`` alive too.
     """
 
     questions: tuple[str, ...]
-    state: np.ndarray = field(repr=False)
-    stack_a: np.ndarray = field(repr=False)
     rho: DensityOperator = field(repr=False)
     decomposition: CornerDecomposition
     symmetrized: CorrelationTable = field(repr=False)
@@ -385,26 +380,16 @@ class CornerRounding:
     tracial_table: CorrelationTable = field(repr=False)
     reports: list[OrthogonalizationReport] = field(repr=False)
 
-    def require_match(self, game: SynchronousGame, s: CommutingStrategy) -> None:
-        """Raise unless ``s`` has this state and A side in ``game``'s
-        question order (exact equality: a check on the caller's input)."""
-        questions = tuple(game.questions)
-        if questions != self.questions:
-            raise ValueError(
-                f"corners were built for question order {self.questions!r},"
-                f" not {questions!r}"
-            )
-        if not np.array_equal(s.state, self.state):
-            raise ValueError("corners were built for another state")
-        if not np.array_equal(s.pvms_a.in_order(questions), self.stack_a):
-            raise ValueError("corners were built for another A side")
-
 
 def round_corners(game: SynchronousGame, s: CommutingStrategy) -> CornerRounding:
     """The corner stage of ``round_strategy`` for ``s`` in ``game``'s
-    question order, to be shared by strategies with the same state and
-    A side."""
+    question order, held weakly by ``s`` under ("corners", questions) like
+    its rho, and so shared with every ``perturb_b_side`` variant of ``s``."""
     questions = tuple(game.questions)
+    return s._shared(("corners", questions), lambda: _build_corners(questions, s))
+
+
+def _build_corners(questions: tuple[str, ...], s: CommutingStrategy) -> CornerRounding:
     rho = s.rho
     symmetrized = symmetrized_correlation(s.pvms_a, rho, questions)
     decomp = corner_decomposition(rho)
@@ -422,8 +407,8 @@ def round_corners(game: SynchronousGame, s: CommutingStrategy) -> CornerRounding
     ]
     tracial = TracialStrategy(blocks)
     return CornerRounding(
-        questions, s.state, s.pvms_a.in_order(questions), rho, decomp, symmetrized,
-        corner, tracial, tracial_correlation(tracial, questions), reports,
+        questions, rho, decomp, symmetrized, corner, tracial,
+        tracial_correlation(tracial, questions), reports,
     )
 
 
@@ -470,25 +455,21 @@ class RoundingCertificate:
 @dataclass(eq=False)
 class RoundingResult:
     """The rounded strategy, its certificate, and the corner stage that
-    built it, which B-side variants of the strategy can reuse; it holds
-    the rho that ``verify_dual_distance`` reads through the strategy."""
+    built it.  Holding the result keeps the strategy's weakly held stage
+    and rho alive, for B-side variants and ``verify_dual_distance``."""
 
     tracial: TracialStrategy
     certificate: RoundingCertificate
     corners: CornerRounding = field(repr=False)
 
 
-def round_strategy(
-    game: SynchronousGame, s: CommutingStrategy, corners: CornerRounding | None = None
-) -> RoundingResult:
+def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResult:
     """Round a commuting strategy into a tracial strategy with certificate.
 
     Requires alpha_of(game) > 0 (otherwise the value bound is vacuous
     and the run is rejected).  The corner stage uses only the A-side
-    PVMs and the reduced density; ``corners`` is that stage built by
-    ``round_corners`` for the same state, A side and question order
-    (checked; a mismatch raises ``ValueError``), and without it the
-    stage is built here.
+    PVMs and the reduced density: ``round_corners`` gives the one ``s``
+    holds, shared with its B-side variants, or builds it.
     """
     alpha = alpha_of(game)
     if alpha <= 0.0:
@@ -496,10 +477,7 @@ def round_strategy(
             "game has alpha = 0 (some question carries no diagonal mass);"
             " the rounding bound is vacuous and unsupported"
         )
-    if corners is None:
-        corners = round_corners(game, s)
-    else:
-        corners.require_match(game, s)
+    corners = round_corners(game, s)
     original = correlation_of_commuting(s, game.questions)
     delta = synchronicity_deficit(game, s)
     symmetrized, corner, tracial_table = (

@@ -206,16 +206,9 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return _hermitian_part(_ginibre(rng, dim, dim))
 
 
-def random_psd(rng: np.random.Generator, dim: int, norm: str | None = None) -> np.ndarray:
-    """Wishart-type PSD matrix; ``norm`` in {None, "fro", "trace"}."""
-    x = wishart(_ginibre(rng, dim, dim))
-    if norm == "fro":
-        x = x / np.linalg.norm(x)
-    elif norm == "trace":
-        x = x / np.trace(x).real
-    elif norm is not None:
-        raise ValueError(f"unknown norm {norm!r}")
-    return x
+def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Wishart-type PSD matrix."""
+    return wishart(_ginibre(rng, dim, dim))
 
 
 def random_state(rng: np.random.Generator, dim_a: int, dim_b: int) -> np.ndarray:

@@ -139,7 +139,9 @@ class CommutingStrategy:
     """Tensor-split commuting strategy with a shared pure state.
 
     Immutable: the state and both ``PVMStack`` sides are read-only, so
-    strategies can share them and ``rho`` is computed once.  The
+    strategies can share them, and a ``perturb_b_side`` variant shares
+    the weak holder of what the state and the A side determine (``rho``
+    and the corner stages of ``rounding.round_corners``).  The
     constructor also takes each side as a plain mapping of question ->
     family and stacks it.
     """
@@ -173,9 +175,21 @@ class CommutingStrategy:
             raise ValueError("A and B sides must share the answer count")
         for name, value in (("state", state), ("pvms_a", pvms_a), ("pvms_b", pvms_b)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_held", weakref.WeakValueDictionary())
 
-    def __reduce__(self):  # unpickled through the constructor, with no cached rho
+    def __reduce__(self):  # unpickled through the constructor, with an empty holder
         return CommutingStrategy, (self.dim_a, self.dim_b, self.state, self.pvms_a, self.pvms_b)
+
+    def _shared(self, key, build):
+        """The value held under ``key`` (one the state and the A side alone
+        determine), else ``build()`` held there.  The holder is weak: a
+        value lives while something else holds it, as a rounding result
+        holds its corner stage and that stage its rho.  Two threads may
+        both build a missing value; either is the same numbers."""
+        value = self._held.get(key)
+        if value is None:
+            value = self._held[key] = build()
+        return value
 
     @property
     def questions(self) -> tuple[str, ...]:
@@ -189,14 +203,8 @@ class CommutingStrategy:
     def rho(self) -> DensityOperator:
         """The reduced density, computed by ``reduced_density`` and shared
         by every use while something holds it, as the ``CornerRounding``
-        of a rounding result does.  The strategy holds it weakly, so a
-        held strategy that is not in use does not pin its eigenbasis."""
-        ref = self.__dict__.get("_rho")
-        rho = None if ref is None else ref()
-        if rho is None:
-            rho = reduced_density(self)
-            self.__dict__["_rho"] = weakref.ref(rho)
-        return rho
+        of a rounding result does: one entry of the weak holder."""
+        return self._shared("rho", lambda: reduced_density(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +230,13 @@ class TracialStrategy:
     correlation sum_k w_k tr_k(r^x_a r^y_b), (X, X, A, A) in ``questions``
     order, built once, one ``trace_pairing`` per block: the synchronicity
     check reads its x = y blocks and ``tracial_correlation`` returns it.
+
+    The blocks passed ``require_pvm``, so with tau = tr / d both terms of
+    sum_{b != a} tau(r_a r_b) = tau(r_a - r_a^2) + tau(r_a (sum_b r_b - 1))
+    are at most about FAMILY_TOL / sqrt(d), and TABLE_TOL is FAMILY_TOL:
+    the check is reached only at the edge of the PVM tolerance, as by a
+    1 x 1 block with r_1 = FAMILY_TOL + FAMILY_TOL^2, whose cross term is
+    FAMILY_TOL^2 above it.  It stays for tracial files, outside input.
     """
 
     blocks: tuple[TracialBlock, ...]
@@ -416,10 +431,9 @@ def perturb_b_side(s: CommutingStrategy, eta: float, seed: int) -> CommutingStra
         stack[x] = u @ family @ u.conj().T
     pvms_b = PVMStack(s.pvms_b.questions, stack, "B side")
     # the state and the A side are read-only, so the result shares them,
-    # and with the state the reduced density that ``s`` holds
+    # and with them the holder of what they determine
     t = CommutingStrategy(s.dim_a, s.dim_b, s.state, s.pvms_a, pvms_b)
-    if "_rho" in s.__dict__:
-        t.__dict__["_rho"] = s.__dict__["_rho"]
+    object.__setattr__(t, "_held", s._held)
     return t
 
 
@@ -581,7 +595,7 @@ def _pairs_to_matrix(rows, what: str) -> np.ndarray:
         pairs = np.array(rows)
     except ValueError as exc:  # ragged rows
         raise ValueError(f"malformed complex matrix in {what}: {exc}") from exc
-    if pairs.dtype.kind not in "biuf" or pairs.ndim != 3 or pairs.shape[-1] != 2:
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[-1] != 2:
         raise ValueError(
             f"malformed complex matrix in {what}: expected rows of [re, im]"
             f" number pairs, got {pairs.dtype} entries of shape {pairs.shape}"

@@ -95,8 +95,10 @@ def test_criterion_4_joint_measure_defining_property():
     for i in range(100):
         rng = rng_for(SWEEP_SEED, 4, i)
         dim = int(rng.integers(1, 9))
-        x = random_psd(rng, dim, norm="fro")
-        y = random_psd(rng, dim, norm="fro")
+        x = random_psd(rng, dim)
+        x = x / np.linalg.norm(x)
+        y = random_psd(rng, dim)
+        y = y / np.linalg.norm(y)
         c_x = float(rng.uniform(1.0, 1.8))
         c_y = float(rng.uniform(1.0, 1.8))
         measure = joint_spectral_measure(x, y)

@@ -88,6 +88,37 @@ class TestInspect:
         assert code == 2 and report is None
         assert "questions label 0 is not a JSON string" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"default": True}, "predicate default must be the JSON integer 0 or 1, got True"),
+            ({"v": False}, "'v': False}"),
+            ({"v": 1.0}, "'v': 1.0}"),
+        ],
+        ids=["default-true", "value-false", "value-float"],
+    )
+    def test_predicate_values_must_be_json_integers(
+        self, capsys, tmp_path, k2_strategy_file, edit, message
+    ):
+        doc = json.loads(save_game(graph_coloring_game([("v0", "v1")], 3, "1/2")))
+        predicate = doc["predicate"]
+        if "default" in edit:
+            predicate.update(edit)
+        else:
+            predicate["entries"][0].update(edit)
+        path = tmp_path / "coerced.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (
+            ["inspect", "--game", str(path)],
+            ["round", "--game", str(path), "--strategy", k2_strategy_file,
+             "--out", str(tmp_path / "out.json")],
+        ):
+            code, report, err = run_cli(capsys, argv)
+            assert code == 2 and report is None
+            assert message in err
+            if "v" in edit:
+                assert "predicate value must be the JSON integer 0 or 1 in entry" in err
+
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["inspect", "--game", str(tmp_path / "missing.json")]
@@ -189,6 +220,19 @@ class TestRound:
         assert code == 2 and report is None
         assert "'v1'" in err and fault in err
 
+    def test_boolean_matrix_exit_two(self, capsys, tmp_path, k2_game_file, k2_strategy_file):
+        doc = json.loads(open(k2_strategy_file).read())
+        element = doc["pvmsA"]["v0"][0]
+        doc["pvmsA"]["v0"][0] = [[[bool(re), bool(im)] for re, im in row] for row in element]
+        spath = tmp_path / "booleans.json"
+        spath.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run_cli(
+            capsys,
+            ["round", "--game", k2_game_file, "--strategy", str(spath),
+             "--out", str(tmp_path / "out.json")],
+        )
+        assert code == 2 and report is None
+        assert "malformed complex matrix in pvmsA['v0']" in err and "got bool entries" in err
 
     @pytest.mark.parametrize(
         "key, value, code, message",
@@ -434,6 +478,26 @@ class TestRoundingSuite:
         assert len(built) == 3
         oracle = [rounding_instance(6, i, 8) for i in range(10)]
         assert json.dumps(report["instances"]) == json.dumps(oracle)
+
+    def test_one_stage_built_per_slab(self, capsys, monkeypatch):
+        """Each instance's round_strategy finds the stage its slab holds:
+        the corner decomposition runs once per slab, not per instance."""
+        import syncround.rounding
+
+        built = []
+        original = syncround.rounding.corner_decomposition
+
+        def counting(rho):
+            built.append(None)
+            return original(rho)
+
+        monkeypatch.setattr("syncround.cli.VERIFY_SLAB", 4)
+        monkeypatch.setattr(syncround.rounding, "corner_decomposition", counting)
+        code, report, _ = run_cli(
+            capsys, ["verify", "--suite", "rounding", "--n", "10", "--seed", "6"]
+        )
+        assert code == 0 and len(report["instances"]) == 10
+        assert len(built) == 3
 
 
 class TestOptimize:

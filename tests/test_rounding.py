@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 from dataclasses import asdict
 
@@ -93,7 +94,8 @@ class TestCornerDecomposition:
 
     def test_projections_nested(self):
         rng = rng_for(121, 0)
-        rho_m = random_psd(rng, 5, norm="trace")
+        rho_m = random_psd(rng, 5)
+        rho_m = rho_m / np.trace(rho_m).real
         decomp = corner_decomposition(DensityOperator(rho_m, eigh(rho_m)))
         for k in range(decomp.n_corners - 1):
             p, q = corner_projection(decomp, k), corner_projection(decomp, k + 1)
@@ -104,7 +106,8 @@ class TestCornerDecomposition:
     def test_weight_identity_against_trace(self):
         # sum_k (l_k - l_{k+1}) Tr(P_k z) telescopes to Tr(rho z)
         rng = rng_for(122, 0)
-        rho_m = random_psd(rng, 6, norm="trace")
+        rho_m = random_psd(rng, 6)
+        rho_m = rho_m / np.trace(rho_m).real
         decomp = corner_decomposition(DensityOperator(rho_m, eigh(rho_m)))
         gaps = decomp.values - np.append(decomp.values[1:], 0.0)
         for _ in range(100):
@@ -144,7 +147,8 @@ class TestSymmetrizedCorrelation:
 
     def test_diagonal_entries_bounded_by_expectation(self):
         rng = rng_for(132, 0)
-        rho_m = random_psd(rng, 4, norm="trace")
+        rho_m = random_psd(rng, 4)
+        rho_m = rho_m / np.trace(rho_m).real
         rho = DensityOperator(rho_m, eigh(rho_m))
         pvms = {"q": random_pvm(rng, 4, 2)}
         table = symmetrized_correlation(pvms, rho)
@@ -187,7 +191,8 @@ class TestCornerCorrelation:
 
     def test_matches_threshold_quadrature(self):
         rng = rng_for(142, 0)
-        rho_m = random_psd(rng, 4, norm="trace")
+        rho_m = random_psd(rng, 4)
+        rho_m = rho_m / np.trace(rho_m).real
         rho = DensityOperator(rho_m, eigh(rho_m))
         pvms = {"q": random_pvm(rng, 4, 3)}
         table = corner_correlation(pvms, corner_decomposition(rho))
@@ -729,19 +734,21 @@ def _certificate_fields(result):
 
 
 class TestRoundCorners:
-    """A shared corner stage gives the same numbers as building it per
-    strategy, and refuses a strategy it was not built for; the dual
-    report of a strategy that shares the held rho is that of a fresh copy."""
+    """The corner stage a strategy holds weakly gives the same numbers as
+    building it for a fresh copy; a B-side variant shares it, and a
+    strategy with another state, A side or question order gets its own."""
 
     def test_perturbations_share_corners(self, k2_game, k2_strategy):
         corners = round_corners(k2_game, k2_strategy)
         for eta, seed in [(0.02, 0), (0.05, 1), (0.1, 2), (0.0, 3)]:
             s = perturb_b_side(k2_strategy, eta, seed)
-            shared = round_strategy(k2_game, s, corners)
-            fresh = round_strategy(k2_game, s)
-            assert _certificate_fields(shared) == _certificate_fields(fresh)
+            shared = round_strategy(k2_game, s)
+            assert shared.corners is corners is round_corners(k2_game, s)
             assert shared.tracial is corners.tracial
             assert s.rho is corners.rho
+            fresh = round_strategy(k2_game, fresh_copy(s))
+            assert fresh.corners is not corners
+            assert _certificate_fields(shared) == _certificate_fields(fresh)
             assert asdict(verify_dual_distance(k2_game, s)) == asdict(
                 verify_dual_distance(k2_game, fresh_copy(s))
             )
@@ -755,8 +762,10 @@ class TestRoundCorners:
         assert corners.decomposition.n_corners >= 2
         for seed in (0, 1):
             t = perturb_b_side(s, 0.05, seed)
-            assert _certificate_fields(round_strategy(game, t, corners)) == (
-                _certificate_fields(round_strategy(game, t))
+            result = round_strategy(game, t)
+            assert result.corners is corners is round_corners(game, t)
+            assert _certificate_fields(result) == (
+                _certificate_fields(round_strategy(game, fresh_copy(t)))
             )
             assert t.rho is corners.rho
             assert asdict(verify_dual_distance(game, t)) == asdict(
@@ -797,18 +806,83 @@ class TestRoundCorners:
         ]
 
     def test_mismatched_corners_rejected(self, k2_game, k2_strategy):
+        """A held stage never reaches a strategy with another state or A
+        side, nor another question order of the same strategy."""
         corners = round_corners(k2_game, k2_strategy)
+        stages = []
         for game, s, what in self._mismatches(k2_game, k2_strategy):
-            with pytest.raises(ValueError, match=what):
-                round_strategy(game, s, corners)
-            # the same input with its own corners is accepted
-            round_strategy(game, s, round_corners(game, s))
-            # the dual report reads the strategy's own rho and A side, not
-            # those of the held corners
-            assert (s.rho is corners.rho) == (s is k2_strategy)
+            result = round_strategy(game, s)
+            assert result.corners is not corners, what
+            assert result.corners.questions == tuple(game.questions)
+            assert _certificate_fields(result) == (
+                _certificate_fields(round_strategy(game, fresh_copy(s)))
+            ), what
+            # the dual report reads the strategy's own rho and A side
+            assert (s.rho is corners.rho) == (s is k2_strategy), what
             assert asdict(verify_dual_distance(game, s)) == asdict(
                 verify_dual_distance(game, fresh_copy(s))
-            )
+            ), what
+            stages.append(result.corners)
+        assert len({id(stage) for stage in stages}) == len(stages)
+        # the swapped order is a second entry of the same holder
+        assert round_corners(k2_game, k2_strategy) is corners
+
+    def _count_builds(self, monkeypatch) -> list:
+        """One entry per corner stage built from here on."""
+        builds = []
+        original = syncround.rounding.corner_decomposition
+
+        def counted(rho):
+            builds.append(None)
+            return original(rho)
+
+        monkeypatch.setattr(syncround.rounding, "corner_decomposition", counted)
+        return builds
+
+    def test_variant_of_a_variant_shares_the_stage(self, k2_game, k2_strategy, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        corners = round_corners(k2_game, k2_strategy)
+        t = perturb_b_side(perturb_b_side(k2_strategy, 0.05, 1), 0.02, 2)
+        assert round_strategy(k2_game, t).corners is corners
+        assert t.rho is corners.rho
+        assert len(builds) == 1
+
+    def test_dropped_stage_is_built_again(self, k2_game, k2_strategy, monkeypatch):
+        """The holder keeps nothing alive: with no reference cycle, the
+        stage goes with the last result that holds it, without a
+        garbage collection."""
+        builds = self._count_builds(monkeypatch)
+        s = perturb_b_side(k2_strategy, 0.05, 1)
+        result = round_strategy(k2_game, s)
+        round_strategy(k2_game, s)
+        assert len(builds) == 1
+        first = _certificate_fields(result)
+        del result
+        assert _certificate_fields(round_strategy(k2_game, s)) == first
+        assert len(builds) == 2
+        round_strategy(k2_game, s)
+        assert len(builds) == 3
+
+    def test_question_order_builds_its_own_stage(self, k2_game, k2_strategy, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        swapped = self._mismatches(k2_game, k2_strategy)[-1][0]
+        assert swapped.questions == tuple(reversed(k2_game.questions))
+        corners = round_corners(k2_game, k2_strategy)
+        other = round_corners(swapped, k2_strategy)
+        assert other is not corners and len(builds) == 2
+        assert other.questions == swapped.questions
+        assert other.rho is corners.rho
+        assert round_corners(swapped, k2_strategy) is other and len(builds) == 2
+
+    def test_pickled_copy_shares_nothing(self, k2_game, k2_strategy, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        s = perturb_b_side(k2_strategy, 0.05, 4)
+        result = round_strategy(k2_game, s)
+        again = pickle.loads(pickle.dumps(s))
+        copied = round_strategy(k2_game, again)
+        assert copied.corners is not result.corners and len(builds) == 2
+        assert again.rho is not s.rho
+        assert _certificate_fields(copied) == _certificate_fields(result)
 
     def test_dual_distance_runs_no_greedy(self, k2_game, k2_strategy, monkeypatch):
         def refuse(*args, **kwargs):

@@ -36,7 +36,7 @@ from syncround import (
     verify_dual_distance,
 )
 from syncround.sampling import random_pvm, random_unitary, rng_for
-from syncround.spectral import PSD_CLAMP, functional_calculus
+from syncround.spectral import FAMILY_TOL, PSD_CLAMP, TABLE_TOL, functional_calculus
 from syncround.strategies import _payoff_operator
 
 from conftest import assert_close, diagonal_game_doc, fresh_copy, random_commuting_strategy
@@ -365,6 +365,25 @@ class TestTracialStrategy:
         # bad is still a PVM (orthogonal rank-1 projections), so fine
         assert table.data[0, 0, 0, 1] <= 1e-12
 
+    def test_cross_term_check_is_reachable(self, monkeypatch):
+        """With the table tolerance below zero, any cross term fails the
+        check, so it is live code on valid PVMs."""
+        block = TracialBlock(1.0, 2, {"q": [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]})
+        TracialStrategy([block])
+        monkeypatch.setattr(syncround.strategies, "TABLE_TOL", -1.0)
+        with pytest.raises(ValueError, match="not synchronous: cross term 0.000e"):
+            TracialStrategy([block])
+
+    def test_cross_term_at_the_pvm_edge(self):
+        """A 1 x 1 PVM at the edge of FAMILY_TOL passes ``require_pvm`` and
+        carries a cross term FAMILY_TOL^2 above TABLE_TOL (= FAMILY_TOL)."""
+        assert TABLE_TOL == FAMILY_TOL
+        tol = FAMILY_TOL
+        edge = [np.array([[1.0 - tol**2]]), np.array([[tol + tol**2]])]
+        TracialBlock(1.0, 1, {"q": edge})
+        with pytest.raises(ValueError, match="not synchronous: cross term 1.000e-08"):
+            TracialStrategy([TracialBlock(1.0, 1, {"q": edge})])
+
     def test_same_question_table_is_the_diagonal(self):
         rng = rng_for(54, 0)
         t = TracialStrategy(
@@ -534,7 +553,9 @@ class TestReadOnlyStacks:
         t = perturb_b_side(k2_strategy, 0.05, 4)
         assert t.state is k2_strategy.state
         assert t.pvms_a is k2_strategy.pvms_a
-        round_corners(k2_game, k2_strategy).require_match(k2_game, t)
+        corners = round_corners(k2_game, k2_strategy)
+        assert round_corners(k2_game, t) is corners
+        assert t.rho is corners.rho
 
     def test_perturbation_shares_held_rho(self, k2_game):
         s = random_commuting_strategy(rng_for(72, 0), k2_game.questions, 3, 3, 4)
