@@ -3,7 +3,9 @@
 Each line is ``<case> <output> <sha256>``, over three families of cases:
 
 - ``verify <suite> seed=<s>``: the ``syncround verify`` report of every
-  suite at its README size (``--dims 8``), seeds 1 and 7;
+  suite at its README size (``--dims 8``), seeds 1 and 7, and
+  ``verify rounding n=300 seed=<s>``, the rounding suite across the
+  boundary of two sweep slabs;
 - ``round <game> seed=<s>``: ``optimize --dims 12 --iters 5`` then
   ``round`` on the 3-colouring games of C5, C7 and K4 (diagonal mass
   1/2), seeds 0-2: both reports, the strategy file and the tracial file;
@@ -20,7 +22,8 @@ two checkouts, run the script in each and diff the lines:
     (cd ../parent && python3 bench/outputs.py) > parent.txt
     diff parent.txt change.txt
 
-``--n N`` runs every verify suite at N instances instead of its README size.
+``--n N`` runs every verify suite at N instances instead of its README
+size; the slab-boundary case keeps its 300.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ VERIFY_SEEDS = (1, 7)
 ROUND_GAMES = ("C5", "C7", "K4")
 ROUND_SEEDS = (0, 1, 2)
 MULTICORNER = (7, 24, range(3))  # C7, 24 corners, instances 0-2
+SLAB_BOUNDARY = ("rounding", 300)  # two slabs of the sweep's VERIFY_SLAB = 256
 PATH_FLAGS = ("game", "strategy", "out")
 
 
@@ -79,12 +83,15 @@ def cli(argv: list[str]) -> str:
 
 
 def verify_lines(n: int | None) -> list[str]:
+    cases = [(suite, n or size, suite) for suite, size in workloads.VERIFY_SUITES]
+    suite, size = SLAB_BOUNDARY
+    cases.append((suite, size, f"{suite} n={size}"))
     lines = []
-    for suite, size in workloads.VERIFY_SUITES:
+    for suite, size, label in cases:
         for seed in VERIFY_SEEDS:
-            argv = ["verify", "--suite", suite, "--n", str(n or size), "--dims", "8",
+            argv = ["verify", "--suite", suite, "--n", str(size), "--dims", "8",
                     "--seed", str(seed)]
-            lines.append(f"verify {suite} seed={seed} report {digest(report_text(cli(argv)))}")
+            lines.append(f"verify {label} seed={seed} report {digest(report_text(cli(argv)))}")
     return lines
 
 

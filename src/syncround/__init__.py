@@ -40,6 +40,7 @@ from .rounding import (
     corner_correlation,
     corner_decomposition,
     orthogonalize_povm,
+    round_b_sides,
     round_corners,
     round_strategy,
     symmetrized_correlation,
@@ -66,6 +67,7 @@ from .strategies import (
     load_tracial_strategy,
     maximally_entangled_state,
     perturb_b_side,
+    perturb_b_sides,
     reduced_density,
     seesaw_optimize,
     standard_form_dual,

@@ -16,9 +16,10 @@ Wishart and Haar transforms of ``sampling`` turn the group's draws into
 its instances, bitwise those of the per-instance generators, and the
 certificates cost one eigensolve per side.  The rounding suite's
 instances perturb only the B side of one strategy, so each of its groups
-holds that strategy's corner stage (``round_corners``) while it rounds
-every instance: each perturbation finds the stage, and the rho it holds,
-in the holder it shares with the base strategy.
+is one stacked pass: ``perturb_b_sides`` draws the group's B sides as one
+(N, Y, B, d, d) stack and ``round_b_sides`` rounds it against the base
+strategy's one corner stage, bitwise the rows of rounding each instance
+alone.
 The sweep's thread pool maps over these batches.  It has one thread per CPU
 the process may run on (its affinity mask), at most 8;
 SYNCROUND_THREADS overrides that.
@@ -47,7 +48,7 @@ from .haagerup import (
     measure_moments,
     threshold_chi_distance,
 )
-from .rounding import round_corners, round_strategy, verify_dual_distance
+from .rounding import round_b_sides, round_strategy
 from .sampling import (
     ginibre,
     ginibre_draw,
@@ -62,7 +63,7 @@ from .strategies import (
     dump_commuting_strategy,
     dump_tracial_strategy,
     load_commuting_strategy,
-    perturb_b_side,
+    perturb_b_sides,
     seesaw_optimize,
 )
 
@@ -220,26 +221,22 @@ def _duality_batch(key, indices, x, y) -> list[dict]:
 def _rounding_batch(key, indices, perturb_seeds) -> list[dict]:
     game = graph_coloring_game([("v0", "v1")], 3, "1/2")
     base = cyclic_coloring_strategy(game.questions, 3)
-    # every instance perturbs only the B side, so one corner stage, and
-    # the reduced density it holds, serves the group: held here, each
-    # round_strategy finds it in the holder the perturbation shares
-    corners = round_corners(game, base)
-    rows = []
-    for index, seed in zip(indices.tolist(), perturb_seeds.tolist()):
-        eta = ROUNDING_ETAS[index % len(ROUNDING_ETAS)]
-        perturbed = perturb_b_side(base, eta, seed)
-        result = round_strategy(game, perturbed)
-        dual = verify_dual_distance(game, perturbed)
-        cert = result.certificate
-        rows.append({
-            "index": index,
-            "eta": eta,
-            **{name: getattr(cert, name) for name in ROUNDING_ROW_FIELDS},
-            "holds_bounds": cert.holds,
-            "holds_dual": dual.holds,
-            "holds": cert.holds and dual.holds,
-        })
-    return rows
+    # every instance perturbs only the B side of one base strategy: the
+    # group's B sides are one stack, rounded in one stacked pass
+    etas = np.take(ROUNDING_ETAS, indices % len(ROUNDING_ETAS))
+    names = [f"instance {index}" for index in indices.tolist()]
+    stack_b = perturb_b_sides(base, etas, perturb_seeds, names)
+    cert, dual = round_b_sides(game, base, stack_b, names)
+    holds_bounds = cert["holds_first"] & cert["holds_total"] & cert["holds_game"]
+    holds_dual = dual["holds_comm"] & dual["holds_dual"]
+    columns = {
+        "eta": etas,
+        **{name: cert[name] for name in ROUNDING_ROW_FIELDS},
+        "holds_bounds": holds_bounds,
+        "holds_dual": holds_dual,
+        "holds": holds_bounds & holds_dual,
+    }
+    return _rows(indices, {}, columns)
 
 
 # one sampler per suite, called once per instance

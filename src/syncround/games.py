@@ -119,6 +119,8 @@ class CorrelationTable:
     Answers are positional (index into the owning game's answer list).
     Entries may carry roundoff down to -1e-10; each block sums to 1
     within 1e-8.  Frozen, as a tracial strategy shares its table.
+    ``data`` is (X, X, A, A), or (..., X, X, A, A) for a stack of tables
+    over leading axes, checked at once.
     """
 
     questions: tuple[str, ...]
@@ -128,19 +130,19 @@ class CorrelationTable:
     def __post_init__(self):
         nq, na = len(self.questions), self.n_answers
         object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
-        if self.data.shape != (nq, nq, na, na):
+        if self.data.shape[-4:] != (nq, nq, na, na) or self.data.ndim < 4:
             raise ValueError(
                 f"table must have shape {(nq, nq, na, na)}, got {self.data.shape}"
             )
         low = float(self.data.min())
-        worst = float(np.abs(self.data.sum(axis=(2, 3)) - 1.0).max())
+        worst = float(np.abs(self.data.sum(axis=(-2, -1)) - 1.0).max())
         # a NaN entry makes the minimum NaN, an infinite one the minimum or
         # its block's sum; NaN fails every comparison, so name it first
         if not np.isfinite(low + worst):
-            x, y, a, b = np.argwhere(~np.isfinite(self.data))[0]
+            *_, x, y, a, b = entry = np.argwhere(~np.isfinite(self.data))[0]
             raise ValueError(
                 f"table entry ({self.questions[x]!r}, {self.questions[y]!r}, {a}, {b})"
-                f" is not finite: {self.data[x, y, a, b]}"
+                f" is not finite: {self.data[tuple(entry)]}"
             )
         if low < -TABLE_NEG_TOL:
             raise ValueError(f"table entry {low:.3e} below -{TABLE_NEG_TOL:.0e}")
@@ -180,24 +182,35 @@ def _check_table_matches(game: SynchronousGame, table: CorrelationTable):
         )
 
 
-def game_value(game: SynchronousGame, table: CorrelationTable) -> float:
-    """nu-weighted winning probability of a correlation against D."""
+def _table_sums(terms: np.ndarray):
+    """The sum of a table's terms, a float; of each table of a stack, an
+    array.  numpy sums in memory order, and a stack whose tables are each
+    one contiguous run sums each as ``np.sum`` sums that table alone."""
+    if terms.ndim == 4:
+        return float(np.sum(terms))
+    return terms.sum(axis=(-4, -3, -2, -1))
+
+
+def game_value(game: SynchronousGame, table: CorrelationTable):
+    """nu-weighted winning probability of a correlation against D: a float,
+    or one per table of a stack."""
     _check_table_matches(game, table)
-    value = float(np.sum(game.nu[:, :, None, None] * game.predicate * table.data))
-    if not -TABLE_TOL <= value <= 1.0 + TABLE_TOL:  # NaN fails too
+    value = _table_sums(game.nu[:, :, None, None] * game.predicate * table.data)
+    inside = np.logical_and(value >= -TABLE_TOL, value <= 1.0 + TABLE_TOL)  # NaN fails too
+    if not inside.all():
+        value = np.ravel(value)[np.argmin(np.ravel(inside))].item()
         raise ValueError(f"game value {value!r} falls outside [0, 1] beyond slack")
     return value
 
 
 def table_l1_distance(
     game: SynchronousGame, first: CorrelationTable, second: CorrelationTable
-) -> float:
-    """L1 distance between two tables, integrated against the game's nu."""
+):
+    """L1 distance between two tables, integrated against the game's nu: a
+    float, or one per table when either is a stack."""
     _check_table_matches(game, first)
     _check_table_matches(game, second)
-    return float(
-        np.sum(game.nu[:, :, None, None] * np.abs(first.data - second.data))
-    )
+    return _table_sums(game.nu[:, :, None, None] * np.abs(first.data - second.data))
 
 
 # ---------------------------------------------------------------------------

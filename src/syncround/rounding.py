@@ -30,6 +30,10 @@ entry per question order.  A ``perturb_b_side`` variant shares the
 holder, so while one rounding result (or a caller) holds the stage,
 every B-side variant's ``round_strategy`` pays only the per-strategy
 terms, and ``verify_dual_distance`` reads the same rho.
+``round_b_sides`` pays those terms for a stack of N B sides in one pass
+over the (N, ...) stack: the input tables, delta (once per B side, for
+both reports), the distances and the dual.  ``round_strategy`` and
+``verify_dual_distance`` are its N = 1 case.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 from .games import (
     CorrelationTable,
     SynchronousGame,
+    _table_sums,
     alpha_of,
     game_value,
     table_l1_distance,
@@ -64,6 +69,9 @@ from .strategies import (
     PVMStack,
     TracialBlock,
     TracialStrategy,
+    _commuting_tables,
+    _deficits,
+    _dual_povms,
     _pvm_stack,
     correlation_of_commuting,
     standard_form_dual,
@@ -88,6 +96,7 @@ __all__ = [
     "orthogonalize_povm",
     "round_corners",
     "round_strategy",
+    "round_b_sides",
     "verify_dual_distance",
 ]
 
@@ -469,21 +478,48 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
     Requires alpha_of(game) > 0 (otherwise the value bound is vacuous
     and the run is rejected).  The corner stage uses only the A-side
     PVMs and the reduced density: ``round_corners`` gives the one ``s``
-    holds, shared with its B-side variants, or builds it.
+    holds, shared with its B-side variants, or builds it.  The
+    certificate is the one-strategy case of ``round_b_sides``.
     """
+    corners = round_corners(game, s)
+    original = correlation_of_commuting(s, game.questions)
+    columns = _certificate_columns(
+        game,
+        corners,
+        CorrelationTable(original.questions, original.n_answers, original.data[None]),
+        np.array([synchronicity_deficit(game, s)]),
+    )
+    cert = RoundingCertificate(
+        **{name: column[0].item() for name, column in columns.items()},
+        orthogonalization=[
+            {"corner": k, "question": q, "dim": r.dim, "distance_sq": r.distance_sq,
+             "budget": r.budget, "holds": r.holds}
+            for (k, q), r in zip(
+                itertools.product(range(corners.decomposition.n_corners), game.questions),
+                corners.reports,
+            )
+        ],
+    )
+    return RoundingResult(corners.tracial, cert, corners)
+
+
+def _certificate_columns(
+    game: SynchronousGame, corners: CornerRounding, original: CorrelationTable, delta
+) -> dict[str, np.ndarray]:
+    """Every ``RoundingCertificate`` field but the orthogonalization list,
+    one (N,) column each, for a stack ``original`` of N input tables with
+    deficits ``delta`` that share the corner stage ``corners``.  Each
+    distance and value is one reduction over the stack, the checks run on
+    every table, and the fourth roots are taken on Python floats."""
     alpha = alpha_of(game)
     if alpha <= 0.0:
         raise ValueError(
             "game has alpha = 0 (some question carries no diagonal mass);"
             " the rounding bound is vacuous and unsupported"
         )
-    corners = round_corners(game, s)
-    original = correlation_of_commuting(s, game.questions)
-    delta = synchronicity_deficit(game, s)
     symmetrized, corner, tracial_table = (
         corners.symmetrized, corners.corner, corners.tracial_table
     )
-
     d1_sym = table_l1_distance(game, original, symmetrized)
     d1_corner = table_l1_distance(game, symmetrized, corner)
     d1_pvm = table_l1_distance(game, corner, tracial_table)
@@ -493,50 +529,38 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
     value_out = game_value(game, tracial_table)
 
     staged = d1_sym + d1_corner + d1_pvm
-    if abs(value_in - value_out) > staged + ROUNDING_SLACK:
+    drift = np.abs(value_in - value_out)
+    over = drift > staged + ROUNDING_SLACK
+    if over.any():
+        i = int(np.argmax(over))
         raise ValueError(
-            f"value drift {abs(value_in - value_out):.3e} exceeds the staged"
-            f" L1 budget {staged:.3e}"
+            f"value drift {drift[i]:.3e} exceeds the staged L1 budget {staged[i]:.3e}"
         )
 
-    root = delta**0.25
+    root = np.array([d**0.25 for d in delta.tolist()])
     # eps is the nu-weighted losing mass, summed from the table's small
     # entries: 1 - value_in cancels to 0 (or below) once eps nears 1e-16
-    losing = game.nu[:, :, None, None] * ~game.predicate * original.data
-    eps = max(0.0, float(losing.sum()))
+    losing = _table_sums(game.nu[:, :, None, None] * ~game.predicate * original.data)
     bound_first = FIRST_HALF_CONSTANT * root
     bound_total = TOTAL_CONSTANT * root
-    bound_game = GAME_CONSTANT * (eps / alpha) ** 0.25
+    bound_game = np.array([GAME_CONSTANT * (max(0.0, e) / alpha) ** 0.25 for e in losing.tolist()])
     # each check as (without slack, with slack)
     checks = [
         (d1_first <= bound_first, d1_first <= bound_first + BOUND_SLACK),
         (d1_total <= bound_total, d1_total <= bound_total + BOUND_SLACK),
         (value_out >= 1.0 - bound_game, value_out >= 1.0 - bound_game - BOUND_SLACK),
     ]
-    cert = RoundingCertificate(
-        delta=delta, alpha=alpha, d1_sym=d1_sym, d1_corner=d1_corner, d1_pvm=d1_pvm,
-        d1_first=d1_first, d1_total=d1_total, value_in=value_in, value_out=value_out,
-        bound_first=bound_first, bound_total=bound_total, bound_game=bound_game,
-        holds_first=checks[0][1], holds_total=checks[1][1], holds_game=checks[2][1],
-        vacuous_total=bound_total >= VACUOUS_DISTANCE,
-        vacuous_game=bound_game >= VACUOUS_VALUE_GAP,
-        holds_by_slack=any(slack and not strict for strict, slack in checks),
-        orthogonalization=[
-            {
-                "corner": k,
-                "question": q,
-                "dim": report.dim,
-                "distance_sq": report.distance_sq,
-                "budget": report.budget,
-                "holds": report.holds,
-            }
-            for (k, q), report in zip(
-                itertools.product(range(corners.decomposition.n_corners), game.questions),
-                corners.reports,
-            )
-        ],
-    )
-    return RoundingResult(corners.tracial, cert, corners)
+    shared = {"alpha": alpha, "d1_corner": d1_corner, "d1_pvm": d1_pvm, "value_out": value_out}
+    return {
+        "delta": delta,
+        **{name: np.full(len(delta), value) for name, value in shared.items()},
+        "d1_sym": d1_sym, "d1_first": d1_first, "d1_total": d1_total, "value_in": value_in,
+        "bound_first": bound_first, "bound_total": bound_total, "bound_game": bound_game,
+        "holds_first": checks[0][1], "holds_total": checks[1][1], "holds_game": checks[2][1],
+        "vacuous_total": bound_total >= VACUOUS_DISTANCE,
+        "vacuous_game": bound_game >= VACUOUS_VALUE_GAP,
+        "holds_by_slack": np.any([slack & ~strict for strict, slack in checks], axis=0),
+    }
 
 
 @dataclass(eq=False)
@@ -571,23 +595,59 @@ def verify_dual_distance(game: SynchronousGame, s: CommutingStrategy) -> DualDis
     over the stack.  rho, its square root and the A stack are the
     strategy's own, with no corner stage: ``s.rho`` is computed once
     while a rounding result of ``s``, or of the strategy it perturbs,
-    holds it.
+    holds it.  The one-strategy case of ``round_b_sides``.
     """
-    delta = synchronicity_deficit(game, s)
+    sqrt_dual = functional_calculus(standard_form_dual(s, game.questions, decompose=True))
+    columns = _dual_columns(game, s, sqrt_dual[None], np.array([synchronicity_deficit(game, s)]))
+    return DualDistanceReport(**{name: column[0].item() for name, column in columns.items()})
+
+
+def _dual_columns(
+    game: SynchronousGame, s: CommutingStrategy, sqrt_dual: np.ndarray, delta
+) -> dict[str, np.ndarray]:
+    """Every ``DualDistanceReport`` field as one (N,) column, for N dual
+    square roots ``sqrt_dual`` (N, X, A, d, d) and deficits ``delta`` of
+    strategies with the state and A side of ``s``, which alone set comm_sq."""
     p = s.pvms_a.in_order(game.questions)
     sqrt_rho = s.rho.sqrt
-    sqrt_dual = functional_calculus(standard_form_dual(s, game.questions, decompose=True))
     weights = game.mu[:, None, None, None]
     comm_sq = float(np.sum(weights * np.abs(p @ sqrt_rho - sqrt_rho @ p) ** 2))
-    dual_sq = float(np.sum(weights * np.abs(sqrt_rho @ (p - sqrt_dual)) ** 2))
+    dual_sq = _table_sums(weights * np.abs(sqrt_rho @ (p - sqrt_dual)) ** 2)
     comm_budget = 4.0 * delta
-    dual_budget = float(6.0 * np.sqrt(delta))
-    return DualDistanceReport(
-        delta=delta,
-        comm_sq=comm_sq,
-        comm_budget=comm_budget,
-        holds_comm=bool(comm_sq <= comm_budget + ROUNDING_SLACK),
-        dual_sq=dual_sq,
-        dual_budget=dual_budget,
-        holds_dual=bool(dual_sq <= dual_budget + ROUNDING_SLACK),
-    )
+    dual_budget = 6.0 * np.sqrt(delta)
+    return {
+        "delta": delta,
+        "comm_sq": np.full(len(delta), comm_sq),
+        "comm_budget": comm_budget,
+        "holds_comm": comm_sq <= comm_budget + ROUNDING_SLACK,
+        "dual_sq": dual_sq,
+        "dual_budget": dual_budget,
+        "holds_dual": dual_sq <= dual_budget + ROUNDING_SLACK,
+    }
+
+
+def round_b_sides(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarray, names):
+    """Round ``s`` with each B side of a checked (N, Y, B, d, d) stack in
+    ``s``'s question order (as ``perturb_b_sides`` gives) in place of its
+    own; ``names`` names each in the dual POVM check.
+
+    The N strategies share the state, the A side and so the corner stage
+    and rho of ``s``, and every B-side term is one stacked pass: one table
+    contraction, one deficit per strategy for both reports, one dual
+    eigensolve, one reduction per distance.  Returns (N,) columns of the
+    fields of ``RoundingCertificate`` (but the orthogonalization list of
+    the stage) and of ``DualDistanceReport``: ``round_strategy`` and
+    ``verify_dual_distance`` are its N = 1 case.
+    """
+    if stack_b.ndim != 5 or stack_b.shape[1:] != s.pvms_b.stack.shape:
+        raise ValueError(
+            f"B-side stack of shape {stack_b.shape} for B sides of {s.pvms_b.stack.shape}"
+        )
+    corners = round_corners(game, s)
+    order = tuple(game.questions)
+    if order != s.questions:
+        stack_b = stack_b[:, s.pvms_b.positions(order)]
+    delta = _deficits(game, s, stack_b)
+    certificate = _certificate_columns(game, corners, _commuting_tables(s, order, stack_b), delta)
+    dual = _dual_povms(s, stack_b, [f"dual POVM of {name}" for name in names], decompose=True)
+    return certificate, _dual_columns(game, s, functional_calculus(dual), delta)

@@ -50,15 +50,17 @@ def rng_for(seed: int, *index):
     """Generator derived from a base seed and an instance index path:
     ``np.random.default_rng([seed, *index])``.
 
-    When the last index is a 1-D integer array, returns one new,
-    independent Generator per entry i, bitwise the stream of
-    ``rng_for(seed, *path, i)``.  That form runs numpy's SeedSequence
-    hash once for all entries, as uint32 array arithmetic, and hands
-    each PCG64 its four seed words, so numpy still seeds PCG64 in C.
-    Its generators carry no spawnable seed sequence.
+    When the last index (with no index, the seed) is a 1-D integer
+    array, returns one new, independent Generator per entry i, bitwise
+    the stream of ``rng_for(seed, *path, i)`` (of ``default_rng(i)``).
+    That form runs numpy's SeedSequence hash once for all entries, as
+    uint32 array arithmetic, and hands each PCG64 its four seed words, so
+    numpy still seeds PCG64 in C.  Its generators carry no spawnable seed
+    sequence.
     """
-    if index and np.ndim(index[-1]) == 1:
-        return _rngs_for([int(seed), *map(int, index[:-1])], np.asarray(index[-1]))
+    *path, last = (seed, *index)
+    if np.ndim(last) == 1:
+        return _rngs_for([*map(int, path)], np.asarray(last))
     return np.random.default_rng([int(seed), *map(int, index)])
 
 
@@ -99,47 +101,49 @@ def _rngs_for(prefix: list[int], indices: np.ndarray) -> list[np.random.Generato
 
 def _pcg64_seeds(words: np.ndarray) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(4, np.uint64)`` for each
-    column of a (L, N) uint32 entropy array: one (N, 4) uint64 array."""
-    constants = _hash_constants(_INIT_A, _MULT_A)
+    column of a (L, N) uint32 entropy array: one (N, 4) uint64 array.
+    Hashmix calls that read no result of each other run as one (k, N)
+    op, row i with the running hash constants of the i-th call."""
+    n_words = len(words)
+    constants = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(_POOL_SIZE, n_words))
+    used = 0
 
-    def hashmix(value):
-        value = (value ^ next(constants)) * next(constants)
+    def hashmix(value, calls: int):
+        nonlocal used
+        const = constants[used : used + calls + 1, None]
+        used += calls
+        value = (value ^ const[:-1]) * const[1:]
         return value ^ (value >> 16)
 
     def mix(x, y):
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ (result >> 16)
 
-    n_words = len(words)
     # SeedSequence.mix_entropy: fill the pool, cross-mix it, then fold in
     # each word beyond the pool size
-    pool = [hashmix(words[i] if i < n_words else np.zeros_like(words[0]))
-            for i in range(_POOL_SIZE)]
+    pool = np.zeros((_POOL_SIZE, words.shape[1]), np.uint32)
+    pool[:n_words] = words[:_POOL_SIZE]
+    pool = hashmix(pool, _POOL_SIZE)
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
     for src in range(_POOL_SIZE, n_words):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(words[src]))
+        pool = mix(pool, hashmix(words[src], _POOL_SIZE))
     # SeedSequence.generate_state: 8 uint32 words cycling over the pool,
-    # read as 4 little-endian uint64 words
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    state = np.empty((len(words[0]), 2 * _POOL_SIZE), np.uint32)
-    for i in range(2 * _POOL_SIZE):
-        value = (pool[i % _POOL_SIZE] ^ next(constants)) * next(constants)
-        state[:, i] = value ^ (value >> 16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    # hashed with a fresh constant run, read as 4 little-endian uint64 words
+    constants, used = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), 0
+    state = hashmix(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE], 2 * _POOL_SIZE)
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _hash_constants(init: int, mult: int):
-    """The running hash constant of a SeedSequence loop, before and after
-    each multiplication: it does not depend on the data."""
-    const = init
-    while True:
-        yield np.uint32(const)
-        const = const * mult & _MASK32
-        yield np.uint32(const)
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The running hash constant of ``calls`` hashmix calls of a
+    SeedSequence loop: call k uses entries k and k + 1, before and after
+    its multiplication.  It does not depend on the data."""
+    const = [init]
+    for _ in range(calls):
+        const.append(const[-1] * mult & _MASK32)
+    return np.array(const, np.uint32)
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):

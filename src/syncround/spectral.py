@@ -367,9 +367,12 @@ def trace_pairing(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``p`` has shape (X, A, d, d) and ``q`` shape (Y, B, d, d); the result
     has shape (X, Y, A, B).  Tr(P Q) = sum_ij P_ij Q_ji, so the whole
     table is one product of the flattened ``p`` with the flattened,
-    transposed ``q``.
+    transposed ``q``.  A ``q`` with leading axes, (..., Y, B, d, d), gives
+    one table per leading index, (..., X, Y, A, B): one such product per
+    table, each table's entries contiguous as for a single table.
     """
     nx, na, d, _ = p.shape
-    ny, nb = q.shape[:2]
-    flat = p.reshape(nx * na, d * d) @ q.swapaxes(-1, -2).reshape(ny * nb, d * d).T
-    return flat.reshape(nx, na, ny, nb).transpose(0, 2, 1, 3)
+    *lead, ny, nb = q.shape[:-2]
+    q_flat = q.swapaxes(-1, -2).reshape(*lead, ny * nb, d * d).swapaxes(-1, -2)
+    flat = p.reshape(nx * na, d * d) @ q_flat
+    return flat.reshape(*lead, nx, na, ny, nb).swapaxes(-3, -2)

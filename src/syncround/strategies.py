@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .games import CorrelationTable, SynchronousGame
-from .sampling import random_pvm, random_state
+from .sampling import random_pvm, random_state, rng_for
 from .spectral import (
     PSD_CLAMP,
     TABLE_TOL,
@@ -53,6 +53,7 @@ __all__ = [
     "tracial_correlation",
     "seesaw_optimize",
     "perturb_b_side",
+    "perturb_b_sides",
     "maximally_entangled_state",
     "conjugate_synchronous_strategy",
     "cyclic_coloring_strategy",
@@ -316,10 +317,13 @@ def correlation_of_commuting(s: CommutingStrategy, questions=None) -> Correlatio
     residue is discarded after the check.
     """
     order = tuple(questions or s.questions)
-    data = trace_pairing(
-        s.pvms_a.in_order(order),
-        _b_conditional_operators(s.state, s.pvms_b.in_order(order)),
-    )
+    return _commuting_tables(s, order, s.pvms_b.in_order(order))
+
+
+def _commuting_tables(s: CommutingStrategy, order, stack_b: np.ndarray) -> CorrelationTable:
+    """The table of ``s`` with the B side ``stack_b`` (Y, B, d, d) in
+    ``order``, or a stack of tables for a stack (..., Y, B, d, d) of B sides."""
+    data = trace_pairing(s.pvms_a.in_order(order), _b_conditional_operators(s.state, stack_b))
     residue = float(np.abs(data.imag).max())
     if residue > TABLE_TOL:
         raise ValueError(
@@ -353,17 +357,24 @@ def standard_form_dual(
     ``decompose`` the result is the ``eigh`` of the (Y, B, d, d) stack
     that validated it as a POVM, for a caller that needs its square roots.
     """
+    order = tuple(questions or s.questions)
+    dual = _dual_povms(s, s.pvms_b.in_order(order), "dual POVM", decompose)
+    if decompose:
+        return dual
+    return dict(zip(order, dual))
+
+
+def _dual_povms(s: CommutingStrategy, stack_b: np.ndarray, what, decompose: bool):
+    """``standard_form_dual`` for the B side ``stack_b``, or for each B side
+    of a stack (..., Y, B, d, d): one SVD of the state, one ``require_povm``
+    naming its errors by ``what`` (a list: one label per B side)."""
     u, sigma, vh = np.linalg.svd(s.state, full_matrices=False)
     kept = sigma**2 >= PSD_CLAMP
     support = u[:, kept]
     polar = support @ vh[kept]
-    order = tuple(questions or s.questions)
-    stacked = _hermitian_part(polar @ s.pvms_b.in_order(order).conj() @ polar.conj().T)
-    stacked[:, 0] += np.eye(s.dim_a) - support @ support.conj().T
-    dual = require_povm(stacked, s.dim_a, "dual POVM", decompose)
-    if decompose:
-        return dual
-    return dict(zip(order, dual))
+    stacked = _hermitian_part(polar @ stack_b.conj() @ polar.conj().T)
+    stacked[..., 0, :, :] += np.eye(s.dim_a) - support @ support.conj().T
+    return require_povm(stacked, s.dim_a, what, decompose)
 
 
 def synchronicity_deficit(game: SynchronousGame, s: CommutingStrategy) -> float:
@@ -371,9 +382,17 @@ def synchronicity_deficit(game: SynchronousGame, s: CommutingStrategy) -> float:
     sum_x mu(x) sum_a ||p^x_a M (1 - conj q^x_a)||_F^2 (for a unit state,
     1 - sum_x mu(x) sum_a P_{x,x}(a, a)).  No term is negative, so no clamp,
     and the rounding error is about 1e-16 sqrt(delta), not 1e-16."""
-    p, q = s.pvms_a.in_order(game.questions), s.pvms_b.in_order(game.questions)
-    miss = p @ (s.state @ (np.eye(s.dim_b) - q.conj()))
-    return float(game.mu @ (miss.real**2 + miss.imag**2).sum(axis=(1, 2, 3)))
+    return float(_deficits(game, s, s.pvms_b.in_order(game.questions)))
+
+
+def _deficits(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarray):
+    """``synchronicity_deficit`` with the B side ``stack_b`` in the game's
+    order, or one per B side of a stack (..., X, A, d, d).  numpy takes
+    each (1, X) @ (X, 1) product as a dot product, as for one B side."""
+    p = s.pvms_a.in_order(game.questions)
+    miss = p @ (s.state @ (np.eye(s.dim_b) - stack_b.conj()))
+    sums = (miss.real**2 + miss.imag**2).sum(axis=(-3, -2, -1))
+    return (sums[..., None, :] @ game.mu[:, None])[..., 0, 0]
 
 
 def tracial_correlation(t: TracialStrategy, questions=None) -> CorrelationTable:
@@ -418,23 +437,43 @@ def perturb_b_side(s: CommutingStrategy, eta: float, seed: int) -> CommutingStra
     """Conjugate every B-side PVM by exp(i eta K), K Hermitian of unit
     spectral norm drawn from the seed.  Produces synchronicity deficits
     of order eta^2 on exactly synchronous inputs."""
-    rng = np.random.default_rng(seed)
-    shape = (s.dim_b, s.dim_b)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    k = _hermitian_part(g)
-    k = k / float(np.abs(np.linalg.eigvalsh(k)).max())
-    w, v = np.linalg.eigh(k)
-    u = (v * np.exp(1j * eta * w)) @ v.conj().T
-    # a question at a time: a stack-sized temporary fragments the heap (peak RSS +6 %)
-    stack = np.empty_like(s.pvms_b.stack)
-    for x, family in enumerate(s.pvms_b.stack):
-        stack[x] = u @ family @ u.conj().T
-    pvms_b = PVMStack(s.pvms_b.questions, stack, "B side")
+    pvms_b = PVMStack(s.pvms_b.questions, _conjugated_b_sides(s, [eta], [seed])[0], "B side")
     # the state and the A side are read-only, so the result shares them,
     # and with them the holder of what they determine
     t = CommutingStrategy(s.dim_a, s.dim_b, s.state, s.pvms_a, pvms_b)
     object.__setattr__(t, "_held", s._held)
     return t
+
+
+def perturb_b_sides(s: CommutingStrategy, etas, seeds, names) -> np.ndarray:
+    """The B side of ``perturb_b_side(s, eta, seed)`` for each (eta, seed)
+    pair as one (N, Y, B, d, d) stack in ``s``'s order, checked by one
+    ``require_pvm`` whose errors name the question and the pair's name."""
+    stack = _conjugated_b_sides(s, etas, seeds)
+    labels = [f"B side PVM for question {q!r} of {name}" for name in names for q in s.pvms_b]
+    require_pvm(stack.reshape((-1,) + stack.shape[2:]), s.dim_b, labels)
+    return stack
+
+
+def _conjugated_b_sides(s: CommutingStrategy, etas, seeds) -> np.ndarray:
+    """u q u* for each B-side PVM q and u = exp(i eta K) of each (eta, seed)
+    pair, unchecked: K from the stream ``default_rng(seed)`` (all seeded in
+    one ``rng_for`` pass), then one stacked eigensolve for its norm and one
+    for its exponential."""
+    shape = (s.dim_b, s.dim_b)
+    g = np.empty((len(seeds),) + shape, complex)
+    for i, rng in enumerate(rng_for(np.asarray(seeds))):
+        g[i] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    k = _hermitian_part(g)
+    k /= np.abs(np.linalg.eigvalsh(k)).max(axis=-1)[:, None, None]
+    w, v = np.linalg.eigh(k)
+    phases = np.exp(1j * np.asarray(etas, dtype=float)[:, None] * w)
+    u = ((v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2))[:, None]
+    # a question at a time: a stack-sized temporary fragments the heap (peak RSS +6 %)
+    stack = np.empty((len(seeds),) + s.pvms_b.stack.shape, complex)
+    for x, family in enumerate(s.pvms_b.stack):
+        stack[:, x] = u @ family @ u.conj().swapaxes(-1, -2)
+    return stack
 
 
 # ---------------------------------------------------------------------------

@@ -461,23 +461,57 @@ class TestRoundingSuite:
         assert 4.5 < min(bounds) and max(bounds) < 16.5
 
     def test_corners_rebuilt_per_slab(self, capsys, monkeypatch):
-        import syncround.cli
+        import syncround.rounding
 
         built = []
-        original = syncround.cli.round_corners
+        original = syncround.rounding.round_corners
 
         def counting(game, s):
             built.append(s)
             return original(game, s)
 
         monkeypatch.setattr("syncround.cli.VERIFY_SLAB", 4)
-        monkeypatch.setattr("syncround.cli.round_corners", counting)
+        monkeypatch.setattr("syncround.rounding.round_corners", counting)
         _, report, _ = run_cli(
             capsys, ["verify", "--suite", "rounding", "--n", "10", "--seed", "6"]
         )
         assert len(built) == 3
         oracle = [rounding_instance(6, i, 8) for i in range(10)]
         assert json.dumps(report["instances"]) == json.dumps(oracle)
+
+    @pytest.mark.parametrize("seed", [6, 13])
+    def test_stacked_rows_equal_per_instance_calls(self, capsys, monkeypatch, seed):
+        """Every row of the stacked sweep, its groups split across slabs of
+        4, is the row of round_strategy and verify_dual_distance on
+        perturb_b_side of a fresh base strategy, bit for bit."""
+        monkeypatch.setattr("syncround.cli.VERIFY_SLAB", 4)
+        code, report, _ = run_cli(
+            capsys, ["verify", "--suite", "rounding", "--n", "10", "--seed", str(seed)]
+        )
+        assert code == 0
+        for row in report["instances"]:
+            assert json.dumps(row) == json.dumps(rounding_instance(seed, row["index"], 8))
+
+    def test_corrupted_instance_in_second_slab_is_named(self, capsys, monkeypatch):
+        import syncround.strategies
+
+        conjugated = syncround.strategies._conjugated_b_sides
+        calls = []
+
+        def corrupted(s, etas, seeds):
+            stack = conjugated(s, etas, seeds)
+            calls.append(None)
+            if len(calls) == 2:  # the slab of instances 4-7: position 2 is instance 6
+                stack[2, 1, 0] *= 1.5
+            return stack
+
+        monkeypatch.setattr("syncround.cli.VERIFY_SLAB", 4)
+        monkeypatch.setattr(syncround.strategies, "_conjugated_b_sides", corrupted)
+        code, report, err = run_cli(
+            capsys, ["verify", "--suite", "rounding", "--n", "10", "--seed", "6"]
+        )
+        assert code == 2 and report is None
+        assert "B side PVM for question 'v1' of instance 6 element 0 is not a projection" in err
 
     def test_one_stage_built_per_slab(self, capsys, monkeypatch):
         """Each instance's round_strategy finds the stage its slab holds:

@@ -334,6 +334,42 @@ class TestCorrelationTable:
             game_value(k2_game, table)
 
 
+class TestTableStacks:
+    """A stack of tables, (N, X, X, A, A), is checked at once, and its
+    values and distances are those of each table alone, bit for bit,
+    whatever the stack's memory layout."""
+
+    def _tables(self, k2_game, n):
+        raw = np.random.default_rng(3).random((n, 2, 2, 3, 3))
+        raw /= raw.sum(axis=(-2, -1), keepdims=True)
+        # the layout trace_pairing gives: each table's (x, a, y, b) entries contiguous
+        return np.ascontiguousarray(raw.swapaxes(-3, -2)).swapaxes(-3, -2)
+
+    def test_stacked_values_equal_each_table(self, k2_game):
+        data = self._tables(k2_game, 7)
+        stack = CorrelationTable(k2_game.questions, 3, data)
+        other = CorrelationTable(k2_game.questions, 3, data[3])
+        values = game_value(k2_game, stack)
+        distances = table_l1_distance(k2_game, stack, other)
+        for i, table in enumerate(data):
+            table = CorrelationTable(k2_game.questions, 3, table)
+            assert values[i] == game_value(k2_game, table)
+            assert distances[i] == table_l1_distance(k2_game, table, other)
+
+    def test_stack_entry_named(self, k2_game):
+        data = self._tables(k2_game, 4)
+        data[2, 1, 0, 2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"table entry \('v1', 'v0', 2, 1\) is not finite"):
+            CorrelationTable(k2_game.questions, 3, data)
+
+    def test_stacked_value_range_checked(self, k2_game):
+        data = self._tables(k2_game, 4)
+        stack = CorrelationTable(k2_game.questions, 3, data)
+        stack.data[1] *= 10.0
+        with pytest.raises(ValueError, match="falls outside"):
+            game_value(k2_game, stack)
+
+
 class TestColoringGenerator:
     def test_k2_alpha_closed_form(self):
         lam = Fraction(1, 2)

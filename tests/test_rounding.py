@@ -17,6 +17,8 @@ from syncround import (
     dump_tracial_strategy,
     orthogonalize_povm,
     perturb_b_side,
+    perturb_b_sides,
+    round_b_sides,
     round_corners,
     round_strategy,
     symmetrized_correlation,
@@ -731,6 +733,60 @@ class TestBoundsAgainstDistances:
 
 def _certificate_fields(result):
     return json.dumps(asdict(result.certificate))
+
+
+class TestRoundBSides:
+    """The stacked B-side half against its N = 1 case: every column of
+    ``round_b_sides`` is, bit for bit, the field that ``round_strategy``
+    and ``verify_dual_distance`` give for ``perturb_b_side`` of a fresh
+    copy of the base strategy."""
+
+    @staticmethod
+    def _assert_columns_match(game, base, etas, seeds):
+        names = [f"pair {i}" for i in range(len(seeds))]
+        stack_b = perturb_b_sides(base, etas, seeds, names)
+        cert, dual = round_b_sides(game, base, stack_b, names)
+        for i, (eta, seed) in enumerate(zip(etas, seeds)):
+            t = perturb_b_side(fresh_copy(base), eta, seed)
+            assert np.array_equal(stack_b[i], t.pvms_b.stack)
+            expected = asdict(round_strategy(game, t).certificate)
+            del expected["orthogonalization"]
+            got = {name: column[i].item() for name, column in cert.items()}
+            assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+            got = {name: column[i].item() for name, column in dual.items()}
+            expected = asdict(verify_dual_distance(game, t))
+            assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_single_corner_k2(self, k2_game, k2_strategy):
+        etas = [0.02, 0.05, 0.1, 0.0, 0.3]
+        self._assert_columns_match(k2_game, k2_strategy, etas, list(range(5)))
+
+    def test_multicorner_base_in_another_question_order(self):
+        from syncround import graph_coloring_game
+
+        game = graph_coloring_game([("a", "b"), ("b", "c"), ("a", "c")], 3, "1/3")
+        s = random_commuting_strategy(rng_for(182, 0), game.questions[::-1], 3, 4, 4)
+        assert s.questions != game.questions
+        assert round_corners(game, s).decomposition.n_corners >= 2
+        self._assert_columns_match(game, s, [0.05, 0.02, 0.1], [7, 8, 2**31 - 1])
+
+    def test_corrupted_instance_names_its_question(self, k2_strategy, monkeypatch):
+        import syncround.strategies
+
+        conjugated = syncround.strategies._conjugated_b_sides
+
+        def corrupted(s, etas, seeds):
+            stack = conjugated(s, etas, seeds)
+            stack[2, 1, 0] *= 1.5
+            return stack
+
+        monkeypatch.setattr(syncround.strategies, "_conjugated_b_sides", corrupted)
+        names = [f"instance {i}" for i in (10, 11, 12, 13)]
+        with pytest.raises(ValueError) as raised:
+            perturb_b_sides(k2_strategy, [0.02] * 4, [0, 1, 2, 3], names)
+        assert str(raised.value).startswith(
+            "B side PVM for question 'v1' of instance 12 element 0 is not a projection"
+        )
 
 
 class TestRoundCorners:
