@@ -16,10 +16,10 @@ Wishart and Haar transforms of ``sampling`` turn the group's draws into
 its instances, bitwise those of the per-instance generators, and the
 certificates cost one eigensolve per side.  The rounding suite's
 instances perturb only the B side of one strategy, so each of its groups
-is one stacked pass: ``perturb_b_sides`` draws the group's B sides as one
-(N, Y, B, d, d) stack and ``round_b_sides`` rounds it against the base
-strategy's one corner stage, bitwise the rows of rounding each instance
-alone.
+is one stacked pass: the group's B sides are drawn as ``perturb_b_sides``
+draws them, one (N, Y, B, d, d) stack, and ``round_b_sides`` checks it
+once and rounds it against one corner stage of the base strategy,
+bitwise the rows of rounding each instance alone.
 The sweep's thread pool maps over these batches.  It has one thread per CPU
 the process may run on (its affinity mask), at most 8;
 SYNCROUND_THREADS overrides that.
@@ -59,11 +59,11 @@ from .sampling import (
 )
 from .spectral import DUALITY_TOL, IDENTITY_TOL, MONOTONE_TOL, eigh
 from .strategies import (
+    _conjugated_b_sides,
     cyclic_coloring_strategy,
     dump_commuting_strategy,
     dump_tracial_strategy,
     load_commuting_strategy,
-    perturb_b_sides,
     seesaw_optimize,
 )
 
@@ -222,10 +222,11 @@ def _rounding_batch(key, indices, perturb_seeds) -> list[dict]:
     game = graph_coloring_game([("v0", "v1")], 3, "1/2")
     base = cyclic_coloring_strategy(game.questions, 3)
     # every instance perturbs only the B side of one base strategy: the
-    # group's B sides are one stack, rounded in one stacked pass
+    # group's B sides are one stack, checked and rounded in one stacked
+    # pass (perturb_b_sides would check it a second time)
     etas = np.take(ROUNDING_ETAS, indices % len(ROUNDING_ETAS))
     names = [f"instance {index}" for index in indices.tolist()]
-    stack_b = perturb_b_sides(base, etas, perturb_seeds, names)
+    stack_b = _conjugated_b_sides(base, etas, perturb_seeds)
     cert, dual = round_b_sides(game, base, stack_b, names)
     holds_bounds = cert["holds_first"] & cert["holds_total"] & cert["holds_game"]
     holds_dual = dual["holds_comm"] & dual["holds_dual"]

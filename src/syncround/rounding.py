@@ -24,16 +24,14 @@ The certified constants are implementation commitments:
 
 The corner stage uses only the state and the A-side PVMs (Connes'
 distribution lemma applied to rho^(1/2) p rho^(1/2)); the B side enters
-through delta and the input correlation alone.  ``round_corners`` is
-that stage as a value, held weakly by the strategy like its rho, one
-entry per question order.  A ``perturb_b_side`` variant shares the
-holder, so while one rounding result (or a caller) holds the stage,
-every B-side variant's ``round_strategy`` pays only the per-strategy
-terms, and ``verify_dual_distance`` reads the same rho.
-``round_b_sides`` pays those terms for a stack of N B sides in one pass
-over the (N, ...) stack: the input tables, delta (once per B side, for
-both reports), the distances and the dual.  ``round_strategy`` and
-``verify_dual_distance`` are its N = 1 case.
+through delta and the input correlation alone.  ``round_corners`` builds
+that stage as a value.  Rounding many B sides of one state and A side
+is ``round_b_sides``: one stage, then one pass over the (N, ...) stack
+of B sides for the input tables, delta (once per B side, for both
+reports), the distances and the dual.  ``round_strategy`` and
+``verify_dual_distance`` are its N = 1 case; both read the strategy's
+weakly held rho, so while the rounding result is held, the two on one
+strategy compute it once.
 """
 
 from __future__ import annotations
@@ -73,6 +71,7 @@ from .strategies import (
     _deficits,
     _dual_povms,
     _pvm_stack,
+    _require_b_sides,
     correlation_of_commuting,
     standard_form_dual,
     synchronicity_deficit,
@@ -178,21 +177,14 @@ def symmetrized_correlation(pvms_a, rho: DensityOperator, questions=None) -> Cor
     return CorrelationTable(order, pvms_a.n_answers, data)
 
 
-def _kept_eigenbasis_stack(pvms_a, decomp: CornerDecomposition, order) -> np.ndarray:
-    """The families of ``order`` in the kept eigenbasis of rho, (X, A, r, r).
-
-    Columns run by descending cluster, so corner k is the leading
-    ranks[k] x ranks[k] block of every rotated element.
-    """
-    basis = decomp.basis
-    return _hermitian_part(basis.conj().T @ _pvm_stack(pvms_a).in_order(order) @ basis)
-
-
 def corner_compressions(pvms_a, decomp: CornerDecomposition, questions=None) -> np.ndarray:
     """The POVMs (B_k+ p^x_a B_k) on the range of every corner P_k as one
-    rotated (X, A, r, r) stack: corner k is its leading ranks[k] x
-    ranks[k] block."""
-    return _kept_eigenbasis_stack(pvms_a, decomp, questions)
+    rotated (X, A, r, r) stack: the families of ``questions`` (default:
+    all) in the kept eigenbasis of rho.  Its columns run by descending
+    cluster, so corner k is the leading ranks[k] x ranks[k] block of
+    every rotated element."""
+    basis = decomp.basis
+    return _hermitian_part(basis.conj().T @ _pvm_stack(pvms_a).in_order(questions) @ basis)
 
 
 def corner_correlation(pvms_a, decomp: CornerDecomposition, questions=None) -> CorrelationTable:
@@ -215,7 +207,7 @@ def corner_correlation(pvms_a, decomp: CornerDecomposition, questions=None) -> C
     """
     pvms_a = _pvm_stack(pvms_a)
     order = tuple(questions or pvms_a.questions)
-    stack = _kept_eigenbasis_stack(pvms_a, decomp, order)
+    stack = corner_compressions(pvms_a, decomp, order)
     data = trace_pairing(stack * np.minimum.outer(decomp.levels, decomp.levels), stack).real
     return CorrelationTable(order, pvms_a.n_answers, data / float(decomp.weights.sum()))
 
@@ -376,8 +368,8 @@ class CornerRounding:
     rest the corner stage built from it and the A side: the symmetrized
     and corner tables, the orthogonalized tracial strategy with its
     table, and one orthogonalization report per corner and question.
-    The strategy holds both this stage and ``rho`` weakly, so holding the
-    stage keeps ``rho`` alive too.
+    The strategy holds ``rho`` weakly, so holding the stage keeps the
+    strategy's ``rho`` alive.
     """
 
     questions: tuple[str, ...]
@@ -392,13 +384,8 @@ class CornerRounding:
 
 def round_corners(game: SynchronousGame, s: CommutingStrategy) -> CornerRounding:
     """The corner stage of ``round_strategy`` for ``s`` in ``game``'s
-    question order, held weakly by ``s`` under ("corners", questions) like
-    its rho, and so shared with every ``perturb_b_side`` variant of ``s``."""
+    question order, built from ``s.rho`` and the A side."""
     questions = tuple(game.questions)
-    return s._shared(("corners", questions), lambda: _build_corners(questions, s))
-
-
-def _build_corners(questions: tuple[str, ...], s: CommutingStrategy) -> CornerRounding:
     rho = s.rho
     symmetrized = symmetrized_correlation(s.pvms_a, rho, questions)
     decomp = corner_decomposition(rho)
@@ -464,8 +451,8 @@ class RoundingCertificate:
 @dataclass(eq=False)
 class RoundingResult:
     """The rounded strategy, its certificate, and the corner stage that
-    built it.  Holding the result keeps the strategy's weakly held stage
-    and rho alive, for B-side variants and ``verify_dual_distance``."""
+    built it.  Holding the result keeps the strategy's weakly held rho
+    alive, for ``verify_dual_distance`` on the same strategy."""
 
     tracial: TracialStrategy
     certificate: RoundingCertificate
@@ -476,19 +463,16 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
     """Round a commuting strategy into a tracial strategy with certificate.
 
     Requires alpha_of(game) > 0 (otherwise the value bound is vacuous
-    and the run is rejected).  The corner stage uses only the A-side
-    PVMs and the reduced density: ``round_corners`` gives the one ``s``
-    holds, shared with its B-side variants, or builds it.  The
+    and the run is rejected before any work).  The corner stage uses only
+    the A-side PVMs and the reduced density (``round_corners``).  The
     certificate is the one-strategy case of ``round_b_sides``.
     """
+    alpha = _require_alpha(game)
     corners = round_corners(game, s)
     original = correlation_of_commuting(s, game.questions)
-    columns = _certificate_columns(
-        game,
-        corners,
-        CorrelationTable(original.questions, original.n_answers, original.data[None]),
-        np.array([synchronicity_deficit(game, s)]),
-    )
+    original = CorrelationTable(original.questions, original.n_answers, original.data[None])
+    delta = np.array([synchronicity_deficit(game, s)])
+    columns = _certificate_columns(game, alpha, corners, original, delta)
     cert = RoundingCertificate(
         **{name: column[0].item() for name, column in columns.items()},
         orthogonalization=[
@@ -503,20 +487,27 @@ def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResul
     return RoundingResult(corners.tracial, cert, corners)
 
 
-def _certificate_columns(
-    game: SynchronousGame, corners: CornerRounding, original: CorrelationTable, delta
-) -> dict[str, np.ndarray]:
-    """Every ``RoundingCertificate`` field but the orthogonalization list,
-    one (N,) column each, for a stack ``original`` of N input tables with
-    deficits ``delta`` that share the corner stage ``corners``.  Each
-    distance and value is one reduction over the stack, the checks run on
-    every table, and the fourth roots are taken on Python floats."""
+def _require_alpha(game: SynchronousGame) -> float:
+    """alpha_of(game), else a ValueError when it is 0: the value bound
+    divides by it."""
     alpha = alpha_of(game)
     if alpha <= 0.0:
         raise ValueError(
             "game has alpha = 0 (some question carries no diagonal mass);"
             " the rounding bound is vacuous and unsupported"
         )
+    return alpha
+
+
+def _certificate_columns(
+    game: SynchronousGame, alpha: float, corners: CornerRounding, original: CorrelationTable, delta
+) -> dict[str, np.ndarray]:
+    """Every ``RoundingCertificate`` field but the orthogonalization list,
+    one (N,) column each, for a stack ``original`` of N input tables with
+    deficits ``delta`` that share the corner stage ``corners``, in a game
+    of synchronicity ``alpha``.  Each distance and value is one reduction
+    over the stack, the checks run on every table, and the fourth roots
+    are taken on Python floats."""
     symmetrized, corner, tracial_table = (
         corners.symmetrized, corners.corner, corners.tracial_table
     )
@@ -593,9 +584,9 @@ def verify_dual_distance(game: SynchronousGame, s: CommutingStrategy) -> DualDis
     one stacked eigensolve that validates the dual POVMs also gives
     their square roots, and the squared norms are mu-weighted reductions
     over the stack.  rho, its square root and the A stack are the
-    strategy's own, with no corner stage: ``s.rho`` is computed once
-    while a rounding result of ``s``, or of the strategy it perturbs,
-    holds it.  The one-strategy case of ``round_b_sides``.
+    strategy's own, with no corner stage: ``s.rho`` is computed anew
+    unless something, such as a rounding result of ``s``, holds it.  The
+    one-strategy case of ``round_b_sides``.
     """
     sqrt_dual = functional_calculus(standard_form_dual(s, game.questions, decompose=True))
     columns = _dual_columns(game, s, sqrt_dual[None], np.array([synchronicity_deficit(game, s)]))
@@ -627,27 +618,31 @@ def _dual_columns(
 
 
 def round_b_sides(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarray, names):
-    """Round ``s`` with each B side of a checked (N, Y, B, d, d) stack in
-    ``s``'s question order (as ``perturb_b_sides`` gives) in place of its
-    own; ``names`` names each in the dual POVM check.
+    """Round ``s`` with each B side of an (N, Y, B, d, d) stack in ``s``'s
+    question order (as ``perturb_b_sides`` gives) in place of its own;
+    ``names`` names each B side in the errors of the PVM and dual POVM
+    checks.
 
-    The N strategies share the state, the A side and so the corner stage
-    and rho of ``s``, and every B-side term is one stacked pass: one table
-    contraction, one deficit per strategy for both reports, one dual
-    eigensolve, one reduction per distance.  Returns (N,) columns of the
-    fields of ``RoundingCertificate`` (but the orthogonalization list of
-    the stage) and of ``DualDistanceReport``: ``round_strategy`` and
-    ``verify_dual_distance`` are its N = 1 case.
+    The N strategies share the state, the A side and so one corner stage
+    and the rho of ``s``, and every B-side term is one stacked pass: one
+    PVM check, one table contraction, one deficit per strategy for both
+    reports, one dual eigensolve, one reduction per distance.  Returns
+    (N,) columns of the fields of ``RoundingCertificate`` (but the
+    orthogonalization list of the stage) and of ``DualDistanceReport``:
+    ``round_strategy`` and ``verify_dual_distance`` are its N = 1 case.
     """
+    alpha = _require_alpha(game)
     if stack_b.ndim != 5 or stack_b.shape[1:] != s.pvms_b.stack.shape:
         raise ValueError(
             f"B-side stack of shape {stack_b.shape} for B sides of {s.pvms_b.stack.shape}"
         )
+    _require_b_sides(s, stack_b, names)
     corners = round_corners(game, s)
     order = tuple(game.questions)
     if order != s.questions:
         stack_b = stack_b[:, s.pvms_b.positions(order)]
     delta = _deficits(game, s, stack_b)
-    certificate = _certificate_columns(game, corners, _commuting_tables(s, order, stack_b), delta)
+    tables = _commuting_tables(s, order, stack_b)
+    certificate = _certificate_columns(game, alpha, corners, tables, delta)
     dual = _dual_povms(s, stack_b, [f"dual POVM of {name}" for name in names], decompose=True)
     return certificate, _dual_columns(game, s, functional_calculus(dual), delta)

@@ -140,11 +140,8 @@ class CommutingStrategy:
     """Tensor-split commuting strategy with a shared pure state.
 
     Immutable: the state and both ``PVMStack`` sides are read-only, so
-    strategies can share them, and a ``perturb_b_side`` variant shares
-    the weak holder of what the state and the A side determine (``rho``
-    and the corner stages of ``rounding.round_corners``).  The
-    constructor also takes each side as a plain mapping of question ->
-    family and stacks it.
+    strategies can share them.  The constructor also takes each side as
+    a plain mapping of question -> family and stacks it.
     """
 
     dim_a: int
@@ -176,21 +173,10 @@ class CommutingStrategy:
             raise ValueError("A and B sides must share the answer count")
         for name, value in (("state", state), ("pvms_a", pvms_a), ("pvms_b", pvms_b)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_held", weakref.WeakValueDictionary())
+        object.__setattr__(self, "_rho", lambda: None)  # no rho held yet
 
-    def __reduce__(self):  # unpickled through the constructor, with an empty holder
+    def __reduce__(self):  # unpickled through the constructor, with no rho held
         return CommutingStrategy, (self.dim_a, self.dim_b, self.state, self.pvms_a, self.pvms_b)
-
-    def _shared(self, key, build):
-        """The value held under ``key`` (one the state and the A side alone
-        determine), else ``build()`` held there.  The holder is weak: a
-        value lives while something else holds it, as a rounding result
-        holds its corner stage and that stage its rho.  Two threads may
-        both build a missing value; either is the same numbers."""
-        value = self._held.get(key)
-        if value is None:
-            value = self._held[key] = build()
-        return value
 
     @property
     def questions(self) -> tuple[str, ...]:
@@ -202,10 +188,17 @@ class CommutingStrategy:
 
     @property
     def rho(self) -> DensityOperator:
-        """The reduced density, computed by ``reduced_density`` and shared
-        by every use while something holds it, as the ``CornerRounding``
-        of a rounding result does: one entry of the weak holder."""
-        return self._shared("rho", lambda: reduced_density(self))
+        """The reduced density, computed by ``reduced_density`` and held
+        weakly: every use on this strategy reads the one object while
+        something else holds it, as the ``CornerRounding`` of a rounding
+        result does, so ``round_strategy`` then ``verify_dual_distance``
+        compute it once.  Two threads may both compute a missing rho;
+        either is the same numbers."""
+        rho = self._rho()
+        if rho is None:
+            rho = reduced_density(self)
+            object.__setattr__(self, "_rho", weakref.ref(rho))
+        return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,18 +431,27 @@ def perturb_b_side(s: CommutingStrategy, eta: float, seed: int) -> CommutingStra
     spectral norm drawn from the seed.  Produces synchronicity deficits
     of order eta^2 on exactly synchronous inputs."""
     pvms_b = PVMStack(s.pvms_b.questions, _conjugated_b_sides(s, [eta], [seed])[0], "B side")
-    # the state and the A side are read-only, so the result shares them,
-    # and with them the holder of what they determine
-    t = CommutingStrategy(s.dim_a, s.dim_b, s.state, s.pvms_a, pvms_b)
-    object.__setattr__(t, "_held", s._held)
-    return t
+    # the state and the A side are read-only, so the result shares them
+    return CommutingStrategy(s.dim_a, s.dim_b, s.state, s.pvms_a, pvms_b)
 
 
 def perturb_b_sides(s: CommutingStrategy, etas, seeds, names) -> np.ndarray:
     """The B side of ``perturb_b_side(s, eta, seed)`` for each (eta, seed)
-    pair as one (N, Y, B, d, d) stack in ``s``'s order, checked by one
-    ``require_pvm`` whose errors name the question and the pair's name."""
-    stack = _conjugated_b_sides(s, etas, seeds)
+    pair as one (N, Y, B, d, d) stack in ``s``'s order, checked by
+    ``_require_b_sides`` under the pair's name."""
+    if len(etas) != len(seeds):
+        raise ValueError(f"{len(etas)} etas for {len(seeds)} seeds: one each per B side")
+    return _require_b_sides(s, _conjugated_b_sides(s, etas, seeds), names)
+
+
+def _require_b_sides(s: CommutingStrategy, stack: np.ndarray, names) -> np.ndarray:
+    """``stack``, N > 0 B sides (N, Y, B, d, d) in ``s``'s order with one
+    name each, checked by one ``require_pvm`` whose errors name the
+    question and the B side's name."""
+    if len(names) != len(stack):
+        raise ValueError(f"{len(names)} names for {len(stack)} B sides: one each per B side")
+    if len(stack) == 0:
+        raise ValueError("at least one B side is needed")
     labels = [f"B side PVM for question {q!r} of {name}" for name in names for q in s.pvms_b]
     require_pvm(stack.reshape((-1,) + stack.shape[2:]), s.dim_b, labels)
     return stack

@@ -62,7 +62,7 @@ def random_commuting_strategy(rng, questions, n_answers, dim_a, dim_b):
 
 def fresh_copy(s):
     """The strategy ``s`` rebuilt from copies of its arrays: it shares no
-    array, and no reduced density, with ``s``."""
+    array with ``s`` (and, like every strategy, holds its own rho)."""
     side_a = {q: np.array(f) for q, f in s.pvms_a.items()}
     side_b = {q: np.array(f) for q, f in s.pvms_b.items()}
     return CommutingStrategy(s.dim_a, s.dim_b, np.array(s.state), side_a, side_b)

@@ -493,9 +493,9 @@ class TestRoundingSuite:
             assert json.dumps(row) == json.dumps(rounding_instance(seed, row["index"], 8))
 
     def test_corrupted_instance_in_second_slab_is_named(self, capsys, monkeypatch):
-        import syncround.strategies
+        import syncround.cli
 
-        conjugated = syncround.strategies._conjugated_b_sides
+        conjugated = syncround.cli._conjugated_b_sides
         calls = []
 
         def corrupted(s, etas, seeds):
@@ -506,7 +506,7 @@ class TestRoundingSuite:
             return stack
 
         monkeypatch.setattr("syncround.cli.VERIFY_SLAB", 4)
-        monkeypatch.setattr(syncround.strategies, "_conjugated_b_sides", corrupted)
+        monkeypatch.setattr(syncround.cli, "_conjugated_b_sides", corrupted)
         code, report, err = run_cli(
             capsys, ["verify", "--suite", "rounding", "--n", "10", "--seed", "6"]
         )
@@ -514,8 +514,9 @@ class TestRoundingSuite:
         assert "B side PVM for question 'v1' of instance 6 element 0 is not a projection" in err
 
     def test_one_stage_built_per_slab(self, capsys, monkeypatch):
-        """Each instance's round_strategy finds the stage its slab holds:
-        the corner decomposition runs once per slab, not per instance."""
+        """Each slab's round_b_sides builds one stage for all its
+        instances: the corner decomposition runs once per slab, not per
+        instance."""
         import syncround.rounding
 
         built = []

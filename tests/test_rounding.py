@@ -572,7 +572,14 @@ class TestRoundStrategy:
         # large delta makes every bound loose; they must still hold
         assert cert.holds
 
-    def test_alpha_zero_rejected(self):
+    def test_alpha_zero_rejected(self, monkeypatch):
+        """Rejected before any work: no corner stage is built, and the
+        stacked route rejects it too."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corner stage ran")
+
+        monkeypatch.setattr(syncround.rounding, "corner_decomposition", refuse)
         doc = {
             "questions": ["p", "q"],
             "answers": ["a", "b"],
@@ -586,6 +593,8 @@ class TestRoundStrategy:
         s = random_commuting_strategy(rng, game.questions, 2, 2, 2)
         with pytest.raises(ValueError, match="alpha"):
             round_strategy(game, s)
+        with pytest.raises(ValueError, match="alpha"):
+            round_b_sides(game, s, s.pvms_b.stack[None], ["own B side"])
 
     def test_tracial_output_recomputes_identically(self, k2_game, k2_strategy):
         s = perturb_b_side(k2_strategy, 0.05, 4)
@@ -788,45 +797,50 @@ class TestRoundBSides:
             "B side PVM for question 'v1' of instance 12 element 0 is not a projection"
         )
 
+    def test_non_pvm_b_sides_rejected(self, k2_game, k2_strategy):
+        """A B side whose outcomes are all I/3 is a POVM, not a PVM: as the
+        B side of a strategy it is rejected, and so it is in a stack."""
+        third = np.broadcast_to(np.eye(3) / 3, (2, 2, 3, 3, 3)).astype(complex)
+        side = dict(zip(k2_strategy.questions, third[0]))
+        with pytest.raises(ValueError, match="is not a projection"):
+            CommutingStrategy(3, 3, k2_strategy.state, k2_strategy.pvms_a, side)
+        with pytest.raises(ValueError) as raised:
+            round_b_sides(k2_game, k2_strategy, third, ["instance 4", "instance 5"])
+        assert str(raised.value).startswith(
+            "B side PVM for question 'v0' of instance 4 element 0 is not a projection"
+        )
+
+    def test_argument_lengths_must_match(self, k2_game, k2_strategy):
+        names = ["a", "b", "c"]
+        with pytest.raises(ValueError, match="^1 etas for 3 seeds"):
+            perturb_b_sides(k2_strategy, [0.05], [1, 2, 3], names)
+        with pytest.raises(ValueError, match="^2 names for 3 B sides"):
+            perturb_b_sides(k2_strategy, [0.05] * 3, [1, 2, 3], names[:2])
+        stack_b = perturb_b_sides(k2_strategy, [0.05] * 3, [1, 2, 3], names)
+        with pytest.raises(ValueError, match="^2 names for 3 B sides"):
+            round_b_sides(k2_game, k2_strategy, stack_b, names[:2])
+
+    def test_no_b_side_rejected(self, k2_game, k2_strategy):
+        with pytest.raises(ValueError, match="at least one B side is needed"):
+            perturb_b_sides(k2_strategy, [], [], [])
+        empty = np.empty((0,) + k2_strategy.pvms_b.stack.shape, complex)
+        with pytest.raises(ValueError, match="at least one B side is needed"):
+            round_b_sides(k2_game, k2_strategy, empty, [])
+
 
 class TestRoundCorners:
-    """The corner stage a strategy holds weakly gives the same numbers as
-    building it for a fresh copy; a B-side variant shares it, and a
-    strategy with another state, A side or question order gets its own."""
+    """Every ``round_corners`` call builds its stage from the strategy's
+    weakly held rho, with the numbers of a stage built for a fresh copy;
+    a strategy with another state or A side has its own rho."""
 
-    def test_perturbations_share_corners(self, k2_game, k2_strategy):
-        corners = round_corners(k2_game, k2_strategy)
-        for eta, seed in [(0.02, 0), (0.05, 1), (0.1, 2), (0.0, 3)]:
-            s = perturb_b_side(k2_strategy, eta, seed)
-            shared = round_strategy(k2_game, s)
-            assert shared.corners is corners is round_corners(k2_game, s)
-            assert shared.tracial is corners.tracial
-            assert s.rho is corners.rho
-            fresh = round_strategy(k2_game, fresh_copy(s))
-            assert fresh.corners is not corners
-            assert _certificate_fields(shared) == _certificate_fields(fresh)
-            assert asdict(verify_dual_distance(k2_game, s)) == asdict(
-                verify_dual_distance(k2_game, fresh_copy(s))
-            )
-
-    def test_multicorner_state_shares_corners(self):
-        from syncround import graph_coloring_game
-
-        game = graph_coloring_game([("a", "b"), ("b", "c"), ("a", "c")], 3, "1/3")
-        s = random_commuting_strategy(rng_for(181, 0), game.questions, 3, 4, 4)
-        corners = round_corners(game, s)
-        assert corners.decomposition.n_corners >= 2
-        for seed in (0, 1):
-            t = perturb_b_side(s, 0.05, seed)
-            result = round_strategy(game, t)
-            assert result.corners is corners is round_corners(game, t)
-            assert _certificate_fields(result) == (
-                _certificate_fields(round_strategy(game, fresh_copy(t)))
-            )
-            assert t.rho is corners.rho
-            assert asdict(verify_dual_distance(game, t)) == asdict(
-                verify_dual_distance(game, fresh_copy(t))
-            )
+    def test_each_call_builds_its_own_stage(self, k2_game, k2_strategy, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        first = round_corners(k2_game, k2_strategy)
+        second = round_corners(k2_game, k2_strategy)
+        assert second is not first and len(builds) == 2
+        assert second.rho is first.rho is k2_strategy.rho
+        assert np.array_equal(second.tracial_table.data, first.tracial_table.data)
+        assert [asdict(r) for r in second.reports] == [asdict(r) for r in first.reports]
 
     def _mismatches(self, k2_game, k2_strategy):
         rng = rng_for(191, 0)
@@ -862,8 +876,9 @@ class TestRoundCorners:
         ]
 
     def test_mismatched_corners_rejected(self, k2_game, k2_strategy):
-        """A held stage never reaches a strategy with another state or A
-        side, nor another question order of the same strategy."""
+        """A held rho never reaches a strategy with another state or A
+        side, and another question order of the same strategy gets a
+        stage of its own."""
         corners = round_corners(k2_game, k2_strategy)
         stages = []
         for game, s, what in self._mismatches(k2_game, k2_strategy):
@@ -880,8 +895,6 @@ class TestRoundCorners:
             ), what
             stages.append(result.corners)
         assert len({id(stage) for stage in stages}) == len(stages)
-        # the swapped order is a second entry of the same holder
-        assert round_corners(k2_game, k2_strategy) is corners
 
     def _count_builds(self, monkeypatch) -> list:
         """One entry per corner stage built from here on."""
@@ -895,29 +908,28 @@ class TestRoundCorners:
         monkeypatch.setattr(syncround.rounding, "corner_decomposition", counted)
         return builds
 
-    def test_variant_of_a_variant_shares_the_stage(self, k2_game, k2_strategy, monkeypatch):
-        builds = self._count_builds(monkeypatch)
-        corners = round_corners(k2_game, k2_strategy)
-        t = perturb_b_side(perturb_b_side(k2_strategy, 0.05, 1), 0.02, 2)
-        assert round_strategy(k2_game, t).corners is corners
-        assert t.rho is corners.rho
-        assert len(builds) == 1
-
     def test_dropped_stage_is_built_again(self, k2_game, k2_strategy, monkeypatch):
-        """The holder keeps nothing alive: with no reference cycle, the
-        stage goes with the last result that holds it, without a
-        garbage collection."""
+        """The strategy keeps nothing alive: with no reference cycle, rho
+        goes with the last result that holds it, without a garbage
+        collection, and the next round computes it again."""
         builds = self._count_builds(monkeypatch)
+        densities = []
+        original = syncround.strategies.reduced_density
+
+        def counted(s):
+            densities.append(s)
+            return original(s)
+
+        monkeypatch.setattr(syncround.strategies, "reduced_density", counted)
         s = perturb_b_side(k2_strategy, 0.05, 1)
         result = round_strategy(k2_game, s)
-        round_strategy(k2_game, s)
-        assert len(builds) == 1
+        again = round_strategy(k2_game, s)
+        assert again.corners.rho is result.corners.rho
+        assert len(builds) == 2 and len(densities) == 1
         first = _certificate_fields(result)
-        del result
+        del result, again
         assert _certificate_fields(round_strategy(k2_game, s)) == first
-        assert len(builds) == 2
-        round_strategy(k2_game, s)
-        assert len(builds) == 3
+        assert len(builds) == 3 and len(densities) == 2
 
     def test_question_order_builds_its_own_stage(self, k2_game, k2_strategy, monkeypatch):
         builds = self._count_builds(monkeypatch)
@@ -928,7 +940,6 @@ class TestRoundCorners:
         assert other is not corners and len(builds) == 2
         assert other.questions == swapped.questions
         assert other.rho is corners.rho
-        assert round_corners(swapped, k2_strategy) is other and len(builds) == 2
 
     def test_pickled_copy_shares_nothing(self, k2_game, k2_strategy, monkeypatch):
         builds = self._count_builds(monkeypatch)

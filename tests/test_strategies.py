@@ -27,7 +27,6 @@ from syncround import (
     maximally_entangled_state,
     perturb_b_side,
     reduced_density,
-    round_corners,
     round_strategy,
     seesaw_optimize,
     standard_form_dual,
@@ -39,7 +38,7 @@ from syncround.sampling import random_pvm, random_unitary, rng_for
 from syncround.spectral import FAMILY_TOL, PSD_CLAMP, TABLE_TOL, functional_calculus
 from syncround.strategies import _payoff_operator
 
-from conftest import assert_close, diagonal_game_doc, fresh_copy, random_commuting_strategy
+from conftest import assert_close, diagonal_game_doc, random_commuting_strategy
 from oracles import (
     payoff_operator_kron,
     seesaw_value_loop,
@@ -549,24 +548,14 @@ class TestReadOnlyStacks:
         assert again.questions == s.questions
         assert np.array_equal(again.rho.matrix, rho.matrix)
 
-    def test_perturbation_shares_state_and_a_side(self, k2_game, k2_strategy):
+    def test_perturbation_shares_state_and_a_side(self, k2_strategy):
+        """The arrays only: a variant holds its own rho."""
+        rho = k2_strategy.rho
         t = perturb_b_side(k2_strategy, 0.05, 4)
         assert t.state is k2_strategy.state
         assert t.pvms_a is k2_strategy.pvms_a
-        corners = round_corners(k2_game, k2_strategy)
-        assert round_corners(k2_game, t) is corners
-        assert t.rho is corners.rho
-
-    def test_perturbation_shares_held_rho(self, k2_game):
-        s = random_commuting_strategy(rng_for(72, 0), k2_game.questions, 3, 3, 4)
-        rho = s.rho
-        t = perturb_b_side(s, 0.05, 4)
-        assert t.rho is rho
-        fresh = fresh_copy(t)
-        assert fresh.rho is not rho
-        assert json.dumps(dataclasses.asdict(verify_dual_distance(k2_game, t))) == (
-            json.dumps(dataclasses.asdict(verify_dual_distance(k2_game, fresh)))
-        )
+        assert t.rho is not rho
+        assert np.array_equal(t.rho.matrix, rho.matrix)
 
     def test_reduced_density_once_per_strategy(self, k2_game, monkeypatch):
         calls = []
