@@ -75,6 +75,7 @@ from .spectral import (
     _element,
     _first_failure,
     _require_psd,
+    _unstack,
     eigh,
     require_hermitian,
     require_pvm,
@@ -93,10 +94,6 @@ __all__ = [
     "lp_duality_check",
     "threshold_integral",
 ]
-
-def _unstack(value):
-    """A Python float or bool for one matrix; the array for a stack."""
-    return value.item() if np.ndim(value) == 0 else value
 
 
 def _matrix(x) -> np.ndarray:

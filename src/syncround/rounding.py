@@ -28,10 +28,10 @@ through delta and the input correlation alone.  ``round_corners`` builds
 that stage as a value.  Rounding many B sides of one state and A side
 is ``round_b_sides``: one stage, then one pass over the (N, ...) stack
 of B sides for the input tables, delta (once per B side, for both
-reports), the distances and the dual.  ``round_strategy`` and
-``verify_dual_distance`` are its N = 1 case; both read the strategy's
-weakly held rho, so while the rounding result is held, the two on one
-strategy compute it once.
+reports), the distances and the dual, into the dataclasses of
+``round_strategy`` and ``verify_dual_distance`` with (N,) fields.  Those
+two read the strategy's weakly held rho, so while the rounding result
+is held, the two on one strategy compute it once.
 """
 
 from __future__ import annotations
@@ -55,10 +55,12 @@ from .spectral import (
     ORTHOGONALIZATION_SLACK,
     ROUNDING_SLACK,
     _hermitian_part,
+    _unstack,
     eigh,
     functional_calculus,
     require_hermitian,
     require_povm,
+    require_pvm,
     trace_pairing,
 )
 from .strategies import (
@@ -71,7 +73,6 @@ from .strategies import (
     _deficits,
     _dual_povms,
     _pvm_stack,
-    _require_b_sides,
     correlation_of_commuting,
     standard_form_dual,
     synchronicity_deficit,
@@ -366,8 +367,8 @@ class CornerRounding:
 
     ``rho`` is the reduced density (with its cached square root), and the
     rest the corner stage built from it and the A side: the symmetrized
-    and corner tables, the orthogonalized tracial strategy with its
-    table, and one orthogonalization report per corner and question.
+    and corner tables, the orthogonalized tracial strategy (its table in
+    ``questions`` order) and one report per corner and question.
     The strategy holds ``rho`` weakly, so holding the stage keeps the
     strategy's ``rho`` alive.
     """
@@ -378,7 +379,6 @@ class CornerRounding:
     symmetrized: CorrelationTable = field(repr=False)
     corner: CorrelationTable = field(repr=False)
     tracial: TracialStrategy = field(repr=False)
-    tracial_table: CorrelationTable = field(repr=False)
     reports: list[OrthogonalizationReport] = field(repr=False)
 
 
@@ -401,10 +401,8 @@ def round_corners(game: SynchronousGame, s: CommutingStrategy) -> CornerRounding
         TracialBlock(float(w), r, PVMStack(questions, pvms, f"block(dim={r})"))
         for w, r, pvms in zip(normalized_weights, decomp.ranks, rounded)
     ]
-    tracial = TracialStrategy(blocks)
     return CornerRounding(
-        questions, rho, decomp, symmetrized, corner, tracial,
-        tracial_correlation(tracial, questions), reports,
+        questions, rho, decomp, symmetrized, corner, TracialStrategy(blocks), reports
     )
 
 
@@ -420,32 +418,34 @@ class RoundingCertificate:
     ``vacuous_total`` and ``vacuous_game`` flag a bound that no input can
     violate (a distance bound of at least 2, a value bound of at least
     1); ``holds_by_slack`` flags a ``holds_*`` that is true only through
-    ``BOUND_SLACK``.
+    ``BOUND_SLACK``.  Floats and bools for one strategy, arrays of shape
+    (N,) for the N B sides of ``round_b_sides``, which share
+    ``orthogonalization``, the reports of the corner stage.
     """
 
-    delta: float
-    alpha: float
-    d1_sym: float
-    d1_corner: float
-    d1_pvm: float
-    d1_first: float
-    d1_total: float
-    value_in: float
-    value_out: float
-    bound_first: float
-    bound_total: float
-    bound_game: float
-    holds_first: bool
-    holds_total: bool
-    holds_game: bool
-    vacuous_total: bool
-    vacuous_game: bool
-    holds_by_slack: bool
+    delta: float | np.ndarray
+    alpha: float | np.ndarray
+    d1_sym: float | np.ndarray
+    d1_corner: float | np.ndarray
+    d1_pvm: float | np.ndarray
+    d1_first: float | np.ndarray
+    d1_total: float | np.ndarray
+    value_in: float | np.ndarray
+    value_out: float | np.ndarray
+    bound_first: float | np.ndarray
+    bound_total: float | np.ndarray
+    bound_game: float | np.ndarray
+    holds_first: bool | np.ndarray
+    holds_total: bool | np.ndarray
+    holds_game: bool | np.ndarray
+    vacuous_total: bool | np.ndarray
+    vacuous_game: bool | np.ndarray
+    holds_by_slack: bool | np.ndarray
     orthogonalization: list[dict] = field(default_factory=list)
 
     @property
-    def holds(self) -> bool:
-        return self.holds_first and self.holds_total and self.holds_game
+    def holds(self) -> bool | np.ndarray:
+        return self.holds_first & self.holds_total & self.holds_game
 
 
 @dataclass(eq=False)
@@ -462,28 +462,16 @@ class RoundingResult:
 def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResult:
     """Round a commuting strategy into a tracial strategy with certificate.
 
-    Requires alpha_of(game) > 0 (otherwise the value bound is vacuous
-    and the run is rejected before any work).  The corner stage uses only
-    the A-side PVMs and the reduced density (``round_corners``).  The
-    certificate is the one-strategy case of ``round_b_sides``.
+    Requires alpha_of(game) > 0 (otherwise the value bound is vacuous)
+    and the game's answer count; either failing, the run is rejected
+    before any work.  The corner stage uses only the A-side PVMs and the
+    reduced density (``round_corners``).
     """
     alpha = _require_alpha(game)
+    delta = synchronicity_deficit(game, s)
     corners = round_corners(game, s)
     original = correlation_of_commuting(s, game.questions)
-    original = CorrelationTable(original.questions, original.n_answers, original.data[None])
-    delta = np.array([synchronicity_deficit(game, s)])
-    columns = _certificate_columns(game, alpha, corners, original, delta)
-    cert = RoundingCertificate(
-        **{name: column[0].item() for name, column in columns.items()},
-        orthogonalization=[
-            {"corner": k, "question": q, "dim": r.dim, "distance_sq": r.distance_sq,
-             "budget": r.budget, "holds": r.holds}
-            for (k, q), r in zip(
-                itertools.product(range(corners.decomposition.n_corners), game.questions),
-                corners.reports,
-            )
-        ],
-    )
+    cert = _certificate(game, alpha, corners, original, delta)
     return RoundingResult(corners.tracial, cert, corners)
 
 
@@ -499,18 +487,27 @@ def _require_alpha(game: SynchronousGame) -> float:
     return alpha
 
 
-def _certificate_columns(
+def _fourth_roots(values) -> np.ndarray:
+    """values^(1/4), each entry by Python's pow, in the shape of ``values``."""
+    values = np.asarray(values, dtype=float)
+    return np.array([v**0.25 for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def _shaped(shape, fields: dict) -> dict:
+    """Every field broadcast to ``shape``, a Python scalar for shape ()."""
+    return {name: _unstack(np.full(shape, value)) for name, value in fields.items()}
+
+
+def _certificate(
     game: SynchronousGame, alpha: float, corners: CornerRounding, original: CorrelationTable, delta
-) -> dict[str, np.ndarray]:
-    """Every ``RoundingCertificate`` field but the orthogonalization list,
-    one (N,) column each, for a stack ``original`` of N input tables with
-    deficits ``delta`` that share the corner stage ``corners``, in a game
-    of synchronicity ``alpha``.  Each distance and value is one reduction
-    over the stack, the checks run on every table, and the fourth roots
-    are taken on Python floats."""
-    symmetrized, corner, tracial_table = (
-        corners.symmetrized, corners.corner, corners.tracial_table
-    )
+) -> RoundingCertificate:
+    """The certificate of an input table ``original`` with deficit
+    ``delta``, or of each of a stack of N tables with (N,) ``delta``, on
+    the corner stage ``corners`` in a game of synchronicity ``alpha``.
+    Each distance and value is one reduction over the stack, the checks
+    run on every table, and the fourth roots are taken on Python floats."""
+    symmetrized, corner = corners.symmetrized, corners.corner
+    tracial_table = tracial_correlation(corners.tracial, corners.questions)
     d1_sym = table_l1_distance(game, original, symmetrized)
     d1_corner = table_l1_distance(game, symmetrized, corner)
     d1_pvm = table_l1_distance(game, corner, tracial_table)
@@ -519,8 +516,8 @@ def _certificate_columns(
     value_in = game_value(game, original)
     value_out = game_value(game, tracial_table)
 
-    staged = d1_sym + d1_corner + d1_pvm
-    drift = np.abs(value_in - value_out)
+    staged = np.ravel(d1_sym + d1_corner + d1_pvm)
+    drift = np.ravel(np.abs(value_in - value_out))
     over = drift > staged + ROUNDING_SLACK
     if over.any():
         i = int(np.argmax(over))
@@ -528,30 +525,38 @@ def _certificate_columns(
             f"value drift {drift[i]:.3e} exceeds the staged L1 budget {staged[i]:.3e}"
         )
 
-    root = np.array([d**0.25 for d in delta.tolist()])
+    root = _fourth_roots(delta)
     # eps is the nu-weighted losing mass, summed from the table's small
     # entries: 1 - value_in cancels to 0 (or below) once eps nears 1e-16
     losing = _table_sums(game.nu[:, :, None, None] * ~game.predicate * original.data)
     bound_first = FIRST_HALF_CONSTANT * root
     bound_total = TOTAL_CONSTANT * root
-    bound_game = np.array([GAME_CONSTANT * (max(0.0, e) / alpha) ** 0.25 for e in losing.tolist()])
+    bound_game = GAME_CONSTANT * _fourth_roots(np.clip(losing, 0.0, None) / alpha)
     # each check as (without slack, with slack)
     checks = [
         (d1_first <= bound_first, d1_first <= bound_first + BOUND_SLACK),
         (d1_total <= bound_total, d1_total <= bound_total + BOUND_SLACK),
         (value_out >= 1.0 - bound_game, value_out >= 1.0 - bound_game - BOUND_SLACK),
     ]
-    shared = {"alpha": alpha, "d1_corner": d1_corner, "d1_pvm": d1_pvm, "value_out": value_out}
-    return {
-        "delta": delta,
-        **{name: np.full(len(delta), value) for name, value in shared.items()},
-        "d1_sym": d1_sym, "d1_first": d1_first, "d1_total": d1_total, "value_in": value_in,
+    fields = _shaped(np.shape(delta), {
+        "delta": delta, "alpha": alpha, "d1_sym": d1_sym, "d1_corner": d1_corner,
+        "d1_pvm": d1_pvm, "d1_first": d1_first, "d1_total": d1_total,
+        "value_in": value_in, "value_out": value_out,
         "bound_first": bound_first, "bound_total": bound_total, "bound_game": bound_game,
         "holds_first": checks[0][1], "holds_total": checks[1][1], "holds_game": checks[2][1],
         "vacuous_total": bound_total >= VACUOUS_DISTANCE,
         "vacuous_game": bound_game >= VACUOUS_VALUE_GAP,
         "holds_by_slack": np.any([slack & ~strict for strict, slack in checks], axis=0),
-    }
+    })
+    orthogonalization = [
+        {"corner": k, "question": q, "dim": r.dim, "distance_sq": r.distance_sq,
+         "budget": r.budget, "holds": r.holds}
+        for (k, q), r in zip(
+            itertools.product(range(corners.decomposition.n_corners), corners.questions),
+            corners.reports,
+        )
+    ]
+    return RoundingCertificate(**fields, orthogonalization=orthogonalization)
 
 
 @dataclass(eq=False)
@@ -561,20 +566,21 @@ class DualDistanceReport:
     ``comm_sq`` is the mu-averaged sum of squared commutator norms
     ||[p^x_a, rho^(1/2)]||^2 (budget 4 delta) and ``dual_sq`` the
     mu-averaged sum of ||rho^(1/2)(p^x_a - sqrt(p'^x_a))||^2 against the
-    transported POVMs (budget 6 sqrt(delta)).
+    transported POVMs (budget 6 sqrt(delta)).  Floats and bools for one
+    strategy, arrays of shape (N,) for the N B sides of ``round_b_sides``.
     """
 
-    delta: float
-    comm_sq: float
-    comm_budget: float
-    holds_comm: bool
-    dual_sq: float
-    dual_budget: float
-    holds_dual: bool
+    delta: float | np.ndarray
+    comm_sq: float | np.ndarray
+    comm_budget: float | np.ndarray
+    holds_comm: bool | np.ndarray
+    dual_sq: float | np.ndarray
+    dual_budget: float | np.ndarray
+    holds_dual: bool | np.ndarray
 
     @property
-    def holds(self) -> bool:
-        return self.holds_comm and self.holds_dual
+    def holds(self) -> bool | np.ndarray:
+        return self.holds_comm & self.holds_dual
 
 
 def verify_dual_distance(game: SynchronousGame, s: CommutingStrategy) -> DualDistanceReport:
@@ -585,20 +591,20 @@ def verify_dual_distance(game: SynchronousGame, s: CommutingStrategy) -> DualDis
     their square roots, and the squared norms are mu-weighted reductions
     over the stack.  rho, its square root and the A stack are the
     strategy's own, with no corner stage: ``s.rho`` is computed anew
-    unless something, such as a rounding result of ``s``, holds it.  The
-    one-strategy case of ``round_b_sides``.
+    unless something, such as a rounding result of ``s``, holds it.  A
+    strategy without the game's answer count is rejected before any work.
     """
+    delta = synchronicity_deficit(game, s)
     sqrt_dual = functional_calculus(standard_form_dual(s, game.questions, decompose=True))
-    columns = _dual_columns(game, s, sqrt_dual[None], np.array([synchronicity_deficit(game, s)]))
-    return DualDistanceReport(**{name: column[0].item() for name, column in columns.items()})
+    return _dual_report(game, s, sqrt_dual, delta)
 
 
-def _dual_columns(
+def _dual_report(
     game: SynchronousGame, s: CommutingStrategy, sqrt_dual: np.ndarray, delta
-) -> dict[str, np.ndarray]:
-    """Every ``DualDistanceReport`` field as one (N,) column, for N dual
-    square roots ``sqrt_dual`` (N, X, A, d, d) and deficits ``delta`` of
-    strategies with the state and A side of ``s``, which alone set comm_sq."""
+) -> DualDistanceReport:
+    """The report of dual square roots ``sqrt_dual`` (X, A, d, d) and
+    deficit ``delta``, or of a stack (N, X, A, d, d) and (N,) ``delta``,
+    for the state and A side of ``s``, which alone set comm_sq."""
     p = s.pvms_a.in_order(game.questions)
     sqrt_rho = s.rho.sqrt
     weights = game.mu[:, None, None, None]
@@ -606,15 +612,15 @@ def _dual_columns(
     dual_sq = _table_sums(weights * np.abs(sqrt_rho @ (p - sqrt_dual)) ** 2)
     comm_budget = 4.0 * delta
     dual_budget = 6.0 * np.sqrt(delta)
-    return {
+    return DualDistanceReport(**_shaped(np.shape(delta), {
         "delta": delta,
-        "comm_sq": np.full(len(delta), comm_sq),
+        "comm_sq": comm_sq,
         "comm_budget": comm_budget,
         "holds_comm": comm_sq <= comm_budget + ROUNDING_SLACK,
         "dual_sq": dual_sq,
         "dual_budget": dual_budget,
         "holds_dual": dual_sq <= dual_budget + ROUNDING_SLACK,
-    }
+    }))
 
 
 def round_b_sides(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarray, names):
@@ -627,22 +633,26 @@ def round_b_sides(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarr
     and the rho of ``s``, and every B-side term is one stacked pass: one
     PVM check, one table contraction, one deficit per strategy for both
     reports, one dual eigensolve, one reduction per distance.  Returns
-    (N,) columns of the fields of ``RoundingCertificate`` (but the
-    orthogonalization list of the stage) and of ``DualDistanceReport``:
-    ``round_strategy`` and ``verify_dual_distance`` are its N = 1 case.
+    the certificate and the dual report with (N,) fields: entry i of
+    each is the field ``round_strategy`` and ``verify_dual_distance``
+    give for the strategy with B side i.
     """
     alpha = _require_alpha(game)
     if stack_b.ndim != 5 or stack_b.shape[1:] != s.pvms_b.stack.shape:
         raise ValueError(
             f"B-side stack of shape {stack_b.shape} for B sides of {s.pvms_b.stack.shape}"
         )
-    _require_b_sides(s, stack_b, names)
-    corners = round_corners(game, s)
+    if len(names) != len(stack_b):
+        raise ValueError(f"{len(names)} names for {len(stack_b)} B sides: one each per B side")
+    if len(stack_b) == 0:
+        raise ValueError("at least one B side is needed")
+    labels = [f"B side PVM for question {q!r} of {name}" for name in names for q in s.pvms_b]
+    require_pvm(stack_b.reshape((-1,) + stack_b.shape[2:]), s.dim_b, labels)
     order = tuple(game.questions)
     if order != s.questions:
         stack_b = stack_b[:, s.pvms_b.positions(order)]
     delta = _deficits(game, s, stack_b)
-    tables = _commuting_tables(s, order, stack_b)
-    certificate = _certificate_columns(game, alpha, corners, tables, delta)
+    corners = round_corners(game, s)
+    certificate = _certificate(game, alpha, corners, _commuting_tables(s, order, stack_b), delta)
     dual = _dual_povms(s, stack_b, [f"dual POVM of {name}" for name in names], decompose=True)
-    return certificate, _dual_columns(game, s, functional_calculus(dual), delta)
+    return certificate, _dual_report(game, s, functional_calculus(dual), delta)

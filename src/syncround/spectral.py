@@ -50,6 +50,11 @@ ORTHOGONALIZATION_SLACK = 1e-12  # a PVM input: distance and budget are 0 up to 
 CHECK_SLAB_BYTES = 1 << 17  # validator temporaries: malloc's default trim threshold
 
 
+def _unstack(value):
+    """A Python float or bool for one matrix; the array for a stack."""
+    return value.item() if np.ndim(value) == 0 else value
+
+
 def _element(what, index: tuple, noun: str = "element") -> str:
     """Name entry ``index`` of a stack; the bare ``what`` for one matrix.
     A sequence ``what`` holds a caller's labels, one per leading index."""

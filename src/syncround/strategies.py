@@ -381,7 +381,11 @@ def synchronicity_deficit(game: SynchronousGame, s: CommutingStrategy) -> float:
 def _deficits(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarray):
     """``synchronicity_deficit`` with the B side ``stack_b`` in the game's
     order, or one per B side of a stack (..., X, A, d, d).  numpy takes
-    each (1, X) @ (X, 1) product as a dot product, as for one B side."""
+    each (1, X) @ (X, 1) product as a dot product, as for one B side.
+    Every rounding entry point computes it first: it rejects a strategy
+    without the game's answer count before any eigensolve."""
+    if s.n_answers != game.n_answers:
+        raise ValueError(f"strategy has {s.n_answers} answers, game has {game.n_answers}")
     p = s.pvms_a.in_order(game.questions)
     miss = p @ (s.state @ (np.eye(s.dim_b) - stack_b.conj()))
     sums = (miss.real**2 + miss.imag**2).sum(axis=(-3, -2, -1))
@@ -430,38 +434,21 @@ def perturb_b_side(s: CommutingStrategy, eta: float, seed: int) -> CommutingStra
     """Conjugate every B-side PVM by exp(i eta K), K Hermitian of unit
     spectral norm drawn from the seed.  Produces synchronicity deficits
     of order eta^2 on exactly synchronous inputs."""
-    pvms_b = PVMStack(s.pvms_b.questions, _conjugated_b_sides(s, [eta], [seed])[0], "B side")
+    pvms_b = PVMStack(s.pvms_b.questions, perturb_b_sides(s, [eta], [seed])[0], "B side")
     # the state and the A side are read-only, so the result shares them
     return CommutingStrategy(s.dim_a, s.dim_b, s.state, s.pvms_a, pvms_b)
 
 
-def perturb_b_sides(s: CommutingStrategy, etas, seeds, names) -> np.ndarray:
+def perturb_b_sides(s: CommutingStrategy, etas, seeds) -> np.ndarray:
     """The B side of ``perturb_b_side(s, eta, seed)`` for each (eta, seed)
-    pair as one (N, Y, B, d, d) stack in ``s``'s order, checked by
-    ``_require_b_sides`` under the pair's name."""
+    pair as one (N, Y, B, d, d) stack in ``s``'s order, unchecked (its
+    consumer checks it, as ``PVMStack`` and ``round_b_sides`` do).
+
+    u q u* for each B-side PVM q and u = exp(i eta K): K from the stream
+    ``default_rng(seed)`` (all seeded in one ``rng_for`` pass), then one
+    stacked eigensolve for its norm and one for its exponential."""
     if len(etas) != len(seeds):
         raise ValueError(f"{len(etas)} etas for {len(seeds)} seeds: one each per B side")
-    return _require_b_sides(s, _conjugated_b_sides(s, etas, seeds), names)
-
-
-def _require_b_sides(s: CommutingStrategy, stack: np.ndarray, names) -> np.ndarray:
-    """``stack``, N > 0 B sides (N, Y, B, d, d) in ``s``'s order with one
-    name each, checked by one ``require_pvm`` whose errors name the
-    question and the B side's name."""
-    if len(names) != len(stack):
-        raise ValueError(f"{len(names)} names for {len(stack)} B sides: one each per B side")
-    if len(stack) == 0:
-        raise ValueError("at least one B side is needed")
-    labels = [f"B side PVM for question {q!r} of {name}" for name in names for q in s.pvms_b]
-    require_pvm(stack.reshape((-1,) + stack.shape[2:]), s.dim_b, labels)
-    return stack
-
-
-def _conjugated_b_sides(s: CommutingStrategy, etas, seeds) -> np.ndarray:
-    """u q u* for each B-side PVM q and u = exp(i eta K) of each (eta, seed)
-    pair, unchecked: K from the stream ``default_rng(seed)`` (all seeded in
-    one ``rng_for`` pass), then one stacked eigensolve for its norm and one
-    for its exponential."""
     shape = (s.dim_b, s.dim_b)
     g = np.empty((len(seeds),) + shape, complex)
     for i, rng in enumerate(rng_for(np.asarray(seeds))):

@@ -2,6 +2,7 @@ import json
 import os
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestRound:
         cert = report["certificate"]
         assert cert["delta"] <= 1e-10
         assert abs(cert["value_in"] - cert["value_out"]) <= 1e-8
-        game = load_game(open(k2_game_file).read())
+        game = load_game(Path(k2_game_file).read_text(encoding="utf-8"))
         tracial = load_tracial_strategy(out.read_text())
         value = game_value(game, tracial_correlation(tracial, game.questions))
         assert abs(value - cert["value_out"]) <= 1e-9
@@ -158,9 +159,8 @@ class TestRound:
     def test_perturbed_strategy_exit_zero(
         self, capsys, tmp_path, k2_game_file, k2_strategy_file
     ):
-        s = perturb_b_side(
-            load_commuting_strategy(open(k2_strategy_file).read()), 0.05, 3
-        )
+        text = Path(k2_strategy_file).read_text(encoding="utf-8")
+        s = perturb_b_side(load_commuting_strategy(text), 0.05, 3)
         spath = tmp_path / "perturbed.json"
         spath.write_text(dump_commuting_strategy(s), encoding="utf-8")
         out = tmp_path / "tracial.json"
@@ -202,7 +202,7 @@ class TestRound:
     def test_faulty_pvm_in_strategy_file_exit_two(
         self, capsys, tmp_path, k2_game_file, k2_strategy_file, fault
     ):
-        doc = json.loads(open(k2_strategy_file).read())
+        doc = json.loads(Path(k2_strategy_file).read_text(encoding="utf-8"))
         family = doc["pvmsB"]["v1"]
         if fault == "not a projection":
             family[2] = [[[0.5 * re, im] for re, im in row] for row in family[2]]
@@ -221,7 +221,7 @@ class TestRound:
         assert "'v1'" in err and fault in err
 
     def test_boolean_matrix_exit_two(self, capsys, tmp_path, k2_game_file, k2_strategy_file):
-        doc = json.loads(open(k2_strategy_file).read())
+        doc = json.loads(Path(k2_strategy_file).read_text(encoding="utf-8"))
         element = doc["pvmsA"]["v0"][0]
         doc["pvmsA"]["v0"][0] = [[[bool(re), bool(im)] for re, im in row] for row in element]
         spath = tmp_path / "booleans.json"
@@ -248,7 +248,7 @@ class TestRound:
     def test_strategy_file_fields(
         self, capsys, tmp_path, k2_game_file, k2_strategy_file, key, value, code, message
     ):
-        doc = json.loads(open(k2_strategy_file).read())
+        doc = json.loads(Path(k2_strategy_file).read_text(encoding="utf-8"))
         doc[key] = (np.array(doc["xi"]) * value).tolist() if key == "xi" else value
         spath = tmp_path / "edited.json"
         spath.write_text(json.dumps(doc), encoding="utf-8")
@@ -315,8 +315,10 @@ class TestVerify:
         second.pop("timings")
         assert json.dumps(first) == json.dumps(second)
 
-    def test_thread_cap_respected(self, capsys, monkeypatch):
-        argv = ["verify", "--suite", "measure", "--n", "4", "--dims", "4", "--seed", "3"]
+    @pytest.mark.parametrize("suite", ["measure", "rounding"])
+    def test_thread_cap_respected(self, capsys, monkeypatch, suite):
+        argv = ["verify", "--suite", suite, "--n", "4", "--dims", "4", "--seed", "3"]
+        monkeypatch.setenv("SYNCROUND_THREADS", "1")
         _, serial, _ = run_cli(capsys, argv)
         monkeypatch.setenv("SYNCROUND_THREADS", "2")
         _, pooled, _ = run_cli(capsys, argv)
@@ -495,18 +497,18 @@ class TestRoundingSuite:
     def test_corrupted_instance_in_second_slab_is_named(self, capsys, monkeypatch):
         import syncround.cli
 
-        conjugated = syncround.cli._conjugated_b_sides
+        perturb = syncround.cli.perturb_b_sides
         calls = []
 
         def corrupted(s, etas, seeds):
-            stack = conjugated(s, etas, seeds)
+            stack = perturb(s, etas, seeds)
             calls.append(None)
             if len(calls) == 2:  # the slab of instances 4-7: position 2 is instance 6
                 stack[2, 1, 0] *= 1.5
             return stack
 
         monkeypatch.setattr("syncround.cli.VERIFY_SLAB", 4)
-        monkeypatch.setattr(syncround.cli, "_conjugated_b_sides", corrupted)
+        monkeypatch.setattr(syncround.cli, "perturb_b_sides", corrupted)
         code, report, err = run_cli(
             capsys, ["verify", "--suite", "rounding", "--n", "10", "--seed", "6"]
         )

@@ -1,7 +1,7 @@
 import json
 import pickle
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from syncround import (
     corner_correlation,
     corner_decomposition,
     correlation_of_commuting,
+    cyclic_coloring_strategy,
     load_game,
     load_tracial_strategy,
     dump_tracial_strategy,
@@ -22,6 +23,7 @@ from syncround import (
     round_corners,
     round_strategy,
     symmetrized_correlation,
+    synchronicity_deficit,
     tracial_correlation,
     verify_dual_distance,
 )
@@ -596,6 +598,23 @@ class TestRoundStrategy:
         with pytest.raises(ValueError, match="alpha"):
             round_b_sides(game, s, s.pvms_b.stack[None], ["own B side"])
 
+    def test_answer_count_mismatch_rejected_before_any_work(self, k2_game, monkeypatch):
+        """A strategy with 4 answers in the 3-answer game is rejected by
+        every entry point, naming both counts, before any eigensolve."""
+        s = cyclic_coloring_strategy(k2_game.questions, 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolve ran")
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        message = "^strategy has 4 answers, game has 3$"
+        for entry_point in (round_strategy, verify_dual_distance, synchronicity_deficit):
+            with pytest.raises(ValueError, match=message):
+                entry_point(k2_game, s)
+        with pytest.raises(ValueError, match=message):
+            round_b_sides(k2_game, s, s.pvms_b.stack[None], ["own B side"])
+
     def test_tracial_output_recomputes_identically(self, k2_game, k2_strategy):
         s = perturb_b_side(k2_strategy, 0.05, 4)
         result = round_strategy(k2_game, s)
@@ -745,30 +764,45 @@ def _certificate_fields(result):
 
 
 class TestRoundBSides:
-    """The stacked B-side half against its N = 1 case: every column of
-    ``round_b_sides`` is, bit for bit, the field that ``round_strategy``
-    and ``verify_dual_distance`` give for ``perturb_b_side`` of a fresh
-    copy of the base strategy."""
+    """The stacked B-side half against the one-strategy entry points:
+    entry i of every field of ``round_b_sides`` is, bit for bit, the
+    field that ``round_strategy`` and ``verify_dual_distance`` give for
+    ``perturb_b_side`` of a fresh copy of the base strategy."""
 
     @staticmethod
-    def _assert_columns_match(game, base, etas, seeds):
+    def _entry(report, i) -> dict:
+        """Entry i of every (N,) field of a stacked report."""
+        return {
+            f.name: getattr(report, f.name)[i].item()
+            for f in fields(report)
+            if f.name != "orthogonalization"
+        }
+
+    def _assert_entries_match(self, game, base, etas, seeds):
         names = [f"pair {i}" for i in range(len(seeds))]
-        stack_b = perturb_b_sides(base, etas, seeds, names)
+        stack_b = perturb_b_sides(base, etas, seeds)
         cert, dual = round_b_sides(game, base, stack_b, names)
         for i, (eta, seed) in enumerate(zip(etas, seeds)):
             t = perturb_b_side(fresh_copy(base), eta, seed)
             assert np.array_equal(stack_b[i], t.pvms_b.stack)
-            expected = asdict(round_strategy(game, t).certificate)
-            del expected["orthogonalization"]
-            got = {name: column[i].item() for name, column in cert.items()}
+            expected = round_strategy(game, t).certificate
+            assert cert.holds[i] == expected.holds
+            expected = asdict(expected)
+            assert json.dumps(cert.orthogonalization) == json.dumps(
+                expected.pop("orthogonalization")
+            )
+            got = self._entry(cert, i)
             assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
-            got = {name: column[i].item() for name, column in dual.items()}
-            expected = asdict(verify_dual_distance(game, t))
-            assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+            expected = verify_dual_distance(game, t)
+            assert dual.holds[i] == expected.holds
+            got = self._entry(dual, i)
+            assert json.dumps(got, sort_keys=True) == json.dumps(
+                asdict(expected), sort_keys=True
+            )
 
     def test_single_corner_k2(self, k2_game, k2_strategy):
         etas = [0.02, 0.05, 0.1, 0.0, 0.3]
-        self._assert_columns_match(k2_game, k2_strategy, etas, list(range(5)))
+        self._assert_entries_match(k2_game, k2_strategy, etas, list(range(5)))
 
     def test_multicorner_base_in_another_question_order(self):
         from syncround import graph_coloring_game
@@ -777,25 +811,25 @@ class TestRoundBSides:
         s = random_commuting_strategy(rng_for(182, 0), game.questions[::-1], 3, 4, 4)
         assert s.questions != game.questions
         assert round_corners(game, s).decomposition.n_corners >= 2
-        self._assert_columns_match(game, s, [0.05, 0.02, 0.1], [7, 8, 2**31 - 1])
+        self._assert_entries_match(game, s, [0.05, 0.02, 0.1], [7, 8, 2**31 - 1])
 
-    def test_corrupted_instance_names_its_question(self, k2_strategy, monkeypatch):
-        import syncround.strategies
-
-        conjugated = syncround.strategies._conjugated_b_sides
-
-        def corrupted(s, etas, seeds):
-            stack = conjugated(s, etas, seeds)
-            stack[2, 1, 0] *= 1.5
-            return stack
-
-        monkeypatch.setattr(syncround.strategies, "_conjugated_b_sides", corrupted)
-        names = [f"instance {i}" for i in (10, 11, 12, 13)]
-        with pytest.raises(ValueError) as raised:
-            perturb_b_sides(k2_strategy, [0.02] * 4, [0, 1, 2, 3], names)
-        assert str(raised.value).startswith(
-            "B side PVM for question 'v1' of instance 12 element 0 is not a projection"
-        )
+    def test_fields_are_arrays_for_a_stack_and_scalars_for_one(self, k2_game, k2_strategy):
+        """Every field of ``round_b_sides``, ``holds`` included, is an (N,)
+        array; every field of the one-strategy entry points is a Python
+        float or bool, so their reports dump to JSON."""
+        stack_b = perturb_b_sides(k2_strategy, [0.02, 0.05, 0.1], [1, 2, 3])
+        stacked = round_b_sides(k2_game, k2_strategy, stack_b, ["a", "b", "c"])
+        s = perturb_b_side(k2_strategy, 0.05, 2)
+        single = (round_strategy(k2_game, s).certificate, verify_dual_distance(k2_game, s))
+        for report in stacked:
+            values = [getattr(report, f.name) for f in fields(report)]
+            values = [v for v in values if not isinstance(v, list)] + [report.holds]
+            assert all(isinstance(v, np.ndarray) and v.shape == (3,) for v in values)
+        for report in single:
+            values = [getattr(report, f.name) for f in fields(report)]
+            values = [v for v in values if not isinstance(v, list)] + [report.holds]
+            assert all(type(v) in (float, bool) for v in values)
+            json.dumps(asdict(report))
 
     def test_non_pvm_b_sides_rejected(self, k2_game, k2_strategy):
         """A B side whose outcomes are all I/3 is a POVM, not a PVM: as the
@@ -811,18 +845,13 @@ class TestRoundBSides:
         )
 
     def test_argument_lengths_must_match(self, k2_game, k2_strategy):
-        names = ["a", "b", "c"]
         with pytest.raises(ValueError, match="^1 etas for 3 seeds"):
-            perturb_b_sides(k2_strategy, [0.05], [1, 2, 3], names)
+            perturb_b_sides(k2_strategy, [0.05], [1, 2, 3])
+        stack_b = perturb_b_sides(k2_strategy, [0.05] * 3, [1, 2, 3])
         with pytest.raises(ValueError, match="^2 names for 3 B sides"):
-            perturb_b_sides(k2_strategy, [0.05] * 3, [1, 2, 3], names[:2])
-        stack_b = perturb_b_sides(k2_strategy, [0.05] * 3, [1, 2, 3], names)
-        with pytest.raises(ValueError, match="^2 names for 3 B sides"):
-            round_b_sides(k2_game, k2_strategy, stack_b, names[:2])
+            round_b_sides(k2_game, k2_strategy, stack_b, ["a", "b"])
 
     def test_no_b_side_rejected(self, k2_game, k2_strategy):
-        with pytest.raises(ValueError, match="at least one B side is needed"):
-            perturb_b_sides(k2_strategy, [], [], [])
         empty = np.empty((0,) + k2_strategy.pvms_b.stack.shape, complex)
         with pytest.raises(ValueError, match="at least one B side is needed"):
             round_b_sides(k2_game, k2_strategy, empty, [])
@@ -839,7 +868,7 @@ class TestRoundCorners:
         second = round_corners(k2_game, k2_strategy)
         assert second is not first and len(builds) == 2
         assert second.rho is first.rho is k2_strategy.rho
-        assert np.array_equal(second.tracial_table.data, first.tracial_table.data)
+        assert np.array_equal(second.tracial.table.data, first.tracial.table.data)
         assert [asdict(r) for r in second.reports] == [asdict(r) for r in first.reports]
 
     def _mismatches(self, k2_game, k2_strategy):
