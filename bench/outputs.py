@@ -4,8 +4,8 @@ Each line is ``<case> <output> <sha256>``, over three families of cases:
 
 - ``verify <suite> seed=<s>``: the ``syncround verify`` report of every
   suite at its README size (``--dims 8``), seeds 1 and 7, and
-  ``verify rounding n=300 seed=<s>``, the rounding suite across the
-  boundary of two sweep slabs;
+  ``verify rounding n=<VERIFY_SLAB + 44> seed=<s>``, the rounding suite
+  across the boundary of two sweep slabs;
 - ``round <game> seed=<s>``: ``optimize --dims 12 --iters 5`` then
   ``round`` on the 3-colouring games of C5, C7 and K4 (diagonal mass
   1/2), seeds 0-2: both reports, the strategy file and the tracial file;
@@ -23,7 +23,7 @@ two checkouts, run the script in each and diff the lines:
     diff parent.txt change.txt
 
 ``--n N`` runs every verify suite at N instances instead of its README
-size; the slab-boundary case keeps its 300.
+size; the slab-boundary case keeps its VERIFY_SLAB + 44.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ VERIFY_SEEDS = (1, 7)
 ROUND_GAMES = ("C5", "C7", "K4")
 ROUND_SEEDS = (0, 1, 2)
 MULTICORNER = (7, 24, range(3))  # C7, 24 corners, instances 0-2
-SLAB_BOUNDARY = ("rounding", 300)  # two slabs of the sweep's VERIFY_SLAB = 256
+# two slabs of the sweep, whatever its slab size
+SLAB_BOUNDARY = ("rounding", syncround.cli.VERIFY_SLAB + 44)
 PATH_FLAGS = ("game", "strategy", "out")
 
 

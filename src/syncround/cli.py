@@ -7,11 +7,16 @@ commands require an explicit seed and produce byte-identical reports
 (modulo the timing fields) for identical seeds and flags.
 
 ``verify`` draws every instance from its own seeded stream
-``rng_for(seed, index)``.  The streams of each slab of VERIFY_SLAB
-indices are seeded in one pass by the bulk form of ``rng_for``, bitwise
-the streams of the per-index calls.  The sweep groups the slab's
-instances by shape (matrix dimension; for the commutator suite also the
-outcome count) and does each group's arithmetic as one stack: the
+``rng_for(seed, index)``.  The streams of each slab of VERIFY_SLAB =
+1024 indices are seeded in one pass by the bulk form of ``rng_for``,
+bitwise the streams of the per-index calls.  1024 is the smallest power
+of two that holds the largest README-size sweep (connes, n = 1000), so
+each README-size suite is one slab.  A slab holds at most
+VERIFY_SLAB · 32 · dims² bytes of draws (two Ginibre draws of
+16 · dim² bytes per instance): 2 MiB at dims 8, 32 MiB at dims 32,
+128 MiB at dims 64.  The sweep groups the slab's instances by shape
+(matrix dimension; for the commutator suite also the outcome count)
+and does each group's arithmetic as one stack: the
 Wishart and Haar transforms of ``sampling`` turn the group's draws into
 its instances, bitwise those of the per-instance generators, and the
 certificates cost one eigensolve per side.  The rounding suite's
@@ -75,10 +80,12 @@ ROUNDING_ROW_FIELDS = (
     "delta", "d1_total", "bound_total", "value_in", "value_out",
     "vacuous_total", "vacuous_game", "holds_by_slack",
 )
-# instances sampled and held at once: this bounds a sweep's memory, while
-# a README-size cycle of the four matrix suites still stacks into about
-# 150 eigensolves (one per side per shape group of each slab)
-VERIFY_SLAB = 256
+# instances sampled and held at once: the smallest power of two that holds
+# the largest README-size sweep (connes, n = 1000), so each README-size
+# suite is seeded, grouped and certified as one slab, one stack per shape.
+# Its draws take at most VERIFY_SLAB * 32 * dims**2 bytes: 2 MiB at dims 8,
+# 32 MiB at dims 32, 128 MiB at dims 64.
+VERIFY_SLAB = 1024
 
 
 def _positive_int(text: str) -> int:

@@ -9,8 +9,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_two_runs_print_identical_digests():
     """Two processes of ``bench/outputs.py --n 2`` print the same lines:
     one per seeded output, 12 verify reports (2 of them the rounding
-    suite across a slab boundary), 36 round outputs and 9 multi-corner
-    outputs."""
+    suite at VERIFY_SLAB + 44 instances, across a slab boundary), 36 round
+    outputs and 9 multi-corner outputs."""
     command = [sys.executable, str(ROOT / "bench" / "outputs.py"), "--n", "2"]
     runs = [
         subprocess.run(command, capture_output=True, text=True, timeout=120) for _ in range(2)

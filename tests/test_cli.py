@@ -285,20 +285,39 @@ class TestVerify:
         assert code == 2 and report is None
         assert "expected non-negative integer" in err
 
-    def test_each_slab_seeded_in_one_call(self, capsys, monkeypatch):
-        seeded = []
+    @pytest.fixture
+    def seeded(self, monkeypatch):
+        """The (seed, indices) of each ``rng_for`` call the sweep makes."""
+        calls = []
 
         def recording(seed, *index):
-            seeded.append((seed, *(np.asarray(i).tolist() for i in index)))
+            calls.append((seed, *(np.asarray(i).tolist() for i in index)))
             return rng_for(seed, *index)
 
-        monkeypatch.setattr("syncround.cli.VERIFY_SLAB", 4)
         monkeypatch.setattr(cli, "rng_for", recording)
+        return calls
+
+    def test_each_slab_seeded_in_one_call(self, capsys, monkeypatch, seeded):
+        monkeypatch.setattr("syncround.cli.VERIFY_SLAB", 4)
         code, _, _ = run_cli(
             capsys, ["verify", "--suite", "measure", "--n", "10", "--dims", "2", "--seed", "6"]
         )
         assert code == 0
         assert seeded == [(6, [0, 1, 2, 3]), (6, [4, 5, 6, 7]), (6, [8, 9])]
+
+    @pytest.mark.parametrize(
+        "suite, n",
+        [("connes", 1000), ("measure", 500), ("commutator", 500), ("duality", 200),
+         ("rounding", 60)],
+    )
+    def test_readme_sweeps_are_one_slab(self, capsys, seeded, suite, n):
+        """Each README-size sweep is seeded, grouped and certified as one
+        slab: one bulk seeding over all of its indices."""
+        code, _, _ = run_cli(
+            capsys, ["verify", "--suite", suite, "--n", str(n), "--dims", "8", "--seed", "7"]
+        )
+        assert code == 0
+        assert seeded == [(7, list(range(n)))]
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -371,7 +390,7 @@ class TestStackedSuites:
             (12, 1, 4),  # 1x1 matrices, one group
             (3, 8, 5),  # most dimension groups empty
             (10, 3, 14),  # some group holds a single instance
-            (500, 8, 7),  # README size: two slabs of VERIFY_SLAB
+            (500, 8, 7),  # README size: one slab of VERIFY_SLAB
         ],
     )
     def test_rows_match_per_instance_oracle(self, capsys, suite, n, dims, seed):
