@@ -1,6 +1,6 @@
 """Print one SHA-256 per seeded output of the checkout, minus timings and paths.
 
-Each line is ``<case> <output> <sha256>``, over three families of cases:
+Each line is ``<case> <output> <sha256>``, over four families of cases:
 
 - ``verify <suite> seed=<s>``: the ``syncround verify`` report of every
   suite at its README size (``--dims 8``), seeds 1 and 7, and
@@ -11,7 +11,11 @@ Each line is ``<case> <output> <sha256>``, over three families of cases:
   1/2), seeds 0-2: both reports, the strategy file and the tracial file;
 - ``multicorner C7-L24#<i>``: ``round_strategy`` and
   ``verify_dual_distance`` on the benchmark's multi-corner instances 0-2:
-  the certificate, the dual report and the tracial strategy's arrays.
+  the certificate, the dual report and the tracial strategy's arrays;
+- ``fiber d=<d>#<i>``: the benchmark's fiber-large pairs at d = 64 and
+  96, instances 0-1: the joint spectral measure (its atom arrays and
+  moments) and the certificates (Connes, commutator, the duality
+  residuals at p = 2 and 3, the threshold integral at p = 2).
 
 Reports lose their ``timings`` and the flags that name a file, so equal
 lines mean byte-identical outputs.  The instances and the README sizes
@@ -48,6 +52,7 @@ VERIFY_SEEDS = (1, 7)
 ROUND_GAMES = ("C5", "C7", "K4")
 ROUND_SEEDS = (0, 1, 2)
 MULTICORNER = (7, 24, range(3))  # C7, 24 corners, instances 0-2
+FIBER = ((64, 96), range(2))  # dimensions, instances 0-1
 # two slabs of the sweep, whatever its slab size
 SLAB_BOUNDARY = ("rounding", syncround.cli.VERIFY_SLAB + 44)
 PATH_FLAGS = ("game", "strategy", "out")
@@ -136,13 +141,37 @@ def multicorner_lines() -> list[str]:
     return lines
 
 
+def fiber_lines() -> list[str]:
+    dims, indices = FIBER
+    lines = []
+    for dim in dims:
+        for index in indices:
+            x, y, x_unit, pvm = workloads.fiber_instance(sr, dim, index)
+            measure = sr.joint_spectral_measure(x, y)
+            atoms = hashlib.sha256(measure.lambdas.tobytes() + measure.masses.tobytes())
+            atoms.update(json.dumps(asdict(sr.measure_moments(measure))).encode())
+            certificates = {
+                "connes": asdict(sr.connes_certificate(x, y)),
+                "commutator": asdict(sr.commutator_certificate(x_unit, pvm)),
+                "duality": [sr.lp_duality_check(x, y, p) for p in (2.0, 3.0)],
+                "threshold_integral": sr.threshold_integral(x, 2.0),
+            }
+            outputs = {
+                "measure": atoms.hexdigest(),
+                "certificates": digest(json.dumps(certificates)),
+            }
+            lines += [f"fiber d={dim}#{index} {key} {value}" for key, value in outputs.items()]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=None,
                         help="instances per verify suite (default: its README size)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        lines = verify_lines(args.n) + round_lines(Path(tmp)) + multicorner_lines()
+        lines = (verify_lines(args.n) + round_lines(Path(tmp)) + multicorner_lines()
+                 + fiber_lines())
     print("\n".join(lines))
     return 0
 

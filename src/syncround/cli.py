@@ -7,27 +7,26 @@ commands require an explicit seed and produce byte-identical reports
 (modulo the timing fields) for identical seeds and flags.
 
 ``verify`` draws every instance from its own seeded stream
-``rng_for(seed, index)``.  The streams of each slab of VERIFY_SLAB =
-1024 indices are seeded in one pass by the bulk form of ``rng_for``,
-bitwise the streams of the per-index calls.  1024 is the smallest power
-of two that holds the largest README-size sweep (connes, n = 1000), so
-each README-size suite is one slab.  A slab holds at most
-VERIFY_SLAB · 32 · dims² bytes of draws (two Ginibre draws of
-16 · dim² bytes per instance): 2 MiB at dims 8, 32 MiB at dims 32,
-128 MiB at dims 64.  The sweep groups the slab's instances by shape
-(matrix dimension; for the commutator suite also the outcome count)
-and does each group's arithmetic as one stack: the
-Wishart and Haar transforms of ``sampling`` turn the group's draws into
-its instances, bitwise those of the per-instance generators, and the
-certificates cost one eigensolve per side.  The rounding suite's
-instances perturb only the B side of one strategy, so each of its groups
-is one stacked pass: ``perturb_b_sides`` draws the group's B sides as
-one (N, Y, B, d, d) stack, and ``round_b_sides`` checks it once and
-rounds it against one corner stage of the base strategy.  Its
-certificate and dual report hold one (N,) array per field, and entry i
-is bitwise the field of rounding instance i alone.
-The sweep's thread pool maps over these batches.  It has one thread per CPU
-the process may run on (its affinity mask), at most 8;
+``rng_for(seed, index)``, a slab of indices at a time: each slab's
+streams are seeded in one pass by the bulk form of ``rng_for``, bitwise
+the streams of the per-index calls.  A slab holds at most VERIFY_SLAB =
+1024 indices and VERIFY_SLAB_BYTES = 8 MiB of draws (32 · dims² bytes
+per instance, one seed for the rounding suite): every README-size
+suite, and any sweep up to dims 16, is one slab of up to 1024, dims 32
+takes 256 indices per slab and dims 64 takes 64.  The report does not depend on the slab size.  The sweep
+groups the slab's instances by shape (matrix dimension; for the
+commutator suite also the outcome count) and does each group's
+arithmetic as one stack: the Wishart and Haar transforms of
+``sampling`` turn the group's draws into its instances, bitwise those of
+the per-instance generators, and the certificates cost one eigensolve
+per side.  The rounding suite's instances perturb only the B side of one
+strategy, so each of its groups is one stacked pass: ``perturb_b_sides``
+draws the group's B sides as one (N, Y, B, d, d) stack, and
+``round_b_sides`` checks it once and rounds it against one corner stage
+of the base strategy.  Its certificate and dual report hold one (N,)
+array per field, and entry i is bitwise the field of rounding instance
+i alone.  The sweep's thread pool maps over these batches.  It has one
+thread per CPU the process may run on (its affinity mask), at most 8;
 SYNCROUND_THREADS overrides that.
 """
 
@@ -83,15 +82,22 @@ ROUNDING_ROW_FIELDS = (
 # instances sampled and held at once: the smallest power of two that holds
 # the largest README-size sweep (connes, n = 1000), so each README-size
 # suite is seeded, grouped and certified as one slab, one stack per shape.
-# Its draws take at most VERIFY_SLAB * 32 * dims**2 bytes: 2 MiB at dims 8,
-# 32 MiB at dims 32, 128 MiB at dims 64.
 VERIFY_SLAB = 1024
+# a slab's draws, 32 * dims**2 bytes per instance: a full slab up to dims 16
+VERIFY_SLAB_BYTES = VERIFY_SLAB * 32 * 16**2
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected non-negative integer, got {text!r}")
     return value
 
 
@@ -266,7 +272,7 @@ _INSTANCE_RUNNERS = {
 def _verify_instances(suite: str, n: int, dims: int, seed: int) -> list[dict]:
     """The report rows of a sweep, in index order.
 
-    The instances are taken VERIFY_SLAB at a time: the slab's streams
+    The instances are taken a slab at a time: the slab's streams
     seeded in one pass, its instances drawn and grouped by shape, and the
     slab's groups mapped over the pool, each group's draws transformed
     and certified as stacks by its runner.
@@ -280,10 +286,12 @@ def _verify_instances(suite: str, n: int, dims: int, seed: int) -> list[dict]:
         indices, *draws = (np.array(field) for field in zip(*items))
         return runner(key, indices, *draws)
 
+    fits = VERIFY_SLAB if suite == "rounding" else VERIFY_SLAB_BYTES // (32 * dims**2)
+    slab = max(1, min(VERIFY_SLAB, fits))  # a rounding instance draws one seed
     rows = []
     with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        for first in range(0, n, VERIFY_SLAB):
-            indices = np.arange(first, min(first + VERIFY_SLAB, n))
+        for first in range(0, n, slab):
+            indices = np.arange(first, min(first + slab, n))
             groups: dict[tuple, list] = {}
             for index, rng in zip(indices.tolist(), rng_for(seed, indices)):
                 key, data = sample(rng, dims)
@@ -431,14 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="max dimension for random-matrix suites (ignored by the"
         " rounding suite, which runs the fixed single-edge instance)",
     )
-    p_verify.add_argument("--seed", required=True, type=int)
+    p_verify.add_argument("--seed", required=True, type=_non_negative_int)
     p_verify.set_defaults(run=cmd_verify)
 
     p_opt = sub.add_parser("optimize", help="see-saw search for a test strategy")
     p_opt.add_argument("--game", required=True)
     p_opt.add_argument("--dims", required=True, type=_positive_int)
-    p_opt.add_argument("--iters", required=True, type=int)
-    p_opt.add_argument("--seed", required=True, type=int)
+    p_opt.add_argument("--iters", required=True, type=_non_negative_int)
+    p_opt.add_argument("--seed", required=True, type=_non_negative_int)
     p_opt.add_argument("--out", required=True)
     p_opt.set_defaults(run=cmd_optimize)
     return parser

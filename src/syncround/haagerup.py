@@ -9,16 +9,18 @@ into
     integral_0^inf p t^(p-1) Tr( . ) dt.
 
 Every such integral here is a Schur kernel contracted in eigenbases.
-With x = U diag(a) U+, y = V diag(b) V+ (eigenvalues replaced by their
-cluster values) and the overlap O_ij = |(U+ V)_ij|^2, the projections
-chi_(t,inf)(x) and chi_(t,inf)(y) overlap in Tr = sum of O_ij over the
-pairs with a_i > t and b_j > t, and the t-integral of each pair has a
-closed form:
+With x = U diag(a) U+, y = V diag(b) V+ (eigenvalues as the solver
+gives them, clipped at 0) and the overlap O_ij = |(U+ V)_ij|^2, the
+projections chi_(t,inf)(x) and chi_(t,inf)(y) overlap in Tr = sum of
+O_ij over the pairs with a_i > t and b_j > t, and the t-integral of
+each pair has a closed form:
 
 - chi distance: int 2t Tr((chi_t(x) - chi_t(y))^2) dt
   = sum_ij O_ij |a_i^2 - b_j^2|;
-- joint spectral measure: one atom per eigenpair at a_i / (a_i + b_j)
-  with mass O_ij (a_i + b_j)^2;
+- joint spectral measure: one atom per eigenvector pair at
+  a_i / (a_i + b_j) with mass O_ij (a_i + b_j)^2; atoms of repeated or
+  close eigenvalues may share a position, since only sums over the
+  atoms are ever taken;
 - commutator with a PVM (p_k), p~_k = U+ p_k U:
   int 2t sum_k ||[p_k, chi_t(x)]||^2 dt
   = sum_k sum_ij |p~_k[i, j]|^2 |a_i^2 - a_j^2|;
@@ -49,7 +51,8 @@ first, then ``np.array_equal``), so an equal copy, an array mutated in
 place and any NaN entry miss.  Entries are read-only, the least
 recently used is dropped first, and a hit still runs the PSD check
 under the caller's label.  ``lp_duality_check`` reads the least
-eigenvalue of a y the memo holds from its entry instead of solving
+eigenvalue of a y the memo holds from its entry, and that of a y passed
+as its decomposition from the decomposition, instead of solving
 ``eigvalsh`` again.  The memo holds up to 4 x (copy +
 eigenvectors), about 1.2 MB at d = 96.  A stack, whose copy would grow
 with N, and a ``SpectralDecomposition`` argument bypass it: a caller
@@ -68,8 +71,6 @@ import numpy as np
 from .spectral import (
     CHAIN_SLACK,
     IDENTITY_TOL,
-    LAMBDA_MERGE_TOL,
-    MASS_DROP_TOL,
     NORMED_TOL,
     SpectralDecomposition,
     _element,
@@ -170,11 +171,11 @@ _SPECTRA = _SpectrumMemo()
 
 
 def _psd_spectrum(matrix, what: str) -> tuple[np.ndarray, SpectralDecomposition]:
-    """Clustered eigenvalues of a PSD matrix or stack (ascending, clipped at
-    0); a matrix operand is eigensolved through the memo."""
+    """Eigenvalues of a PSD matrix or stack (ascending, clipped at 0); a
+    matrix operand is eigensolved through the memo."""
     dec = matrix if isinstance(matrix, SpectralDecomposition) else _SPECTRA.decompose(matrix, what)
     _require_psd(dec.eigenvalues[..., 0], what)
-    return np.clip(dec.cluster_levels(), 0.0, None), dec
+    return np.clip(dec.eigenvalues, 0.0, None), dec
 
 
 def _above_merge_tol(a: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
@@ -204,12 +205,14 @@ class JointSpectralMeasure:
             int_0^1 int_0^inf f(l / sqrt(r)) g((1 - l) / sqrt(r)) dr dmu(l)
 
     for Borel f, g >= 0 with f(0) g(0) = 0, where x-hat, y-hat are the
-    scaling-fiber realizations.  Atoms sit at l = a / (a + b) over
-    eigenvalue pairs (a, b) with mass Tr(P Q) (a + b)^2.
+    scaling-fiber realizations.  Atoms sit at l = a / (a + b), one per
+    pair of eigenvectors (u, v) of x and y with eigenvalues (a, b) and
+    positive mass |<u, v>|^2 (a + b)^2; atoms may share a position.
 
-    The measure of one pair holds 1-d arrays of its atoms.  The measures
-    of a stack hold one row per pair, of equal length; an entry of mass
-    0 in a row is padding, not an atom.
+    The measure of one pair holds 1-d arrays of its atoms, in row-major
+    order of the eigenvector pairs.  The measures of a stack hold one
+    row of d^2 entries per pair; an entry of mass 0 in a row is
+    padding, not an atom.
     """
 
     lambdas: np.ndarray
@@ -241,36 +244,19 @@ class JointSpectralMeasure:
 def joint_spectral_measure(x, y) -> JointSpectralMeasure:
     """Joint spectral measure of a PSD pair in the fiber model.
 
-    Atoms lie at a / (a + b) with mass O (a + b)^2 over eigenpairs,
-    where O = |<u, v>|^2 is the overlap of the two eigenvectors; atoms
-    closer than LAMBDA_MERGE_TOL are merged.  The (0, 0) pair has no
-    counterpart in the measure and is excluded, as are overlaps below
-    1e-12.  The total mass is validated against Tr((x + y)^2).
-
-    Each row of eigenpairs is sorted with the dropped pairs last, and
-    the merge is one sum over the flattened rows, cut at every atom
-    start and at the first dropped pair of each row.
+    One atom per eigenvector pair (u_i, v_j) at a_i / (a_i + b_j) with
+    mass O_ij (a_i + b_j)^2, where O_ij = |<u_i, v_j>|^2; a pair of mass
+    0 (the (0, 0) pair, or orthogonal eigenvectors) carries no atom.
+    Atoms are not merged, so several may sit at one position.  The total
+    mass is validated against Tr((x + y)^2).
     """
     a, b, overlap = _psd_pair(x, y)
     s = a[..., :, None] + b[..., None, :]
-    keep = (s > 0) & (overlap > MASS_DROP_TOL)
-    lam = a[..., :, None] / np.where(keep, s, 1.0)
-    mass = overlap * s * s
-    rows = lam.shape[:-2] + (-1,)
-    lam, mass, keep = lam.reshape(rows), mass.reshape(rows), keep.reshape(rows)
-    order = np.argsort(np.where(keep, lam, np.inf), axis=-1, kind="stable")
-    lam, mass, keep = (np.take_along_axis(v, order, -1) for v in (lam, mass, keep))
-    starts = keep & (np.diff(lam, axis=-1, prepend=-np.inf) > LAMBDA_MERGE_TOL)
-    first_dropped = ~keep & np.diff(keep, axis=-1, prepend=True)
-    cuts = np.flatnonzero(starts | first_dropped)
-    merged = np.zeros(mass.shape)
-    merged.reshape(-1)[cuts] = np.add.reduceat(mass.reshape(-1), cuts)
-    if lam.ndim == 1:
-        measure = JointSpectralMeasure(lam[starts], merged[starts])
-    else:
-        measure = JointSpectralMeasure(
-            np.where(starts, lam, 0.0), np.where(starts, merged, 0.0)
-        )
+    rows = s.shape[:-2] + (-1,)
+    lam = (a[..., :, None] / np.where(s > 0, s, 1.0)).reshape(rows)
+    mass = (overlap * s * s).reshape(rows)
+    atoms = mass > 0 if mass.ndim == 1 else ...  # a stack's rows keep every pair
+    measure = JointSpectralMeasure(lam[atoms], mass[atoms])
     xm, ym = _matrix(x), _matrix(y)
     expected = _trace_product(xm + ym, xm + ym)
     total = measure.masses.sum(axis=-1)
@@ -403,9 +389,9 @@ def lp_duality_check(x, y, p: float):
     if not 1 < p < np.inf:  # NaN fails too
         raise ValueError(f"exponent must be finite with p > 1, got {p!r}")
     a, xdec = _psd_spectrum(x, "x")
-    ym = require_hermitian(y, "y")
-    # a y the memo holds has its least eigenvalue there already
-    ydec = _SPECTRA.lookup(y)
+    # a y passed decomposed or held by the memo has its least eigenvalue already
+    ydec = y if isinstance(y, SpectralDecomposition) else _SPECTRA.lookup(y)
+    ym = y.reconstruct() if ydec is y else require_hermitian(y, "y")
     low = ydec.eigenvalues[..., 0] if ydec is not None else np.linalg.eigvalsh(ym)[..., 0]
     _require_psd(low, "y")
     if ym.shape != xdec.eigenvectors.shape:

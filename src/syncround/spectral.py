@@ -37,8 +37,6 @@ TABLE_NEG_TOL = 1e-10     # negative roundoff a correlation entry may carry
 NU_SUM_TOL = 1e-12        # total mass of a validated nu
 NU_RENORM_TOL = 1e-9      # a game file's nu mass within this of 1 is renormalized
 IDENTITY_TOL = 1e-9       # closed forms: symmetrized sums, corner weights, mass, moments
-MASS_DROP_TOL = 1e-12     # eigenpairs of smaller overlap carry no atom of the joint measure
-LAMBDA_MERGE_TOL = 1e-12  # atoms of the joint measure closer than this merge
 NORMED_TOL = 1e-8         # Tr(x^2) = 1 for the commutator chain's input
 CHAIN_SLACK = 1e-9        # the Connes and commutator inequality chains
 DUALITY_TOL = 1e-8        # residual of the L_p trace duality

@@ -10,7 +10,7 @@ def test_two_runs_print_identical_digests():
     """Two processes of ``bench/outputs.py --n 2`` print the same lines:
     one per seeded output, 12 verify reports (2 of them the rounding
     suite at VERIFY_SLAB + 44 instances, across a slab boundary), 36 round
-    outputs and 9 multi-corner outputs."""
+    outputs, 9 multi-corner outputs and 8 fiber outputs."""
     command = [sys.executable, str(ROOT / "bench" / "outputs.py"), "--n", "2"]
     runs = [
         subprocess.run(command, capture_output=True, text=True, timeout=120) for _ in range(2)
@@ -19,5 +19,5 @@ def test_two_runs_print_identical_digests():
     outputs = [run.stdout for run in runs]
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
-    assert len(lines) == 57 and len(set(lines)) == 57
-    assert all(re.fullmatch(r"(verify|round|multicorner) .+ [0-9a-f]{64}", line) for line in lines)
+    assert len(lines) == 65 and len(set(lines)) == 65
+    assert all(re.fullmatch(r"(verify|round|multicorner|fiber) .+ [0-9a-f]{64}", line) for line in lines)

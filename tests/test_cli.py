@@ -279,11 +279,11 @@ class TestVerify:
         assert excinfo.value.code == 2
 
     def test_negative_seed_exit_two(self, capsys):
-        code, report, err = run_cli(
-            capsys, ["verify", "--suite", "connes", "--n", "3", "--seed", "-1"]
-        )
-        assert code == 2 and report is None
-        assert "expected non-negative integer" in err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--suite", "connes", "--n", "3", "--seed", "-1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected non-negative integer, got '-1'" in err
 
     @pytest.fixture
     def seeded(self, monkeypatch):
@@ -304,6 +304,25 @@ class TestVerify:
         )
         assert code == 0
         assert seeded == [(6, [0, 1, 2, 3]), (6, [4, 5, 6, 7]), (6, [8, 9])]
+
+    def test_large_dims_slabs_sized_by_bytes(self, capsys, monkeypatch, seeded):
+        """At dims 32 a slab's draws fill the byte budget at 256 indices;
+        the report is that of one slab holding every index."""
+        argv = ["verify", "--suite", "connes", "--n", "300", "--dims", "32", "--seed", "5"]
+        code, sliced, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert seeded == [(5, list(range(256))), (5, list(range(256, 300)))]
+        monkeypatch.setattr(cli, "VERIFY_SLAB_BYTES", cli.VERIFY_SLAB * 32 * 32**2)
+        code, whole, _ = run_cli(capsys, argv)
+        assert code == 0 and seeded[2:] == [(5, list(range(300)))]
+        sliced.pop("timings")
+        whole.pop("timings")
+        assert json.dumps(sliced) == json.dumps(whole)
+
+    def test_rounding_slab_ignores_dims(self, capsys, seeded):
+        argv = ["verify", "--suite", "rounding", "--n", "70", "--dims", "64", "--seed", "5"]
+        assert run_cli(capsys, argv)[0] == 0
+        assert seeded == [(5, list(range(70)))]
 
     @pytest.mark.parametrize(
         "suite, n",
@@ -640,3 +659,14 @@ class TestOptimize:
         )
         assert code == 0
         load_commuting_strategy(out.read_text())
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-3"), ("--iters", "-1")])
+    def test_negative_flag_named(self, capsys, tmp_path, k2_game_file, flag, value):
+        argv = {"--game": k2_game_file, "--dims": "3", "--iters": "2", "--seed": "1",
+                "--out": str(tmp_path / "strategy.json"), flag: value}
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optimize", *(item for pair in argv.items() for item in pair)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected non-negative integer, got '{value}'" in err
+        assert not (tmp_path / "strategy.json").exists()

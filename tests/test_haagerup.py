@@ -28,7 +28,7 @@ from oracles import (
     fiber_quadrature_indicator,
 )
 
-PAIR_KINDS = ("spread", "rank-deficient", "near-degenerate")
+PAIR_KINDS = ("spread", "rank-deficient", "near-degenerate", "degenerate")
 
 
 def psd_instance(rng, kind, dim=8):
@@ -42,6 +42,9 @@ def psd_instance(rng, kind, dim=8):
         # merge tolerance of 1e-9 (1 + spectral radius)
         w = rng.uniform(0.1, 1.0, dim)
         w[1], w[3] = w[0] + 5e-10, w[2] - 5e-10
+    elif kind == "degenerate":
+        # exactly repeated eigenvalues: multiplicities 3, 3 and 2
+        w = np.repeat(rng.uniform(0.1, 1.0, 3), [3, 3, dim - 6])
     u = random_unitary(rng, dim)
     x = (u * (w / np.linalg.norm(w))) @ u.conj().T
     return (x + x.conj().T) / 2
@@ -86,6 +89,16 @@ class TestJointSpectralMeasure:
         exact = atomic_indicator_integral(m, 1.0, 1.0)
         quad = fiber_quadrature_indicator(x, y, 1.0, 1.0)
         assert abs(exact - quad) <= 1e-4
+
+    def test_equal_degenerate_pair_sits_at_one_half(self):
+        # one atom per eigenvector pair, unmerged: the pairs of one
+        # eigenspace sit at 1/2, and those of two carry only roundoff mass
+        x = psd_instance(rng_for(74, 0), "degenerate")
+        m = joint_spectral_measure(x, x)
+        total = 4.0 * np.trace(x @ x).real
+        assert_close(m.masses[np.abs(m.lambdas - 0.5) <= 1e-12].sum(), total, 1e-12)
+        assert_close(m.total_mass, total, 1e-12)
+        assert_close(measure_moments(m).chi_distance, 0.0, 1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -256,6 +269,18 @@ class TestLpDuality:
         y = np.diag([0.3, 1.5, 0.7])
         # closed form per eigenvalue: both sides reduce to sum_i a_i b_i
         assert lp_duality_check(x, y, 3.0) <= 1e-8
+
+    def test_y_decomposition_matches_matrix(self):
+        rng = rng_for(102, 0)
+        x, y = random_psd(rng, 5), random_psd(rng, 5)
+        assert_close(lp_duality_check(x, eigh(y), 3.0), lp_duality_check(x, y, 3.0), 1e-12)
+        xs, ys = psd_stack(103), psd_stack(104)
+        assert_close(lp_duality_check(xs, eigh(ys), 2.0), lp_duality_check(xs, ys, 2.0), 1e-12)
+
+    def test_non_psd_y_decomposition_named(self):
+        y = eigh(np.diag([1.0, 0.5, -0.5]))
+        with pytest.raises(ValueError, match="^y is not PSD"):
+            lp_duality_check(np.eye(3), y, 2.0)
 
     def test_non_square_y_rejected(self):
         with pytest.raises(ValueError, match="y must be a square matrix"):
@@ -560,6 +585,11 @@ class TestSpectrumMemo:
         # an equal copy misses and is checked by its own eigvalsh
         assert [lp_duality_check(x, y.copy(), p) for p in (2.0, 3.0)] == held
         assert eigvalsh_calls == [y.shape, y.shape]
+
+    def test_duality_reads_a_y_decomposition(self, eigvalsh_calls):
+        x, y = psd_stack(158), psd_stack(159)
+        lp_duality_check(x, eigh(y), 2.0)
+        assert eigvalsh_calls == []
 
     def test_duality_checks_a_stack_with_eigvalsh(self, eigvalsh_calls):
         x, y = psd_stack(155), psd_stack(156)
