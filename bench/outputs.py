@@ -1,6 +1,6 @@
 """Print one SHA-256 per seeded output of the checkout, minus timings and paths.
 
-Each line is ``<case> <output> <sha256>``, over four families of cases:
+Each line is ``<case> <output> <sha256>``, over five families of cases:
 
 - ``verify <suite> seed=<s>``: the ``syncround verify`` report of every
   suite at its README size (``--dims 8``), seeds 1 and 7, and
@@ -15,7 +15,12 @@ Each line is ``<case> <output> <sha256>``, over four families of cases:
 - ``fiber d=<d>#<i>``: the benchmark's fiber-large pairs at d = 64 and
   96, instances 0-1: the joint spectral measure (its atom arrays and
   moments) and the certificates (Connes, commutator, the duality
-  residuals at p = 2 and 3, the threshold integral at p = 2).
+  residuals at p = 2 and 3, the threshold integral at p = 2);
+- ``fiber-rd d=<d>#<i>``: a rank-deficient x at d = 64 and 96,
+  instances 0-1, the Wishart matrix of a d x d/2 Ginibre draw, so that
+  half its spectrum sits at roundoff near 0, with a full-rank y and a
+  4-outcome PVM: the certificates (as above, the threshold integral at
+  p = 1 and 2).
 
 Reports lose their ``timings`` and the flags that name a file, so equal
 lines mean byte-identical outputs.  The instances and the README sizes
@@ -40,6 +45,8 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 # the checkout's own source and benchmark inputs, ahead of anything installed
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -53,6 +60,7 @@ ROUND_GAMES = ("C5", "C7", "K4")
 ROUND_SEEDS = (0, 1, 2)
 MULTICORNER = (7, 24, range(3))  # C7, 24 corners, instances 0-2
 FIBER = ((64, 96), range(2))  # dimensions, instances 0-1
+FIBER_RD = (31, (64, 96), range(2))  # seed, dimensions, instances 0-1
 # two slabs of the sweep, whatever its slab size
 SLAB_BOUNDARY = ("rounding", syncround.cli.VERIFY_SLAB + 44)
 PATH_FLAGS = ("game", "strategy", "out")
@@ -141,6 +149,16 @@ def multicorner_lines() -> list[str]:
     return lines
 
 
+def pair_certificates(x, y, x_unit, pvm) -> dict:
+    """The Connes and commutator certificates and the duality residuals
+    at p = 2 and 3 of one PSD pair."""
+    return {
+        "connes": asdict(sr.connes_certificate(x, y)),
+        "commutator": asdict(sr.commutator_certificate(x_unit, pvm)),
+        "duality": [sr.lp_duality_check(x, y, p) for p in (2.0, 3.0)],
+    }
+
+
 def fiber_lines() -> list[str]:
     dims, indices = FIBER
     lines = []
@@ -150,17 +168,30 @@ def fiber_lines() -> list[str]:
             measure = sr.joint_spectral_measure(x, y)
             atoms = hashlib.sha256(measure.lambdas.tobytes() + measure.masses.tobytes())
             atoms.update(json.dumps(asdict(sr.measure_moments(measure))).encode())
-            certificates = {
-                "connes": asdict(sr.connes_certificate(x, y)),
-                "commutator": asdict(sr.commutator_certificate(x_unit, pvm)),
-                "duality": [sr.lp_duality_check(x, y, p) for p in (2.0, 3.0)],
-                "threshold_integral": sr.threshold_integral(x, 2.0),
-            }
+            certificates = pair_certificates(x, y, x_unit, pvm)
+            certificates["threshold_integral"] = sr.threshold_integral(x, 2.0)
             outputs = {
                 "measure": atoms.hexdigest(),
                 "certificates": digest(json.dumps(certificates)),
             }
             lines += [f"fiber d={dim}#{index} {key} {value}" for key, value in outputs.items()]
+    return lines
+
+
+def fiber_rd_lines() -> list[str]:
+    seed, dims, indices = FIBER_RD
+    sampling = sr.sampling
+    lines = []
+    for dim in dims:
+        for index in indices:
+            rng = sampling.rng_for(seed, dim, index)
+            x = sampling.wishart(sampling.ginibre(sampling.ginibre_draw(rng, dim, dim // 2)))
+            y = sampling.random_psd(rng, dim)
+            pvm = sampling.random_pvm(rng, dim, 4)
+            x_unit = x / np.sqrt(np.trace(x @ x).real)
+            certificates = pair_certificates(x, y, x_unit, pvm)
+            certificates["threshold_integral"] = [sr.threshold_integral(x, p) for p in (1.0, 2.0)]
+            lines.append(f"fiber-rd d={dim}#{index} certificates {digest(json.dumps(certificates))}")
     return lines
 
 
@@ -171,7 +202,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         lines = (verify_lines(args.n) + round_lines(Path(tmp)) + multicorner_lines()
-                 + fiber_lines())
+                 + fiber_lines() + fiber_rd_lines())
     print("\n".join(lines))
     return 0
 

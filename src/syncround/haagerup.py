@@ -178,10 +178,6 @@ def _psd_spectrum(matrix, what: str) -> tuple[np.ndarray, SpectralDecomposition]
     return np.clip(dec.eigenvalues, 0.0, None), dec
 
 
-def _above_merge_tol(a: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
-    return a > np.asarray(dec.merge_tol)[..., None]
-
-
 def _psd_pair(x, y):
     """Spectra of a PSD pair and the overlap O_ij = |<u_i, v_j>|^2."""
     a, xdec = _psd_spectrum(x, "x")
@@ -236,9 +232,12 @@ class JointSpectralMeasure:
     def total_mass(self):
         return _unstack(self.masses.sum(axis=-1))
 
-    def integrate(self, fn) -> float:
-        """Exact integral of a scalar function against the measure of one pair."""
-        return float(sum(m * fn(l) for l, m in zip(self.lambdas, self.masses)))
+    def integrate(self, fn):
+        """Exact integral of a scalar function against the measure: a
+        float for one pair, one per pair, shape (N,), for a stack."""
+        rows = zip(np.atleast_2d(self.lambdas), np.atleast_2d(self.masses))
+        sums = [sum(m * fn(l) for l, m in zip(*row) if m > 0) for row in rows]
+        return _unstack(np.array(sums, dtype=float).reshape(self.masses.shape[:-1]))
 
 
 def joint_spectral_measure(x, y) -> JointSpectralMeasure:
@@ -325,10 +324,10 @@ class ConnesCertificate:
 
 
 def connes_certificate(x, y) -> ConnesCertificate:
+    mid = threshold_chi_distance(x, y)  # first: it names a shape mismatch
     xm, ym = _matrix(x), _matrix(y)
     diff = np.linalg.norm(xm - ym, axis=(-2, -1))
     lhs = diff**2
-    mid = threshold_chi_distance(x, y)
     rhs = diff * np.linalg.norm(xm + ym, axis=(-2, -1))
     holds = (lhs <= mid + CHAIN_SLACK) & (mid <= rhs + CHAIN_SLACK)
     return ConnesCertificate(_unstack(lhs), mid, _unstack(rhs), _unstack(holds))
@@ -362,6 +361,8 @@ def commutator_certificate(x, pvm) -> CommutatorCertificate:
             f"{_element('x', bad)} must satisfy Tr(x^2) = 1, got {norm_sq[bad].item()!r}"
         )
     ops = require_pvm(pvm, xdec.dim)
+    if ops.shape[:-3] != xm.shape[:-2]:
+        raise ValueError(f"stack mismatch: x has shape {xm.shape}, pvm has shape {ops.shape}")
     xk = xm[..., None, :, :]
     sum_comm_x = np.sum(np.abs(ops @ xk - xk @ ops) ** 2, axis=(-3, -2, -1))
     # ||[p, chi_t(x)]||^2 = sum of |p~_ij|^2 over the pairs split by t,
@@ -383,8 +384,10 @@ def lp_duality_check(x, y, p: float):
         Tr(x y) = int_0^inf p t^(p-1) Tr( x^(1-p) chi_(t,inf)(x) y ) dt,
 
     with the right side evaluated exactly per eigenvalue: the eigenvector
-    u_i of x contributes a_i^p a_i^(1-p) <u_i, y u_i> for each a_i above
-    the merge tolerance.  Returns |lhs - rhs|.
+    u_i of x contributes a_i^p a_i^(1-p) <u_i, y u_i> wherever both factors
+    are in floating-point range (a_i^p > 0, a_i^(1-p) finite).  That cuts
+    only an a_i at 0 or so near it that a factor leaves the range; such a
+    term is at most a_i ||y||.  Returns |lhs - rhs|.
     """
     if not 1 < p < np.inf:  # NaN fails too
         raise ValueError(f"exponent must be finite with p > 1, got {p!r}")
@@ -402,20 +405,23 @@ def lp_duality_check(x, y, p: float):
     lhs = _trace_product(_matrix(x), ym)
     u = xdec.eigenvectors
     diagonal = np.sum(u.conj() * (ym @ u), axis=-2).real
-    pos = _above_merge_tol(a, xdec)
-    kept = np.where(pos, a, 1.0)
-    rhs = np.sum(np.where(pos, kept**p * kept ** (1.0 - p) * diagonal, 0.0), axis=-1)
+    with np.errstate(under="ignore"):  # a term out of range is cut
+        weight = a**p
+    with np.errstate(over="ignore"):
+        inverse = np.where(weight > 0, a, 1.0) ** (1.0 - p)
+    pos = (weight > 0) & (inverse < np.inf)
+    rhs = np.sum(np.where(pos, weight * inverse * diagonal, 0.0), axis=-1)
     return _unstack(np.abs(lhs - rhs))
 
 
 def threshold_integral(x, p: float):
     """Exact weight integral int_0^inf p t^(p-1) Tr(chi_(t,inf)(x)) dt.
 
-    Equals Tr(x^p) = sum_i a_i^p over the eigenvalues above the merge
-    tolerance for PSD x; with p = 1 and a unit-trace density this is the
+    Equals Tr(x^p) = sum_i a_i^p over the whole spectrum of PSD x,
+    clipped at 0; with p = 1 and a unit-trace density this is the
     normalization of the fiber weight.
     """
     if not 1 <= p < np.inf:  # NaN fails too
         raise ValueError(f"exponent must be finite with p >= 1, got {p!r}")
-    a, xdec = _psd_spectrum(x, "x")
-    return _unstack(np.sum(np.where(_above_merge_tol(a, xdec), a, 0.0) ** p, axis=-1))
+    a, _ = _psd_spectrum(x, "x")
+    return _unstack(np.sum(a**p, axis=-1))

@@ -52,6 +52,7 @@ from .games import (
 from .spectral import (
     BOUND_SLACK,
     IDENTITY_TOL,
+    MERGE_TOL_SCALE,
     ORTHOGONALIZATION_SLACK,
     ROUNDING_SLACK,
     _hermitian_part,
@@ -137,18 +138,31 @@ class CornerDecomposition:
         return len(self.ranks)
 
 
+def _cluster_starts(values: np.ndarray, tol) -> np.ndarray:
+    """First index of each cluster of an ascending spectrum: consecutive
+    eigenvalues within ``tol`` chain into one cluster, whatever its span."""
+    return np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+
+
 def corner_decomposition(rho: DensityOperator) -> CornerDecomposition:
     """Corner decomposition of a unit-trace density operator.
 
-    Clusters at or below the merge tolerance are excluded; the corners
-    are nested and the weights sum to the kept mass within IDENTITY_TOL.
+    rho's eigenvalues within tol = MERGE_TOL_SCALE (1 + max |w|) of the
+    next chain into one cluster, which stands for its mean; the clusters
+    above tol give the nested corners, whose weights sum to the kept mass
+    within IDENTITY_TOL.
     """
     dec = rho.decomposition
-    values = dec.cluster_values()
-    values = values[values > dec.merge_tol]
+    w = dec.eigenvalues
+    tol = MERGE_TOL_SCALE * (1.0 + np.abs(w).max())
+    starts = _cluster_starts(w, tol)
+    sizes = np.diff(starts, append=w.size)
+    means = np.add.reduceat(w, starts) / sizes
+    values = means[::-1]
+    values = values[values > tol]
     if values.size == 0:
         raise ValueError("density operator has no positive spectrum")
-    levels = dec.cluster_levels()
+    levels = np.repeat(means, sizes)
     ranks = dec.dim - np.searchsorted(levels, values)
     # by descending cluster, ascending index inside a cluster
     columns = np.argsort(-levels, kind="stable")[: ranks[-1]]

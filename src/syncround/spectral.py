@@ -1,11 +1,11 @@
 """Dense Hermitian spectral calculus.
 
-Eigendecomposition with a deterministic phase convention and clustered
-eigenvalues, the square root of positive semidefinite matrices,
-the trace pairing of two stacked operator families, and the matrix
-validation helpers (Hermitian / PVM / POVM) shared by the rest of the
-package.  Everything works on plain complex numpy arrays at desk scale
-(dense, dimension up to a few hundred).
+Eigendecomposition into plain ascending eigenpairs (no clustering) with
+a deterministic phase convention, the PSD square root, the trace pairing
+of two stacked operator families, and the matrix validation helpers
+(Hermitian / PVM / POVM) shared by the rest of the package.  Everything
+works on plain complex numpy arrays at desk scale (dense, dimension up
+to a few hundred).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ __all__ = [
 # what it guards.  Every other module imports its thresholds from here.
 HERMITIAN_TOL = 1e-12     # |H - H*| entrywise, per unit of 1 + max |H|
 DECOMP_TOL = 1e-10        # eigh reconstruction (per unit of 1 + ||h||_F), orthonormality
-MERGE_TOL_SCALE = 1e-9    # eigenvalues closer than this times 1 + spectral radius cluster
+MERGE_TOL_SCALE = 1e-9    # rho's eigenvalues this close (per unit of 1 + max |w|) share a corner
 PSD_CLAMP = 1e-10         # eigenvalues in [-PSD_CLAMP, 0) are roundoff and clamped to 0
 FAMILY_TOL = 1e-8         # PVM / POVM: ||p^2 - p||_F, ||sum - 1||_F and POVM min eigenvalue
 UNIT_TOL = 1e-10          # unit norm of a state, unit sum of block weights, unit trace of rho
@@ -241,40 +241,20 @@ def require_povm(family, dim: int, what: str = "POVM", decompose: bool = False):
 
 @dataclass(eq=False)
 class SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
     ``eigenvalues`` are ascending and ``eigenvectors`` holds the matching
-    orthonormal columns.  Consecutive eigenvalues within ``merge_tol``
-    chain into one cluster, represented by its mean.  The decomposition
-    of a stack holds stacked arrays and one ``merge_tol`` per matrix;
-    ``cluster_levels`` takes either, ``cluster_values`` one matrix.
+    orthonormal columns; a stack holds stacked arrays, (..., n) and
+    (..., n, n).  The eigenpairs are all there is: a caller that groups
+    close eigenvalues does so with its own tolerance.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    merge_tol: float
 
     @property
     def dim(self) -> int:
         return self.eigenvectors.shape[-1]
-
-    def cluster_values(self) -> np.ndarray:
-        """Representative (mean) eigenvalue per cluster, strictly decreasing."""
-        return self._cluster_means()[0][::-1]
-
-    def cluster_levels(self) -> np.ndarray:
-        """Each eigenvalue replaced by its cluster's value, ascending; of
-        every matrix of a stack, shape (..., n)."""
-        return np.repeat(*self._cluster_means()).reshape(self.eigenvalues.shape)
-
-    def _cluster_means(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cluster means and sizes over the flattened spectra: every row
-        of a stack starts a new cluster, so no cluster spans two matrices
-        and a row's means are those of its matrix alone."""
-        values = self.eigenvalues
-        starts = _cluster_starts(values, np.asarray(self.merge_tol)[..., None])
-        sizes = np.diff(starts, append=values.size)
-        return np.add.reduceat(values.reshape(-1), starts) / sizes, sizes
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -300,26 +280,18 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase[..., None, :]
 
 
-def _cluster_starts(values: np.ndarray, tol) -> np.ndarray:
-    """First (flat) index of each cluster of an ascending spectrum, or of
-    each row of a stack with one ``tol`` per row, shape (..., 1):
-    consecutive eigenvalues within ``tol`` chain into one cluster,
-    whatever its span."""
-    return np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
-
-
 def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix with deterministic phases.
 
     Returns eigenvalues ascending together with the unitary of
     eigenvectors.  A stack (..., n, n) is decomposed matrix by matrix
     into stacked eigenvalues and eigenvectors, each matrix checked with
-    the same tolerances and with its own merge tolerance.  Raises
-    ``ValueError`` on non-Hermitian input, reporting the violating
-    entry norm, and on a decomposition that fails its guards: each
-    matrix must be reconstructed within ``DECOMP_TOL * (1 + ||h||_F)``
-    and its eigenvectors must be orthonormal within ``DECOMP_TOL``, both
-    in Frobenius norm, a failure naming the first failing element.
+    the same tolerances.  Raises ``ValueError`` on non-Hermitian input,
+    reporting the violating entry norm, and on a decomposition that
+    fails its guards: each matrix must be reconstructed within
+    ``DECOMP_TOL * (1 + ||h||_F)`` and its eigenvectors must be
+    orthonormal within ``DECOMP_TOL``, both in Frobenius norm, a failure
+    naming the first failing element.
     """
     h = require_hermitian(matrix, what)
     w, v = np.linalg.eigh(h)
@@ -344,8 +316,7 @@ def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
             f"eigenvectors of {_element(what, excess[0])} are not orthonormal:"
             f" residual {excess[1]:.3e}"
         )
-    tol = MERGE_TOL_SCALE * (1.0 + np.abs(w).max(axis=-1))
-    return SpectralDecomposition(w, v, float(tol) if tol.ndim == 0 else tol)
+    return SpectralDecomposition(w, v)
 
 
 def functional_calculus(matrix) -> np.ndarray:

@@ -192,14 +192,17 @@ def tracial_table_loop(t, questions):
 
 
 def _cluster_projections(matrix):
-    """Clustered PSD spectrum: values (descending), projections, decomposition."""
+    """Clustered PSD spectrum: each cluster's mean clipped at 0 (descending),
+    its projection, and the clustering tolerance 1e-9 (1 + max |w|)."""
     dec = eigh(matrix)
-    values = np.clip(dec.cluster_values(), 0.0, None)
-    projections = []
-    for cluster in cluster_indices_loop(dec.eigenvalues, dec.merge_tol):
+    w = dec.eigenvalues
+    tol = 1e-9 * (1.0 + float(np.abs(w).max()))
+    values, projections = [], []
+    for cluster in cluster_indices_loop(w, tol):
+        values.append(max(float(np.mean(w[list(cluster)])), 0.0))
         v = dec.eigenvectors[:, list(cluster)]
         projections.append(v @ v.conj().T)
-    return values, projections, dec
+    return values, projections, tol
 
 
 def _projection_above(values, projections, t):
@@ -210,10 +213,10 @@ def _projection_above(values, projections, t):
 def chi_distance_breakpoints(x, y):
     """int 2t ||chi_t(x) - chi_t(y)||^2 dt summed interval by interval
     between consecutive positive spectral breakpoints."""
-    xv, xp, xdec = _cluster_projections(x)
-    yv, yp, ydec = _cluster_projections(y)
-    zero_tol = max(xdec.merge_tol, ydec.merge_tol)
-    points = sorted({float(v) for v in np.concatenate([xv, yv]) if v > zero_tol})
+    xv, xp, xtol = _cluster_projections(x)
+    yv, yp, ytol = _cluster_projections(y)
+    zero_tol = max(xtol, ytol)
+    points = sorted({v for v in xv + yv if v > zero_tol})
     total, prev = 0.0, 0.0
     for t in points:
         mid = (prev + t) / 2
@@ -225,8 +228,8 @@ def chi_distance_breakpoints(x, y):
 
 def commutator_breakpoints(x, pvm):
     """int 2t sum_k ||[p_k, chi_t(x)]||^2 dt summed interval by interval."""
-    xv, xp, xdec = _cluster_projections(x)
-    points = sorted(float(v) for v in xv if v > xdec.merge_tol)
+    xv, xp, tol = _cluster_projections(x)
+    points = sorted(v for v in xv if v > tol)
     total, prev = 0.0, 0.0
     for t in points:
         proj = _projection_above(xv, xp, (prev + t) / 2)

@@ -10,7 +10,8 @@ def test_two_runs_print_identical_digests():
     """Two processes of ``bench/outputs.py --n 2`` print the same lines:
     one per seeded output, 12 verify reports (2 of them the rounding
     suite at VERIFY_SLAB + 44 instances, across a slab boundary), 36 round
-    outputs, 9 multi-corner outputs and 8 fiber outputs."""
+    outputs, 9 multi-corner outputs, 8 fiber outputs and 4 rank-deficient
+    fiber certificates."""
     command = [sys.executable, str(ROOT / "bench" / "outputs.py"), "--n", "2"]
     runs = [
         subprocess.run(command, capture_output=True, text=True, timeout=120) for _ in range(2)
@@ -19,5 +20,8 @@ def test_two_runs_print_identical_digests():
     outputs = [run.stdout for run in runs]
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
-    assert len(lines) == 65 and len(set(lines)) == 65
-    assert all(re.fullmatch(r"(verify|round|multicorner|fiber) .+ [0-9a-f]{64}", line) for line in lines)
+    assert len(lines) == 69 and len(set(lines)) == 69
+    assert all(
+        re.fullmatch(r"(verify|round|multicorner|fiber|fiber-rd) .+ [0-9a-f]{64}", line)
+        for line in lines
+    )

@@ -282,6 +282,23 @@ class TestLpDuality:
         with pytest.raises(ValueError, match="^y is not PSD"):
             lp_duality_check(np.eye(3), y, 2.0)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_eigenvalues_near_zero_are_summed(self, p):
+        # 1.9e-9 is below 1e-9 (1 + ||x||): no clustering tolerance cuts it
+        x = np.diag([1.0] + [1.9e-9] * 20)
+        assert lp_duality_check(x, np.eye(21), p) <= 1e-14
+
+    def test_underflowing_weight_is_cut(self):
+        # (1e-200)^3 underflows to 0, where (1e-200)^(-2) would overflow
+        with np.errstate(all="raise"):
+            assert lp_duality_check(np.diag([1e-200, 1.0]), np.eye(2), 3.0) == 0.0
+
+    def test_overflowing_inverse_is_cut(self):
+        # (1.3e-13)^25 is a positive subnormal, but (1.3e-13)^(-24) overflows
+        with np.errstate(all="raise"):
+            residual = lp_duality_check(np.diag([1.3e-13, 1.0]), np.eye(2), 25.0)
+        assert residual <= 1.3e-13
+
     def test_non_square_y_rejected(self):
         with pytest.raises(ValueError, match="y must be a square matrix"):
             lp_duality_check(np.eye(2), np.ones((2, 3)), 2.0)
@@ -307,6 +324,9 @@ class TestFiberWeightNormalization:
         rng = rng_for(112, 0)
         x = random_psd(rng, 5)
         assert_close(threshold_integral(x, 2.0), np.trace(x @ x).real, 1e-10)
+
+    def test_eigenvalue_near_zero_is_summed(self):
+        assert abs(threshold_integral(np.diag([5e-10, 1.0]), 1.0) - (1.0 + 5e-10)) <= 1e-16
 
     @pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
     def test_invalid_exponent_rejected(self, p):
@@ -384,15 +404,18 @@ class TestStackContracts:
         measure = joint_spectral_measure(x, y)
         assert np.array_equal(joint_spectral_measure(xdec, ydec).masses, measure.masses)
 
-    def test_cluster_levels_stacked_equal_single(self):
-        x = psd_stack(128, count=4, dim=6)
-        x[2] = np.diag([1.0, 1.0 + 5e-10, 2.0, 2.0, 3.0, 0.0])
-        dec = eigh(x)
-        levels = dec.cluster_levels()
-        assert levels.shape == (4, 6)
-        for i in range(4):
-            assert np.array_equal(levels[i], eigh(x[i]).cluster_levels())
-        assert_close(levels[2], [0.0, 1.0 + 2.5e-10, 1.0 + 2.5e-10, 2.0, 2.0, 3.0], 1e-15)
+    def test_stacked_measure_integrates_per_pair(self):
+        x, y = psd_stack(128), psd_stack(135)
+        # the padding of this row sits at l = 0 and l = 1, where fn is infinite
+        x[1], y[1] = np.diag([1.0, 2.0, 0.0, 0.0]), np.diag([3.0, 4.0, 0.0, 0.0])
+
+        def fn(l):
+            return 1.0 / (l * (1.0 - l))
+
+        values = joint_spectral_measure(x, y).integrate(fn)
+        assert values.shape == (len(x),)
+        for i in range(len(x)):
+            assert_close(values[i], joint_spectral_measure(x[i], y[i]).integrate(fn), 1e-12)
 
     @pytest.mark.parametrize(
         "call",
@@ -425,6 +448,17 @@ class TestStackContracts:
     def test_stacked_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             joint_spectral_measure(psd_stack(133, count=3), psd_stack(134, count=4))
+
+    def test_connes_stack_mismatch_names_shapes(self):
+        with pytest.raises(ValueError, match=r"dimension mismatch: x has shape \(2, 4, 4\),"
+                           r" y has shape \(3, 4, 4\)"):
+            connes_certificate(psd_stack(136, count=2), psd_stack(137, count=3))
+
+    def test_commutator_stack_mismatch_names_shapes(self):
+        pvms = np.array([random_pvm(rng_for(139, i), 4, 2) for i in range(3)])
+        with pytest.raises(ValueError, match=r"stack mismatch: x has shape \(2, 4, 4\),"
+                           r" pvm has shape \(3, 2, 4, 4\)"):
+            commutator_certificate(unit_stack(138, count=2), pvms)
 
 
 def fiber_op(x, y, x_unit, pvm):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import syncround
 from syncround import spectral
+from syncround.rounding import _cluster_starts, corner_decomposition
 from syncround.sampling import random_hermitian, random_psd, random_pvm, rng_for
 from syncround.spectral import (
     HERMITIAN_TOL,
-    _cluster_starts,
     _fix_phases,
     _hermitian_part,
     eigh,
@@ -21,6 +21,7 @@ from syncround.spectral import (
     require_povm,
     require_pvm,
 )
+from syncround.strategies import DensityOperator
 
 from conftest import assert_close
 from oracles import cluster_indices_loop, fix_phases_loop, require_hermitian_formula
@@ -30,13 +31,10 @@ class TestEigh:
     def test_identity_single_cluster(self):
         dec = eigh(np.eye(3))
         assert_close(dec.eigenvalues, [1.0, 1.0, 1.0], 1e-14)
-        assert len(dec.cluster_values()) == 1
 
     def test_diagonal_ascending(self):
         dec = eigh(np.diag([3.0, 1.0, 2.0]))
         assert_close(dec.eigenvalues, [1.0, 2.0, 3.0], 1e-14)
-        assert len(dec.cluster_values()) == 3
-        assert_close(dec.cluster_values(), [3.0, 2.0, 1.0], 1e-14)
 
     def test_random_reconstruction(self):
         h = random_hermitian(rng_for(821, 0), 8)
@@ -87,12 +85,11 @@ class TestStacks:
             + [[np.diag([0.0, 0.0, 1.0, 1.0, 2.0])] * 3]
         )
         dec = eigh(stack)
-        assert dec.eigenvalues.shape == (3, 3, 5) and dec.merge_tol.shape == (3, 3)
+        assert dec.eigenvalues.shape == (3, 3, 5)
         for idx in np.ndindex(3, 3):
             single = eigh(stack[idx])
             assert_close(dec.eigenvalues[idx], single.eigenvalues, 1e-13)
             assert_close(dec.eigenvectors[idx], single.eigenvectors, 1e-13)
-            assert dec.merge_tol[idx] == single.merge_tol
         assert_close(dec.reconstruct(), stack, 1e-12)
 
     def test_non_hermitian_element_named(self):
@@ -192,10 +189,12 @@ class TestClustering:
         )
 
     def test_levels_and_values_agree(self):
-        dec = eigh(np.diag([0.2, 0.2, 0.5, 0.5 + 1e-12, 0.3]))
-        top = 0.5 + 5e-13
-        assert_close(dec.cluster_values(), [top, 0.3, 0.2], 1e-15)
-        assert_close(dec.cluster_levels(), [0.2, 0.2, 0.3, top, top], 1e-15)
+        spectrum = np.array([0.2, 0.2, 0.5, 0.5 + 1e-12, 0.3])
+        rho = np.diag(spectrum / spectrum.sum())
+        decomp = corner_decomposition(DensityOperator(rho, eigh(rho)))
+        top, mid, low = np.array([0.5 + 5e-13, 0.3, 0.2]) / spectrum.sum()
+        assert_close(decomp.values, [top, mid, low], 1e-15)
+        assert_close(decomp.levels, [top, top, mid, low, low], 1e-15)
 
 
 class TestFunctionalCalculus:
