@@ -41,8 +41,9 @@ class SynchronousGame:
 
     ``nu`` is the symmetric question distribution as floats; when the
     source provided exact rational weights they are kept in ``nu_exact``
-    (a tuple-of-tuples of Fractions) and symmetry / alpha are evaluated
-    exactly on that representation.
+    (a tuple-of-tuples of Fractions), ``nu`` must be their floats
+    exactly, and symmetry / alpha are evaluated exactly on that
+    representation.
     """
 
     questions: tuple[str, ...]
@@ -60,6 +61,17 @@ class SynchronousGame:
         self.nu = np.asarray(self.nu, dtype=float)
         if self.nu.shape != (nq, nq):
             raise GameFormatError(f"nu must have shape {(nq, nq)}, got {self.nu.shape}")
+        if self.nu_exact is not None:  # exactly: both are float of the same Fractions
+            as_float = np.array(self.nu_exact, dtype=float)
+            if as_float.shape != self.nu.shape:
+                raise GameFormatError(
+                    f"nu_exact must have shape {self.nu.shape}, got {as_float.shape}"
+                )
+            if not np.array_equal(as_float, self.nu):
+                i, j = np.argwhere(as_float != self.nu)[0]
+                raise GameFormatError(
+                    f"nu_exact disagrees with nu at ({self.questions[i]!r}, {self.questions[j]!r})"
+                )
         exact = [] if self.nu_exact is None else [np.array(self.nu_exact, dtype=object)]
         for nu in exact + [self.nu]:
             if not np.array_equal(nu, nu.T):

@@ -385,9 +385,10 @@ def lp_duality_check(x, y, p: float):
 
     with the right side evaluated exactly per eigenvalue: the eigenvector
     u_i of x contributes a_i^p a_i^(1-p) <u_i, y u_i> wherever both factors
-    are in floating-point range (a_i^p > 0, a_i^(1-p) finite).  That cuts
-    only an a_i at 0 or so near it that a factor leaves the range; such a
-    term is at most a_i ||y||.  Returns |lhs - rhs|.
+    are in floating-point range (a_i^p > 0, a_i^(1-p) finite), and
+    a_i <u_i, y u_i> where a_i^p overflows.  That cuts only an a_i at 0 or
+    so near it that a factor leaves the range; such a term is at most
+    a_i ||y||.  Returns |lhs - rhs|.
     """
     if not 1 < p < np.inf:  # NaN fails too
         raise ValueError(f"exponent must be finite with p > 1, got {p!r}")
@@ -405,12 +406,13 @@ def lp_duality_check(x, y, p: float):
     lhs = _trace_product(_matrix(x), ym)
     u = xdec.eigenvectors
     diagonal = np.sum(u.conj() * (ym @ u), axis=-2).real
-    with np.errstate(under="ignore"):  # a term out of range is cut
+    with np.errstate(under="ignore", over="ignore"):  # out of range: cut or replaced below
         weight = a**p
-    with np.errstate(over="ignore"):
         inverse = np.where(weight > 0, a, 1.0) ** (1.0 - p)
+    with np.errstate(invalid="ignore"):  # inf * 0 where a_i^(1-p) underflows
+        term = np.where(np.isinf(weight), a, weight * inverse)
     pos = (weight > 0) & (inverse < np.inf)
-    rhs = np.sum(np.where(pos, weight * inverse * diagonal, 0.0), axis=-1)
+    rhs = np.sum(np.where(pos, term * diagonal, 0.0), axis=-1)
     return _unstack(np.abs(lhs - rhs))
 
 

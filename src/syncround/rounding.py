@@ -29,9 +29,9 @@ that stage as a value.  Rounding many B sides of one state and A side
 is ``round_b_sides``: one stage, then one pass over the (N, ...) stack
 of B sides for the input tables, delta (once per B side, for both
 reports), the distances and the dual, into the dataclasses of
-``round_strategy`` and ``verify_dual_distance`` with (N,) fields.  Those
-two read the strategy's weakly held rho, so while the rounding result
-is held, the two on one strategy compute it once.
+``round_strategy`` and ``verify_dual_distance`` with (N,) fields.  Each
+of those computes rho with ``reduced_density(s)``: nothing is cached on
+a strategy.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ from .strategies import (
     _dual_povms,
     _pvm_stack,
     correlation_of_commuting,
+    reduced_density,
     standard_form_dual,
     synchronicity_deficit,
     tracial_correlation,
@@ -383,8 +384,6 @@ class CornerRounding:
     rest the corner stage built from it and the A side: the symmetrized
     and corner tables, the orthogonalized tracial strategy (its table in
     ``questions`` order) and one report per corner and question.
-    The strategy holds ``rho`` weakly, so holding the stage keeps the
-    strategy's ``rho`` alive.
     """
 
     questions: tuple[str, ...]
@@ -398,9 +397,9 @@ class CornerRounding:
 
 def round_corners(game: SynchronousGame, s: CommutingStrategy) -> CornerRounding:
     """The corner stage of ``round_strategy`` for ``s`` in ``game``'s
-    question order, built from ``s.rho`` and the A side."""
+    question order, built from ``reduced_density(s)`` and the A side."""
     questions = tuple(game.questions)
-    rho = s.rho
+    rho = reduced_density(s)
     symmetrized = symmetrized_correlation(s.pvms_a, rho, questions)
     decomp = corner_decomposition(rho)
     corner = corner_correlation(s.pvms_a, decomp, questions)
@@ -465,8 +464,7 @@ class RoundingCertificate:
 @dataclass(eq=False)
 class RoundingResult:
     """The rounded strategy, its certificate, and the corner stage that
-    built it.  Holding the result keeps the strategy's weakly held rho
-    alive, for ``verify_dual_distance`` on the same strategy."""
+    built it."""
 
     tracial: TracialStrategy
     certificate: RoundingCertificate
@@ -603,24 +601,24 @@ def verify_dual_distance(game: SynchronousGame, s: CommutingStrategy) -> DualDis
     Both sums run over the stacked (X, A, d, d) families at once: the
     one stacked eigensolve that validates the dual POVMs also gives
     their square roots, and the squared norms are mu-weighted reductions
-    over the stack.  rho, its square root and the A stack are the
-    strategy's own, with no corner stage: ``s.rho`` is computed anew
-    unless something, such as a rounding result of ``s``, holds it.  A
-    strategy without the game's answer count is rejected before any work.
+    over the stack.  rho^(1/2) comes from ``reduced_density(s)``, with no
+    corner stage.  A strategy without the game's answer count is
+    rejected before any work.
     """
     delta = synchronicity_deficit(game, s)
     sqrt_dual = functional_calculus(standard_form_dual(s, game.questions, decompose=True))
-    return _dual_report(game, s, sqrt_dual, delta)
+    return _dual_report(game, s, reduced_density(s).sqrt, sqrt_dual, delta)
 
 
 def _dual_report(
-    game: SynchronousGame, s: CommutingStrategy, sqrt_dual: np.ndarray, delta
+    game: SynchronousGame, s: CommutingStrategy, sqrt_rho: np.ndarray, sqrt_dual: np.ndarray,
+    delta,
 ) -> DualDistanceReport:
     """The report of dual square roots ``sqrt_dual`` (X, A, d, d) and
     deficit ``delta``, or of a stack (N, X, A, d, d) and (N,) ``delta``,
-    for the state and A side of ``s``, which alone set comm_sq."""
+    for the A side of ``s`` and its state's rho^(1/2) ``sqrt_rho``, which
+    alone set comm_sq."""
     p = s.pvms_a.in_order(game.questions)
-    sqrt_rho = s.rho.sqrt
     weights = game.mu[:, None, None, None]
     comm_sq = float(np.sum(weights * np.abs(p @ sqrt_rho - sqrt_rho @ p) ** 2))
     dual_sq = _table_sums(weights * np.abs(sqrt_rho @ (p - sqrt_dual)) ** 2)
@@ -643,8 +641,9 @@ def round_b_sides(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarr
     ``names`` names each B side in the errors of the PVM and dual POVM
     checks.
 
-    The N strategies share the state, the A side and so one corner stage
-    and the rho of ``s``, and every B-side term is one stacked pass: one
+    The N strategies share the state, the A side and so one corner stage,
+    whose rho (one ``reduced_density`` per call) also gives the dual
+    reports their rho^(1/2); every B-side term is one stacked pass: one
     PVM check, one table contraction, one deficit per strategy for both
     reports, one dual eigensolve, one reduction per distance.  Returns
     the certificate and the dual report with (N,) fields: entry i of
@@ -669,4 +668,4 @@ def round_b_sides(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarr
     corners = round_corners(game, s)
     certificate = _certificate(game, alpha, corners, _commuting_tables(s, order, stack_b), delta)
     dual = _dual_povms(s, stack_b, [f"dual POVM of {name}" for name in names], decompose=True)
-    return certificate, _dual_report(game, s, functional_calculus(dual), delta)
+    return certificate, _dual_report(game, s, corners.rho.sqrt, functional_calculus(dual), delta)

@@ -264,15 +264,10 @@ class SpectralDecomposition:
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude component of each column real positive.
 
-    ``vectors`` is one matrix or a stack (..., n, m), read by flat index:
-    entry (i, j) of matrix b sits at b n m + i m + j.
+    ``vectors`` is one matrix or a stack (..., n, m).
     """
-    rows, cols = vectors.shape[-2:]
     top_row = np.argmax(np.abs(vectors), axis=-2)
-    flat = top_row * cols + np.arange(cols)
-    if vectors.ndim > 2:
-        flat += np.arange(0, vectors.size, rows * cols).reshape(flat.shape[:-1] + (1,))
-    top = vectors.reshape(-1)[flat]
+    top = np.take_along_axis(vectors, top_row[..., None, :], axis=-2)[..., 0, :]
     size = np.abs(top)
     phase = np.ones_like(top)
     nonzero = size > 0

@@ -15,7 +15,6 @@ weighted normalized traces and is synchronous by construction.
 from __future__ import annotations
 
 import json
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -173,9 +172,8 @@ class CommutingStrategy:
             raise ValueError("A and B sides must share the answer count")
         for name, value in (("state", state), ("pvms_a", pvms_a), ("pvms_b", pvms_b)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_rho", lambda: None)  # no rho held yet
 
-    def __reduce__(self):  # unpickled through the constructor, with no rho held
+    def __reduce__(self):  # unpickled through the constructor: checked and read-only again
         return CommutingStrategy, (self.dim_a, self.dim_b, self.state, self.pvms_a, self.pvms_b)
 
     @property
@@ -185,20 +183,6 @@ class CommutingStrategy:
     @property
     def n_answers(self) -> int:
         return self.pvms_a.n_answers
-
-    @property
-    def rho(self) -> DensityOperator:
-        """The reduced density, computed by ``reduced_density`` and held
-        weakly: every use on this strategy reads the one object while
-        something else holds it, as the ``CornerRounding`` of a rounding
-        result does, so ``round_strategy`` then ``verify_dual_distance``
-        compute it once.  Two threads may both compute a missing rho;
-        either is the same numbers."""
-        rho = self._rho()
-        if rho is None:
-            rho = reduced_density(self)
-            object.__setattr__(self, "_rho", weakref.ref(rho))
-        return rho
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,6 +99,17 @@ class TestLoadGame:
         with pytest.raises(GameFormatError, match="diagonal"):
             load_game(json.dumps(doc))
 
+    def test_exact_weights_must_match_nu(self):
+        # alpha read from nu_exact would be 0.5, from nu 1.0, and a save
+        # then load would bring back nu_exact's weights
+        g = graph_coloring_game([("a", "b")], 2, "1/2")
+        with pytest.raises(GameFormatError, match=r"^nu_exact disagrees with nu at \('a', 'a'\)$"):
+            SynchronousGame(g.questions, g.answers, np.diag([0.5, 0.5]), g.predicate, g.nu_exact)
+        with pytest.raises(GameFormatError, match=r"^nu_exact must have shape \(2, 2\)"):
+            SynchronousGame(g.questions, g.answers, g.nu, g.predicate, ((Fraction(1),),))
+        same = SynchronousGame(g.questions, g.answers, g.nu, g.predicate, g.nu_exact)
+        assert save_game(same) == save_game(g)
+
     def test_first_conflicting_diagonal_entry_named(self):
         doc = json.loads(diagonal_game_doc(["q0", "q1"], ["a", "b"]))
         doc["predicate"]["entries"] = [

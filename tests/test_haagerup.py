@@ -299,6 +299,14 @@ class TestLpDuality:
             residual = lp_duality_check(np.diag([1.3e-13, 1.0]), np.eye(2), 25.0)
         assert residual <= 1.3e-13
 
+    @pytest.mark.parametrize("big", [1e120, 1e200])
+    def test_overflowing_weight_is_its_eigenvalue(self, big):
+        # big^3 overflows, but the term big^3 big^(-2) <u, y u> is big
+        # itself; at 1e200 big^(-2) also underflows to 0
+        with np.errstate(all="raise"):
+            residual = lp_duality_check(np.diag([big, 1.0]), np.eye(2), 3.0)
+        assert np.isfinite(residual) and residual <= 1e-15 * big
+
     def test_non_square_y_rejected(self):
         with pytest.raises(ValueError, match="y must be a square matrix"):
             lp_duality_check(np.eye(2), np.ones((2, 3)), 2.0)

@@ -858,16 +858,15 @@ class TestRoundBSides:
 
 
 class TestRoundCorners:
-    """Every ``round_corners`` call builds its stage from the strategy's
-    weakly held rho, with the numbers of a stage built for a fresh copy;
-    a strategy with another state or A side has its own rho."""
+    """Every ``round_corners`` call builds its own stage from
+    ``reduced_density`` of the strategy, with the numbers of a stage
+    built for a fresh copy."""
 
     def test_each_call_builds_its_own_stage(self, k2_game, k2_strategy, monkeypatch):
         builds = self._count_builds(monkeypatch)
         first = round_corners(k2_game, k2_strategy)
         second = round_corners(k2_game, k2_strategy)
         assert second is not first and len(builds) == 2
-        assert second.rho is first.rho is k2_strategy.rho
         assert np.array_equal(second.tracial.table.data, first.tracial.table.data)
         assert [asdict(r) for r in second.reports] == [asdict(r) for r in first.reports]
 
@@ -905,9 +904,8 @@ class TestRoundCorners:
         ]
 
     def test_mismatched_corners_rejected(self, k2_game, k2_strategy):
-        """A held rho never reaches a strategy with another state or A
-        side, and another question order of the same strategy gets a
-        stage of its own."""
+        """A strategy with another state or A side, or another question
+        order of the same strategy, gets a stage of its own."""
         corners = round_corners(k2_game, k2_strategy)
         stages = []
         for game, s, what in self._mismatches(k2_game, k2_strategy):
@@ -918,7 +916,6 @@ class TestRoundCorners:
                 _certificate_fields(round_strategy(game, fresh_copy(s)))
             ), what
             # the dual report reads the strategy's own rho and A side
-            assert (s.rho is corners.rho) == (s is k2_strategy), what
             assert asdict(verify_dual_distance(game, s)) == asdict(
                 verify_dual_distance(game, fresh_copy(s))
             ), what
@@ -937,29 +934,6 @@ class TestRoundCorners:
         monkeypatch.setattr(syncround.rounding, "corner_decomposition", counted)
         return builds
 
-    def test_dropped_stage_is_built_again(self, k2_game, k2_strategy, monkeypatch):
-        """The strategy keeps nothing alive: with no reference cycle, rho
-        goes with the last result that holds it, without a garbage
-        collection, and the next round computes it again."""
-        builds = self._count_builds(monkeypatch)
-        densities = []
-        original = syncround.strategies.reduced_density
-
-        def counted(s):
-            densities.append(s)
-            return original(s)
-
-        monkeypatch.setattr(syncround.strategies, "reduced_density", counted)
-        s = perturb_b_side(k2_strategy, 0.05, 1)
-        result = round_strategy(k2_game, s)
-        again = round_strategy(k2_game, s)
-        assert again.corners.rho is result.corners.rho
-        assert len(builds) == 2 and len(densities) == 1
-        first = _certificate_fields(result)
-        del result, again
-        assert _certificate_fields(round_strategy(k2_game, s)) == first
-        assert len(builds) == 3 and len(densities) == 2
-
     def test_question_order_builds_its_own_stage(self, k2_game, k2_strategy, monkeypatch):
         builds = self._count_builds(monkeypatch)
         swapped = self._mismatches(k2_game, k2_strategy)[-1][0]
@@ -968,7 +942,6 @@ class TestRoundCorners:
         other = round_corners(swapped, k2_strategy)
         assert other is not corners and len(builds) == 2
         assert other.questions == swapped.questions
-        assert other.rho is corners.rho
 
     def test_pickled_copy_shares_nothing(self, k2_game, k2_strategy, monkeypatch):
         builds = self._count_builds(monkeypatch)
@@ -977,7 +950,6 @@ class TestRoundCorners:
         again = pickle.loads(pickle.dumps(s))
         copied = round_strategy(k2_game, again)
         assert copied.corners is not result.corners and len(builds) == 2
-        assert again.rho is not s.rho
         assert _certificate_fields(copied) == _certificate_fields(result)
 
     def test_dual_distance_runs_no_greedy(self, k2_game, k2_strategy, monkeypatch):

@@ -26,7 +26,9 @@ from syncround import (
     load_tracial_strategy,
     maximally_entangled_state,
     perturb_b_side,
+    perturb_b_sides,
     reduced_density,
+    round_b_sides,
     round_strategy,
     seesaw_optimize,
     standard_form_dual,
@@ -541,37 +543,43 @@ class TestReadOnlyStacks:
 
     def test_pickle_round_trip_stays_read_only(self, k2_strategy):
         s = perturb_b_side(k2_strategy, 0.05, 4)
-        rho = s.rho  # a cached rho is not pickled
         again = pickle.loads(pickle.dumps(s))
         for mine, theirs in ((s.state, again.state), (s.pvms_b.stack, again.pvms_b.stack)):
             assert np.array_equal(mine, theirs) and not theirs.flags.writeable
         assert again.questions == s.questions
-        assert np.array_equal(again.rho.matrix, rho.matrix)
+        assert np.array_equal(reduced_density(again).matrix, reduced_density(s).matrix)
 
     def test_perturbation_shares_state_and_a_side(self, k2_strategy):
-        """The arrays only: a variant holds its own rho."""
-        rho = k2_strategy.rho
         t = perturb_b_side(k2_strategy, 0.05, 4)
         assert t.state is k2_strategy.state
         assert t.pvms_a is k2_strategy.pvms_a
-        assert t.rho is not rho
-        assert np.array_equal(t.rho.matrix, rho.matrix)
+        rho = reduced_density(k2_strategy).matrix
+        assert np.array_equal(reduced_density(t).matrix, rho)
 
-    def test_reduced_density_once_per_strategy(self, k2_game, monkeypatch):
+    def test_reduced_density_once_per_use(self, k2_game, monkeypatch):
+        """Nothing is cached on a strategy: each rounding entry point
+        computes rho once, and the strategy holds only its fields."""
         calls = []
-        original = syncround.strategies.reduced_density
+        original = syncround.rounding.reduced_density
 
         def counted(s):
             calls.append(s)
             return original(s)
 
-        monkeypatch.setattr(syncround.strategies, "reduced_density", counted)
-        s = perturb_b_side(cyclic_coloring_strategy(k2_game.questions, 3), 0.05, 6)
+        monkeypatch.setattr(syncround.rounding, "reduced_density", counted)
+        base = cyclic_coloring_strategy(k2_game.questions, 3)
+        s = perturb_b_side(base, 0.05, 6)
         result = round_strategy(k2_game, s)
         dual = verify_dual_distance(k2_game, s)
         assert result.certificate.holds and dual.holds
-        assert calls == [s]
-        assert result.corners.rho is s.rho
+        assert calls == [s, s]
+        calls.clear()
+        for _ in range(2):
+            stack_b = perturb_b_sides(base, [0.05] * 3, range(3))
+            cert, dual = round_b_sides(k2_game, base, stack_b, ["0", "1", "2"])
+            assert cert.holds.all() and dual.holds.all()
+        assert calls == [base, base]
+        assert set(vars(s)) == {f.name for f in dataclasses.fields(CommutingStrategy)}
 
     def test_question_order_of_a_strategy_does_not_matter(self):
         game = graph_coloring_game(CYCLE5_EDGES, 3, "1/2")
