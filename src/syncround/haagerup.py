@@ -21,13 +21,15 @@ each pair has a closed form:
   a_i / (a_i + b_j) with mass O_ij (a_i + b_j)^2; atoms of repeated or
   close eigenvalues may share a position, since only sums over the
   atoms are ever taken;
-- commutator with a PVM (p_k), p~_k = U+ p_k U:
-  int 2t sum_k ||[p_k, chi_t(x)]||^2 dt
-  = sum_k sum_ij |p~_k[i, j]|^2 |a_i^2 - a_j^2|;
+- commutator with a PVM (p_k), p~_k = U+ p_k U and the weights
+  W_ij = sum_k |p~_k[i, j]|^2:
+  int 2t sum_k ||[p_k, chi_t(x)]||^2 dt = sum_ij W_ij |a_i^2 - a_j^2|,
+  and on the same weights sum_k ||[p_k, x]||^2 = sum_ij W_ij (a_i - a_j)^2;
 - threshold integral: int p t^(p-1) Tr(chi_t(x)) dt = sum_i a_i^p.
 
-All integrals are evaluated exactly this way; quadrature and the
-per-breakpoint sums appear only as test oracles.
+All integrals are evaluated exactly this way; quadrature, the
+per-breakpoint sums and the direct commutator products appear only as
+test oracles.
 
 The module provides the joint spectral measure of a positive pair, its
 moment functionals, the squared L_2 distance of threshold projections,
@@ -340,6 +342,11 @@ class CommutatorCertificate:
     sum_k ||[p_k, x]||^2 <= sum_k ||[p_k, chi(x-hat)]||^2_L2(tau)
                          <= 2 (sum_k ||[p_k, x]||^2)^(1/2).
 
+    Both sums are one kernel on the weights W_ij = sum_k |<u_i, p_k u_j>|^2
+    over x's eigenvectors, (a_i - a_j)^2 and |a_i^2 - a_j^2|.  For a >= 0
+    the first is at most the second term by term, so the first link holds
+    by construction; the second carries the content.
+
     Floats and a bool for one x, arrays of shape (N,) for a stack.
     """
 
@@ -363,12 +370,12 @@ def commutator_certificate(x, pvm) -> CommutatorCertificate:
     ops = require_pvm(pvm, xdec.dim)
     if ops.shape[:-3] != xm.shape[:-2]:
         raise ValueError(f"stack mismatch: x has shape {xm.shape}, pvm has shape {ops.shape}")
-    xk = xm[..., None, :, :]
-    sum_comm_x = np.sum(np.abs(ops @ xk - xk @ ops) ** 2, axis=(-3, -2, -1))
-    # ||[p, chi_t(x)]||^2 = sum of |p~_ij|^2 over the pairs split by t,
-    # and int 2t dt over the split thresholds is |a_i^2 - a_j^2|
+    # one kernel on W_ij = sum_k |p~_k[i, j]|^2: [p, x] has entries
+    # p~_ij (a_j - a_i) in x's eigenbasis, and ||[p, chi_t(x)]||^2 sums
+    # |p~_ij|^2 over the pairs split by t, whose int 2t dt is |a_i^2 - a_j^2|
     u = xdec.eigenvectors[..., None, :, :]
     weights = np.sum(np.abs(u.conj().swapaxes(-1, -2) @ ops @ u) ** 2, axis=-3)
+    sum_comm_x = np.sum(weights * (a[..., :, None] - a[..., None, :]) ** 2, axis=(-2, -1))
     gaps = np.abs(a[..., :, None] ** 2 - a[..., None, :] ** 2)
     sum_comm_q = np.sum(weights * gaps, axis=(-2, -1))
     upper = 2.0 * np.sqrt(sum_comm_x)

@@ -69,19 +69,37 @@ def _first_failure(failed: np.ndarray) -> tuple | None:
     return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack.  A matrix whose plain norm
+    is not finite (its sum of squares overflows) is scaled by its largest
+    |entry| first, so every norm in floating-point range comes out; a NaN
+    entry gives NaN."""
+    # overflow and NaN are what is tested for; squares that underflow are
+    # below roundoff of the norm
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(stack, axis=(-2, -1))
+        large = ~np.isfinite(norms)
+        if large.any():
+            scale = np.abs(stack).max(axis=(-2, -1))
+            scaled = np.linalg.norm(stack / scale[..., None, None], axis=(-2, -1)) * scale
+            norms = np.where(large, scaled, norms)
+    return norms
+
+
 def _first_excess(residual: np.ndarray, floor: float, allowed=None):
     """(index, norm) of the first matrix of a stack whose Frobenius norm
-    exceeds its allowance, or None.
+    exceeds its allowance or is NaN, or None.
 
     Every allowance is at least ``floor`` and no matrix's norm exceeds
     the whole array's, so one norm accepts the stack; only past that are
     per-matrix norms and the allowances ``allowed()`` (default ``floor``)
     computed.
     """
-    if np.linalg.norm(residual) <= floor:
+    # vdot warns of no overflow: an overflowed or NaN sum goes on below
+    if np.sqrt(np.vdot(residual, residual).real) <= floor:
         return None
-    norms = np.linalg.norm(residual, axis=(-2, -1))
-    bad = _first_failure(norms > (floor if allowed is None else allowed()))
+    norms = _frobenius(residual)
+    bad = _first_failure(~(norms <= (floor if allowed is None else allowed())))
     return None if bad is None else (bad, norms[bad])
 
 
@@ -102,8 +120,9 @@ def _hermitian_part(stack: np.ndarray) -> np.ndarray:
 
 def _require_psd(low, what, floor: float = PSD_CLAMP) -> None:
     """Raise unless every minimum eigenvalue ``low`` (one per matrix of a
-    stack) is at least -``floor``, naming the first failing element."""
-    bad = _first_failure(low < -floor)
+    stack) is at least -``floor``, naming the first failing element; a
+    NaN fails."""
+    bad = _first_failure(~(-floor <= low))
     if bad is not None:
         raise ValueError(f"{_element(what, bad)} is not PSD: min eigenvalue {low[bad]:.3e}")
 
@@ -295,9 +314,7 @@ def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
     # residuals formed in place: each stack-sized temporary costs page faults
     residual = (v * w[..., None, :]) @ vh
     residual -= h
-    excess = _first_excess(
-        residual, DECOMP_TOL, lambda: DECOMP_TOL * (1.0 + np.linalg.norm(h, axis=(-2, -1)))
-    )
+    excess = _first_excess(residual, DECOMP_TOL, lambda: DECOMP_TOL * (1.0 + _frobenius(h)))
     if excess:
         raise ValueError(
             f"eigendecomposition of {_element(what, excess[0])} failed to"
@@ -319,12 +336,12 @@ def functional_calculus(matrix) -> np.ndarray:
 
     ``matrix`` is one (n, n) matrix, a stack (..., n, n), or their
     ``SpectralDecomposition``.  Eigenvalues in [-PSD_CLAMP, 0) are
-    roundoff and map to 0; a lower one is rejected, naming the first
-    failing element of a stack.
+    roundoff and map to 0; a lower one or a NaN is rejected, naming the
+    first failing element of a stack.
     """
     dec = matrix if isinstance(matrix, SpectralDecomposition) else eigh(matrix)
     w = dec.eigenvalues
-    _require_psd(w[..., 0], "functional calculus input")
+    _require_psd(w.min(axis=-1), "functional calculus input")
     v = dec.eigenvectors
     root = np.sqrt(np.clip(w, 0.0, None))
     return _hermitian_part((v * root[..., None, :]) @ v.conj().swapaxes(-1, -2))

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's exact kernel evaluators:
 quadrature over the scaling fiber, per-breakpoint and per-corner sums
-of projection traces, and column loops provide a second computational
-route for every derived identity.  The per-instance verify runners
-evaluate each sweep instance through the single-matrix certificates,
+of projection traces, direct commutator products and column loops
+provide a second computational route for every derived identity.  The
+per-instance verify runners evaluate each sweep instance through the
+single-matrix certificates,
 against which the CLI's stacked suites are compared; the rounding
 suite's runner rounds every instance from scratch, against the CLI's
 one corner stage per group.
@@ -25,7 +26,14 @@ from syncround.haagerup import (
     threshold_chi_distance,
 )
 from syncround.rounding import round_strategy, verify_dual_distance
-from syncround.sampling import random_psd, random_pvm, rng_for
+from syncround.sampling import (
+    ginibre,
+    ginibre_draw,
+    random_psd,
+    random_pvm,
+    rng_for,
+    wishart,
+)
 from syncround.spectral import (
     DUALITY_TOL,
     HERMITIAN_TOL,
@@ -239,6 +247,13 @@ def commutator_breakpoints(x, pvm):
     return total
 
 
+def commutator_direct(x, pvm):
+    """sum_k ||[p_k, x]||^2 from the products p_k x - x p_k, one outcome at
+    a time: the first term of the commutator chain without the eigenbasis."""
+    x = np.asarray(x, dtype=complex)
+    return sum(float(np.linalg.norm(p @ x - x @ p) ** 2) for p in pvm)
+
+
 def seesaw_value_loop(game, pvms_a, pvms_b, state):
     """sum nu(x, y) Tr(p^x_a M (q^y_b)^T M+) over the winning entries, one
     entry at a time; PVMs are indexed by question position."""
@@ -396,6 +411,25 @@ def commutator_draw(seed, index, dims):
     x = x / np.sqrt(float(np.trace(x @ x).real))
     n_outcomes = int(rng.integers(2, 5))
     return dim, x, n_outcomes, random_pvm(rng, dim, n_outcomes)
+
+
+def fiber_commutator_inputs(dim, index):
+    """The unit x and 4-outcome PVM of the benchmark's fiber pair at
+    ``dim``, instance ``index``, drawn as the fiber-large workload does."""
+    rng = np.random.default_rng([13, dim, index])
+    x, _ = random_psd(rng, dim), random_psd(rng, dim)
+    return x / np.sqrt(float(np.trace(x @ x).real)), random_pvm(rng, dim, 4)
+
+
+def fiber_rd_commutator_inputs(dim, index):
+    """The unit x and 4-outcome PVM of the ``fiber-rd`` output digests: x
+    the Wishart matrix of a dim x dim/2 Ginibre draw, so of rank dim/2
+    (the pair's full-rank y is drawn in between)."""
+    rng = rng_for(31, dim, index)
+    x = wishart(ginibre(ginibre_draw(rng, dim, dim // 2)))
+    random_psd(rng, dim)
+    pvm = random_pvm(rng, dim, 4)
+    return x / np.sqrt(np.trace(x @ x).real), pvm
 
 
 def connes_instance(seed, index, dims):

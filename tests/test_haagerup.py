@@ -25,7 +25,11 @@ from oracles import (
     chi_distance_breakpoints,
     chi_distance_quadrature,
     commutator_breakpoints,
+    commutator_direct,
+    commutator_draw,
+    fiber_commutator_inputs,
     fiber_quadrature_indicator,
+    fiber_rd_commutator_inputs,
 )
 
 PAIR_KINDS = ("spread", "rank-deficient", "near-degenerate", "degenerate")
@@ -239,6 +243,21 @@ class TestCommutatorCertificate:
         assert_close(cert.sum_comm_q, commutator_breakpoints(x, pvm), 1e-10)
         assert cert.holds
 
+    @pytest.mark.parametrize("inputs", ["readme-sweep", "fiber", "fiber-rd"])
+    def test_first_term_matches_direct_products(self, inputs):
+        # in the kernel the first link holds termwise, (a_i - a_j)^2 <=
+        # |a_i^2 - a_j^2| for a >= 0; its evidence is this agreement with
+        # sum_k ||p_k x - x p_k||^2 formed from the products
+        if inputs == "readme-sweep":  # verify --suite commutator --n 500 --dims 8 --seed 7
+            cases = [commutator_draw(7, i, 8)[1::2] for i in range(500)]
+        else:
+            draw = fiber_commutator_inputs if inputs == "fiber" else fiber_rd_commutator_inputs
+            cases = [draw(dim, i) for dim in (64, 96) for i in range(2)]
+        for k, (x, pvm) in enumerate(cases):
+            direct = commutator_direct(x, pvm)
+            kernel = commutator_certificate(x, pvm).sum_comm_x
+            assert abs(kernel - direct) <= 1e-12 * (1.0 + direct), (k, kernel, direct)
+
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValueError, match="Tr"):
             commutator_certificate(np.diag([1.0, 1.0]), [np.eye(2)])
@@ -299,10 +318,11 @@ class TestLpDuality:
             residual = lp_duality_check(np.diag([1.3e-13, 1.0]), np.eye(2), 25.0)
         assert residual <= 1.3e-13
 
-    @pytest.mark.parametrize("big", [1e120, 1e200])
+    @pytest.mark.parametrize("big", [1e120, 1e200, 1e300])
     def test_overflowing_weight_is_its_eigenvalue(self, big):
         # big^3 overflows, but the term big^3 big^(-2) <u, y u> is big
-        # itself; at 1e200 big^(-2) also underflows to 0
+        # itself; at 1e200 big^(-2) also underflows to 0, and at 1e300 the
+        # eigensolve's guards sum squares of about 1e284 scaled
         with np.errstate(all="raise"):
             residual = lp_duality_check(np.diag([big, 1.0]), np.eye(2), 3.0)
         assert np.isfinite(residual) and residual <= 1e-15 * big

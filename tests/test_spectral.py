@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from syncround.rounding import _cluster_starts, corner_decomposition
 from syncround.sampling import random_hermitian, random_psd, random_pvm, rng_for
 from syncround.spectral import (
     HERMITIAN_TOL,
+    SpectralDecomposition,
     _fix_phases,
     _hermitian_part,
     eigh,
@@ -246,79 +248,90 @@ class TestFiniteness:
                 check()
 
 
-@st.composite
-def hermitian_candidates(draw):
-    """Exactly Hermitian stacks at three scales, one matrix or a stack,
-    as they are or with one entry moved to about the allowance's edge,
-    set to NaN or set to an infinity, and the bytes per check slab."""
-    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
-    h = _hermitian_part(scale * (rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))))
-    m, i, j = (draw(st.integers(0, size - 1)) for size in (k, n, n))
-    kind = draw(st.sampled_from(["exact", "near", "nan", "inf"]))
-    if kind == "near":
-        # |H_ij - conj(H_ji)| = factor * allowance off the diagonal,
-        # |2 i Im H_ii| on it
-        allowed = HERMITIAN_TOL * (1.0 + np.abs(h[m]).max())
-        factor = draw(st.sampled_from([0.5, 0.999, 1.001, 2.0]))
-        h[m, i, j] += factor * allowed if i != j else 0.5j * factor * allowed
-    elif kind != "exact":
-        value = np.nan if kind == "nan" else draw(st.sampled_from([1.0, -1.0])) * np.inf
-        h[m, i, j] = draw(st.sampled_from([value, 1j * value, complex(value, 1.0)]))
-    single = k == 1 and draw(st.booleans())
-    slab_bytes = draw(st.sampled_from([16, spectral.CHECK_SLAB_BYTES]))
-    return (h[0] if single else h), slab_bytes
+class TestEighGuards:
+    """Faults injected into LAPACK's answer: every guard fails closed, on
+    NaN as on a wrong number, and at any representable scale."""
 
+    @staticmethod
+    def _inject(monkeypatch, corrupt):
+        """Corrupt LAPACK's (w, v) on every eigensolve."""
+        real = np.linalg.eigh
 
-def _outcome(check, matrix):
-    try:
-        return "accepted", check(matrix, "m")
-    except ValueError as exc:
-        return "rejected", str(exc)
+        def faulty(h):
+            w, v = (a.copy() for a in real(h))
+            corrupt(w, v)
+            return w, v
 
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
 
-class TestRequireHermitian:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(case=hermitian_candidates())
-    def test_matches_deviation_formula(self, case):
-        matrix, slab_bytes = case
-        with mock.patch.object(spectral, "CHECK_SLAB_BYTES", slab_bytes):
-            got = _outcome(require_hermitian, matrix)
-        want = _outcome(require_hermitian_formula, matrix)
-        assert got[0] == want[0]
-        if got[0] == "accepted":
-            assert np.array_equal(got[1], want[1])
+    @staticmethod
+    def _nan_eigenvalue(w, v):
+        w[..., -1] = np.nan
+
+    @staticmethod
+    def _nan_eigenvector(w, v):
+        v[..., 0, -1] = np.nan
+
+    @staticmethod
+    def _shift_eigenvalue(w, v):
+        w[..., -1] *= 1.5
+
+    @staticmethod
+    def _rescale_column(w, v):
+        # V D (W D^-2) D V* = V W V*: reconstructs, not orthonormal
+        v[..., -1] *= 2.0
+        w[..., -1] /= 4.0
+
+    @pytest.mark.parametrize("corrupt", ["_nan_eigenvalue", "_nan_eigenvector"])
+    def test_nan_fails_reconstruction(self, monkeypatch, corrupt):
+        self._inject(monkeypatch, getattr(self, corrupt))
+        with pytest.raises(ValueError, match=r"^eigendecomposition of m failed to reconstruct: residual nan$"):
+            eigh(np.diag([1.0, 2.0]), "m")
+
+    @pytest.mark.parametrize("corrupt", ["_nan_eigenvalue", "_nan_eigenvector"])
+    def test_nan_names_stack_element(self, monkeypatch, corrupt):
+        real = getattr(self, corrupt)
+        self._inject(monkeypatch, lambda w, v: real(w[1], v[1]))
+        stack = np.array([np.diag([1.0, 2.0])] * 3)
+        with pytest.raises(ValueError, match=r"^eigendecomposition of m element 1 failed to reconstruct: residual nan$"):
+            eigh(stack, "m")
+
+    def test_functional_calculus_rejects_nan_eigenvalue(self):
+        for w in ([np.nan, 1.0], [1.0, np.nan]):
+            dec = SpectralDecomposition(np.array(w), np.eye(2, dtype=complex))
+            with pytest.raises(ValueError, match=r"^functional calculus input is not PSD: min eigenvalue nan$"):
+                functional_calculus(dec)
+        stack = SpectralDecomposition(np.array([[1.0, 2.0], [1.0, np.nan]]), np.array([np.eye(2)] * 2, complex))
+        with pytest.raises(ValueError, match=r"^functional calculus input element 1 is not PSD"):
+            functional_calculus(stack)
+
+    def test_representable_scale_runs_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = eigh(np.diag([1e300, 1.0]))
+            stacked = eigh(np.array([np.diag([1e300, 1.0]), np.diag([1e160, 1.0]), np.eye(2)]))
+        assert_close(dec.eigenvalues / [1.0, 1e300], [1.0, 1.0], 1e-15)
+        want = [[1.0, 1e300], [1.0, 1e160], [1.0, 1.0]]
+        assert_close(stacked.eigenvalues / want, np.ones((3, 2)), 1e-15)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [("_nan_eigenvalue", "eigendecomposition of {} failed to reconstruct"),
+         ("_shift_eigenvalue", "eigendecomposition of {} failed to reconstruct"),
+         ("_rescale_column", "eigenvectors of {} are not orthonormal")],
+    )
+    def test_corruption_at_large_scale_rejected(self, monkeypatch, corrupt, message, stacked):
+        huge = np.diag([1e300, 1.0])
+        if stacked:
+            # only the last element is corrupted, and named beside the huge one
+            real = getattr(self, corrupt)
+            self._inject(monkeypatch, lambda w, v: real(w[1], v[1]))
+            matrix, name = np.array([huge, huge]), "m element 1"
         else:
-            assert got[1] == want[1]
-
-
-class TestPvmValidation:
-    def test_basis_pvm_accepted(self):
-        e = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-        require_pvm(e, 2)
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(ValueError, match="sum to the identity"):
-            require_pvm([np.diag([1.0, 0.0])], 2)
-
-    def test_non_projection_rejected(self):
-        with pytest.raises(ValueError, match="not a projection"):
-            require_pvm([np.diag([0.5, 0.5]), np.diag([0.5, 0.5])], 2)
-
-
-class TestTolerancePolicy:
-    def test_every_tolerance_is_the_tables(self):
-        """A module of the package names a threshold (*TOL*, *SLACK* or
-        *CLAMP*) only by importing the entry of spectral's table."""
-        modules = [syncround] + [
-            importlib.import_module(f"syncround.{info.name}")
-            for info in pkgutil.iter_modules(syncround.__path__)
-        ]
-        seen = 0
-        for module in modules:
-            for name, value in vars(module).items():
-                if name.isupper() and any(k in name for k in ("TOL", "SLACK", "CLAMP")):
-                    assert value is getattr(spectral, name, None), f"{module.__name__}.{name}"
-                    seen += 1
-        assert seen  # the scan found the table itself
+            self._inject(monkeypatch, getattr(self, corrupt))
+            matrix, name = huge, "m"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^" + message.format(name)):
+                eigh(matrix, "m")
