@@ -335,3 +335,81 @@ class TestEighGuards:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^" + message.format(name)):
                 eigh(matrix, "m")
+
+
+@st.composite
+def hermitian_candidates(draw):
+    """Exactly Hermitian stacks at three scales, one matrix or a stack,
+    as they are or with one entry moved to about the allowance's edge,
+    set to NaN or set to an infinity, and the bytes per check slab."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    h = _hermitian_part(scale * (rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))))
+    m, i, j = (draw(st.integers(0, size - 1)) for size in (k, n, n))
+    kind = draw(st.sampled_from(["exact", "near", "nan", "inf"]))
+    if kind == "near":
+        # |H_ij - conj(H_ji)| = factor * allowance off the diagonal,
+        # |2 i Im H_ii| on it
+        allowed = HERMITIAN_TOL * (1.0 + np.abs(h[m]).max())
+        factor = draw(st.sampled_from([0.5, 0.999, 1.001, 2.0]))
+        h[m, i, j] += factor * allowed if i != j else 0.5j * factor * allowed
+    elif kind != "exact":
+        value = np.nan if kind == "nan" else draw(st.sampled_from([1.0, -1.0])) * np.inf
+        h[m, i, j] = draw(st.sampled_from([value, 1j * value, complex(value, 1.0)]))
+    single = k == 1 and draw(st.booleans())
+    slab_bytes = draw(st.sampled_from([16, spectral.CHECK_SLAB_BYTES]))
+    return (h[0] if single else h), slab_bytes
+
+
+def _outcome(check, matrix):
+    try:
+        return "accepted", check(matrix, "m")
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+class TestRequireHermitian:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=hermitian_candidates())
+    def test_matches_deviation_formula(self, case):
+        matrix, slab_bytes = case
+        with mock.patch.object(spectral, "CHECK_SLAB_BYTES", slab_bytes):
+            got = _outcome(require_hermitian, matrix)
+        want = _outcome(require_hermitian_formula, matrix)
+        assert got[0] == want[0]
+        if got[0] == "accepted":
+            assert np.array_equal(got[1], want[1])
+        else:
+            assert got[1] == want[1]
+
+
+class TestPvmValidation:
+    def test_basis_pvm_accepted(self):
+        e = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        require_pvm(e, 2)
+
+    def test_bad_sum_rejected(self):
+        with pytest.raises(ValueError, match="sum to the identity"):
+            require_pvm([np.diag([1.0, 0.0])], 2)
+
+    def test_non_projection_rejected(self):
+        with pytest.raises(ValueError, match="not a projection"):
+            require_pvm([np.diag([0.5, 0.5]), np.diag([0.5, 0.5])], 2)
+
+
+class TestTolerancePolicy:
+    def test_every_tolerance_is_the_tables(self):
+        """A module of the package names a threshold (*TOL*, *SLACK* or
+        *CLAMP*) only by importing the entry of spectral's table."""
+        modules = [syncround] + [
+            importlib.import_module(f"syncround.{info.name}")
+            for info in pkgutil.iter_modules(syncround.__path__)
+        ]
+        seen = 0
+        for module in modules:
+            for name, value in vars(module).items():
+                if name.isupper() and any(k in name for k in ("TOL", "SLACK", "CLAMP")):
+                    assert value is getattr(spectral, name, None), f"{module.__name__}.{name}"
+                    seen += 1
+        assert seen  # the scan found the table itself
