@@ -50,12 +50,13 @@ from .spectral import (
     SpectralDecomposition,
     eigh,
     functional_calculus,
+    svd,
 )
 from .strategies import (
     CommutingStrategy,
-    DensityOperator,
     PVMStack,
     SeesawResult,
+    StandardForm,
     TracialBlock,
     TracialStrategy,
     conjugate_synchronous_strategy,

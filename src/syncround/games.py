@@ -300,6 +300,7 @@ def load_game(text: str) -> SynchronousGame:
     a_index = {a: i for i, a in enumerate(answers)}
 
     weights: dict[tuple[int, int], object] = {}
+    mass = Fraction(0)  # exact, so a sum past float range is caught where it gets there
     for entry in nu_entries:
         try:
             x, y, w = entry["x"], entry["y"], entry["w"]
@@ -312,12 +313,16 @@ def load_game(text: str) -> SynchronousGame:
         if w < 0:
             raise GameFormatError(f"nu({x!r}, {y!r}) is negative")
         for key in ((i, j), (j, i)):
-            if key in weights and weights[key] != w:
+            if key not in weights:
+                mass += Fraction(w)
+            elif weights[key] != w:
                 raise GameFormatError(
                     f"nu is not symmetric at ({x!r}, {y!r}):"
                     f" conflicting weights {weights[key]!r} and {w!r}"
                 )
             weights[key] = w
+        if mass > np.finfo(float).max:
+            raise GameFormatError(f"nu mass exceeds the float range at entry ({x!r}, {y!r})")
     exact = all(isinstance(w, Fraction) for w in weights.values())
     total = sum(weights.values(), Fraction(0) if exact else 0.0)
     if total <= 0:

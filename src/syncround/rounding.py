@@ -30,8 +30,8 @@ is ``round_b_sides``: one stage, then one pass over the (N, ...) stack
 of B sides for the input tables, delta (once per B side, for both
 reports), the distances and the dual, into the dataclasses of
 ``round_strategy`` and ``verify_dual_distance`` with (N,) fields.  Each
-of those computes rho with ``reduced_density(s)``: nothing is cached on
-a strategy.
+entry point factors the state once, by ``reduced_density(s)``: nothing
+is cached on a strategy.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ from .spectral import (
 )
 from .strategies import (
     CommutingStrategy,
-    DensityOperator,
     PVMStack,
+    StandardForm,
     TracialBlock,
     TracialStrategy,
     _commuting_tables,
@@ -132,7 +132,6 @@ class CornerDecomposition:
     weights: np.ndarray
     basis: np.ndarray = field(repr=False)
     levels: np.ndarray = field(repr=False)
-    dim: int = 0
 
     @property
     def n_corners(self) -> int:
@@ -145,16 +144,15 @@ def _cluster_starts(values: np.ndarray, tol) -> np.ndarray:
     return np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
 
 
-def corner_decomposition(rho: DensityOperator) -> CornerDecomposition:
-    """Corner decomposition of a unit-trace density operator.
+def corner_decomposition(rho: StandardForm) -> CornerDecomposition:
+    """Corner decomposition of the reduced density of a standard form.
 
-    rho's eigenvalues within tol = MERGE_TOL_SCALE (1 + max |w|) of the
-    next chain into one cluster, which stands for its mean; the clusters
-    above tol give the nested corners, whose weights sum to the kept mass
-    within IDENTITY_TOL.
+    rho's eigenvalues w = S^2 within tol = MERGE_TOL_SCALE (1 + max |w|)
+    of the next chain into one cluster, which stands for its mean; the
+    clusters above tol give the nested corners, whose weights sum to the
+    kept mass within IDENTITY_TOL.
     """
-    dec = rho.decomposition
-    w = dec.eigenvalues
+    w = rho.singular_values**2
     tol = MERGE_TOL_SCALE * (1.0 + np.abs(w).max())
     starts = _cluster_starts(w, tol)
     sizes = np.diff(starts, append=w.size)
@@ -164,28 +162,27 @@ def corner_decomposition(rho: DensityOperator) -> CornerDecomposition:
     if values.size == 0:
         raise ValueError("density operator has no positive spectrum")
     levels = np.repeat(means, sizes)
-    ranks = dec.dim - np.searchsorted(levels, values)
+    ranks = w.size - np.searchsorted(levels, values)
     # by descending cluster, ascending index inside a cluster
     columns = np.argsort(-levels, kind="stable")[: ranks[-1]]
-    basis = dec.eigenvectors[:, columns]
+    basis = rho.left[:, columns]
     weights = (values - np.append(values[1:], 0.0)) * ranks
     total = float(weights.sum())
-    dropped = dec.eigenvalues[: dec.dim - ranks[-1]]
-    kept = 1.0 - float(np.clip(dropped, 0.0, None).sum())
+    kept = 1.0 - float(w[: w.size - ranks[-1]].sum())
     if abs(total - kept) > IDENTITY_TOL:
         raise ValueError(f"corner weights sum to {total!r}, expected {kept!r}")
-    return CornerDecomposition(
-        values, tuple(ranks.tolist()), weights, basis, levels[columns], dec.dim
-    )
+    return CornerDecomposition(values, tuple(ranks.tolist()), weights, basis, levels[columns])
 
 
-def symmetrized_correlation(pvms_a, rho: DensityOperator, questions=None) -> CorrelationTable:
+def symmetrized_correlation(pvms_a, rho: StandardForm, questions=None) -> CorrelationTable:
     """Symmetric table T_{x,y}(a, b) = Tr(p^x_a rho^(1/2) p^y_b rho^(1/2)) of the
-    A side ``pvms_a``, a ``PVMStack`` or a dict of question -> PVM (as below)."""
+    A side ``pvms_a``, a ``PVMStack`` or a dict of question -> PVM (as below):
+    with p~ = U* p U, the kernel sum_ij p~^x_a[i, j] s_i s_j p~^y_b[j, i]."""
     pvms_a = _pvm_stack(pvms_a)
     order = tuple(questions or pvms_a.questions)
-    stack = pvms_a.in_order(order)
-    data = trace_pairing(stack, rho.sqrt @ stack @ rho.sqrt).real
+    u, s = rho.left, rho.singular_values
+    rotated = u.conj().T @ pvms_a.in_order(order) @ u
+    data = trace_pairing(rotated * np.outer(s, s), rotated).real
     sums = data.sum(axis=(2, 3))
     worst = float(np.abs(sums - 1.0).max())
     if worst > IDENTITY_TOL:
@@ -380,14 +377,13 @@ class CornerRounding:
     """The half of a rounding run that depends only on the state, the
     A-side PVMs and the question order.
 
-    ``rho`` is the reduced density (with its cached square root), and the
-    rest the corner stage built from it and the A side: the symmetrized
-    and corner tables, the orthogonalized tracial strategy (its table in
+    ``rho`` is the standard form of the state, and the rest the corner
+    stage built from it and the A side: the symmetrized and corner tables, the orthogonalized tracial strategy (its table in
     ``questions`` order) and one report per corner and question.
     """
 
     questions: tuple[str, ...]
-    rho: DensityOperator = field(repr=False)
+    rho: StandardForm = field(repr=False)
     decomposition: CornerDecomposition
     symmetrized: CorrelationTable = field(repr=False)
     corner: CorrelationTable = field(repr=False)
@@ -601,27 +597,31 @@ def verify_dual_distance(game: SynchronousGame, s: CommutingStrategy) -> DualDis
     Both sums run over the stacked (X, A, d, d) families at once: the
     one stacked eigensolve that validates the dual POVMs also gives
     their square roots, and the squared norms are mu-weighted reductions
-    over the stack.  rho^(1/2) comes from ``reduced_density(s)``, with no
-    corner stage.  A strategy without the game's answer count is
+    over the stack.  The state is factored once, by ``reduced_density(s)``,
+    with no corner stage.  A strategy without the game's answer count is
     rejected before any work.
     """
     delta = synchronicity_deficit(game, s)
-    sqrt_dual = functional_calculus(standard_form_dual(s, game.questions, decompose=True))
-    return _dual_report(game, s, reduced_density(s).sqrt, sqrt_dual, delta)
+    rho = reduced_density(s)
+    sqrt_dual = functional_calculus(standard_form_dual(s.pvms_b, rho, game.questions))
+    return _dual_report(game, s, rho, sqrt_dual, delta)
 
 
 def _dual_report(
-    game: SynchronousGame, s: CommutingStrategy, sqrt_rho: np.ndarray, sqrt_dual: np.ndarray,
+    game: SynchronousGame, s: CommutingStrategy, rho: StandardForm, sqrt_dual: np.ndarray,
     delta,
 ) -> DualDistanceReport:
     """The report of dual square roots ``sqrt_dual`` (X, A, d, d) and
     deficit ``delta``, or of a stack (N, X, A, d, d) and (N,) ``delta``,
-    for the A side of ``s`` and its state's rho^(1/2) ``sqrt_rho``, which
-    alone set comm_sq."""
+    for the A side of ``s`` and its state's standard form ``rho``: comm_sq
+    is the kernel sum_ij |p~_ij|^2 (s_i - s_j)^2, and ||rho^(1/2) X||_F is
+    ||S U* X||_F."""
     p = s.pvms_a.in_order(game.questions)
     weights = game.mu[:, None, None, None]
-    comm_sq = float(np.sum(weights * np.abs(p @ sqrt_rho - sqrt_rho @ p) ** 2))
-    dual_sq = _table_sums(weights * np.abs(sqrt_rho @ (p - sqrt_dual)) ** 2)
+    u, sv = rho.left, rho.singular_values
+    rotated = u.conj().T @ p @ u
+    comm_sq = float(np.sum(weights * np.abs(rotated) ** 2 * np.subtract.outer(sv, sv) ** 2))
+    dual_sq = _table_sums(weights * np.abs(sv[:, None] * (u.conj().T @ (p - sqrt_dual))) ** 2)
     comm_budget = 4.0 * delta
     dual_budget = 6.0 * np.sqrt(delta)
     return DualDistanceReport(**_shaped(np.shape(delta), {
@@ -642,9 +642,9 @@ def round_b_sides(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarr
     checks.
 
     The N strategies share the state, the A side and so one corner stage,
-    whose rho (one ``reduced_density`` per call) also gives the dual
-    reports their rho^(1/2); every B-side term is one stacked pass: one
-    PVM check, one table contraction, one deficit per strategy for both
+    whose standard form (one ``reduced_density`` per call) also gives the
+    duals their polar part and rho^(1/2); every B-side term is one stacked
+    pass: one PVM check, one table contraction, one deficit per strategy for both
     reports, one dual eigensolve, one reduction per distance.  Returns
     the certificate and the dual report with (N,) fields: entry i of
     each is the field ``round_strategy`` and ``verify_dual_distance``
@@ -667,5 +667,5 @@ def round_b_sides(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarr
     delta = _deficits(game, s, stack_b)
     corners = round_corners(game, s)
     certificate = _certificate(game, alpha, corners, _commuting_tables(s, order, stack_b), delta)
-    dual = _dual_povms(s, stack_b, [f"dual POVM of {name}" for name in names], decompose=True)
-    return certificate, _dual_report(game, s, corners.rho.sqrt, functional_calculus(dual), delta)
+    dual = _dual_povms(corners.rho, stack_b, [f"dual POVM of {name}" for name in names])
+    return certificate, _dual_report(game, s, corners.rho, functional_calculus(dual), delta)

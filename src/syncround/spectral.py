@@ -1,7 +1,8 @@
 """Dense Hermitian spectral calculus.
 
 Eigendecomposition into plain ascending eigenpairs (no clustering) with
-a deterministic phase convention, the PSD square root, the trace pairing
+a deterministic phase convention, the singular value decomposition in
+the same order and convention, the PSD square root, the trace pairing
 of two stacked operator families, and the matrix validation helpers
 (Hermitian / PVM / POVM) shared by the rest of the package.  Everything
 works on plain complex numpy arrays at desk scale (dense, dimension up
@@ -20,6 +21,7 @@ __all__ = [
     "require_pvm",
     "require_povm",
     "eigh",
+    "svd",
     "functional_calculus",
     "trace_pairing",
 ]
@@ -280,10 +282,9 @@ class SpectralDecomposition:
         return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real positive.
-
-    ``vectors`` is one matrix or a stack (..., n, m).
+def _phases(vectors: np.ndarray) -> np.ndarray:
+    """The unit phase per column of one matrix or a stack (..., n, m) that
+    makes its largest-magnitude component real positive (1 for a zero column).
     """
     top_row = np.argmax(np.abs(vectors), axis=-2)
     top = np.take_along_axis(vectors, top_row[..., None, :], axis=-2)[..., 0, :]
@@ -291,7 +292,27 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     phase = np.ones_like(top)
     nonzero = size > 0
     phase[nonzero] = np.conj(top[nonzero]) / size[nonzero]
-    return vectors * phase[..., None, :]
+    return phase
+
+
+def _require_factors(matrix, left, values, right, what, kind: str, bases) -> None:
+    """Raise unless left diag(values) right* is ``matrix`` within DECOMP_TOL
+    (1 + ||matrix||_F) and each (name, basis) of ``bases`` is orthonormal
+    within DECOMP_TOL, in Frobenius norm, naming the first failing element."""
+    # residuals formed in place: each stack-sized temporary costs page faults
+    residual = (left * values[..., None, :]) @ right.conj().swapaxes(-1, -2)
+    residual -= matrix
+    excess = _first_excess(residual, DECOMP_TOL, lambda: DECOMP_TOL * (1.0 + _frobenius(matrix)))
+    if excess:
+        raise ValueError(f"{kind} of {_element(what, excess[0])} failed to reconstruct:"
+                         f" residual {excess[1]:.3e}")
+    for name, basis in bases:
+        residual = basis.conj().swapaxes(-1, -2) @ basis
+        residual -= np.eye(basis.shape[-1])
+        excess = _first_excess(residual, DECOMP_TOL)
+        if excess:
+            raise ValueError(f"{name} of {_element(what, excess[0])} are not orthonormal:"
+                             f" residual {excess[1]:.3e}")
 
 
 def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
@@ -309,26 +330,31 @@ def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:
     """
     h = require_hermitian(matrix, what)
     w, v = np.linalg.eigh(h)
-    v = _fix_phases(v)
-    vh = v.conj().swapaxes(-1, -2)
-    # residuals formed in place: each stack-sized temporary costs page faults
-    residual = (v * w[..., None, :]) @ vh
-    residual -= h
-    excess = _first_excess(residual, DECOMP_TOL, lambda: DECOMP_TOL * (1.0 + _frobenius(h)))
-    if excess:
-        raise ValueError(
-            f"eigendecomposition of {_element(what, excess[0])} failed to"
-            f" reconstruct: residual {excess[1]:.3e}"
-        )
-    residual = vh @ v
-    residual -= np.eye(h.shape[-1])
-    excess = _first_excess(residual, DECOMP_TOL)
-    if excess:
-        raise ValueError(
-            f"eigenvectors of {_element(what, excess[0])} are not orthonormal:"
-            f" residual {excess[1]:.3e}"
-        )
+    v = v * _phases(v)[..., None, :]
+    _require_factors(h, v, w, v, what, "eigendecomposition", [("eigenvectors", v)])
     return SpectralDecomposition(w, v)
+
+
+def svd(matrix, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M = U diag(s) V* of one (m, n) matrix, as (s, u, v) in ``eigh``'s order
+    and phases: s ascends, zero-padded at the front to m, so (s^2, u) is the
+    ``eigh`` of M M*; v is (n, m) with M v_j = s_j u_j, zero where s_j is
+    padding.  Fails closed as ``eigh`` does: on a non-finite entry, naming
+    it, and on factors that do not reconstruct M or are not orthonormal."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError(f"{what} must be a non-empty matrix, got shape {m.shape}")
+    bad = _first_failure(~np.isfinite(m))
+    if bad is not None:
+        raise ValueError(f"{what} has a non-finite entry {m[bad]} at {bad}")
+    u, s, vh = np.linalg.svd(m)
+    k = len(s)
+    phase = _phases(u)
+    u, v = u * phase, vh[:k].conj().T * phase[:k]
+    _require_factors(m, u[:, :k], s, v, what, "singular value decomposition",
+                     [("left singular vectors", u), ("right singular vectors", v)])
+    s, v = np.pad(s, (0, len(u) - k)), np.pad(v, ((0, 0), (0, len(u) - k)))
+    return s[::-1], u[:, ::-1], v[:, ::-1]
 
 
 def functional_calculus(matrix) -> np.ndarray:

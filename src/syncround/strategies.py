@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -29,12 +28,10 @@ from .spectral import (
     UNIT_TOL,
     SpectralDecomposition,
     _hermitian_part,
-    _require_psd,
     _require_shapes,
-    eigh,
-    functional_calculus,
     require_povm,
     require_pvm,
+    svd,
     trace_pairing,
 )
 
@@ -43,7 +40,7 @@ __all__ = [
     "CommutingStrategy",
     "TracialBlock",
     "TracialStrategy",
-    "DensityOperator",
+    "StandardForm",
     "SeesawResult",
     "correlation_of_commuting",
     "reduced_density",
@@ -161,7 +158,7 @@ class CommutingStrategy:
                 f"state must have shape {(self.dim_a, self.dim_b)}, got {state.shape}"
             )
         norm = float(np.linalg.norm(state))
-        # norm^2 is tr rho, which DensityOperator holds to the same tolerance
+        # norm^2 is tr rho: a unit state needs no trace check on its standard form
         if not abs(norm**2 - 1.0) <= UNIT_TOL:  # NaN fails too
             raise ValueError(f"state is not a unit vector: norm {norm!r}")
         pvms_a = _pvm_stack(self.pvms_a, self.dim_a, "A side")
@@ -258,27 +255,17 @@ class TracialStrategy:
         return self.blocks[0].pvms.n_answers
 
 
-@dataclass(eq=False)
-class DensityOperator:
-    """Unit-trace PSD matrix together with its spectral decomposition;
-    ``sqrt`` is rho^(1/2), computed from that decomposition on first use."""
+@dataclass(frozen=True, eq=False)
+class StandardForm:
+    """The standard form of a unit state xi = U S V*, as ``svd`` gives it:
+    S ascending and zero-padded to dA, U (dA, dA) and V (dB, dA).  (S^2, U)
+    are the eigenpairs of the reduced density rho = U S^2 U*, so
+    rho^(1/2) = U S U*, and on the support (S^2 >= PSD_CLAMP) the polar
+    part J = U V* is the modular conjugation: rho^(1/2) J = xi."""
 
-    matrix: np.ndarray
-    decomposition: SpectralDecomposition
-
-    def __post_init__(self):
-        tr = float(np.trace(self.matrix).real)
-        if abs(tr - 1.0) > UNIT_TOL:
-            raise ValueError(f"density operator must have unit trace, got {tr!r}")
-        _require_psd(self.decomposition.eigenvalues.min(), "density operator")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        return functional_calculus(self.decomposition)
+    singular_values: np.ndarray
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
 
 
 def _b_conditional_operators(state: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
@@ -309,49 +296,37 @@ def _commuting_tables(s: CommutingStrategy, order, stack_b: np.ndarray) -> Corre
     return CorrelationTable(order, s.n_answers, data.real)
 
 
-def reduced_density(s: CommutingStrategy) -> DensityOperator:
-    """Partial trace of |xi><xi| over the B side."""
-    rho = _hermitian_part(s.state @ s.state.conj().T)
-    return DensityOperator(rho, eigh(rho, "reduced density"))
+def reduced_density(s: CommutingStrategy) -> StandardForm:
+    """The standard form of the state of ``s``, from one ``svd`` of xi: rho
+    is the partial trace of |xi><xi| over the B side."""
+    return StandardForm(*svd(s.state, "state"))
 
 
-def standard_form_dual(
-    s: CommutingStrategy, questions=None, decompose: bool = False
-) -> dict[str, np.ndarray] | SpectralDecomposition:
-    """Transport the B-side PVMs to A-side POVMs through the state.
+def standard_form_dual(pvms_b, rho: StandardForm, questions=None) -> SpectralDecomposition:
+    """Transport the B-side PVMs ``pvms_b`` (a ``PVMStack`` or a dict of
+    question -> PVM) to A-side POVMs p'^y_b through the standard form ``rho``:
 
-    Returns per question y a POVM (p'^y_b on the A side), as the
-    (B, dA, dA) array of its elements, satisfying
+        Tr(p^x_a rho^(1/2) p'^y_b rho^(1/2)) = P_{x,y}(a, b).
 
-        Tr(p^x_a rho^(1/2) p'^y_b rho^(1/2)) = P_{x,y}(a, b)
-
-    where rho is the reduced density of the state.  With xi = U S V*,
-    the polar part J = U_s V_s* on the support (S^2 >= PSD_CLAMP) is the
-    modular conjugation of the standard form: rho^(1/2) J = xi, so
-    p'^y_b = J conj(q^y_b) J* meets the identity with no inverse.  The
-    kernel of rho is completed on the first answer.  ``questions`` picks
-    and orders the questions (default: the strategy's).  With
-    ``decompose`` the result is the ``eigh`` of the (Y, B, d, d) stack
-    that validated it as a POVM, for a caller that needs its square roots.
-    """
-    order = tuple(questions or s.questions)
-    dual = _dual_povms(s, s.pvms_b.in_order(order), "dual POVM", decompose)
-    if decompose:
-        return dual
-    return dict(zip(order, dual))
+    rho^(1/2) J = xi, so p'^y_b = J conj(q^y_b) J* meets it with no
+    inverse; the kernel of rho is completed on the first answer.  Returns
+    the ``eigh`` that validated the (Y, B, dA, dA) stack, in ``questions``
+    order (default: the side's), as a POVM: ``reconstruct()`` gives the
+    elements, and its eigenpairs their square roots."""
+    pvms_b = _pvm_stack(pvms_b, side="B side")
+    return _dual_povms(rho, pvms_b.in_order(questions), "dual POVM")
 
 
-def _dual_povms(s: CommutingStrategy, stack_b: np.ndarray, what, decompose: bool):
+def _dual_povms(rho: StandardForm, stack_b: np.ndarray, what) -> SpectralDecomposition:
     """``standard_form_dual`` for the B side ``stack_b``, or for each B side
-    of a stack (..., Y, B, d, d): one SVD of the state, one ``require_povm``
-    naming its errors by ``what`` (a list: one label per B side)."""
-    u, sigma, vh = np.linalg.svd(s.state, full_matrices=False)
-    kept = sigma**2 >= PSD_CLAMP
-    support = u[:, kept]
-    polar = support @ vh[kept]
+    of a stack (..., Y, B, d, d): one ``require_povm`` naming its errors
+    by ``what`` (a list: one label per B side)."""
+    kept = rho.singular_values**2 >= PSD_CLAMP
+    support = rho.left[:, kept]
+    polar = support @ rho.right[:, kept].conj().T
     stacked = _hermitian_part(polar @ stack_b.conj() @ polar.conj().T)
-    stacked[..., 0, :, :] += np.eye(s.dim_a) - support @ support.conj().T
-    return require_povm(stacked, s.dim_a, what, decompose)
+    stacked[..., 0, :, :] += np.eye(len(kept)) - support @ support.conj().T
+    return require_povm(stacked, len(kept), what, decompose=True)
 
 
 def synchronicity_deficit(game: SynchronousGame, s: CommutingStrategy) -> float:
@@ -666,6 +641,6 @@ def load_tracial_strategy(text: str) -> TracialStrategy:
             )
             for k, raw in enumerate(doc["blocks"])
         ]
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed tracial strategy document: {exc}") from exc
     return TracialStrategy(blocks)

@@ -5,10 +5,12 @@ import pytest
 
 from syncround import (
     CommutingStrategy,
+    StandardForm,
     cyclic_coloring_strategy,
     graph_coloring_game,
     haagerup,
     load_game,
+    svd,
 )
 
 
@@ -58,6 +60,18 @@ def random_commuting_strategy(rng, questions, n_answers, dim_a, dim_b):
         {q: random_pvm(rng, dim_a, n_answers) for q in questions},
         {q: random_pvm(rng, dim_b, n_answers) for q in questions},
     )
+
+
+def standard_form_of(rho):
+    """The standard form of the state rho^(1/2), whose reduced density is
+    the PSD matrix ``rho``."""
+    w, v = np.linalg.eigh(rho)
+    return StandardForm(*svd((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T))
+
+
+def density_matrix(rho):
+    """The reduced density U S^2 U* of the standard form ``rho``."""
+    return (rho.left * rho.singular_values**2) @ rho.left.conj().T
 
 
 def fresh_copy(s):

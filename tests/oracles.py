@@ -254,6 +254,34 @@ def commutator_direct(x, pvm):
     return sum(float(np.linalg.norm(p @ x - x @ p) ** 2) for p in pvm)
 
 
+def sqrt_density_dense(state, cut=1e-13):
+    """rho^(1/2) of the reduced density rho = xi xi* of the state matrix
+    ``state``, by an eigendecomposition of rho rather than an SVD of xi.
+    Eigenvalues below ``cut`` are roundoff on rho's kernel (about 1e-17,
+    whose square root would be 3e-9) and are taken as 0."""
+    rho = state @ state.conj().T
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    return (v * np.sqrt(np.where(w < cut, 0.0, w))) @ v.conj().T
+
+
+def symmetrized_table_dense(pvms_a, state, questions):
+    """T[x, y, a, b] = Tr(p^x_a rho^(1/2) p^y_b rho^(1/2)) from the dense
+    products rho^(1/2) p rho^(1/2), without rho's eigenbasis kernel."""
+    root = sqrt_density_dense(state)
+    p = np.array([pvms_a[q] for q in questions])
+    return np.einsum("xaij,ybji->xyab", p, root @ p @ root).real
+
+
+def commutator_sum_dense(mu, pvms_a, state, questions):
+    """sum_x mu(x) sum_a ||p^x_a rho^(1/2) - rho^(1/2) p^x_a||_F^2 from the
+    dense products, one element at a time."""
+    root = sqrt_density_dense(state)
+    return sum(
+        weight * sum(float(np.linalg.norm(p @ root - root @ p) ** 2) for p in pvms_a[q])
+        for weight, q in zip(mu, questions)
+    )
+
+
 def seesaw_value_loop(game, pvms_a, pvms_b, state):
     """sum nu(x, y) Tr(p^x_a M (q^y_b)^T M+) over the winning entries, one
     entry at a time; PVMs are indexed by question position."""

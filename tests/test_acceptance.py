@@ -30,7 +30,7 @@ from syncround import (
 from syncround.sampling import random_povm, random_psd, random_pvm, rng_for
 
 from conftest import diagonal_game_doc
-from oracles import atomic_indicator_integral, fiber_quadrature_indicator
+from oracles import atomic_indicator_integral, commutator_direct, fiber_quadrature_indicator
 
 SWEEP_SEED = 20260809
 
@@ -128,8 +128,10 @@ def test_criterion_6_commutator_chain():
         x = x / np.sqrt(float(np.trace(x @ x).real))
         pvm = random_pvm(rng, dim, int(rng.integers(2, 5)))
         cert = commutator_certificate(x, pvm)
+        # the first term from the direct products: the certificate's own
+        # sum_comm_x is a kernel on sum_comm_q's weights, below it termwise
         if not (
-            cert.sum_comm_x <= cert.sum_comm_q + 1e-9
+            commutator_direct(x, pvm) <= cert.sum_comm_q + 1e-9
             and cert.sum_comm_q <= cert.upper + 1e-9
         ):
             violations += 1

@@ -120,6 +120,15 @@ class TestInspect:
             if "v" in edit:
                 assert "predicate value must be the JSON integer 0 or 1 in entry" in err
 
+    def test_weight_beyond_float_range_exit_two(self, capsys, tmp_path):
+        doc = json.loads(diagonal_game_doc(["q0", "q1"], ["a"]))
+        doc["nu"] = [{"x": "q0", "y": "q1", "w": 10**400}]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run_cli(capsys, ["inspect", "--game", str(path)])
+        assert code == 2 and report is None
+        assert "nu mass exceeds the float range at entry ('q0', 'q1')" in err
+
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["inspect", "--game", str(tmp_path / "missing.json")]

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,26 @@ class TestLoadGame:
         message = r"^invalid weight (nan|inf) in nu entry \('v0', 'v1'\)$"
         with pytest.raises(GameFormatError, match=message):
             load_game(coloring_doc(bad_total=weight))
+
+    @pytest.mark.parametrize(
+        "entries, pair",
+        [
+            ([{"x": "v0", "y": "v1", "w": 10**400}], "('v0', 'v1')"),
+            ([{"x": "v0", "y": "v1", "w": "1e400"}], "('v0', 'v1')"),
+            ([{"x": "v0", "y": "v0", "w": 0.5}, {"x": "v1", "y": "v1", "w": 10**400}],
+             "('v1', 'v1')"),
+            ([{"x": "v0", "y": "v0", "w": 10**308}, {"x": "v1", "y": "v1", "w": 10**308}],
+             "('v1', 'v1')"),
+        ],
+        ids=["integer", "string", "after-float", "sum"],
+    )
+    def test_weight_beyond_float_range_names_its_entry(self, entries, pair):
+        """A weight, or a sum of weights, past float range is a format error
+        at the entry that gets there, not an OverflowError."""
+        doc = dict(json.loads(coloring_doc()), nu=entries)
+        message = f"^nu mass exceeds the float range at entry {re.escape(pair)}$"
+        with pytest.raises(GameFormatError, match=message):
+            load_game(json.dumps(doc))
 
     def test_asymmetric_nu_rejected(self):
         with pytest.raises(GameFormatError, match="not symmetric"):

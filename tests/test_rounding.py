@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from syncround import (
     corner_correlation,
+    graph_coloring_game,
     corner_decomposition,
     correlation_of_commuting,
     cyclic_coloring_strategy,
@@ -37,11 +38,23 @@ from syncround.sampling import (
     rng_for,
 )
 from syncround.spectral import eigh
-from syncround.strategies import CommutingStrategy, DensityOperator
+from syncround.strategies import CommutingStrategy
 from syncround import reduced_density
 
-from conftest import assert_close, diagonal_game_doc, fresh_copy, random_commuting_strategy
-from oracles import corner_table_loop, corner_table_quadrature, orthogonalize_povm_loop
+from conftest import (
+    assert_close,
+    diagonal_game_doc,
+    fresh_copy,
+    random_commuting_strategy,
+    standard_form_of,
+)
+from oracles import (
+    commutator_sum_dense,
+    corner_table_loop,
+    corner_table_quadrature,
+    orthogonalize_povm_loop,
+    symmetrized_table_dense,
+)
 
 
 def corner_projection(decomp, k):
@@ -51,8 +64,7 @@ def corner_projection(decomp, k):
 
 
 def density_from_diag(values):
-    m = np.diag(np.asarray(values, dtype=complex))
-    return DensityOperator(m, eigh(m))
+    return standard_form_of(np.diag(np.asarray(values, dtype=complex)))
 
 
 def density_with_spectrum(rng, spectrum):
@@ -60,8 +72,7 @@ def density_with_spectrum(rng, spectrum):
     w = np.asarray(spectrum, dtype=float)
     u = random_unitary(rng, w.size)
     m = (u * (w / w.sum())) @ u.conj().T
-    m = (m + m.conj().T) / 2
-    return DensityOperator(m, eigh(m))
+    return standard_form_of((m + m.conj().T) / 2)
 
 
 # name: (dim, answers, spectrum, corners after clustering)
@@ -100,7 +111,7 @@ class TestCornerDecomposition:
         rng = rng_for(121, 0)
         rho_m = random_psd(rng, 5)
         rho_m = rho_m / np.trace(rho_m).real
-        decomp = corner_decomposition(DensityOperator(rho_m, eigh(rho_m)))
+        decomp = corner_decomposition(standard_form_of(rho_m))
         for k in range(decomp.n_corners - 1):
             p, q = corner_projection(decomp, k), corner_projection(decomp, k + 1)
             # range(P_k) inside range(P_{k+1})
@@ -112,7 +123,7 @@ class TestCornerDecomposition:
         rng = rng_for(122, 0)
         rho_m = random_psd(rng, 6)
         rho_m = rho_m / np.trace(rho_m).real
-        decomp = corner_decomposition(DensityOperator(rho_m, eigh(rho_m)))
+        decomp = corner_decomposition(standard_form_of(rho_m))
         gaps = decomp.values - np.append(decomp.values[1:], 0.0)
         for _ in range(100):
             z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -153,7 +164,7 @@ class TestSymmetrizedCorrelation:
         rng = rng_for(132, 0)
         rho_m = random_psd(rng, 4)
         rho_m = rho_m / np.trace(rho_m).real
-        rho = DensityOperator(rho_m, eigh(rho_m))
+        rho = standard_form_of(rho_m)
         pvms = {"q": random_pvm(rng, 4, 2)}
         table = symmetrized_correlation(pvms, rho)
         for a in range(2):
@@ -172,6 +183,54 @@ class TestSymmetrizedCorrelation:
         for a in range(2):
             expectation = float(np.trace(commuting["q"][a] @ rho_m).real)
             assert_close(table_c.data[0, 0, a, a], expectation, 1e-10)
+
+
+TRIANGLE = graph_coloring_game([("a", "b"), ("b", "c"), ("a", "c")], 3, "1/3")
+
+
+@st.composite
+def standard_form_inputs(draw):
+    """A strategy on three questions of the triangle game whose state has
+    d_A < d_B, d_A > d_B (rho with a kernel), Schmidt^2 down to 3e-10, or
+    a degenerate spectrum of three levels, each twice."""
+    kind = draw(st.sampled_from(["wide", "tall", "rank-deficient", "degenerate"]))
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)), 191)
+    dim_a, dim_b = {"wide": (3, 5), "tall": (5, 3)}.get(kind, (6, 6))
+    if kind == "rank-deficient":
+        schmidt_sq = np.array([0.4, 0.3, 0.2, 0.1 - 1.3e-9, 1e-9, 3e-10])
+    elif kind == "degenerate":
+        schmidt_sq = np.repeat([0.25, 0.15, 0.1], 2)
+    else:
+        schmidt_sq = rng.dirichlet(np.ones(3))
+    rank = schmidt_sq.size
+    u, v = random_unitary(rng, dim_a)[:, :rank], random_unitary(rng, dim_b)[:, :rank]
+    return CommutingStrategy(
+        dim_a,
+        dim_b,
+        (u * np.sqrt(schmidt_sq)) @ v.T,
+        {q: random_pvm(rng, dim_a, 3) for q in TRIANGLE.questions},
+        {q: random_pvm(rng, dim_b, 3) for q in TRIANGLE.questions},
+    )
+
+
+class TestStandardFormKernels:
+    """The Schur kernels on the standard form, s_i s_j and (s_i - s_j)^2,
+    against the dense products of rho^(1/2) in ``tests/oracles.py``.  The
+    dense route's eigh of rho errs by about 1e-16 on a Schmidt^2 of 3e-10,
+    so by about 3e-12 on its square root: hence 1e-10, not 1e-14."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=standard_form_inputs())
+    def test_symmetrized_table_matches_dense_products(self, s):
+        table = symmetrized_correlation(s.pvms_a, reduced_density(s))
+        assert_close(table.data, symmetrized_table_dense(s.pvms_a, s.state, s.questions), 1e-10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=standard_form_inputs())
+    def test_commutator_sum_matches_dense_products(self, s):
+        comm_sq = verify_dual_distance(TRIANGLE, s).comm_sq
+        dense = commutator_sum_dense(TRIANGLE.mu, s.pvms_a, s.state, TRIANGLE.questions)
+        assert abs(comm_sq - dense) <= 1e-10
 
 
 class TestCornerCorrelation:
@@ -197,7 +256,7 @@ class TestCornerCorrelation:
         rng = rng_for(142, 0)
         rho_m = random_psd(rng, 4)
         rho_m = rho_m / np.trace(rho_m).real
-        rho = DensityOperator(rho_m, eigh(rho_m))
+        rho = standard_form_of(rho_m)
         pvms = {"q": random_pvm(rng, 4, 3)}
         table = corner_correlation(pvms, corner_decomposition(rho))
         for n in (500, 4000):
@@ -615,6 +674,42 @@ class TestRoundStrategy:
         with pytest.raises(ValueError, match=message):
             round_b_sides(k2_game, s, s.pvms_b.stack[None], ["own B side"])
 
+    def test_state_factored_once_per_entry_point(self, monkeypatch):
+        """round_strategy, verify_dual_distance and round_b_sides (three B
+        sides) each take one SVD, of xi, and no eigensolve of xi xi*."""
+        s = perturb_b_side(
+            random_commuting_strategy(rng_for(192, 0), TRIANGLE.questions, 3, 4, 4), 0.05, 1
+        )
+        stack_b = perturb_b_sides(s, [0.05] * 3, range(3))
+        rho = s.state @ s.state.conj().T
+        svds, products = [], []
+
+        def counted(real, calls, matches):
+            def solve(m, *args, **kwargs):
+                m = np.asarray(m)
+                if m.shape[-2:] == rho.shape and matches(m):
+                    calls.append(m)
+                return real(m, *args, **kwargs)
+            return solve
+
+        def of_rho(m):
+            return (np.abs(m - rho).max(axis=(-2, -1)) <= 1e-12).any()
+
+        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd, svds, lambda m: True))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), products, of_rho))
+        entry_points = {
+            "round_strategy": lambda: round_strategy(TRIANGLE, s),
+            "verify_dual_distance": lambda: verify_dual_distance(TRIANGLE, s),
+            "round_b_sides": lambda: round_b_sides(TRIANGLE, s, stack_b, ["0", "1", "2"]),
+        }
+        for name, run in entry_points.items():
+            svds.clear()
+            products.clear()
+            run()
+            assert len(svds) == 1 and np.array_equal(svds[0], s.state), name
+            assert not products, name
+
     def test_tracial_output_recomputes_identically(self, k2_game, k2_strategy):
         s = perturb_b_side(k2_strategy, 0.05, 4)
         result = round_strategy(k2_game, s)
@@ -725,7 +820,7 @@ class TestVerifyDualDistance:
         game = graph_coloring_game([("a", "b"), ("b", "c"), ("a", "c")], 3, "1/3")
         found = seesaw_optimize(game, 4, 3, 8, 5).strategy
         rho = reduced_density(found)
-        if float(rho.decomposition.eigenvalues.min()) > 1e-8:
+        if float(rho.singular_values.min()) ** 2 > 1e-8:
             report = verify_dual_distance(game, found)
             assert report.holds
 

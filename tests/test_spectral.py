@@ -15,17 +15,16 @@ from syncround.sampling import random_hermitian, random_psd, random_pvm, rng_for
 from syncround.spectral import (
     HERMITIAN_TOL,
     SpectralDecomposition,
-    _fix_phases,
+    _phases,
     _hermitian_part,
     eigh,
     functional_calculus,
     require_hermitian,
     require_povm,
     require_pvm,
+    svd,
 )
-from syncround.strategies import DensityOperator
-
-from conftest import assert_close
+from conftest import assert_close, standard_form_of
 from oracles import cluster_indices_loop, fix_phases_loop, require_hermitian_formula
 
 
@@ -71,10 +70,10 @@ class TestEigh:
         tied[:, 1] *= np.exp(0.7j)
         zero = np.zeros((dim, 2), dtype=complex)
         for v in (vectors, np.hstack([vectors[:, :4], tied, zero])):
-            assert np.array_equal(_fix_phases(v), fix_phases_loop(v))
+            assert np.array_equal(v * _phases(v), fix_phases_loop(v))
         # a stack of non-square column blocks, fixed matrix by matrix
         stack = np.array([[v, 1j * v], [v[::-1], -v]])
-        fixed = _fix_phases(stack)
+        fixed = stack * _phases(stack)[..., None, :]
         for idx in np.ndindex(2, 2):
             assert np.array_equal(fixed[idx], fix_phases_loop(stack[idx]))
 
@@ -193,7 +192,7 @@ class TestClustering:
     def test_levels_and_values_agree(self):
         spectrum = np.array([0.2, 0.2, 0.5, 0.5 + 1e-12, 0.3])
         rho = np.diag(spectrum / spectrum.sum())
-        decomp = corner_decomposition(DensityOperator(rho, eigh(rho)))
+        decomp = corner_decomposition(standard_form_of(rho))
         top, mid, low = np.array([0.5 + 5e-13, 0.3, 0.2]) / spectrum.sum()
         assert_close(decomp.values, [top, mid, low], 1e-15)
         assert_close(decomp.levels, [top, top, mid, low, low], 1e-15)
@@ -335,6 +334,100 @@ class TestEighGuards:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^" + message.format(name)):
                 eigh(matrix, "m")
+
+
+class TestSvd:
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+    def test_eigh_conventions(self, shape):
+        """(s^2, u) are eigh's eigenpairs of M M*, phases included; v pairs
+        each u column, M v_j = s_j u_j, and is zero on the padding."""
+        rng = rng_for(29, *shape)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s, u, v = svd(m)
+        assert s.shape == (shape[0],) and u.shape == (shape[0],) * 2 and v.shape == shape[::-1]
+        dec = eigh(m @ m.conj().T)
+        pad = shape[0] - min(shape)
+        assert not s[:pad].any() and not v[:, :pad].any()
+        assert_close(s**2, dec.eigenvalues, 1e-13)
+        # the kernel of M M* has no preferred basis: compare its projection
+        assert_close(u[:, pad:], dec.eigenvectors[:, pad:], 1e-12)
+        kernel, theirs = u[:, :pad], dec.eigenvectors[:, :pad]
+        assert_close(kernel @ kernel.conj().T, theirs @ theirs.conj().T, 1e-12)
+        assert_close(m @ v, u * s, 1e-13)
+        assert_close(v[:, pad:].conj().T @ v[:, pad:], np.eye(min(shape)), 1e-13)
+
+
+class TestSvdGuards:
+    """Faults injected into LAPACK's SVD, as ``TestEighGuards`` does into
+    its eigensolver: every guard of ``svd`` fails closed and names what
+    failed, at any representable scale."""
+
+    @staticmethod
+    def _inject(monkeypatch, corrupt):
+        real = np.linalg.svd
+
+        def faulty(m, *args, **kwargs):
+            u, s, vh = (a.copy() for a in real(m, *args, **kwargs))
+            corrupt(u, s, vh)
+            return u, s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", faulty)
+
+    @staticmethod
+    def _matrix(scale):
+        rng = rng_for(31, 0)
+        return scale * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+
+    @staticmethod
+    def _nan_singular_value(u, s, vh):
+        s[0] = np.nan
+
+    @staticmethod
+    def _shift_singular_value(u, s, vh):
+        s[-1] *= 1.5
+
+    @staticmethod
+    def _rescale_left(u, s, vh):
+        # (2 u_0) (s_0 / 2) v_0* = u_0 s_0 v_0*: reconstructs, not orthonormal
+        u[:, 0] *= 2.0
+        s[0] /= 2.0
+
+    @staticmethod
+    def _rescale_right(u, s, vh):
+        vh[0] *= 2.0
+        s[0] /= 2.0
+
+    @pytest.mark.parametrize(
+        "entry, value", [((0, 1), np.nan), ((2, 0), np.inf), ((1, 1), complex(0.0, -np.inf))]
+    )
+    def test_non_finite_entry_named(self, entry, value):
+        m = self._matrix(1.0)
+        m[entry] = value
+        with pytest.raises(ValueError, match=r"^xi has a non-finite entry") as err:
+            svd(m, "xi")
+        assert str(err.value).endswith(f"at {entry}")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [("_nan_singular_value", "singular value decomposition of xi failed to reconstruct"),
+         ("_shift_singular_value", "singular value decomposition of xi failed to reconstruct"),
+         ("_rescale_left", "left singular vectors of xi are not orthonormal"),
+         ("_rescale_right", "right singular vectors of xi are not orthonormal")],
+    )
+    def test_corruption_rejected(self, monkeypatch, corrupt, message, scale):
+        self._inject(monkeypatch, getattr(self, corrupt))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^" + message + ": residual"):
+                svd(self._matrix(scale), "xi")
+
+    def test_representable_scale_runs_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, _, _ = svd(self._matrix(1e300))
+        assert s[0] == 0.0
+        assert_close(s[1:] / 1e300, svd(self._matrix(1.0))[0][1:], 1e-15)
 
 
 @st.composite

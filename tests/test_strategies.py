@@ -40,7 +40,7 @@ from syncround.sampling import random_pvm, random_unitary, rng_for
 from syncround.spectral import FAMILY_TOL, PSD_CLAMP, TABLE_TOL, functional_calculus
 from syncround.strategies import _payoff_operator
 
-from conftest import assert_close, diagonal_game_doc, random_commuting_strategy
+from conftest import assert_close, density_matrix, diagonal_game_doc, random_commuting_strategy
 from oracles import (
     payoff_operator_kron,
     seesaw_value_loop,
@@ -69,10 +69,20 @@ def spread_strategy(rng, questions, n_answers, dim_a, dim_b):
     )
 
 
+def dual_elements(s, questions=None):
+    """The dual POVMs of ``s``, question -> (B, dA, dA) elements, read
+    through the decomposition's ``reconstruct()``."""
+    order = tuple(questions or s.questions)
+    dec = standard_form_dual(s.pvms_b, reduced_density(s), order)
+    return dict(zip(order, dec.reconstruct()))
+
+
 def identity_residual(s, dual):
-    """Largest |Tr(p^x_a rho^(1/2) p'^y_b rho^(1/2)) - P_{x,y}(a, b)|."""
+    """Largest |Tr(p^x_a rho^(1/2) p'^y_b rho^(1/2)) - P_{x,y}(a, b)|, with
+    rho^(1/2) from the state's own product xi xi*."""
     table = correlation_of_commuting(s)
-    sqrt_rho = functional_calculus(reduced_density(s).matrix)
+    rho = s.state @ s.state.conj().T
+    sqrt_rho = functional_calculus((rho + rho.conj().T) / 2)
     worst = 0.0
     for yi, y in enumerate(s.questions):
         for b, dual_b in enumerate(dual[y]):
@@ -137,12 +147,12 @@ class TestReducedDensity:
         rng = rng_for(21, 0)
         s = conjugate_synchronous_strategy({"q": random_pvm(rng, 3, 2)})
         rho = reduced_density(s)
-        assert_close(rho.matrix, np.eye(3) / 3, 1e-12)
+        assert_close(density_matrix(rho), np.eye(3) / 3, 1e-12)
 
     def test_product_state_is_pure(self):
         s, e, _ = product_strategy(rng_for(22, 0), ("q",), 2, 4, 3)
         rho = reduced_density(s)
-        assert_close(rho.matrix, np.outer(e, e.conj()), 1e-12)
+        assert_close(density_matrix(rho), np.outer(e, e.conj()), 1e-12)
 
     def test_schmidt_spectrum(self):
         # state with Schmidt coefficients sqrt(0.7), sqrt(0.3), rotated
@@ -157,7 +167,7 @@ class TestReducedDensity:
             {"q": random_pvm(rng, 2, 2)},
         )
         rho = reduced_density(s)
-        assert_close(np.sort(rho.decomposition.eigenvalues), [0.3, 0.7], 1e-12)
+        assert_close(np.sort(rho.singular_values**2), [0.3, 0.7], 1e-12)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6))
@@ -166,7 +176,7 @@ class TestReducedDensity:
         s = random_commuting_strategy(rng, ("q",), 2, 3, 4)
         rho = reduced_density(s)
         z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        lhs = np.trace(z @ rho.matrix)
+        lhs = np.trace(z @ density_matrix(rho))
         zm = z @ s.state
         rhs = np.sum(zm * s.state.conj())
         assert abs(lhs - rhs) <= 1e-9
@@ -177,14 +187,14 @@ class TestStandardFormDual:
         rng = rng_for(31, 0)
         pvms = {q: random_pvm(rng, 3, 3) for q in ("x", "y")}
         s = conjugate_synchronous_strategy(pvms)
-        dual = standard_form_dual(s)
+        dual = dual_elements(s)
         for q in pvms:
             for a in range(3):
                 assert_close(dual[q][a], pvms[q][a], 1e-8)
 
     def test_product_state_closed_form(self):
         s, e, f = product_strategy(rng_for(32, 0), ("q",), 2, 3, 3)
-        dual = standard_form_dual(s)
+        dual = dual_elements(s)
         proj = np.outer(e, e.conj())
         complement = np.eye(3) - proj
         for b in range(2):
@@ -195,7 +205,7 @@ class TestStandardFormDual:
     def test_single_answer_gives_identity(self):
         rng = rng_for(33, 0)
         s = random_commuting_strategy(rng, ("q",), 1, 3, 3)
-        dual = standard_form_dual(s)
+        dual = dual_elements(s)
         assert_close(dual["q"][0], np.eye(3), 1e-8)
 
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -203,7 +213,7 @@ class TestStandardFormDual:
     def test_defining_identity_residual(self, seed):
         rng = rng_for(seed, 34)
         s = random_commuting_strategy(rng, ("q0", "q1"), 2, 3, 3)
-        assert identity_residual(s, standard_form_dual(s)) <= 1e-7
+        assert identity_residual(s, dual_elements(s)) <= 1e-7
 
     def test_rank_deficient_rho(self, k2_game):
         # Schmidt^2 values down to 3e-10 and 1e-9 lie on the support
@@ -220,7 +230,7 @@ class TestStandardFormDual:
             {q: random_pvm(rng, 6, 3) for q in k2_game.questions},
             {q: random_pvm(rng, 6, 3) for q in k2_game.questions},
         )
-        dual = standard_form_dual(s)
+        dual = dual_elements(s)
         low = np.linalg.eigvalsh(np.array([dual[q] for q in s.questions])).min()
         assert low >= -PSD_CLAMP
         assert identity_residual(s, dual) <= 1e-10
@@ -229,12 +239,12 @@ class TestStandardFormDual:
     def test_decomposed_dual_in_question_order(self):
         rng = rng_for(37, 0)
         s = random_commuting_strategy(rng, ("q0", "q1", "q2"), 3, 4, 3)
-        dual = standard_form_dual(s)
+        dual = dual_elements(s)
         order = ("q2", "q0")
-        dec = standard_form_dual(s, order, decompose=True)
+        dec = standard_form_dual(s.pvms_b, reduced_density(s), order)
         assert dec.eigenvectors.shape == (2, 3, 4, 4)
         assert_close(dec.reconstruct(), np.array([dual[q] for q in order]), 1e-10)
-        assert list(standard_form_dual(s, order)) == list(order)
+        assert list(dual_elements(s, order)) == list(order)
 
     @pytest.mark.parametrize("dim_a, dim_b", [(5, 3), (3, 5), (4, 4)])
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -244,7 +254,7 @@ class TestStandardFormDual:
         rho = np.linalg.eigvalsh(s.state @ s.state.conj().T)
         assert rho[-min(dim_a, dim_b)] >= 1e-6
         expected = standard_form_dual_pinv(s)
-        dual = standard_form_dual(s)
+        dual = dual_elements(s)
         for q in s.questions:
             assert_close(dual[q], expected[q], 1e-10, q)
 
@@ -547,14 +557,16 @@ class TestReadOnlyStacks:
         for mine, theirs in ((s.state, again.state), (s.pvms_b.stack, again.pvms_b.stack)):
             assert np.array_equal(mine, theirs) and not theirs.flags.writeable
         assert again.questions == s.questions
-        assert np.array_equal(reduced_density(again).matrix, reduced_density(s).matrix)
+        mine, theirs = reduced_density(s), reduced_density(again)
+        assert np.array_equal(mine.singular_values, theirs.singular_values)
+        assert np.array_equal(mine.left, theirs.left) and np.array_equal(mine.right, theirs.right)
 
     def test_perturbation_shares_state_and_a_side(self, k2_strategy):
         t = perturb_b_side(k2_strategy, 0.05, 4)
         assert t.state is k2_strategy.state
         assert t.pvms_a is k2_strategy.pvms_a
-        rho = reduced_density(k2_strategy).matrix
-        assert np.array_equal(reduced_density(t).matrix, rho)
+        rho = density_matrix(reduced_density(k2_strategy))
+        assert np.array_equal(density_matrix(reduced_density(t)), rho)
 
     def test_reduced_density_once_per_use(self, k2_game, monkeypatch):
         """Nothing is cached on a strategy: each rounding entry point
@@ -681,6 +693,13 @@ class TestSerialization:
             load_tracial_strategy(json.dumps(doc))
         doc["blocks"][0][key] = 1 if key == "w" else 3
         assert load_tracial_strategy(json.dumps(doc)).blocks[0].weight == 1.0
+
+    def test_block_weight_beyond_float_range_rejected(self):
+        pvm = {"q": [np.eye(3), np.zeros((3, 3))]}
+        doc = json.loads(dump_tracial_strategy(TracialStrategy([TracialBlock(1.0, 3, pvm)])))
+        doc["blocks"][0]["w"] = 10**400
+        with pytest.raises(ValueError, match="^malformed tracial strategy document"):
+            load_tracial_strategy(json.dumps(doc))
 
     def test_malformed_strategy_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
