@@ -23,7 +23,12 @@ Each line is ``<case> <output> <sha256>``, over five families of cases:
   p = 1 and 2).
 
 Reports lose their ``timings`` and the flags that name a file, so equal
-lines mean byte-identical outputs.  The instances and the README sizes
+lines mean byte-identical outputs.  A ``tracial`` digest hashes block
+PVMs that are fixed only up to a unitary inside each degenerate level of
+rho (the multicorner instances have such levels), so a change of
+factorization routine can move it while the tracial table stays within
+roundoff: where one moves, compare the tables before calling it a change
+of result.  The instances and the README sizes
 come from ``perfbench/workloads.py`` of the same checkout.  To compare
 two checkouts, run the script in each and diff the lines:
 

@@ -10,7 +10,6 @@ from .games import (
     CorrelationTable,
     GameFormatError,
     SynchronousGame,
-    alpha_of,
     game_value,
     graph_coloring_game,
     load_game,
@@ -69,6 +68,7 @@ from .strategies import (
     maximally_entangled_state,
     perturb_b_side,
     perturb_b_sides,
+    purify,
     reduced_density,
     seesaw_optimize,
     standard_form_dual,

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .games import GameFormatError, alpha_of, graph_coloring_game, load_game
+from .games import GameFormatError, graph_coloring_game, load_game
 from .haagerup import (
     _trace_product,
     commutator_certificate,
@@ -189,9 +189,7 @@ def _rows(indices: np.ndarray, fixed: dict, columns: dict) -> list[dict]:
 
 def _connes_batch(key, indices, x, y) -> list[dict]:
     x, y = _psd_pair(x, y)
-    cert = connes_certificate(x, y)
-    columns = {"lhs": cert.lhs, "mid": cert.mid, "rhs": cert.rhs, "holds": cert.holds}
-    return _rows(indices, {"dim": key[0]}, columns)
+    return _rows(indices, {"dim": key[0]}, asdict(connes_certificate(x, y)))
 
 
 def _measure_batch(key, indices, x, y) -> list[dict]:
@@ -214,14 +212,8 @@ def _measure_batch(key, indices, x, y) -> list[dict]:
 
 def _commutator_batch(key, indices, x, u) -> list[dict]:
     x, pvm = _unit_psd_and_pvm(x, u, key[1])
-    cert = commutator_certificate(x, pvm)
-    columns = {
-        "sum_comm_x": cert.sum_comm_x,
-        "sum_comm_q": cert.sum_comm_q,
-        "upper": cert.upper,
-        "holds": cert.holds,
-    }
-    return _rows(indices, {"dim": key[0], "n_outcomes": key[1]}, columns)
+    fixed = {"dim": key[0], "n_outcomes": key[1]}
+    return _rows(indices, fixed, asdict(commutator_certificate(x, pvm)))
 
 
 def _duality_batch(key, indices, x, y) -> list[dict]:
@@ -333,7 +325,7 @@ def cmd_inspect(args) -> int:
         "answers": list(game.answers),
         "n_questions": game.n_questions,
         "n_answers": game.n_answers,
-        "alpha": alpha_of(game),
+        "alpha": game.alpha,
         "nu": {
             "total": float(game.nu.sum()),
             "diagonal_mass": diag_mass,
@@ -347,7 +339,7 @@ def cmd_inspect(args) -> int:
     _emit(
         report,
         f"inspect {args.game}: |X|={game.n_questions} |A|={game.n_answers}"
-        f" alpha={alpha_of(game):.6g}",
+        f" alpha={game.alpha:.6g}",
         started,
     )
     return 0

@@ -24,7 +24,6 @@ __all__ = [
     "CorrelationTable",
     "load_game",
     "save_game",
-    "alpha_of",
     "game_value",
     "table_l1_distance",
     "graph_coloring_game",
@@ -35,22 +34,26 @@ class GameFormatError(ValueError):
     """Raised when a game document violates the file format or invariants."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SynchronousGame:
     """Validated synchronous game over labelled question and answer sets.
 
-    ``nu`` is the symmetric question distribution as floats; when the
-    source provided exact rational weights they are kept in ``nu_exact``
-    (a tuple-of-tuples of Fractions), ``nu`` must be their floats
-    exactly, and symmetry / alpha are evaluated exactly on that
-    representation.
+    Immutable, as the strategies are.  ``nu`` is given once: exact when
+    every entry is a ``fractions.Fraction``, else as floats.  The
+    constructor sets each derived field once: ``nu`` (read-only float64),
+    ``nu_exact`` (the exact weights as a tuple of tuples of Fractions, or
+    None), the marginal ``mu`` (read-only) and ``alpha``.  Symmetry,
+    non-negativity, the unit mass and alpha are decided on the exact
+    weights when there are any, else on the floats.
     """
 
     questions: tuple[str, ...]
     answers: tuple[str, ...]
     nu: np.ndarray
     predicate: np.ndarray
-    nu_exact: tuple[tuple[Fraction, ...], ...] | None = field(default=None, repr=False)
+    nu_exact: tuple[tuple[Fraction, ...], ...] | None = field(init=False, repr=False)
+    mu: np.ndarray = field(init=False, repr=False)
+    alpha: float = field(init=False)
 
     def __post_init__(self):
         nq, na = len(self.questions), len(self.answers)
@@ -58,44 +61,32 @@ class SynchronousGame:
             raise GameFormatError("question and answer sets must be non-empty")
         if len(set(self.questions)) != nq or len(set(self.answers)) != na:
             raise GameFormatError("question and answer labels must be unique")
-        self.nu = np.asarray(self.nu, dtype=float)
-        if self.nu.shape != (nq, nq):
-            raise GameFormatError(f"nu must have shape {(nq, nq)}, got {self.nu.shape}")
-        if self.nu_exact is not None:  # exactly: both are float of the same Fractions
-            as_float = np.array(self.nu_exact, dtype=float)
-            if as_float.shape != self.nu.shape:
-                raise GameFormatError(
-                    f"nu_exact must have shape {self.nu.shape}, got {as_float.shape}"
-                )
-            if not np.array_equal(as_float, self.nu):
-                i, j = np.argwhere(as_float != self.nu)[0]
-                raise GameFormatError(
-                    f"nu_exact disagrees with nu at ({self.questions[i]!r}, {self.questions[j]!r})"
-                )
-        exact = [] if self.nu_exact is None else [np.array(self.nu_exact, dtype=object)]
-        for nu in exact + [self.nu]:
-            if not np.array_equal(nu, nu.T):
-                i, j = np.argwhere(nu != nu.T)[0]
-                raise GameFormatError(
-                    f"nu is not symmetric at ({self.questions[i]!r}, {self.questions[j]!r})"
-                )
-        if float(self.nu.min()) < 0:
-            i, j = np.argwhere(self.nu < 0)[0]
+        weights = np.asarray(self.nu)
+        if weights.shape != (nq, nq):
+            raise GameFormatError(f"nu must have shape {(nq, nq)}, got {weights.shape}")
+        exact = weights.dtype == object and all(isinstance(w, Fraction) for w in weights.flat)
+        if not exact:  # a copy, so the caller's array cannot change the game
+            weights = weights.astype(float)
+        if not np.array_equal(weights, weights.T):
+            i, j = np.argwhere(weights != weights.T)[0]
+            raise GameFormatError(
+                f"nu is not symmetric at ({self.questions[i]!r}, {self.questions[j]!r})"
+            )
+        if (weights < 0).any():
+            i, j = np.argwhere(weights < 0)[0]
             raise GameFormatError(
                 f"nu({self.questions[i]!r}, {self.questions[j]!r}) is negative"
             )
-        total = float(self.nu.sum())
-        if abs(total - 1.0) > NU_SUM_TOL:
-            raise GameFormatError(f"nu must sum to 1, got {total!r}")
-        self.predicate = np.asarray(self.predicate, dtype=bool)
-        if self.predicate.shape != (nq, nq, na, na):
+        mass = weights.sum(axis=1)
+        if abs(mass.sum() - 1) > NU_SUM_TOL:
+            raise GameFormatError(f"nu must sum to 1, got {float(mass.sum())!r}")
+        predicate = np.array(self.predicate, dtype=bool)
+        if predicate.shape != (nq, nq, na, na):
             raise GameFormatError(
-                f"predicate must have shape {(nq, nq, na, na)}, got {self.predicate.shape}"
+                f"predicate must have shape {(nq, nq, na, na)}, got {predicate.shape}"
             )
-        if not np.array_equal(self.predicate, self.predicate.transpose(1, 0, 3, 2)):
-            x, y, a, b = np.argwhere(
-                self.predicate != self.predicate.transpose(1, 0, 3, 2)
-            )[0]
+        if not np.array_equal(predicate, predicate.transpose(1, 0, 3, 2)):
+            x, y, a, b = np.argwhere(predicate != predicate.transpose(1, 0, 3, 2))[0]
             raise GameFormatError(
                 "predicate is not symmetric at "
                 f"({self.questions[x]!r}, {self.questions[y]!r}, "
@@ -103,12 +94,32 @@ class SynchronousGame:
             )
         want = np.eye(na, dtype=bool)
         for x in range(nq):
-            if not np.array_equal(self.predicate[x, x], want):
-                a, b = np.argwhere(self.predicate[x, x] != want)[0]
+            if not np.array_equal(predicate[x, x], want):
+                a, b = np.argwhere(predicate[x, x] != want)[0]
                 raise GameFormatError(
                     "diagonal rule violated at "
                     f"({self.questions[x]!r}, {self.answers[a]!r}, {self.answers[b]!r})"
                 )
+        held = mass > 0
+        nu = weights.astype(float) if exact else weights
+        mu = nu.sum(axis=1)
+        for array in (nu, predicate, mu):
+            array.flags.writeable = False
+        derived = {
+            "nu": nu,
+            "predicate": predicate,
+            "nu_exact": tuple(map(tuple, weights.tolist())) if exact else None,
+            "mu": mu,
+            # the largest alpha with nu(x, x) >= alpha mu(x) wherever mu(x) > 0
+            "alpha": float((np.diagonal(weights)[held] / mass[held]).min()),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # unpickled through the constructor: checked and read-only again
+        return SynchronousGame, (
+            self.questions, self.answers, self.nu_exact or self.nu, self.predicate
+        )
 
     @property
     def n_questions(self) -> int:
@@ -117,11 +128,6 @@ class SynchronousGame:
     @property
     def n_answers(self) -> int:
         return len(self.answers)
-
-    @property
-    def mu(self) -> np.ndarray:
-        """Marginal mu(x) = sum_y nu(x, y)."""
-        return self.nu.sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,24 +168,6 @@ class CorrelationTable:
             raise ValueError(
                 f"some P_xy does not sum to 1: worst deviation {worst:.3e}"
             )
-
-
-def alpha_of(game: SynchronousGame) -> float:
-    """Largest alpha for which the game is alpha-synchronous.
-
-    The minimum of nu(x, x) / mu(x) over questions with mu(x) > 0;
-    evaluated in exact rational arithmetic when the weights allow.
-    """
-    if game.nu_exact is not None:
-        ratios = []
-        for x in range(game.n_questions):
-            mu_x = sum(game.nu_exact[x], Fraction(0))
-            if mu_x > 0:
-                ratios.append(game.nu_exact[x][x] / mu_x)
-        return float(min(ratios))
-    mu = game.mu
-    ratios = [game.nu[x, x] / mu[x] for x in range(game.n_questions) if mu[x] > 0]
-    return float(min(ratios))
 
 
 def _check_table_matches(game: SynchronousGame, table: CorrelationTable):
@@ -276,9 +264,9 @@ def load_game(text: str) -> SynchronousGame:
     """Parse and validate a game document (JSON text).
 
     The loader mirrors each listed unordered nu pair, renormalizes when
-    the total mass deviates from 1 by at most 1e-9, enforces the
-    diagonal predicate rule and reports every violation with the
-    offending tuple.
+    the total mass deviates from 1 by more than the constructor accepts
+    (1e-12) and at most 1e-9, enforces the diagonal predicate rule and
+    reports every violation with the offending tuple.
     """
     try:
         doc = json.loads(text)
@@ -324,22 +312,21 @@ def load_game(text: str) -> SynchronousGame:
         if mass > np.finfo(float).max:
             raise GameFormatError(f"nu mass exceeds the float range at entry ({x!r}, {y!r})")
     exact = all(isinstance(w, Fraction) for w in weights.values())
-    total = sum(weights.values(), Fraction(0) if exact else 0.0)
+    nu = np.full((nq, nq), Fraction(0) if exact else 0.0, dtype=object if exact else float)
+    for (i, j), w in weights.items():
+        nu[i, j] = w
+    total = mass if exact else nu.sum(axis=1).sum()  # the constructor's total
     if total <= 0:
         raise GameFormatError("nu has no mass")
-    if total != 1:
+    # renormalized only where the constructor would reject it, so that a
+    # game the constructor accepts loads back as it was saved
+    if abs(total - 1) > NU_SUM_TOL:
         if abs(float(total) - 1.0) > NU_RENORM_TOL:
             raise GameFormatError(
                 f"nu sums to {float(total)!r}; deviations above {NU_RENORM_TOL:.0e}"
                 " are rejected"
             )
-        weights = {k: w / total for k, w in weights.items()}
-    nu = np.zeros((nq, nq))
-    rows = [[Fraction(0)] * nq for _ in range(nq)]
-    for (i, j), w in weights.items():
-        rows[i][j] = w
-        nu[i, j] = float(w)
-    nu_exact = tuple(tuple(r) for r in rows) if exact else None
+        nu = nu / total
 
     if not isinstance(pred_doc, dict) or "default" not in pred_doc:
         raise GameFormatError("predicate must be an object with a 'default' field")
@@ -384,18 +371,17 @@ def load_game(text: str) -> SynchronousGame:
             f"({questions[i]!r}, {answers[k]!r}, {answers[l]!r})"
         )
     predicate[diagonal, diagonal] = want
-    return SynchronousGame(tuple(questions), tuple(answers), nu, predicate, nu_exact)
+    return SynchronousGame(tuple(questions), tuple(answers), nu, predicate)
 
 
 def save_game(game: SynchronousGame) -> str:
     """Serialize to the game file format; load_game(save_game(g)) == g."""
-    entries = []
-    for i in range(game.n_questions):
-        for j in range(i, game.n_questions):
-            w = float(game.nu[i, j]) if game.nu_exact is None else game.nu_exact[i][j]
-            if w != 0:
-                w_out = w if game.nu_exact is None else str(w)
-                entries.append({"x": game.questions[i], "y": game.questions[j], "w": w_out})
+    entries = [  # an exact weight as its "p/q" string
+        {"x": game.questions[i], "y": game.questions[j], "w": str(w) if game.nu_exact else w}
+        for i, row in enumerate(game.nu_exact or game.nu.tolist())
+        for j, w in enumerate(row[i:], i)
+        if w != 0
+    ]
     off_diagonal = game.predicate[~np.eye(game.n_questions, dtype=bool)]
     default = 1 if 2 * int(off_diagonal.sum()) >= off_diagonal.size else 0
     # pairs i < j in lexicographic (i, j, k, l) order, as np.argwhere lists them
@@ -464,7 +450,6 @@ def graph_coloring_game(edges, n_colors: int, diagonal_mass) -> SynchronousGame:
         i, j = q_index[u], q_index[v]
         rows[i][j] += per_pair
         rows[j][i] += per_pair
-    nu = np.array([[float(w) for w in row] for row in rows])
     answers = tuple(str(c) for c in range(n_colors))
     same = np.eye(n_colors, dtype=bool)
     predicate = np.ones((nq, nq, n_colors, n_colors), dtype=bool)
@@ -472,6 +457,4 @@ def graph_coloring_game(edges, n_colors: int, diagonal_mass) -> SynchronousGame:
     for u, v in edge_list:
         i, j = q_index[u], q_index[v]
         predicate[[i, j], [j, i]] &= ~same
-    return SynchronousGame(
-        tuple(vertices), answers, nu, predicate, tuple(tuple(r) for r in rows)
-    )
+    return SynchronousGame(tuple(vertices), answers, rows, predicate)

@@ -45,7 +45,6 @@ from .games import (
     CorrelationTable,
     SynchronousGame,
     _table_sums,
-    alpha_of,
     game_value,
     table_l1_distance,
 )
@@ -470,29 +469,26 @@ class RoundingResult:
 def round_strategy(game: SynchronousGame, s: CommutingStrategy) -> RoundingResult:
     """Round a commuting strategy into a tracial strategy with certificate.
 
-    Requires alpha_of(game) > 0 (otherwise the value bound is vacuous)
+    Requires game.alpha > 0 (otherwise the value bound is vacuous)
     and the game's answer count; either failing, the run is rejected
     before any work.  The corner stage uses only the A-side PVMs and the
     reduced density (``round_corners``).
     """
-    alpha = _require_alpha(game)
+    _require_alpha(game)
     delta = synchronicity_deficit(game, s)
     corners = round_corners(game, s)
     original = correlation_of_commuting(s, game.questions)
-    cert = _certificate(game, alpha, corners, original, delta)
+    cert = _certificate(game, corners, original, delta)
     return RoundingResult(corners.tracial, cert, corners)
 
 
-def _require_alpha(game: SynchronousGame) -> float:
-    """alpha_of(game), else a ValueError when it is 0: the value bound
-    divides by it."""
-    alpha = alpha_of(game)
-    if alpha <= 0.0:
+def _require_alpha(game: SynchronousGame) -> None:
+    """A ValueError when game.alpha is 0: the value bound divides by it."""
+    if game.alpha <= 0.0:
         raise ValueError(
             "game has alpha = 0 (some question carries no diagonal mass);"
             " the rounding bound is vacuous and unsupported"
         )
-    return alpha
 
 
 def _fourth_roots(values) -> np.ndarray:
@@ -507,11 +503,11 @@ def _shaped(shape, fields: dict) -> dict:
 
 
 def _certificate(
-    game: SynchronousGame, alpha: float, corners: CornerRounding, original: CorrelationTable, delta
+    game: SynchronousGame, corners: CornerRounding, original: CorrelationTable, delta
 ) -> RoundingCertificate:
     """The certificate of an input table ``original`` with deficit
     ``delta``, or of each of a stack of N tables with (N,) ``delta``, on
-    the corner stage ``corners`` in a game of synchronicity ``alpha``.
+    the corner stage ``corners`` in ``game``.
     Each distance and value is one reduction over the stack, the checks
     run on every table, and the fourth roots are taken on Python floats."""
     symmetrized, corner = corners.symmetrized, corners.corner
@@ -539,7 +535,7 @@ def _certificate(
     losing = _table_sums(game.nu[:, :, None, None] * ~game.predicate * original.data)
     bound_first = FIRST_HALF_CONSTANT * root
     bound_total = TOTAL_CONSTANT * root
-    bound_game = GAME_CONSTANT * _fourth_roots(np.clip(losing, 0.0, None) / alpha)
+    bound_game = GAME_CONSTANT * _fourth_roots(np.clip(losing, 0.0, None) / game.alpha)
     # each check as (without slack, with slack)
     checks = [
         (d1_first <= bound_first, d1_first <= bound_first + BOUND_SLACK),
@@ -547,7 +543,7 @@ def _certificate(
         (value_out >= 1.0 - bound_game, value_out >= 1.0 - bound_game - BOUND_SLACK),
     ]
     fields = _shaped(np.shape(delta), {
-        "delta": delta, "alpha": alpha, "d1_sym": d1_sym, "d1_corner": d1_corner,
+        "delta": delta, "alpha": game.alpha, "d1_sym": d1_sym, "d1_corner": d1_corner,
         "d1_pvm": d1_pvm, "d1_first": d1_first, "d1_total": d1_total,
         "value_in": value_in, "value_out": value_out,
         "bound_first": bound_first, "bound_total": bound_total, "bound_game": bound_game,
@@ -650,7 +646,7 @@ def round_b_sides(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarr
     each is the field ``round_strategy`` and ``verify_dual_distance``
     give for the strategy with B side i.
     """
-    alpha = _require_alpha(game)
+    _require_alpha(game)
     if stack_b.ndim != 5 or stack_b.shape[1:] != s.pvms_b.stack.shape:
         raise ValueError(
             f"B-side stack of shape {stack_b.shape} for B sides of {s.pvms_b.stack.shape}"
@@ -666,6 +662,6 @@ def round_b_sides(game: SynchronousGame, s: CommutingStrategy, stack_b: np.ndarr
         stack_b = stack_b[:, s.pvms_b.positions(order)]
     delta = _deficits(game, s, stack_b)
     corners = round_corners(game, s)
-    certificate = _certificate(game, alpha, corners, _commuting_tables(s, order, stack_b), delta)
+    certificate = _certificate(game, corners, _commuting_tables(s, order, stack_b), delta)
     dual = _dual_povms(corners.rho, stack_b, [f"dual POVM of {name}" for name in names])
     return certificate, _dual_report(game, s, corners.rho, functional_calculus(dual), delta)

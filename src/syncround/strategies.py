@@ -52,6 +52,7 @@ __all__ = [
     "perturb_b_sides",
     "maximally_entangled_state",
     "conjugate_synchronous_strategy",
+    "purify",
     "cyclic_coloring_strategy",
     "dump_commuting_strategy",
     "load_commuting_strategy",
@@ -378,6 +379,28 @@ def conjugate_synchronous_strategy(pvms_a) -> CommutingStrategy:
     a = _pvm_stack(pvms_a, side="A side")
     b = PVMStack(a.questions, a.stack.conj(), "B side")
     return CommutingStrategy(a.dim, a.dim, maximally_entangled_state(a.dim), a, b)
+
+
+def purify(t: TracialStrategy) -> CommutingStrategy:
+    """A commuting strategy whose correlation is the table of ``t``.
+
+    On C^D x C^D, D = sum_k d_k, the state is the direct sum of the
+    sqrt(w_k / d_k) I_{d_k}, the A side is block-diagonal, with block k
+    holding block k's PVMs, and the B side is its entrywise conjugate, so
+    that <(p x conj(p')) xi, xi> = sum_k (w_k / d_k) Tr(r_k r'_k).
+    """
+    dim = sum(block.dim for block in t.blocks)
+    stack = np.zeros((len(t.questions), t.n_answers, dim, dim), dtype=np.complex128)
+    amplitudes = np.empty(dim)
+    start = 0
+    for block in t.blocks:
+        span = slice(start, start + block.dim)
+        stack[..., span, span] = block.pvms.in_order(t.questions)
+        amplitudes[span] = np.sqrt(block.weight / block.dim)
+        start += block.dim
+    side_a = PVMStack(t.questions, stack, "A side")
+    side_b = PVMStack(t.questions, stack.conj(), "B side")
+    return CommutingStrategy(dim, dim, np.diag(amplitudes), side_a, side_b)
 
 
 def cyclic_coloring_strategy(questions, n_colors: int) -> CommutingStrategy:

@@ -8,7 +8,6 @@ import time
 import numpy as np
 
 from syncround import (
-    alpha_of,
     commutator_certificate,
     connes_certificate,
     correlation_of_commuting,
@@ -148,7 +147,7 @@ def test_criterion_7_exact_rounding_fixed_point():
     table_drift = float(np.abs(original.data - rounded.data).max())
     value_drift = abs(result.certificate.value_in - result.certificate.value_out)
     ok = (
-        alpha_of(game) == 0.5
+        game.alpha == 0.5
         and delta <= 1e-10
         and table_drift <= 1e-8
         and value_drift <= 1e-8
@@ -164,7 +163,7 @@ def test_criterion_7_exact_rounding_fixed_point():
 def _perturbation_sweep():
     game = graph_coloring_game([("v0", "v1")], 3, "1/2")
     base = cyclic_coloring_strategy(game.questions, 3)
-    alpha = alpha_of(game)
+    alpha = game.alpha
     for eta in (0.02, 0.05, 0.1):
         for seed in range(20):
             yield game, alpha, eta, seed, perturb_b_side(base, eta, seed)

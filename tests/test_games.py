@@ -1,17 +1,18 @@
+import dataclasses
 import json
+import pickle
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from syncround import (
     CorrelationTable,
     GameFormatError,
     SynchronousGame,
-    alpha_of,
     game_value,
     graph_coloring_game,
     load_game,
@@ -51,7 +52,7 @@ def coloring_doc(asymmetric=False, bad_total=None):
 class TestLoadGame:
     def test_uniform_diagonal_alpha_one(self):
         game = load_game(diagonal_game_doc(["q0", "q1"], ["a", "b"]))
-        assert alpha_of(game) == 1.0
+        assert game.alpha == 1.0
         assert game.nu_exact is not None
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
@@ -86,7 +87,7 @@ class TestLoadGame:
 
     def test_k2_coloring_document_alpha(self):
         game = load_game(coloring_doc())
-        assert alpha_of(game) == 0.5
+        assert game.alpha == 0.5
 
     def test_renormalization_within_tolerance(self):
         doc = json.loads(diagonal_game_doc(["q0", "q1"], ["a"]))
@@ -120,16 +121,18 @@ class TestLoadGame:
         with pytest.raises(GameFormatError, match="diagonal"):
             load_game(json.dumps(doc))
 
-    def test_exact_weights_must_match_nu(self):
-        # alpha read from nu_exact would be 0.5, from nu 1.0, and a save
-        # then load would bring back nu_exact's weights
+    def test_exact_iff_every_weight_is_a_fraction(self):
         g = graph_coloring_game([("a", "b")], 2, "1/2")
-        with pytest.raises(GameFormatError, match=r"^nu_exact disagrees with nu at \('a', 'a'\)$"):
-            SynchronousGame(g.questions, g.answers, np.diag([0.5, 0.5]), g.predicate, g.nu_exact)
-        with pytest.raises(GameFormatError, match=r"^nu_exact must have shape \(2, 2\)"):
-            SynchronousGame(g.questions, g.answers, g.nu, g.predicate, ((Fraction(1),),))
-        same = SynchronousGame(g.questions, g.answers, g.nu, g.predicate, g.nu_exact)
+        same = SynchronousGame(g.questions, g.answers, g.nu_exact, g.predicate)
+        assert same.nu_exact == g.nu_exact
         assert save_game(same) == save_game(g)
+        as_floats = SynchronousGame(g.questions, g.answers, g.nu, g.predicate)
+        assert as_floats.nu_exact is None
+        assert np.array_equal(as_floats.nu, g.nu)
+        # an int is not promoted: one among Fractions makes the weights floats
+        mixed = [[Fraction(1), 0], [0, Fraction(0)]]
+        pred = np.ones((2, 2, 1, 1), dtype=bool)
+        assert SynchronousGame(("p", "q"), ("a",), mixed, pred).nu_exact is None
 
     def test_first_conflicting_diagonal_entry_named(self):
         doc = json.loads(diagonal_game_doc(["q0", "q1"], ["a", "b"]))
@@ -216,6 +219,89 @@ class TestLoadGame:
         assert np.abs(again.nu - game.nu).max() <= 1e-15
 
 
+@st.composite
+def accepted_games(draw):
+    """A game the constructor accepts: 2-4 questions, 1-3 answers, a
+    symmetric predicate that keeps the diagonal rule, and symmetric
+    weights, exact (with a total within the constructor's 1e-12 of 1) or
+    floats."""
+    nq, na = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    questions = draw(st.lists(st.text(max_size=3), min_size=nq, max_size=nq, unique=True))
+    answers = draw(st.lists(st.text(max_size=3), min_size=na, max_size=na, unique=True))
+    exact = draw(st.booleans())
+    entry = st.integers(0, 4) if exact else st.floats(0.0, 1.0)
+    raw = np.array(draw(st.lists(entry, min_size=nq * nq, max_size=nq * nq)), dtype=object)
+    raw = raw.reshape(nq, nq)
+    raw = np.triu(raw) + np.triu(raw, 1).T
+    total = raw.sum()
+    assume(total > 0)
+    if exact:
+        scale = 1 + Fraction(draw(st.integers(-99, 99)), 10**14)
+        nu = [[Fraction(w) / total * scale for w in row] for row in raw.tolist()]
+    else:
+        nu = raw.astype(float) / float(total)
+    bits = draw(st.lists(st.booleans(), min_size=(nq * na) ** 2, max_size=(nq * na) ** 2))
+    predicate = np.array(bits).reshape(nq, nq, na, na)
+    predicate &= predicate.transpose(1, 0, 3, 2)
+    predicate[np.arange(nq), np.arange(nq)] = np.eye(na, dtype=bool)
+    return SynchronousGame(tuple(questions), tuple(answers), nu, predicate)
+
+
+class TestFrozenGame:
+    """A game is a value: nu is held once, and the fields derived from it
+    cannot drift from it."""
+
+    @pytest.mark.parametrize("name", ["nu", "predicate", "mu"])
+    def test_arrays_are_read_only(self, k2_game, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(k2_game, name)[0] = 0.9
+        assert k2_game.alpha == 0.5
+
+    def test_fields_cannot_be_set(self, k2_game):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k2_game.alpha = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k2_game.nu = np.eye(2) / 2
+
+    def test_caller_array_does_not_change_the_game(self, k2_game):
+        nu, predicate = k2_game.nu.copy(), k2_game.predicate.copy()
+        game = SynchronousGame(k2_game.questions, k2_game.answers, nu, predicate)
+        nu[0, 0], predicate[0, 1] = 0.9, False
+        assert np.array_equal(game.nu, k2_game.nu)
+        assert np.array_equal(game.predicate, k2_game.predicate)
+
+    def test_exact_negative_weight_below_float_range_named(self):
+        # its float is -0.0, which a sign check on the floats lets through
+        tiny = Fraction(1, 10**400)
+        nu = [[Fraction(1, 2), -tiny], [-tiny, Fraction(1, 2) + 2 * tiny]]
+        pred = np.ones((2, 2, 1, 1), dtype=bool)
+        with pytest.raises(GameFormatError, match=r"^nu\('p', 'q'\) is negative$"):
+            SynchronousGame(("p", "q"), ("a",), nu, pred)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_pickle_round_trip_keeps_arrays_read_only(self, k2_game, exact):
+        game = k2_game if exact else SynchronousGame(
+            k2_game.questions, k2_game.answers, k2_game.nu, k2_game.predicate
+        )
+        again = pickle.loads(pickle.dumps(game))
+        for name in ("nu", "predicate", "mu"):
+            assert not getattr(again, name).flags.writeable, name
+            assert np.array_equal(getattr(again, name), getattr(game, name)), name
+        assert again.nu_exact == game.nu_exact
+        assert again.alpha == game.alpha
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(game=accepted_games())
+    def test_save_load_round_trip(self, game):
+        again = load_game(save_game(game))
+        assert again.questions == game.questions
+        assert again.answers == game.answers
+        assert np.array_equal(again.predicate, game.predicate)
+        assert again.nu.tobytes() == game.nu.tobytes()
+        assert again.nu_exact == game.nu_exact
+        assert again.alpha == game.alpha
+
+
 class TestSaveGame:
     CYCLES = {n: [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)] for n in (5, 7)}
     K4 = [(f"v{i}", f"v{j}") for i in range(4) for j in range(i + 1, 4)]
@@ -244,7 +330,7 @@ class TestSaveGame:
 class TestAlpha:
     def test_diagonal_support_gives_one(self):
         game = load_game(diagonal_game_doc(["a", "b", "c"], ["0"]))
-        assert alpha_of(game) == 1.0
+        assert game.alpha == 1.0
 
     def test_uniform_square_gives_one_over_n(self):
         n = 4
@@ -252,7 +338,7 @@ class TestAlpha:
         nu = np.full((n, n), 1.0 / n**2)
         pred = np.ones((n, n, 1, 1), dtype=bool)
         game = SynchronousGame(tuple(questions), ("a",), nu, pred)
-        assert abs(alpha_of(game) - 1.0 / n) <= 1e-15
+        assert abs(game.alpha - 1.0 / n) <= 1e-15
 
     def test_mixed_diagonal_and_offdiagonal(self):
         # half uniform diagonal, half uniform over the 3 off-diagonal pairs
@@ -264,25 +350,21 @@ class TestAlpha:
             for j in range(n):
                 if i != j:
                     rows[i][j] = Fraction(1, 12)
-        nu = np.array([[float(w) for w in r] for r in rows])
         pred = np.ones((n, n, 1, 1), dtype=bool)
-        game = SynchronousGame(
-            ("x", "y", "z"), ("a",), nu, pred, tuple(tuple(r) for r in rows)
-        )
+        game = SynchronousGame(("x", "y", "z"), ("a",), rows, pred)
         expected = min(
             (Fraction(1, 6)) / (Fraction(1, 6) + 2 * Fraction(1, 12)) for _ in range(n)
         )
-        assert alpha_of(game) == float(expected)
+        assert game.alpha == float(expected)
 
     def test_zero_marginal_question_excluded(self):
         rows = [
             [Fraction(1), Fraction(0)],
             [Fraction(0), Fraction(0)],
         ]
-        nu = np.array([[1.0, 0.0], [0.0, 0.0]])
         pred = np.ones((2, 2, 1, 1), dtype=bool)
-        game = SynchronousGame(("p", "q"), ("a",), nu, pred, tuple(map(tuple, rows)))
-        assert alpha_of(game) == 1.0
+        game = SynchronousGame(("p", "q"), ("a",), rows, pred)
+        assert game.alpha == 1.0
 
 
 class TestGameValue:
@@ -407,7 +489,7 @@ class TestColoringGenerator:
         lam = Fraction(1, 2)
         game = graph_coloring_game([("v0", "v1")], 3, lam)
         expected = (lam / 2) / (lam / 2 + (1 - lam) / 2)
-        assert alpha_of(game) == float(expected)
+        assert game.alpha == float(expected)
 
     def test_empty_edges_rejected(self):
         with pytest.raises(GameFormatError, match="empty edge list"):
@@ -436,7 +518,7 @@ class TestColoringGenerator:
         lam = Fraction(2, 5)
         game = graph_coloring_game(edges, 2, lam)
         expected = (lam / 4) / (lam / 4 + (1 - lam) * Fraction(1, 4))
-        assert alpha_of(game) == float(expected)
+        assert game.alpha == float(expected)
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GameFormatError, match="duplicate edge"):

@@ -27,6 +27,7 @@ from syncround import (
     maximally_entangled_state,
     perturb_b_side,
     perturb_b_sides,
+    purify,
     reduced_density,
     round_b_sides,
     round_strategy,
@@ -447,6 +448,33 @@ class TestTracialStrategy:
         pvm = [np.eye(2)]
         with pytest.raises(ValueError, match="sum to 1"):
             TracialStrategy([TracialBlock(0.5, 2, {"q": pvm})])
+
+
+class TestPurify:
+    """purify(t) realizes t's table, and rounding it gives that table back:
+    its state commutes with its A side, so every corner is exact."""
+
+    K3 = graph_coloring_game([("a", "b"), ("b", "c"), ("a", "c")], 3, "1/2")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10**6),
+        # a few levels w_k / d_k, so that blocks often share one and their corners merge
+        blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+    )
+    def test_round_of_purification_is_the_table(self, seed, blocks):
+        rng = rng_for(seed, 0)
+        total = sum(level * dim for dim, level in blocks)
+        t = TracialStrategy([
+            TracialBlock(level * dim / total, dim,
+                         {q: random_pvm(rng, dim, 3) for q in self.K3.questions})
+            for dim, level in blocks
+        ])
+        s = purify(t)
+        assert s.dim_a == s.dim_b == sum(dim for dim, _ in blocks)
+        assert_close(correlation_of_commuting(s, t.questions).data, t.table.data, TABLE_TOL)
+        rounded = round_strategy(self.K3, s).tracial
+        assert_close(rounded.table.data, t.table.data, TABLE_TOL)
 
 
 class TestSeesaw:
