@@ -27,12 +27,18 @@ of the base strategy.  Its certificate and dual report hold one (N,)
 array per field, and entry i is bitwise the field of rounding instance
 i alone.  The sweep's thread pool maps over these batches.  It has one
 thread per CPU the process may run on (its affinity mask), at most 8;
-SYNCROUND_THREADS overrides that.
+SYNCROUND_THREADS overrides that.  A sweep whose pool would have one
+thread runs its batches in the calling thread, with no pool.
+
+The argument parser is built once per process and reused by every
+``main`` call; parsing leaves no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -266,8 +272,9 @@ def _verify_instances(suite: str, n: int, dims: int, seed: int) -> list[dict]:
 
     The instances are taken a slab at a time: the slab's streams
     seeded in one pass, its instances drawn and grouped by shape, and the
-    slab's groups mapped over the pool, each group's draws transformed
-    and certified as stacks by its runner.
+    slab's groups mapped over the pool (or, when the pool would have one
+    thread, in the calling thread), each group's draws transformed and
+    certified as stacks by its runner.
     """
     sample = _SAMPLERS[suite]
     # looked up per call, so that a wrapper installed on the dict applies
@@ -280,15 +287,18 @@ def _verify_instances(suite: str, n: int, dims: int, seed: int) -> list[dict]:
 
     fits = VERIFY_SLAB if suite == "rounding" else VERIFY_SLAB_BYTES // (32 * dims**2)
     slab = max(1, min(VERIFY_SLAB, fits))  # a rounding instance draws one seed
+    workers = _pool_size()
     rows = []
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
+    with contextlib.ExitStack() as stack:
+        # a pool of one thread would only hand each group to it and wait
+        mapper = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
         for first in range(0, n, slab):
             indices = np.arange(first, min(first + slab, n))
             groups: dict[tuple, list] = {}
             for index, rng in zip(indices.tolist(), rng_for(seed, indices)):
                 key, data = sample(rng, dims)
                 groups.setdefault(key, []).append((index, *data))
-            for batch in pool.map(run_group, groups.items()):
+            for batch in mapper(run_group, groups.items()):
                 rows += batch
     return sorted(rows, key=lambda r: r["index"])
 
@@ -401,7 +411,13 @@ def cmd_optimize(args) -> int:
     return 0 if monotone else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.
+
+    Each subcommand binds its ``cmd_*`` function then, so a later
+    rebinding of a ``cmd_*`` name is not seen by ``main``.
+    """
     parser = argparse.ArgumentParser(
         prog="syncround",
         description="Synchronous non-local games: strategy rounding and"
@@ -445,8 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (GameFormatError, ValueError, OSError) as exc:

@@ -42,7 +42,8 @@ class SynchronousGame:
     every entry is a ``fractions.Fraction``, else as floats.  The
     constructor sets each derived field once: ``nu`` (read-only float64),
     ``nu_exact`` (the exact weights as a tuple of tuples of Fractions, or
-    None), the marginal ``mu`` (read-only) and ``alpha``.  Symmetry,
+    None), the marginal ``mu`` (read-only) and ``alpha``.  A non-finite
+    float weight is rejected first, naming its pair.  Symmetry,
     non-negativity, the unit mass and alpha are decided on the exact
     weights when there are any, else on the floats.
     """
@@ -67,6 +68,12 @@ class SynchronousGame:
         exact = weights.dtype == object and all(isinstance(w, Fraction) for w in weights.flat)
         if not exact:  # a copy, so the caller's array cannot change the game
             weights = weights.astype(float)
+            if not np.isfinite(weights).all():  # NaN would fail symmetry, inf the mass
+                i, j = np.argwhere(~np.isfinite(weights))[0]
+                raise GameFormatError(
+                    f"nu({self.questions[i]!r}, {self.questions[j]!r}) is not finite:"
+                    f" {float(weights[i, j])!r}"
+                )
         if not np.array_equal(weights, weights.T):
             i, j = np.argwhere(weights != weights.T)[0]
             raise GameFormatError(

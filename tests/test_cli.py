@@ -362,8 +362,11 @@ class TestVerify:
         second.pop("timings")
         assert json.dumps(first) == json.dumps(second)
 
-    @pytest.mark.parametrize("suite", ["measure", "rounding"])
+    @pytest.mark.parametrize(
+        "suite", ["connes", "measure", "commutator", "duality", "rounding"]
+    )
     def test_thread_cap_respected(self, capsys, monkeypatch, suite):
+        """The calling thread's report is the pool's, on every suite."""
         argv = ["verify", "--suite", suite, "--n", "4", "--dims", "4", "--seed", "3"]
         monkeypatch.setenv("SYNCROUND_THREADS", "1")
         _, serial, _ = run_cli(capsys, argv)
@@ -372,6 +375,46 @@ class TestVerify:
         serial.pop("timings")
         pooled.pop("timings")
         assert json.dumps(serial) == json.dumps(pooled)
+
+    @pytest.fixture
+    def runner_threads(self, monkeypatch):
+        """The threads the measure suite's runner is called on."""
+        threads = []
+        runner = cli._INSTANCE_RUNNERS["measure"]
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return runner(*args)
+
+        monkeypatch.setitem(cli._INSTANCE_RUNNERS, "measure", recording)
+        return threads
+
+    def test_one_worker_builds_no_pool(self, capsys, monkeypatch, runner_threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker sweep built a thread pool")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("SYNCROUND_THREADS", "1")
+        argv = ["verify", "--suite", "measure", "--n", "6", "--dims", "4", "--seed", "3"]
+        assert run_cli(capsys, argv)[0] == 0
+        assert len(runner_threads) > 1
+        assert set(runner_threads) == {threading.get_ident()}
+
+    def test_two_workers_run_the_pool(self, capsys, monkeypatch, runner_threads):
+        monkeypatch.setenv("SYNCROUND_THREADS", "2")
+        argv = ["verify", "--suite", "measure", "--n", "6", "--dims", "4", "--seed", "3"]
+        assert run_cli(capsys, argv)[0] == 0
+        assert runner_threads and threading.get_ident() not in runner_threads
+
+    def test_one_parser_per_process(self, capsys):
+        """``main`` reuses one parser, and no flag of one call leaks into
+        the next."""
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["verify", "--suite", "connes", "--n", "2", "--seed", "1"]
+        _, narrow, _ = run_cli(capsys, argv + ["--dims", "4"])
+        _, default, _ = run_cli(capsys, argv)
+        assert narrow["flags"]["dims"] == 4
+        assert default["flags"]["dims"] == 8
 
     def test_pool_sized_from_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("SYNCROUND_THREADS", raising=False)

@@ -278,6 +278,15 @@ class TestFrozenGame:
         with pytest.raises(GameFormatError, match=r"^nu\('p', 'q'\) is negative$"):
             SynchronousGame(("p", "q"), ("a",), nu, pred)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_weight_named(self, weight):
+        # checked before symmetry (which NaN fails) and the unit mass (inf)
+        nu = [[weight, 0.0], [0.0, 1.0]]
+        pred = np.ones((2, 2, 1, 1), dtype=bool)
+        message = rf"^nu\('p', 'p'\) is not finite: {re.escape(repr(weight))}$"
+        with pytest.raises(GameFormatError, match=message):
+            SynchronousGame(("p", "q"), ("a",), nu, pred)
+
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_pickle_round_trip_keeps_arrays_read_only(self, k2_game, exact):
         game = k2_game if exact else SynchronousGame(
