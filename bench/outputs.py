@@ -1,14 +1,17 @@
 """Print one SHA-256 per seeded output of the checkout, minus timings and paths.
 
-Each line is ``<case> <output> <sha256>``, over five families of cases:
+Each line is ``<case> <output> <sha256>``, and a CLI report's line
+``<case> <output> exit=<code> <sha256>``, over six families of cases:
 
 - ``verify <suite> seed=<s>``: the ``syncround verify`` report of every
   suite at its README size (``--dims 8``), seeds 1 and 7, and
   ``verify rounding n=<VERIFY_SLAB + 44> seed=<s>``, the rounding suite
   across the boundary of two sweep slabs;
+- ``inspect <game>``: the ``inspect`` report of the 3-colouring games of
+  C5, C7 and K4 (diagonal mass 1/2);
 - ``round <game> seed=<s>``: ``optimize --dims 12 --iters 5`` then
-  ``round`` on the 3-colouring games of C5, C7 and K4 (diagonal mass
-  1/2), seeds 0-2: both reports, the strategy file and the tracial file;
+  ``round`` on those games, seeds 0-2: both reports, the strategy file
+  and the tracial file;
 - ``multicorner C7-L24#<i>``: ``round_strategy`` and
   ``verify_dual_distance`` on the benchmark's multi-corner instances 0-2:
   the certificate, the dual report and the tracial strategy's arrays;
@@ -23,7 +26,7 @@ Each line is ``<case> <output> <sha256>``, over five families of cases:
   p = 1 and 2).
 
 Reports lose their ``timings`` and the flags that name a file, so equal
-lines mean byte-identical outputs.  A ``tracial`` digest hashes block
+lines mean byte-identical outputs and exit codes.  A ``tracial`` digest hashes block
 PVMs that are fixed only up to a unitary inside each degenerate level of
 rho (the multicorner instances have such levels), so a change of
 factorization routine can move it while the tracial table stays within
@@ -95,10 +98,11 @@ def report_text(stdout: str) -> str:
 
 
 def cli(argv: list[str]) -> str:
+    """``exit=<code> <sha256>`` of one CLI call and its report."""
     code, stdout = workloads.run_cli(sr, argv)
     if code == 2:
         raise SystemExit(f"syncround {' '.join(argv)} exited 2")
-    return stdout
+    return f"exit={code} {digest(report_text(stdout))}"
 
 
 def verify_lines(n: int | None) -> list[str]:
@@ -110,11 +114,11 @@ def verify_lines(n: int | None) -> list[str]:
         for seed in VERIFY_SEEDS:
             argv = ["verify", "--suite", suite, "--n", str(size), "--dims", "8",
                     "--seed", str(seed)]
-            lines.append(f"verify {label} seed={seed} report {digest(report_text(cli(argv)))}")
+            lines.append(f"verify {label} seed={seed} report {cli(argv)}")
     return lines
 
 
-def round_lines(workdir: Path) -> list[str]:
+def game_lines(workdir: Path) -> list[str]:
     game_path, strategy_path, tracial_path = (
         str(workdir / name) for name in ("game.json", "strategy.json", "tracial.json")
     )
@@ -122,19 +126,17 @@ def round_lines(workdir: Path) -> list[str]:
     for name in ROUND_GAMES:
         game = sr.graph_coloring_game(workloads.GAMES[name], 3, "1/2")
         Path(game_path).write_text(sr.save_game(game), encoding="utf-8")
+        lines.append(f"inspect {name} report {cli(['inspect', '--game', game_path])}")
         for seed in ROUND_SEEDS:
-            optimized = cli(["optimize", "--game", game_path, "--dims", "12", "--iters", "5",
-                             "--seed", str(seed), "--out", strategy_path])
-            rounded = cli(["round", "--game", game_path, "--strategy", strategy_path,
-                           "--out", tracial_path])
             outputs = {
-                "optimize": report_text(optimized),
-                "strategy": Path(strategy_path).read_text(encoding="utf-8"),
-                "round": report_text(rounded),
-                "tracial": Path(tracial_path).read_text(encoding="utf-8"),
+                "optimize": cli(["optimize", "--game", game_path, "--dims", "12", "--iters", "5",
+                                 "--seed", str(seed), "--out", strategy_path]),
+                "strategy": digest(Path(strategy_path).read_text(encoding="utf-8")),
+                "round": cli(["round", "--game", game_path, "--strategy", strategy_path,
+                              "--out", tracial_path]),
+                "tracial": digest(Path(tracial_path).read_text(encoding="utf-8")),
             }
-            lines += [f"round {name} seed={seed} {key} {digest(text)}"
-                      for key, text in outputs.items()]
+            lines += [f"round {name} seed={seed} {key} {value}" for key, value in outputs.items()]
     return lines
 
 
@@ -206,7 +208,7 @@ def main(argv=None) -> int:
                         help="instances per verify suite (default: its README size)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        lines = (verify_lines(args.n) + round_lines(Path(tmp)) + multicorner_lines()
+        lines = (verify_lines(args.n) + game_lines(Path(tmp)) + multicorner_lines()
                  + fiber_lines() + fiber_rd_lines())
     print("\n".join(lines))
     return 0

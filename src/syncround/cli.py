@@ -1,37 +1,36 @@
 """Command-line surface.
 
-One self-describing JSON report, a single compact document, goes to
-stdout, a human summary to stderr.  Exit codes: 0 all certificates
-pass, 1 a certificate failed, 2 input or usage error.  Randomized
-commands require an explicit seed and produce byte-identical reports
-(modulo the timing fields) for identical seeds and flags.
+Every command prints one report, a single compact JSON document, to
+stdout and a one-line summary to stderr.  A ``cmd_*`` function returns
+its own fields, ending in ``summary``, and that line; ``main`` alone
+wraps the fields in the envelope ``command``, ``flags`` (the parsed
+options other than ``--seed``, in parser order), ``seed`` (for the
+commands that take one), the fields, then ``timings``: the wall time,
+the only field not fixed by the flags and the seed.  Exit codes: 0 when
+``summary.pass`` holds, 1 when it does not, 2 on an input or usage
+error, which prints no report.
 
 ``verify`` draws every instance from its own seeded stream
-``rng_for(seed, index)``, a slab of indices at a time: each slab's
-streams are seeded in one pass by the bulk form of ``rng_for``, bitwise
-the streams of the per-index calls.  A slab holds at most VERIFY_SLAB =
-1024 indices and VERIFY_SLAB_BYTES = 8 MiB of draws (32 · dims² bytes
-per instance, one seed for the rounding suite): every README-size
-suite, and any sweep up to dims 16, is one slab of up to 1024, dims 32
-takes 256 indices per slab and dims 64 takes 64.  The report does not depend on the slab size.  The sweep
-groups the slab's instances by shape (matrix dimension; for the
-commutator suite also the outcome count) and does each group's
-arithmetic as one stack: the Wishart and Haar transforms of
-``sampling`` turn the group's draws into its instances, bitwise those of
-the per-instance generators, and the certificates cost one eigensolve
-per side.  The rounding suite's instances perturb only the B side of one
-strategy, so each of its groups is one stacked pass: ``perturb_b_sides``
-draws the group's B sides as one (N, Y, B, d, d) stack, and
-``round_b_sides`` checks it once and rounds it against one corner stage
-of the base strategy.  Its certificate and dual report hold one (N,)
-array per field, and entry i is bitwise the field of rounding instance
-i alone.  The sweep's thread pool maps over these batches.  It has one
-thread per CPU the process may run on (its affinity mask), at most 8;
-SYNCROUND_THREADS overrides that.  A sweep whose pool would have one
-thread runs its batches in the calling thread, with no pool.
+``rng_for(seed, index)``, a slab of indices at a time, each slab's
+streams seeded in one pass by the bulk form of ``rng_for``.  A slab
+holds at most VERIFY_SLAB = 1024 indices and VERIFY_SLAB_BYTES = 8 MiB
+of draws (32 · dims² bytes per instance, one seed for the rounding
+suite); the report does not depend on its size.  The sweep groups the
+slab's instances by shape (matrix dimension; for the commutator suite
+also the outcome count) and does each group's arithmetic as one stack:
+the transforms of ``sampling`` turn the draws into instances bitwise
+those of the per-instance generators, and the certificates cost one
+eigensolve per side.  The rounding suite's instances perturb only the B
+side of one strategy, so each group is one pass of ``perturb_b_sides``
+and ``round_b_sides``, bitwise per instance.  The measure suite judges
+the residual |m - r| of each moment m against its reference r by
+``joint_spectral_measure``'s rule, |m - r| <= IDENTITY_TOL (1 + |r|).
 
-The argument parser is built once per process and reused by every
-``main`` call; parsing leaves no state in it.
+A thread pool maps over the groups, one thread per CPU the process may
+run on (its affinity mask), at most 8; SYNCROUND_THREADS overrides that.
+A sweep whose pool would have one thread runs its groups in the calling
+thread.  The argument parser is built once per process and reused by
+every ``main`` call; parsing leaves no state in it.
 """
 
 from __future__ import annotations
@@ -78,7 +77,6 @@ from .strategies import (
     seesaw_optimize,
 )
 
-SUITES = ("connes", "measure", "commutator", "duality", "rounding")
 ROUNDING_ETAS = (0.02, 0.05, 0.1)
 # the certificate fields of a rounding suite row, in report order
 ROUNDING_ROW_FIELDS = (
@@ -93,18 +91,22 @@ VERIFY_SLAB = 1024
 VERIFY_SLAB_BYTES = VERIFY_SLAB * 32 * 16**2
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+def _int_at_least(text: str, low: int, wording: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = low - 1  # a non-integer gets the flag's own message
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{wording}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "must be a positive integer")
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected non-negative integer, got {text!r}")
-    return value
+    return _int_at_least(text, 0, "expected non-negative integer")
 
 
 def _pool_size() -> int:
@@ -118,12 +120,6 @@ def _pool_size() -> int:
         # the CPUs this process may run on, which an affinity mask narrows
         return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
-
-
-def _emit(report: dict, summary: str, started: float) -> None:
-    report["timings"] = {"wall_s": time.monotonic() - started}
-    print(json.dumps(report))
-    print(summary, file=sys.stderr)
 
 
 def _read(path: str) -> str:
@@ -205,14 +201,16 @@ def _measure_batch(key, indices, x, y) -> list[dict]:
     measure = joint_spectral_measure(xdec, ydec)
     moments = measure_moments(measure)
     s = x + y
-    residuals = {
-        "norm_x_sq": np.abs(moments.norm_x_sq - _trace_product(x, x)),
-        "norm_y_sq": np.abs(moments.norm_y_sq - _trace_product(y, y)),
-        "inner_product": np.abs(moments.inner_product - _trace_product(x, y)),
-        "total_mass": np.abs(measure.total_mass - _trace_product(s, s)),
-        "chi_dual_path": np.abs(moments.chi_distance - threshold_chi_distance(xdec, ydec)),
+    pairs = {  # each moment and its reference
+        "norm_x_sq": (moments.norm_x_sq, _trace_product(x, x)),
+        "norm_y_sq": (moments.norm_y_sq, _trace_product(y, y)),
+        "inner_product": (moments.inner_product, _trace_product(x, y)),
+        "total_mass": (measure.total_mass, _trace_product(s, s)),
+        "chi_dual_path": (moments.chi_distance, threshold_chi_distance(xdec, ydec)),
     }
-    holds = np.all([r <= IDENTITY_TOL for r in residuals.values()], axis=0)
+    residuals = {name: np.abs(m - r) for name, (m, r) in pairs.items()}
+    allowed = {name: IDENTITY_TOL * (1.0 + np.abs(r)) for name, (_, r) in pairs.items()}
+    holds = np.all([residuals[name] <= allowed[name] for name in pairs], axis=0)
     return _rows(indices, {"dim": key[0]}, {"residuals": residuals, "holds": holds})
 
 
@@ -249,7 +247,7 @@ def _rounding_batch(key, indices, perturb_seeds) -> list[dict]:
     return _rows(indices, {}, columns)
 
 
-# one sampler per suite, called once per instance
+# one sampler per suite, called once per instance; its keys are the suites
 _SAMPLERS = {
     "connes": _sample_pair,
     "measure": _sample_pair,
@@ -303,34 +301,24 @@ def _verify_instances(suite: str, n: int, dims: int, seed: int) -> list[dict]:
     return sorted(rows, key=lambda r: r["index"])
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
+def cmd_verify(args) -> tuple[dict, str]:
     instances = _verify_instances(args.suite, args.n, args.dims, args.seed)
     violations = [inst["index"] for inst in instances if not inst["holds"]]
     passed = not violations
-    report = {
-        "command": "verify",
-        "flags": {"suite": args.suite, "n": args.n, "dims": args.dims},
-        "seed": args.seed,
+    body = {
         "instances": instances,
         "summary": {"pass": passed, "n": args.n, "violations": violations},
     }
-    _emit(
-        report,
+    return body, (
         f"verify suite={args.suite} n={args.n} dims={args.dims}"
-        f" violations={len(violations)} -> {'PASS' if passed else 'FAIL'}",
-        started,
+        f" violations={len(violations)} -> {'PASS' if passed else 'FAIL'}"
     )
-    return 0 if passed else 1
 
 
-def cmd_inspect(args) -> int:
-    started = time.monotonic()
+def cmd_inspect(args) -> tuple[dict, str]:
     game = load_game(_read(args.game))
     diag_mass = float(np.trace(game.nu))
-    report = {
-        "command": "inspect",
-        "flags": {"game": args.game},
+    body = {
         "questions": list(game.questions),
         "answers": list(game.answers),
         "n_questions": game.n_questions,
@@ -346,40 +334,27 @@ def cmd_inspect(args) -> int:
         },
         "summary": {"pass": True},
     }
-    _emit(
-        report,
+    return body, (
         f"inspect {args.game}: |X|={game.n_questions} |A|={game.n_answers}"
-        f" alpha={game.alpha:.6g}",
-        started,
+        f" alpha={game.alpha:.6g}"
     )
-    return 0
 
 
-def cmd_round(args) -> int:
-    started = time.monotonic()
+def cmd_round(args) -> tuple[dict, str]:
     game = load_game(_read(args.game))
     strategy = load_commuting_strategy(_read(args.strategy))
     result = round_strategy(game, strategy)
     Path(args.out).write_text(dump_tracial_strategy(result.tracial), encoding="utf-8")
     cert = result.certificate
-    report = {
-        "command": "round",
-        "flags": {"game": args.game, "strategy": args.strategy, "out": args.out},
-        "certificate": asdict(cert),
-        "summary": {"pass": cert.holds},
-    }
-    _emit(
-        report,
+    body = {"certificate": asdict(cert), "summary": {"pass": cert.holds}}
+    return body, (
         f"round: delta={cert.delta:.3e} value {cert.value_in:.6f} ->"
         f" {cert.value_out:.6f}, bounds {'hold' if cert.holds else 'VIOLATED'},"
-        f" wrote {args.out}",
-        started,
+        f" wrote {args.out}"
     )
-    return 0 if cert.holds else 1
 
 
-def cmd_optimize(args) -> int:
-    started = time.monotonic()
+def cmd_optimize(args) -> tuple[dict, str]:
     game = load_game(_read(args.game))
     result = seesaw_optimize(game, args.dims, args.dims, args.iters, args.seed)
     Path(args.out).write_text(
@@ -389,26 +364,15 @@ def cmd_optimize(args) -> int:
         later >= earlier - MONOTONE_TOL
         for earlier, later in zip(result.values, result.values[1:])
     )
-    report = {
-        "command": "optimize",
-        "flags": {
-            "game": args.game,
-            "dims": args.dims,
-            "iters": args.iters,
-            "out": args.out,
-        },
-        "seed": args.seed,
+    body = {
         "trajectory": result.values,
         "final_value": result.values[-1],
         "summary": {"pass": monotone},
     }
-    _emit(
-        report,
+    return body, (
         f"optimize: final value {result.values[-1]:.6f} after {args.iters}"
-        f" iterations, wrote {args.out}",
-        started,
+        f" iterations, wrote {args.out}"
     )
-    return 0 if monotone else 1
 
 
 @functools.cache
@@ -438,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_round.set_defaults(run=cmd_round)
 
     p_verify = sub.add_parser("verify", help="run a seeded certificate sweep")
-    p_verify.add_argument("--suite", required=True, choices=SUITES)
+    p_verify.add_argument("--suite", required=True, choices=tuple(_SAMPLERS))
     p_verify.add_argument("--n", required=True, type=_positive_int)
     p_verify.add_argument(
         "--dims",
@@ -461,12 +425,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and print its report (see the module docstring)."""
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.run(args)
+        body, line = args.run(args)
     except (GameFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the parsed options, in parser order, less the subcommand and its function
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "run")}
+    seed = {"seed": flags.pop("seed")} if "seed" in flags else {}
+    report = {
+        "command": args.command,
+        "flags": flags,
+        **seed,
+        **body,
+        "timings": {"wall_s": time.monotonic() - started},
+    }
+    print(json.dumps(report))
+    print(line, file=sys.stderr)
+    return 0 if body["summary"]["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -480,16 +480,16 @@ def measure_instance(seed, index, dims):
     dim, x, y = pair_draw(seed, index, dims)
     measure = joint_spectral_measure(x, y)
     moments = measure_moments(measure)
-    residuals = {
-        "norm_x_sq": abs(moments.norm_x_sq - float(np.trace(x @ x).real)),
-        "norm_y_sq": abs(moments.norm_y_sq - float(np.trace(y @ y).real)),
-        "inner_product": abs(moments.inner_product - float(np.trace(x @ y).real)),
-        "total_mass": abs(
-            measure.total_mass - float(np.trace((x + y) @ (x + y)).real)
-        ),
-        "chi_dual_path": abs(moments.chi_distance - threshold_chi_distance(x, y)),
+    pairs = {
+        "norm_x_sq": (moments.norm_x_sq, float(np.trace(x @ x).real)),
+        "norm_y_sq": (moments.norm_y_sq, float(np.trace(y @ y).real)),
+        "inner_product": (moments.inner_product, float(np.trace(x @ y).real)),
+        "total_mass": (measure.total_mass, float(np.trace((x + y) @ (x + y)).real)),
+        "chi_dual_path": (moments.chi_distance, threshold_chi_distance(x, y)),
     }
-    holds = all(r <= IDENTITY_TOL for r in residuals.values())
+    residuals = {name: abs(m - r) for name, (m, r) in pairs.items()}
+    # each residual within IDENTITY_TOL of its reference's scale
+    holds = all(abs(m - r) <= IDENTITY_TOL * (1 + abs(r)) for m, r in pairs.values())
     return {"index": index, "dim": dim, "residuals": residuals, "holds": holds}
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import threading
@@ -294,6 +295,39 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "argument --seed: expected non-negative integer, got '-1'" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n", "abc", "must be a positive integer"),
+            ("--dims", "2.5", "must be a positive integer"),
+            ("--seed", "x", "expected non-negative integer"),
+        ],
+    )
+    def test_non_integer_flag_named(self, capsys, flag, value, message):
+        """A non-integer gets the flag's own message, not the name of its
+        parsing function."""
+        argv = {"--suite": "connes", "--n": "3", "--seed": "1", flag: value}
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", *(item for pair in argv.items() for item in pair)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}, got '{value}'" in err
+        assert "_int" not in err
+
+    @pytest.mark.parametrize("n, dims, seed", [(500, 32, 7), (200, 40, 3)])
+    def test_measure_residuals_judged_at_their_scale(self, capsys, n, dims, seed):
+        """At dims 32 and 40, Tr((x+y)^2) is of order 1e5 to 1e6, and a
+        total-mass residual can pass 1e-9 by roundoff alone (instance 342
+        of the first sweep reads 1.05e-9): each residual is judged against
+        IDENTITY_TOL (1 + |reference|), as joint_spectral_measure judges
+        the total mass."""
+        argv = ["verify", "--suite", "measure", "--n", str(n), "--dims", str(dims),
+                "--seed", str(seed)]
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 0 and report["summary"]["violations"] == []
+        worst = max(max(row["residuals"].values()) for row in report["instances"])
+        assert worst > 1e-9
+
     @pytest.fixture
     def seeded(self, monkeypatch):
         """The (seed, indices) of each ``rng_for`` call the sweep makes."""
@@ -436,6 +470,77 @@ class TestVerify:
         )
         assert code == 2
         assert "SYNCROUND_THREADS" in err
+
+
+class TestEnvelope:
+    """The report layout and exit code ``main`` gives every command."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path, k2_game_file, k2_strategy_file):
+        return {
+            "inspect": ["inspect", "--game", k2_game_file],
+            "round": ["round", "--game", k2_game_file, "--strategy", k2_strategy_file,
+                      "--out", str(tmp_path / "tracial.json")],
+            "verify": ["verify", "--suite", "connes", "--n", "3", "--dims", "3", "--seed", "2"],
+            "optimize": ["optimize", "--game", k2_game_file, "--dims", "2", "--iters", "1",
+                         "--seed", "4", "--out", str(tmp_path / "strategy.json")],
+        }
+
+    @staticmethod
+    def options(command):
+        """The option names of a subcommand, in parser order."""
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return [a.dest for a in sub.choices[command]._actions if a.dest != "help"]
+
+    @pytest.mark.parametrize("command", ["inspect", "round", "verify", "optimize"])
+    def test_layout(self, capsys, argvs, command):
+        code, report, _ = run_cli(capsys, argvs[command])
+        parsed = vars(cli.build_parser().parse_args(argvs[command]))
+        options = self.options(command)
+        keys = list(report)
+        assert keys[:2] == ["command", "flags"] and report["command"] == command
+        flags = [name for name in options if name != "seed"]
+        assert report["flags"] == {name: parsed[name] for name in flags}
+        assert list(report["flags"]) == flags
+        if "seed" in options:
+            assert keys[2] == "seed" and report["seed"] == parsed["seed"]
+            own = keys[3:-1]
+        else:
+            assert "seed" not in report
+            own = keys[2:-1]
+        assert own and own[-1] == "summary" and "seed" not in own
+        assert keys[-1] == "timings" and list(report["timings"]) == ["wall_s"]
+        assert code == 0 and report["summary"]["pass"] is True
+
+    def test_failed_summary_exits_one(self, capsys, monkeypatch, argvs):
+        runner = cli._INSTANCE_RUNNERS["connes"]
+
+        def failing(*args):
+            return [{**row, "holds": row["index"] != 1} for row in runner(*args)]
+
+        monkeypatch.setitem(cli._INSTANCE_RUNNERS, "connes", failing)
+        code, report, err = run_cli(capsys, argvs["verify"])
+        assert code == 1
+        assert report["summary"] == {"pass": False, "n": 3, "violations": [1]}
+        assert list(report)[-2:] == ["summary", "timings"]
+        assert err.strip().endswith("-> FAIL")
+
+    @pytest.mark.parametrize("command", ["inspect", "round", "optimize"])
+    def test_input_error_exits_two_without_report(self, capsys, tmp_path, argvs, command):
+        argv = argvs[command]
+        argv[argv.index("--game") + 1] = str(tmp_path / "missing.json")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_usage_error_exits_two_without_report(self, capsys, argvs):
+        argv = argvs["verify"]
+        argv[argv.index("--n") + 1] = "abc"
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2 and capsys.readouterr().out == ""
 
 
 def assert_rows_match(stacked, oracle, path="row"):

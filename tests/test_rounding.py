@@ -9,6 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from syncround import (
+    PVMStack,
+    conjugate_synchronous_strategy,
     corner_correlation,
     graph_coloring_game,
     corner_decomposition,
@@ -1064,3 +1066,89 @@ class TestCertificateFlags:
         assert cert.delta == 0.0 and cert.d1_total > 0.0
         assert cert.holds and cert.holds_by_slack
         assert not cert.vacuous_total and not cert.vacuous_game
+
+
+def block_sum(first, second):
+    """The block-diagonal direct sum of two stacks of matrices."""
+    (m1, n1), (m2, n2) = first.shape[-2:], second.shape[-2:]
+    out = np.zeros(first.shape[:-2] + (m1 + m2, n1 + n2), dtype=complex)
+    out[..., :m1, :n1] = first
+    out[..., m1:, n1:] = second
+    return out
+
+
+def direct_sum(s1, s2, w):
+    """The strategy sqrt(w) s1 (+) sqrt(1 - w) s2: block-diagonal state and
+    PVMs, s1's blocks first."""
+    q = s1.questions
+    state = block_sum(np.sqrt(w) * s1.state, np.sqrt(1 - w) * s2.state)
+    sides = [
+        PVMStack(q, block_sum(first.in_order(q), second.in_order(q)))
+        for first, second in ((s1.pvms_a, s2.pvms_a), (s1.pvms_b, s2.pvms_b))
+    ]
+    return CommutingStrategy(s1.dim_a + s2.dim_a, s1.dim_b + s2.dim_b, state, *sides)
+
+
+class TestDirectSum:
+    """s = sqrt(w) s1 (+) sqrt(1 - w) s2 has rho = w rho1 (+) (1 - w) rho2,
+    so each threshold projection of rho, and each compression of the A
+    side, is a direct sum: the symmetrized and corner tables of s are
+    w T1 + (1 - w) T2.  The tracial table is too when the greedy rounds
+    each summand's compression on its own, as it does when they are
+    exact PVMs.  It is not on general summands: the greedy visits the
+    outcomes by their trace on the whole compression, which can differ
+    from a summand's own order."""
+
+    K3 = graph_coloring_game([("a", "b"), ("b", "c"), ("a", "c")], 3, "1/2")
+
+    def assert_tables_add(self, s1, s2, w, tables):
+        stages = [round_corners(self.K3, s) for s in (direct_sum(s1, s2, w), s1, s2)]
+        for name, table in tables.items():
+            whole, first, second = (table(stage).data for stage in stages)
+            assert_close(whole, w * first + (1 - w) * second, 1e-12, name)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10**6),
+        dims=st.tuples(*[st.integers(1, 4)] * 4),
+        w=st.floats(0.05, 0.95),
+    )
+    def test_symmetrized_and_corner_tables_add(self, seed, dims, w):
+        """Random states (d_A and d_B drawn apart, so rho can be rank
+        deficient) and random PVMs."""
+        rng = rng_for(seed, 0)
+        s1, s2 = (
+            random_commuting_strategy(rng, self.K3.questions, 3, dim_a, dim_b)
+            for dim_a, dim_b in (dims[:2], dims[2:])
+        )
+        tables = {"symmetrized": lambda c: c.symmetrized, "corner": lambda c: c.corner}
+        self.assert_tables_add(s1, s2, w, tables)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10**6),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        etas=st.tuples(st.floats(0.0, 0.1), st.floats(0.0, 0.1)),
+        w=st.floats(0.05, 0.95),
+    )
+    def test_tracial_table_adds_on_perturbed_conjugate_summands(self, seed, dims, etas, w):
+        """Conjugate strategies on maximally entangled states, B sides
+        perturbed: rho is a multiple of the identity on each summand, so
+        every compression is an exact PVM and the greedy returns it."""
+        rng = rng_for(seed, 0)
+        s1, s2 = (
+            perturb_b_side(
+                conjugate_synchronous_strategy(
+                    {q: random_pvm(rng, dim, 3) for q in self.K3.questions}
+                ),
+                eta,
+                int(rng.integers(2**31)),
+            )
+            for dim, eta in zip(dims, etas)
+        )
+        tables = {
+            "symmetrized": lambda c: c.symmetrized,
+            "corner": lambda c: c.corner,
+            "tracial": lambda c: c.tracial.table,
+        }
+        self.assert_tables_add(s1, s2, w, tables)
