@@ -25,11 +25,13 @@ each pair has a closed form:
   W_ij = sum_k |p~_k[i, j]|^2:
   int 2t sum_k ||[p_k, chi_t(x)]||^2 dt = sum_ij W_ij |a_i^2 - a_j^2|,
   and on the same weights sum_k ||[p_k, x]||^2 = sum_ij W_ij (a_i - a_j)^2;
+- trace duality: int p t^(p-1) Tr(x^(1-p) chi_t(x) y) dt = sum_i a_i <u_i, y u_i>,
+  since p cancels in each exact term a_i^p a_i^(1-p) <u_i, y u_i>;
 - threshold integral: int p t^(p-1) Tr(chi_t(x)) dt = sum_i a_i^p.
 
 All integrals are evaluated exactly this way; quadrature, the
-per-breakpoint sums and the direct commutator products appear only as
-test oracles.
+per-breakpoint sums, the per-atom integral and the direct commutator
+products appear only as test oracles.
 
 The module provides the joint spectral measure of a positive pair, its
 moment functionals, the squared L_2 distance of threshold projections,
@@ -180,6 +182,15 @@ def _psd_spectrum(matrix, what: str) -> tuple[np.ndarray, SpectralDecomposition]
     return np.clip(dec.eigenvalues, 0.0, None), dec
 
 
+def _require_in_range(a, what: str, limit: float) -> None:
+    """Raise unless every matrix's largest eigenvalue is at most ``limit``."""
+    top = a[..., -1]
+    bad = _first_failure(~(top <= limit))
+    if bad is not None:
+        raise ValueError(f"{_element(what, bad)} is past the float range of the fiber"
+                         f" integrals: largest eigenvalue {top[bad]:.3e} exceeds {limit:.3e}")
+
+
 def _psd_pair(x, y):
     """Spectra of a PSD pair and the overlap O_ij = |<u_i, v_j>|^2."""
     a, xdec = _psd_spectrum(x, "x")
@@ -189,6 +200,10 @@ def _psd_pair(x, y):
             f"dimension mismatch: x has shape {xdec.eigenvectors.shape},"
             f" y has shape {ydec.eigenvectors.shape}"
         )
+    # every sum taken of the pair is at most Tr((x + y)^2) <= d (a_max + b_max)^2
+    limit = np.sqrt(np.finfo(float).max / xdec.dim) / 2
+    _require_in_range(a, "x", limit)
+    _require_in_range(b, "y", limit)
     overlap = np.abs(xdec.eigenvectors.conj().swapaxes(-1, -2) @ ydec.eigenvectors) ** 2
     return a, b, overlap
 
@@ -233,13 +248,6 @@ class JointSpectralMeasure:
     @property
     def total_mass(self):
         return _unstack(self.masses.sum(axis=-1))
-
-    def integrate(self, fn):
-        """Exact integral of a scalar function against the measure: a
-        float for one pair, one per pair, shape (N,), for a stack."""
-        rows = zip(np.atleast_2d(self.lambdas), np.atleast_2d(self.masses))
-        sums = [sum(m * fn(l) for l, m in zip(*row) if m > 0) for row in rows]
-        return _unstack(np.array(sums, dtype=float).reshape(self.masses.shape[:-1]))
 
 
 def joint_spectral_measure(x, y) -> JointSpectralMeasure:
@@ -388,14 +396,11 @@ def lp_duality_check(x, y, p: float):
 
     For PSD x (as an L_p element) and y (as an L_p' element),
 
-        Tr(x y) = int_0^inf p t^(p-1) Tr( x^(1-p) chi_(t,inf)(x) y ) dt,
+        Tr(x y) = int_0^inf p t^(p-1) Tr( x^(1-p) chi_(t,inf)(x) y ) dt.
 
-    with the right side evaluated exactly per eigenvalue: the eigenvector
-    u_i of x contributes a_i^p a_i^(1-p) <u_i, y u_i> wherever both factors
-    are in floating-point range (a_i^p > 0, a_i^(1-p) finite), and
-    a_i <u_i, y u_i> where a_i^p overflows.  That cuts only an a_i at 0 or
-    so near it that a factor leaves the range; such a term is at most
-    a_i ||y||.  Returns |lhs - rhs|.
+    The eigenvector u_i of x contributes a_i^p a_i^(1-p) <u_i, y u_i>, in
+    which p cancels: the right side is sum_i a_i <u_i, y u_i>, summed with
+    no power of a_i.  Returns |lhs - rhs|.
     """
     if not 1 < p < np.inf:  # NaN fails too
         raise ValueError(f"exponent must be finite with p > 1, got {p!r}")
@@ -412,14 +417,7 @@ def lp_duality_check(x, y, p: float):
         )
     lhs = _trace_product(_matrix(x), ym)
     u = xdec.eigenvectors
-    diagonal = np.sum(u.conj() * (ym @ u), axis=-2).real
-    with np.errstate(under="ignore", over="ignore"):  # out of range: cut or replaced below
-        weight = a**p
-        inverse = np.where(weight > 0, a, 1.0) ** (1.0 - p)
-    with np.errstate(invalid="ignore"):  # inf * 0 where a_i^(1-p) underflows
-        term = np.where(np.isinf(weight), a, weight * inverse)
-    pos = (weight > 0) & (inverse < np.inf)
-    rhs = np.sum(np.where(pos, term * diagonal, 0.0), axis=-1)
+    rhs = np.sum(a * np.sum(u.conj() * (ym @ u), axis=-2).real, axis=-1)
     return _unstack(np.abs(lhs - rhs))
 
 
@@ -432,5 +430,6 @@ def threshold_integral(x, p: float):
     """
     if not 1 <= p < np.inf:  # NaN fails too
         raise ValueError(f"exponent must be finite with p >= 1, got {p!r}")
-    a, _ = _psd_spectrum(x, "x")
+    a, dec = _psd_spectrum(x, "x")
+    _require_in_range(a, "x", (np.finfo(float).max / dec.dim) ** (1.0 / p))
     return _unstack(np.sum(a**p, axis=-1))

@@ -40,6 +40,7 @@ from syncround.spectral import (
     IDENTITY_TOL,
     _element,
     _first_failure,
+    _unstack,
     eigh,
 )
 from syncround.strategies import cyclic_coloring_strategy, perturb_b_side
@@ -66,6 +67,15 @@ def fiber_quadrature_indicator(x, y, c_x, c_y, n_points=10_000):
     return float(np.sum(2 * ts * per_t)) * step
 
 
+def measure_integral(measure, fn):
+    """Integral of a scalar function against a joint spectral measure,
+    atom by atom: a float for one pair, one per pair, shape (N,), for a
+    stack, whose padding entries of mass 0 are skipped."""
+    rows = zip(np.atleast_2d(measure.lambdas), np.atleast_2d(measure.masses))
+    sums = [sum(m * fn(l) for l, m in zip(*row) if m > 0) for row in rows]
+    return _unstack(np.array(sums, dtype=float).reshape(measure.masses.shape[:-1]))
+
+
 def atomic_indicator_integral(measure, c_x, c_y):
     """Exact atomic evaluation of the same indicator pair integral.
 
@@ -73,7 +83,7 @@ def atomic_indicator_integral(measure, c_x, c_y):
     min(l / c_x, (1 - l) / c_y)^2; endpoint atoms drop out through the
     min, matching the vanishing of the indicators at 0.
     """
-    return measure.integrate(lambda l: min(l / c_x, (1 - l) / c_y) ** 2)
+    return measure_integral(measure, lambda l: min(l / c_x, (1 - l) / c_y) ** 2)
 
 
 def chi_distance_quadrature(x, y, n_points):

@@ -30,6 +30,7 @@ from oracles import (
     fiber_commutator_inputs,
     fiber_quadrature_indicator,
     fiber_rd_commutator_inputs,
+    measure_integral,
 )
 
 PAIR_KINDS = ("spread", "rank-deficient", "near-degenerate", "degenerate")
@@ -59,7 +60,7 @@ class TestJointSpectralMeasure:
         m = joint_spectral_measure(np.diag([1.0]), np.diag([1.0]))
         assert_close(m.lambdas, [0.5], 1e-14)
         assert_close(m.masses, [4.0], 1e-12)
-        assert_close(m.integrate(lambda l: l * l), 1.0, 1e-12)
+        assert_close(measure_integral(m, lambda l: l * l), 1.0, 1e-12)
 
     def test_orthogonal_projections_give_endpoints(self):
         m = joint_spectral_measure(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -72,7 +73,7 @@ class TestJointSpectralMeasure:
         m = joint_spectral_measure(x, np.zeros((4, 4)))
         assert_close(m.lambdas, [1.0], 1e-14)
         assert_close(m.total_mass, np.trace(x @ x).real, 1e-9)
-        assert_close(m.integrate(lambda l: l * l), np.trace(x @ x).real, 1e-9)
+        assert_close(measure_integral(m, lambda l: l * l), np.trace(x @ x).real, 1e-9)
 
     def test_defining_property_scalar(self):
         m = joint_spectral_measure(np.diag([1.0]), np.diag([1.0]))
@@ -307,25 +308,34 @@ class TestLpDuality:
         x = np.diag([1.0] + [1.9e-9] * 20)
         assert lp_duality_check(x, np.eye(21), p) <= 1e-14
 
-    def test_underflowing_weight_is_cut(self):
-        # (1e-200)^3 underflows to 0, where (1e-200)^(-2) would overflow
+    def test_tiny_eigenvalue_in_range(self):
+        # (1e-200)^3 would underflow and (1e-200)^(-2) overflow; the closed
+        # form takes no power
         with np.errstate(all="raise"):
             assert lp_duality_check(np.diag([1e-200, 1.0]), np.eye(2), 3.0) == 0.0
 
-    def test_overflowing_inverse_is_cut(self):
-        # (1.3e-13)^25 is a positive subnormal, but (1.3e-13)^(-24) overflows
+    def test_small_eigenvalue_in_range_at_large_p(self):
+        # (1.3e-13)^25 would be subnormal and (1.3e-13)^(-24) overflow
         with np.errstate(all="raise"):
             residual = lp_duality_check(np.diag([1.3e-13, 1.0]), np.eye(2), 25.0)
         assert residual <= 1.3e-13
 
     @pytest.mark.parametrize("big", [1e120, 1e200, 1e300])
-    def test_overflowing_weight_is_its_eigenvalue(self, big):
-        # big^3 overflows, but the term big^3 big^(-2) <u, y u> is big
-        # itself; at 1e200 big^(-2) also underflows to 0, and at 1e300 the
+    def test_large_eigenvalue_in_range(self, big):
+        # big^3 would overflow, but the term is big <u, y u>; at 1e300 the
         # eigensolve's guards sum squares of about 1e284 scaled
         with np.errstate(all="raise"):
             residual = lp_duality_check(np.diag([big, 1.0]), np.eye(2), 3.0)
         assert np.isfinite(residual) and residual <= 1e-15 * big
+
+    def test_residual_does_not_depend_on_p(self):
+        # the fiber-large pair at d = 96, instance 0: a_i^100 is subnormal
+        # for its small eigenvalues, and p cancels in the closed form
+        rng = np.random.default_rng([13, 96, 0])
+        x, y = random_psd(rng, 96), random_psd(rng, 96)
+        residuals = [lp_duality_check(x, y, p) for p in (2.0, 3.0, 100.0)]
+        assert residuals[0] == residuals[1] == residuals[2]
+        assert residuals[0] <= 1e-14 * (1.0 + abs(np.trace(x @ y).real))
 
     def test_non_square_y_rejected(self):
         with pytest.raises(ValueError, match="y must be a square matrix"):
@@ -370,6 +380,34 @@ def psd_stack(seed, count=5, dim=4):
 def unit_stack(seed, count=5, dim=4):
     x = psd_stack(seed, count, dim)
     return x / np.sqrt(np.einsum("nij,nji->n", x, x).real)[:, None, None]
+
+
+class TestFloatRange:
+    """A fiber integral past float range raises, naming its operand."""
+
+    def test_threshold_integral_past_range(self):
+        # the fiber-large x at d = 96, instance 0: 744^120 overflows
+        x = random_psd(np.random.default_rng([13, 96, 0]), 96)
+        with pytest.raises(ValueError, match="^x is past the float range"):
+            threshold_integral(x, 120.0)
+
+    @pytest.mark.parametrize(
+        "call", [joint_spectral_measure, threshold_chi_distance, connes_certificate]
+    )
+    def test_pair_past_range(self, call):
+        big = np.diag([1e200, 1.0])
+        with pytest.raises(ValueError, match="^x is past the float range"):
+            call(big, np.eye(2))
+        with pytest.raises(ValueError, match="^y is past the float range"):
+            call(np.eye(2), big)
+
+    def test_stack_element_named(self):
+        x, y = psd_stack(140), psd_stack(141)
+        x[3] *= 1e200
+        with pytest.raises(ValueError, match="^x element 3 is past the float range"):
+            threshold_chi_distance(x, y)
+        with pytest.raises(ValueError, match="^x element 3 is past the float range"):
+            threshold_integral(x, 2.0)
 
 
 class TestStackContracts:
@@ -440,10 +478,11 @@ class TestStackContracts:
         def fn(l):
             return 1.0 / (l * (1.0 - l))
 
-        values = joint_spectral_measure(x, y).integrate(fn)
+        values = measure_integral(joint_spectral_measure(x, y), fn)
         assert values.shape == (len(x),)
         for i in range(len(x)):
-            assert_close(values[i], joint_spectral_measure(x[i], y[i]).integrate(fn), 1e-12)
+            single = measure_integral(joint_spectral_measure(x[i], y[i]), fn)
+            assert_close(values[i], single, 1e-12)
 
     @pytest.mark.parametrize(
         "call",

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pickle
 import re
@@ -1152,3 +1153,69 @@ class TestDirectSum:
             "tracial": lambda c: c.tracial.table,
         }
         self.assert_tables_add(s1, s2, w, tables)
+
+
+def hadamard_vertices(n):
+    """The vertices {+-1}^n of the Hadamard graph, with their names."""
+    vertices = np.array(list(itertools.product((1, -1), repeat=n)))
+    return vertices, ["".join("+" if v > 0 else "-" for v in row) for row in vertices]
+
+
+def hadamard_game(n):
+    """n-colouring game of the Hadamard graph: v ~ w when v . w = 0,
+    diagonal mass 1/2."""
+    vertices, names = hadamard_vertices(n)
+    edges = [
+        (names[i], names[j])
+        for i, j in itertools.combinations(range(len(names)), 2)
+        if vertices[i] @ vertices[j] == 0
+    ]
+    return graph_coloring_game(edges, n, "1/2")
+
+
+def hadamard_strategy(n, t, eta, seed):
+    """P^v_c = D_v f_c f_c* D_v (f_c the columns of the unitary DFT) and
+    its conjugate on xi = rho^(1/2), rho = (1 - t) I/n + t sigma for a
+    seeded random density sigma, with the B side then perturbed by eta.
+    <D_v f_c, D_w f_c> = v . w / n, so at t = 0 the value is 1."""
+    vertices, names = hadamard_vertices(n)
+    fourier = np.fft.fft(np.eye(n)) / np.sqrt(n)
+    pvms_a = {}
+    for name, v in zip(names, vertices):
+        cols = v[:, None] * fourier
+        pvms_a[name] = np.einsum("ic,jc->cij", cols, cols.conj())
+    sigma = random_psd(rng_for(seed, 0), n)
+    sigma /= np.trace(sigma).real
+    rho = (1 - t) * np.eye(n) / n + t * sigma
+    w, u = np.linalg.eigh(rho)
+    state = (u * np.sqrt(w)) @ u.conj().T
+    pvms_b = {q: p.conj() for q, p in pvms_a.items()}
+    s = CommutingStrategy(n, n, state, pvms_a, pvms_b)
+    return perturb_b_side(s, eta, seed) if eta else s
+
+
+class TestHadamardGraph:
+    """Omega_4, a family on which every stage of the rounding works: the
+    state's spectrum splits into several corners, the corner POVMs are
+    not PVMs, and the perturbed B side moves the symmetrized table."""
+
+    GAME = hadamard_game(4)
+
+    def test_every_stage_works(self):
+        # 16 vertices and 48 edges: nu is the diagonal and both orders of each edge
+        assert len(self.GAME.questions) == 16
+        assert np.count_nonzero(self.GAME.nu) == 16 + 2 * 48
+        s = hadamard_strategy(4, 1e-4, 1e-4, 0)
+        result = round_strategy(self.GAME, s)
+        cert = result.certificate
+        assert result.corners.decomposition.n_corners == 4
+        for stage in ("d1_sym", "d1_corner", "d1_pvm"):
+            assert getattr(cert, stage) >= 1e-7, stage
+        assert cert.holds and not cert.holds_by_slack
+        assert not cert.vacuous_total and cert.bound_total < 1.0
+        assert verify_dual_distance(self.GAME, s).holds
+
+    def test_conjugate_b_side_has_no_symmetrization_distance(self):
+        cert = round_strategy(self.GAME, hadamard_strategy(4, 1e-4, 0.0, 0)).certificate
+        assert cert.delta > 0.0 and cert.d1_sym <= 1e-13
+        assert cert.d1_corner >= 1e-7 and cert.holds

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 import warnings
 from unittest import mock
@@ -506,3 +508,20 @@ class TestTolerancePolicy:
                     assert value is getattr(spectral, name, None), f"{module.__name__}.{name}"
                     seen += 1
         assert seen  # the scan found the table itself
+
+    def test_every_table_entry_is_read(self):
+        """Each name of spectral's table is read (a load of the name, or an
+        attribute of that name) somewhere in the package's source."""
+        table = {
+            name for name in vars(spectral)
+            if name.isupper() and any(k in name for k in ("TOL", "SLACK", "CLAMP"))
+        }
+        read = set()
+        for path in pathlib.Path(syncround.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+        assert "HERMITIAN_TOL" in table  # the scan found the table
+        assert table <= read, sorted(table - read)
