@@ -54,6 +54,7 @@ from .spectral import (
     MERGE_TOL_SCALE,
     ORTHOGONALIZATION_SLACK,
     ROUNDING_SLACK,
+    _exactly_hermitian,
     _hermitian_part,
     _unstack,
     eigh,
@@ -202,6 +203,13 @@ def corner_compressions(pvms_a, decomp: CornerDecomposition, questions=None) -> 
 def corner_correlation(pvms_a, decomp: CornerDecomposition, questions=None) -> CorrelationTable:
     """Weighted corner table sum_k (l_k - l_{k+1}) Tr(P_k p^x_a P_k p^y_b P_k).
 
+    ``pvms_a`` is the A side, a ``PVMStack`` or a dict of question ->
+    PVM, compressed here by ``corner_compressions``; or that compressed
+    (X, A, r, r) stack itself, as ``corner_compressions(pvms_a, decomp,
+    questions)`` returns it, with ``questions`` then naming its families
+    in order.  ``round_corners`` passes the stack it also orthogonalizes,
+    so one rotation serves the table and the greedy.
+
     This is the weight integral over the nested threshold projections of
     rho, computed as one Schur-kernel contraction in rho's kept
     eigenbasis.  With p~ = U+ p U, the corner term is
@@ -217,11 +225,20 @@ def corner_correlation(pvms_a, decomp: CornerDecomposition, questions=None) -> C
     table is divided by it, as ``round_strategy`` divides the block
     weights.
     """
-    pvms_a = _pvm_stack(pvms_a)
-    order = tuple(questions or pvms_a.questions)
-    stack = corner_compressions(pvms_a, decomp, order)
+    if isinstance(pvms_a, np.ndarray):
+        stack, order = pvms_a, tuple(questions or ())
+        rank = decomp.levels.size
+        if stack.ndim != 4 or stack.shape[-2:] != (rank, rank) or len(stack) != len(order):
+            raise ValueError(
+                f"compressed stack of shape {stack.shape} for questions {order!r}:"
+                f" expected (X, A, {rank}, {rank}) with one family per question"
+            )
+    else:
+        pvms_a = _pvm_stack(pvms_a)
+        order = tuple(questions or pvms_a.questions)
+        stack = corner_compressions(pvms_a, decomp, order)
     data = trace_pairing(stack * np.minimum.outer(decomp.levels, decomp.levels), stack).real
-    return CorrelationTable(order, pvms_a.n_answers, data / float(decomp.weights.sum()))
+    return CorrelationTable(order, stack.shape[1], data / float(decomp.weights.sum()))
 
 
 @dataclass(eq=False)
@@ -316,17 +333,29 @@ def orthogonalize_povm(povm, ranks=None):
 
     Checks, and where they run:
 
-    - ``require_povm`` on the full stack: Hermitian, PSD and sum to the
+    - the shape, before any work: one POVM holds matrices, and a stack
+      for ``ranks`` holds (A, r, r) families.
+    - ``require_povm`` on the full stack: Hermitian, PSD (one stacked
+      Cholesky factorization per slab, see ``require_povm``) and sum to the
       identity.  By Cauchy interlacing, and since a leading block of
       sum - 1 has no larger Frobenius norm, every leading block passes
       the PSD and sum checks when the stack does.
     - ``require_hermitian`` on every corner's leading block, whose
-      elementwise tolerance scales with the block's own entries.
+      elementwise tolerance scales with the block's own entries, when
+      the stack is not exactly Hermitian: every leading block of an
+      exactly Hermitian stack is exactly Hermitian, and passes.
     - in the greedy, every eigensolve's ``eigh`` checks: Hermitian,
       reconstruction and orthonormality (see ``_greedy_pvms``).
     """
     if len(povm) == 0:
         raise ValueError("POVM must have at least one outcome")
+    first = np.shape(povm[0])
+    # square matrices nested at another depth; any other shape is named
+    # by require_povm
+    if len(first) >= 2 and first[-1] == first[-2] and len(first) != (2 if ranks is None else 3):
+        expected = ("without corner ranks, povm must be one POVM (A, n, n)" if ranks is None
+                    else "with corner ranks, povm must be an (X, A, r, r) stack of POVMs")
+        raise ValueError(f"{expected}, got shape {(len(povm),) + first}")
     ms = require_povm(povm, np.atleast_1d(povm[0]).shape[-1])
     if ranks is None:
         rounded, reports = _orthogonalize_corners(ms[None], (ms.shape[-1],))
@@ -351,12 +380,17 @@ def _orthogonalize_corners(ms: np.ndarray, ranks) -> tuple[list, list]:
     eigensolve work (for ranks 1, 2, ..., r the n^3 cost sums to about
     r^4 / 4, against r^4 padded).  Every corner's purity, the sum of
     squared entries of its leading block, is read off one 2-D prefix sum
-    of the stack's squared entries.
+    of the stack's squared entries.  Each leading block is checked to be
+    Hermitian on its own scale only when the stack is not exactly
+    Hermitian.
     """
     prefix = _sum_of_squares(ms, "xij").cumsum(axis=-1).cumsum(axis=-2)
+    exact = _exactly_hermitian(ms)
     rounded, reports = [], []
     for k, r in enumerate(ranks):
-        block = require_hermitian(ms[..., :r, :r], f"corner {k} POVM")
+        block = ms[..., :r, :r]
+        if not exact:
+            require_hermitian(block, f"corner {k} POVM")
         rs = _greedy_pvms(block, f"corner {k} POVM")
         # tr(m^2) = ||m||_F^2 for Hermitian m
         distance_sq = _sum_of_squares(block - rs, "x") / r
@@ -392,15 +426,16 @@ class CornerRounding:
 
 def round_corners(game: SynchronousGame, s: CommutingStrategy) -> CornerRounding:
     """The corner stage of ``round_strategy`` for ``s`` in ``game``'s
-    question order, built from ``reduced_density(s)`` and the A side."""
+    question order, built from ``reduced_density(s)`` and the A side.
+    The A side is compressed into rho's kept eigenbasis once: the corner
+    table and the greedy both read that one (X, A, r, r) stack."""
     questions = tuple(game.questions)
     rho = reduced_density(s)
     symmetrized = symmetrized_correlation(s.pvms_a, rho, questions)
     decomp = corner_decomposition(rho)
-    corner = corner_correlation(s.pvms_a, decomp, questions)
-    rounded, reports = orthogonalize_povm(
-        corner_compressions(s.pvms_a, decomp, questions), decomp.ranks
-    )
+    compressed = corner_compressions(s.pvms_a, decomp, questions)
+    corner = corner_correlation(compressed, decomp, questions)
+    rounded, reports = orthogonalize_povm(compressed, decomp.ranks)
     # spectrum in the numerical-zero band is excluded from the corners,
     # so the kept weights can fall short of 1 by up to the merge
     # tolerance; renormalize for the strategy's exact weight contract

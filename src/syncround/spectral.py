@@ -136,14 +136,24 @@ def _require_shapes(ops, dim: int, what: str) -> None:
             raise ValueError(f"{what} element {k} has shape {np.shape(op)}, expected {(dim, dim)}")
 
 
+def _slab_views(*stacks) -> list[tuple]:
+    """(start, views) per check slab of stacks with the same leading axes,
+    each slab as many matrices as fit in CHECK_SLAB_BYTES (at least one):
+    larger temporaries make malloc return memory to the OS and refault it.
+    The stacks come back as they are, with start None, when the first is
+    one matrix or fits in one slab; else as the same slice of each
+    flattened (k, m, n) stack, whose first matrix has flat index
+    ``start``."""
+    if stacks[0].ndim == 2 or stacks[0].nbytes <= CHECK_SLAB_BYTES:
+        return [(None, stacks)]
+    flats = [stack.reshape((-1,) + stack.shape[-2:]) for stack in stacks]
+    step = max(1, CHECK_SLAB_BYTES // flats[0][0].nbytes)
+    return [(i, [flat[i : i + step] for flat in flats]) for i in range(0, len(flats[0]), step)]
+
+
 def _slabs(stack: np.ndarray) -> list[np.ndarray]:
-    """The matrices of a stack, CHECK_SLAB_BYTES at a time: larger
-    temporaries make malloc return memory to the OS and refault it."""
-    flat = stack.reshape((-1,) + stack.shape[-2:])
-    if flat.nbytes <= CHECK_SLAB_BYTES:
-        return [flat]
-    step = max(1, CHECK_SLAB_BYTES // flat[0].nbytes)
-    return [flat[i : i + step] for i in range(0, len(flat), step)]
+    """The matrices of a stack as flat stacks (k, m, n), one per check slab."""
+    return [slab for _, (slab,) in _slab_views(stack.reshape((-1,) + stack.shape[-2:]))]
 
 
 def _per_matrix(stack: np.ndarray, reduce) -> np.ndarray:
@@ -154,6 +164,14 @@ def _per_matrix(stack: np.ndarray, reduce) -> np.ndarray:
 
 def _anti_hermitian(stack: np.ndarray) -> np.ndarray:
     return stack - stack.conj().swapaxes(-1, -2)
+
+
+def _exactly_hermitian(h: np.ndarray) -> bool:
+    """Whether every matrix of a stack equals its adjoint bit for bit.
+    H - H* is then zero everywhere; a NaN or infinite entry makes it NaN
+    or infinite (inf - inf is NaN), so a non-finite stack is never exact."""
+    with np.errstate(invalid="ignore"):
+        return not any(_anti_hermitian(slab).any() for slab in _slabs(h))
 
 
 def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
@@ -169,12 +187,11 @@ def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
         raise ValueError(f"{what} must be a square matrix, got shape {h.shape}")
     if h.size == 0:
         raise ValueError(f"{what} must be non-empty")
+    # stacks the package builds are exactly Hermitian; non-finite input
+    # goes on below
+    if _exactly_hermitian(h):
+        return h
     with np.errstate(invalid="ignore"):  # inf - inf: reported below
-        # stacks the package builds are exactly Hermitian, so H - H* is zero
-        # everywhere; a NaN or infinite entry makes it NaN or infinite
-        # (inf - inf is NaN), so non-finite input goes on below
-        if not any(_anti_hermitian(slab).any() for slab in _slabs(h)):
-            return h
         deviation = _per_matrix(h, lambda s: np.abs(_anti_hermitian(s)).max(axis=(-2, -1)))
     # each allowance is at least HERMITIAN_TOL
     if deviation.max() <= HERMITIAN_TOL:
@@ -241,6 +258,28 @@ def require_pvm(family, dim: int, what: str | list[str] = "PVM") -> np.ndarray:
     return ops
 
 
+def _shifted_cholesky_passes(ops: np.ndarray, shift: float) -> bool:
+    """Whether every matrix of a stack plus ``shift`` times the identity
+    has a finite Cholesky factor, from one stacked factorization per
+    check slab.
+
+    A pass means that each matrix is PSD down to -``shift``, up to the
+    factorization's backward error (c n eps ||m|| for n x n matrices).
+    The factor must be finite as well as found: OpenBLAS returns a NaN
+    factor for NaN input without raising.  Each entry L_ik below the
+    diagonal enters L_ii through |L_ik|^2, so the factor is finite when
+    its diagonal is, and the diagonal is when its (positive) sum is."""
+    eye = shift * np.eye(ops.shape[-1])
+    for slab in _slabs(ops):
+        try:
+            factor = np.linalg.cholesky(slab + eye)
+        except np.linalg.LinAlgError:
+            return False
+        if not np.isfinite(np.trace(factor.real, axis1=-2, axis2=-1).sum()):
+            return False
+    return True
+
+
 def require_povm(family, dim: int, what: str = "POVM", decompose: bool = False):
     """Validate a positive family summing to the identity within FAMILY_TOL.
 
@@ -251,11 +290,21 @@ def require_povm(family, dim: int, what: str = "POVM", decompose: bool = False):
     element or POVM.  Returns the validated stack as one complex array,
     or with ``decompose`` its ``eigh``, whose eigenvalues then serve the
     PSD check, for a caller that goes on to a functional calculus.
+
+    Without ``decompose`` the PSD check is a stacked Cholesky
+    factorization of each element plus FAMILY_TOL times the identity, one
+    per check slab; a finite factor passes.  Only when that fails does
+    ``eigvalsh`` run, to decide with the least eigenvalues and name the
+    first failing element.  The two agree except for a least eigenvalue
+    within the factorization's backward error c n eps ||m|| below
+    -FAMILY_TOL, which the factorization may accept.
     """
     ops = _family_stack(family, dim, what)
-    dec = eigh(ops, what) if decompose else None
-    low = (dec.eigenvalues if decompose else np.linalg.eigvalsh(ops))[..., 0]
-    _require_psd(low, what, FAMILY_TOL)
+    if decompose:
+        dec = eigh(ops, what)
+        _require_psd(dec.eigenvalues[..., 0], what, FAMILY_TOL)
+    elif not _shifted_cholesky_passes(ops, FAMILY_TOL):
+        _require_psd(np.linalg.eigvalsh(ops)[..., 0], what, FAMILY_TOL)
     _require_unit_sum(ops, what)
     return dec if decompose else ops
 
@@ -298,21 +347,31 @@ def _phases(vectors: np.ndarray) -> np.ndarray:
 def _require_factors(matrix, left, values, right, what, kind: str, bases) -> None:
     """Raise unless left diag(values) right* is ``matrix`` within DECOMP_TOL
     (1 + ||matrix||_F) and each (name, basis) of ``bases`` is orthonormal
-    within DECOMP_TOL, in Frobenius norm, naming the first failing element."""
-    # residuals formed in place: each stack-sized temporary costs page faults
-    residual = (left * values[..., None, :]) @ right.conj().swapaxes(-1, -2)
-    residual -= matrix
-    excess = _first_excess(residual, DECOMP_TOL, lambda: DECOMP_TOL * (1.0 + _frobenius(matrix)))
-    if excess:
-        raise ValueError(f"{kind} of {_element(what, excess[0])} failed to reconstruct:"
-                         f" residual {excess[1]:.3e}")
-    for name, basis in bases:
-        residual = basis.conj().swapaxes(-1, -2) @ basis
-        residual -= np.eye(basis.shape[-1])
-        excess = _first_excess(residual, DECOMP_TOL)
+    within DECOMP_TOL, in Frobenius norm, naming the first failing element.
+    Every residual is formed slab by slab, as ``_per_matrix`` runs."""
+    lead = matrix.shape[:-2]
+
+    def named(start, index):
+        if start is not None:
+            index = tuple(int(i) for i in np.unravel_index(start + index[0], lead))
+        return _element(what, index)
+
+    for start, (m, u, w, v) in _slab_views(matrix, left, values[..., None, :], right):
+        residual = (u * w) @ v.conj().swapaxes(-1, -2)
+        residual -= m
+        excess = _first_excess(residual, DECOMP_TOL, lambda: DECOMP_TOL * (1.0 + _frobenius(m)))
         if excess:
-            raise ValueError(f"{name} of {_element(what, excess[0])} are not orthonormal:"
+            raise ValueError(f"{kind} of {named(start, excess[0])} failed to reconstruct:"
                              f" residual {excess[1]:.3e}")
+    for name, basis in bases:
+        eye = np.eye(basis.shape[-1])
+        for start, (b,) in _slab_views(basis):
+            residual = b.conj().swapaxes(-1, -2) @ b
+            residual -= eye
+            excess = _first_excess(residual, DECOMP_TOL)
+            if excess:
+                raise ValueError(f"{name} of {named(start, excess[0])} are not orthonormal:"
+                                 f" residual {excess[1]:.3e}")
 
 
 def eigh(matrix, what: str = "matrix") -> SpectralDecomposition:

@@ -36,6 +36,7 @@ from syncround.sampling import (
 )
 from syncround.spectral import (
     DUALITY_TOL,
+    FAMILY_TOL,
     HERMITIAN_TOL,
     IDENTITY_TOL,
     _element,
@@ -148,6 +149,18 @@ def require_hermitian_formula(matrix, what="matrix"):
             f" {deviation[bad]:.3e} which exceeds the allowed {allowed[bad]:.3e}"
         )
     return h
+
+
+def require_povm_psd_eigvalsh(family, what="POVM"):
+    """The PSD half of POVM validation by least eigenvalues alone: each
+    element of a finite Hermitian stack (..., A, n, n) must have its
+    least ``eigvalsh`` eigenvalue at or above -FAMILY_TOL; the first
+    failing element is named.  Returns the least eigenvalues."""
+    low = np.linalg.eigvalsh(np.asarray(family, dtype=np.complex128))[..., 0]
+    bad = _first_failure(~(low >= -FAMILY_TOL))
+    if bad is not None:
+        raise ValueError(f"{_element(what, bad)} is not PSD: min eigenvalue {low[bad]:.3e}")
+    return low
 
 
 def fix_phases_loop(vectors):

@@ -281,11 +281,24 @@ class TestCornerCorrelation:
         levels = np.repeat(decomp.values, np.diff((0,) + decomp.ranks))
         assert np.array_equal(decomp.levels, levels)
         stack = corner_compressions(pvms, decomp)
+        # the compressed stack in place of the A side: the same table, bit for bit
+        assert np.array_equal(corner_correlation(stack, decomp, questions).data, table.data)
         for r in decomp.ranks:
             basis = decomp.basis[:, :r]
             for q, compressed in zip(questions, stack[:, :, :r, :r]):
                 for p, c in zip(pvms[q], compressed):
                     assert_close(c, basis.conj().T @ p @ basis, 1e-12)
+
+    def test_compressed_stack_shape_checked(self):
+        rng = rng_for(144, 0)
+        decomp = corner_decomposition(density_with_spectrum(rng, [3, 2, 1]))
+        pvms = {q: random_pvm(rng, 3, 2) for q in ("x", "y")}
+        stack = corner_compressions(pvms, decomp)
+        expected = r"^compressed stack of shape .* expected \(X, A, 3, 3\)"
+        for bad, questions in [(stack, None), (stack, ("x",)), (stack[0], ("x", "y")),
+                               (stack[..., :2, :2], ("x", "y"))]:
+            with pytest.raises(ValueError, match=expected):
+                corner_correlation(bad, decomp, questions)
 
 
 class TestOrthogonalizePovm:
@@ -419,6 +432,26 @@ class TestOrthogonalizeNested:
         assert abs(report.distance_sq - distance_sq) <= 1e-12
         assert abs(report.budget - budget) <= 1e-12
         assert report.holds == holds
+
+    def test_shape_checked_before_any_work(self, monkeypatch):
+        """One POVM with corner ranks, or a stack without them, is named
+        by its shape before any check or eigensolve runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done on an input of the wrong shape")
+
+        povm = np.array(random_povm(rng_for(193, 0), 4, 3))
+        for name in ("eigh", "eigvalsh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(syncround.rounding, "require_povm", refuse)
+        message = (r"^with corner ranks, povm must be an \(X, A, r, r\) stack of POVMs,"
+                   r" got shape \(3, 4, 4\)$")
+        for given in (povm, list(povm)):
+            with pytest.raises(ValueError, match=message):
+                orthogonalize_povm(given, (2, 4))
+        message = (r"^without corner ranks, povm must be one POVM \(A, n, n\),"
+                   r" got shape \(1, 3, 4, 4\)$")
+        with pytest.raises(ValueError, match=message):
+            orthogonalize_povm(povm[None])
 
     def test_non_psd_full_stack_rejected(self):
         # the leading 2 x 2 blocks are POVMs, the full stack is not PSD
@@ -566,6 +599,60 @@ class TestGreedyChecks:
         self._inject(monkeypatch, call, family, getattr(self, corrupt))
         with pytest.raises(ValueError, match="^" + re.escape(message.format(name))):
             orthogonalize_povm(stack, (2, 4))
+
+
+class TestCornerStageWork:
+    """A corner stage compresses the A side once and pays for its
+    factorizations, not for repeated validation: no ``eigvalsh``, and no
+    per-corner Hermitian check of an exactly Hermitian stack."""
+
+    @staticmethod
+    def _count(monkeypatch) -> dict:
+        counts = {"corner_compressions": 0, "eigvalsh": 0, "corner_hermitian": 0}
+
+        def counted(key, real, when=lambda *a: True):
+            def call(*args, **kwargs):
+                counts[key] += bool(when(*args))
+                return real(*args, **kwargs)
+            return call
+
+        rounding = syncround.rounding
+        monkeypatch.setattr(rounding, "corner_compressions",
+                            counted("corner_compressions", rounding.corner_compressions))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(rounding, "require_hermitian", counted(
+            "corner_hermitian", rounding.require_hermitian,
+            lambda m, what: what.startswith("corner"),
+        ))
+        return counts
+
+    def test_one_compression_and_no_eigvalsh_per_entry_point(self, monkeypatch):
+        s = perturb_b_side(
+            random_commuting_strategy(rng_for(194, 0), TRIANGLE.questions, 3, 4, 4), 0.05, 1
+        )
+        stack_b = perturb_b_sides(s, [0.05] * 3, range(3))
+        counts = self._count(monkeypatch)
+        result = round_strategy(TRIANGLE, s)
+        assert result.corners.decomposition.n_corners >= 2
+        assert counts == {"corner_compressions": 1, "eigvalsh": 0, "corner_hermitian": 0}
+        counts.update(dict.fromkeys(counts, 0))
+        round_b_sides(TRIANGLE, s, stack_b, ["0", "1", "2"])
+        assert counts == {"corner_compressions": 1, "eigvalsh": 0, "corner_hermitian": 0}
+
+    def test_inexact_stack_checks_every_corner(self, monkeypatch):
+        """A stack Hermitian only within tolerance has each leading block
+        checked on its own scale: one check per corner, and a block that
+        fails its own allowance is named (see TestGreedyChecks)."""
+        u = np.array([0.1, 0.1, 0.1, np.sqrt(0.97)])
+        p = np.outer(u, u).astype(complex)
+        stack = np.array([[p, np.eye(4) - p]] * 2)
+        stack[1, 0, 2, 0] += 1e-13j
+        counts = self._count(monkeypatch)
+        orthogonalize_povm(stack, (1, 2, 3))
+        assert counts["corner_hermitian"] == 3 and counts["eigvalsh"] == 0
+        stack[1, 0, 2, 0] += 1.4e-12j
+        with pytest.raises(ValueError, match=r"^corner 2 POVM element \(1, 0\) is not Hermitian"):
+            orthogonalize_povm(stack, (1, 2, 3))
 
 
 class TestRoundStrategy:

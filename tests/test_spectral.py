@@ -2,6 +2,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 import warnings
 from unittest import mock
 
@@ -13,8 +14,16 @@ from hypothesis import strategies as st
 import syncround
 from syncround import spectral
 from syncround.rounding import _cluster_starts, corner_decomposition
-from syncround.sampling import random_hermitian, random_psd, random_pvm, rng_for
+from syncround.sampling import (
+    random_hermitian,
+    random_povm,
+    random_psd,
+    random_pvm,
+    random_unitary,
+    rng_for,
+)
 from syncround.spectral import (
+    FAMILY_TOL,
     HERMITIAN_TOL,
     SpectralDecomposition,
     _phases,
@@ -27,7 +36,12 @@ from syncround.spectral import (
     svd,
 )
 from conftest import assert_close, standard_form_of
-from oracles import cluster_indices_loop, fix_phases_loop, require_hermitian_formula
+from oracles import (
+    cluster_indices_loop,
+    fix_phases_loop,
+    require_hermitian_formula,
+    require_povm_psd_eigvalsh,
+)
 
 
 class TestEigh:
@@ -337,6 +351,23 @@ class TestEighGuards:
             with pytest.raises(ValueError, match="^" + message.format(name)):
                 eigh(matrix, "m")
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [("_shift_eigenvalue", "eigendecomposition of {} failed to reconstruct"),
+         ("_rescale_column", "eigenvectors of {} are not orthonormal")],
+    )
+    def test_stack_beyond_one_slab_names_element(self, monkeypatch, corrupt, message):
+        """The guards run slab by slab; a fault in the second slab is named
+        by its stack index."""
+        n = 16
+        per_slab = spectral.CHECK_SLAB_BYTES // np.zeros((n, n), complex).nbytes
+        stack = np.broadcast_to(np.diag(np.arange(1.0, n + 1)), (3, per_slab, n, n)).astype(complex)
+        assert len(spectral._slabs(stack)) == 3
+        real = getattr(self, corrupt)
+        self._inject(monkeypatch, lambda w, v: real(w[1, 2], v[1, 2]))
+        with pytest.raises(ValueError, match="^" + re.escape(message.format("m element (1, 2)"))):
+            eigh(stack, "m")
+
 
 class TestSvd:
     @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
@@ -477,6 +508,82 @@ class TestRequireHermitian:
             assert np.array_equal(got[1], want[1])
         else:
             assert got[1] == want[1]
+
+
+PSD_BOUND_LOWS = [-FAMILY_TOL * (1 + k * 1e-4) for k in range(-3, 4)] + [0.0, -1.0]
+
+
+@st.composite
+def povms_at_the_psd_bound(draw):
+    """One POVM (A, n, n) or a stack (X, A, n, n) of random POVMs in which
+    one element has its least eigenvalue placed at -FAMILY_TOL (1 + k 1e-4)
+    for k in -3..3, at 0 or at -1; its complement, split at random, fills
+    the rest of its family."""
+    nx, na, n = draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.sampled_from(PSD_BOUND_LOWS))
+    x, a = draw(st.integers(0, nx - 1)), draw(st.integers(0, na - 1))
+    stack = np.array([random_povm(rng, n, na) for _ in range(nx)])
+    u = random_unitary(rng, n)
+    m = _hermitian_part((u * np.append(low, rng.uniform(0.0, 1.0, n - 1))) @ u.conj().T)
+    split = rng.uniform(0.1, 1.0, na - 1)
+    rest = (split / split.sum())[:, None, None] * _hermitian_part(np.eye(n) - m)
+    stack[x] = np.insert(rest, a, m, axis=0)
+    return stack[0] if nx == 1 and draw(st.booleans()) else stack
+
+
+class TestRequirePovmPsd:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(family=povms_at_the_psd_bound())
+    def test_matches_eigvalsh_oracle(self, family):
+        """The Cholesky test accepts and rejects as the least eigenvalues
+        do, except within its backward error c n eps ||m|| of the bound;
+        a rejection names the same element with the same text."""
+        got = _outcome(lambda m, what: require_povm(m, m.shape[-1], what), family)
+        want = _outcome(require_povm_psd_eigvalsh, family)
+        spectra = np.linalg.eigvalsh(family)
+        band = 8 * family.shape[-1] * np.finfo(float).eps * max(1.0, np.abs(spectra).max())
+        if np.abs(spectra[..., 0] + FAMILY_TOL).min() <= band:
+            return
+        assert got[0] == want[0]
+        if got[0] == "rejected":
+            assert got[1] == want[1]
+        else:
+            assert got[1] is family or np.array_equal(got[1], family)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_fails_closed(self, value):
+        stack = np.array([[np.eye(2) / 2] * 2] * 2, dtype=complex)
+        stack[1, 0, 1, 0] = value
+        with pytest.raises(ValueError, match=r"^POVM element \(1, 0\) has a non-finite entry"):
+            require_povm(stack, 2)
+        # the factorization alone never passes a non-finite matrix either
+        assert not spectral._shifted_cholesky_passes(stack[1, 0], FAMILY_TOL)
+        assert not spectral._shifted_cholesky_passes(stack, FAMILY_TOL)
+
+    def test_nan_factor_is_no_pass(self, monkeypatch):
+        """A factor that is not finite sends the decision to eigvalsh,
+        which accepts a POVM and rejects a non-PSD element as before."""
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full(np.shape(a), np.nan, complex))
+        stack = np.array([random_povm(rng_for(33, x), 3, 2) for x in range(2)])
+        assert require_povm(stack, 3) is stack
+        stack[1, 0] -= 0.01 * np.eye(3)
+        stack[1, 1] += 0.01 * np.eye(3)
+        with pytest.raises(ValueError, match=r"^POVM element \(1, 0\) is not PSD: min eigenvalue"):
+            require_povm(stack, 3)
+
+    def test_eigvalsh_runs_only_on_failure(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        stack = np.array([random_povm(rng_for(34, x), 4, 3) for x in range(2)])
+        require_povm(stack, 4)
+        assert not calls
+        stack[0, 2] -= 0.01 * np.eye(4)
+        stack[0, 1] += 0.01 * np.eye(4)
+        with pytest.raises(ValueError, match=r"^POVM element \(0, 2\) is not PSD"):
+            require_povm(stack, 4)
+        assert len(calls) == 1
 
 
 class TestPvmValidation:
