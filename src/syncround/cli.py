@@ -228,9 +228,16 @@ def _duality_batch(key, indices, x, y) -> list[dict]:
     return _rows(indices, {"dim": key[0]}, {"residuals": residuals, "holds": holds})
 
 
-def _rounding_batch(key, indices, perturb_seeds) -> list[dict]:
+@functools.cache
+def _rounding_base():
+    """The rounding suite's game and base strategy: frozen values, built
+    once per process."""
     game = graph_coloring_game([("v0", "v1")], 3, "1/2")
-    base = cyclic_coloring_strategy(game.questions, 3)
+    return game, cyclic_coloring_strategy(game.questions, 3)
+
+
+def _rounding_batch(key, indices, perturb_seeds) -> list[dict]:
+    game, base = _rounding_base()
     # every instance perturbs only the B side of one base strategy: the
     # group's B sides are one stack, checked and rounded in one stacked pass
     etas = np.take(ROUNDING_ETAS, indices % len(ROUNDING_ETAS))

@@ -55,6 +55,7 @@ from .spectral import (
     ORTHOGONALIZATION_SLACK,
     ROUNDING_SLACK,
     _exactly_hermitian,
+    _first_failure,
     _hermitian_part,
     _unstack,
     eigh,
@@ -95,6 +96,7 @@ __all__ = [
     "corner_decomposition",
     "symmetrized_correlation",
     "corner_correlation",
+    "pvm_frames",
     "orthogonalize_povm",
     "round_corners",
     "round_strategy",
@@ -200,6 +202,68 @@ def corner_compressions(pvms_a, decomp: CornerDecomposition, questions=None) -> 
     return _hermitian_part(basis.conj().T @ _pvm_stack(pvms_a).in_order(questions) @ basis)
 
 
+def pvm_frames(pvms_a, questions=None) -> tuple[np.ndarray, np.ndarray]:
+    """The frame and labelling of each PVM of ``questions`` (default: all)
+    of the A side ``pvms_a``, a ``PVMStack`` or a dict of question -> PVM.
+
+    Returns (frames, counts): frames (X, d, d) holds per question a
+    unitary U^x whose columns, grouped by outcome label, span the ranges
+    of the PVM's elements, so that p^x_a is the product of U^x's columns
+    labelled a with their adjoints; counts (X, A) is the number of
+    columns of each label, which run in outcome order, one contiguous
+    range per outcome.
+
+    One stacked ``eigh`` of sum_a (a + 1) p^x_a, whose eigenvalue is
+    a + 1 on the range of p^x_a: a column's label is its rounded
+    eigenvalue less 1.  Every eigenvalue must lie within 1/4 of an
+    outcome's 1..A, and each outcome's count must be rint tr p^x_a,
+    or a ``ValueError`` names the question.  For a family within
+    ``FAMILY_TOL`` of a PVM, U^x_a U^x_a+ is within a few ``FAMILY_TOL``
+    of p^x_a, as the eigenvalue gaps are at least 1.
+    """
+    pvms_a = _pvm_stack(pvms_a)
+    order = tuple(questions or pvms_a.questions)
+    stack = pvms_a.in_order(order)
+    n_answers = stack.shape[1]
+    names = [f"A side PVM for question {q!r}" for q in order]
+    dec = eigh(_hermitian_part(np.einsum("a,xaij->xij", np.arange(1.0, n_answers + 1), stack)),
+               names)
+    labels = np.rint(dec.eigenvalues) - 1.0
+    off = (np.abs(dec.eigenvalues - labels - 1.0) > 0.25) | (labels < 0) | (labels >= n_answers)
+    bad = _first_failure(off)
+    if bad is not None:
+        raise ValueError(f"{names[bad[0]]}: frame eigenvalue {dec.eigenvalues[bad]:.6g} is not"
+                         f" within 1/4 of an outcome 1..{n_answers}")
+    counts = np.count_nonzero(labels[:, None, :] == np.arange(n_answers)[:, None], axis=-1)
+    expected = np.rint(np.trace(stack, axis1=-2, axis2=-1).real)
+    bad = _first_failure(counts != expected)
+    if bad is not None:
+        raise ValueError(f"{names[bad[0]]}: {counts[bad]} frame columns for outcome {bad[1]},"
+                         f" expected rint tr p = {expected[bad]:.0f}")
+    return dec.eigenvectors, counts
+
+
+@dataclass(eq=False)
+class FramedCompressions:
+    """The compressed A side of ``corner_compressions``, (X, A, r, r), with
+    the factor of every element, as ``round_corners`` builds it for the
+    greedy.
+
+    ``factor`` is (X, r, d), B+ U^x for rho's kept eigenbasis B and the
+    frame U^x of ``pvm_frames``, and ``counts`` (X, A) its counts: element
+    (x, a) compresses the projection onto U^x's columns labelled a, so it
+    is G G+ for the columns G of ``factor[x]`` that outcome a owns, and
+    corner k's element is the same product of G's leading ranks[k] rows.
+    ``stack`` stays the compression of the A side itself, which the
+    corner table and the reports read; its elements are G G+ within a few
+    ``FAMILY_TOL`` (see ``pvm_frames``).
+    """
+
+    stack: np.ndarray
+    factor: np.ndarray
+    counts: np.ndarray
+
+
 def corner_correlation(pvms_a, decomp: CornerDecomposition, questions=None) -> CorrelationTable:
     """Weighted corner table sum_k (l_k - l_{k+1}) Tr(P_k p^x_a P_k p^y_b P_k).
 
@@ -258,7 +322,11 @@ class OrthogonalizationReport:
     holds: bool
 
 
-def _greedy_pvms(ms: np.ndarray, what: str) -> np.ndarray:
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _greedy_pvms(ms: np.ndarray, what: str, frame=None) -> np.ndarray:
     """Greedy rounding of F POVMs of one size, (F, A, n, n), to PVMs.
 
     Per POVM, outcomes are visited by decreasing trace.  W holds an
@@ -272,45 +340,86 @@ def _greedy_pvms(ms: np.ndarray, what: str) -> np.ndarray:
     1/2.  The subspace left when the outcomes run out goes to the
     outcome with the largest expectation on it.
 
+    ``frame`` is (factor, counts) when every element is a factored
+    compression: m[f, a] = G G+ for the counts[f, a] columns G of the
+    (F, n, d) ``factor`` that outcome a owns, one contiguous range per
+    outcome in outcome order.  A visit whose outcomes' largest frame
+    rank q is below the current width then takes the Gram form, and the
+    greedy stays on it: with P = W W+ - T T+ the projection onto the
+    unassigned subspace (W the rest at the switch, 1 on a first visit; T
+    the columns taken since), it eigensolves the q x q Gram (PG)+ PG of
+    the visited outcomes' columns, zero-padded to q, and takes PG v /
+    sigma for every sigma^2 > 1/2: the eigenvectors of P m P above 1/2,
+    which the rest form finds from a width x width solve.  A visit with
+    q = 0 has nothing to take and solves nothing.
+
     Each eigensolve is one stacked ``eigh`` with all its checks, a
     failure naming ``what`` element (x, a).  Its Hermitian check passes
-    on the cheap path, as W+ m W comes from ``_hermitian_part``, exactly
-    Hermitian in floating point.  Eigenvalues ascend, so the -1 padding,
-    the rest and the taken columns are three contiguous ranges.
+    on the cheap path, as its input comes from ``_hermitian_part``,
+    exactly Hermitian in floating point.  Eigenvalues ascend, so the -1
+    padding, the rest and the taken columns are three contiguous ranges.
     """
     nf, na, n, _ = ms.shape
     order = np.argsort(-np.trace(ms, axis1=-2, axis2=-1).real, axis=-1, kind="stable")
     family = np.arange(nf)
     basis = None  # W = 1 on the first visit
+    taken_cols = None  # T, once on the Gram form
     n_live = np.full(nf, n)
     rs = np.empty_like(ms)
+    if frame is not None:
+        factor, counts = frame
+        starts = np.cumsum(counts, axis=-1) - counts
     for step, outcome in enumerate(order.T):
-        m = ms[family, outcome]
-        comp = _hermitian_part(m if basis is None else basis.conj().swapaxes(-1, -2) @ m @ basis)
-        width = comp.shape[-1]
-        if basis is not None:
-            np.einsum("fii->fi", comp)[np.arange(width) >= n_live[:, None]] = -1.0
         labels = [f"{what} element ({x}, {a})" for x, a in enumerate(outcome.tolist())]
-        dec = eigh(comp, labels)
-        w = dec.eigenvalues
-        vecs = dec.eigenvectors if basis is None else basis @ dec.eigenvectors
-        taken = w > 0.5
-        rs[family, outcome] = _hermitian_part(
-            (vecs * taken[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-        )
-        # the next W is the rest: one contiguous range of columns per POVM
-        low = np.count_nonzero(w <= -0.5, axis=-1)
-        n_live = width - low - np.count_nonzero(taken, axis=-1)
-        columns = np.arange(n_live.max())
-        if columns.size == 0:
+        width = n if basis is None else basis.shape[-1]
+        if frame is not None and (taken_cols is not None or counts[family, outcome].max() < width):
+            if taken_cols is None:
+                taken_cols = np.zeros((nf, n, 0), complex)
+            ranks = counts[family, outcome]
+            span = np.arange(ranks.max())
+            columns = np.minimum(starts[family, outcome][:, None] + span, factor.shape[-1] - 1)
+            g = np.take_along_axis(factor, columns[:, None, :], axis=-1)
+            g *= (span < ranks[:, None])[:, None, :]
+            pg = g if basis is None else basis @ (_adjoint(basis) @ g)
+            pg -= taken_cols @ (_adjoint(taken_cols) @ g)
+            took, new = 0, pg[..., :0]
+            if span.size:
+                dec = eigh(_hermitian_part(_adjoint(pg) @ pg), labels)
+                took = np.count_nonzero(dec.eigenvalues > 0.5, axis=-1)
+                # the taken eigenpairs: a trailing range, padded by zero columns
+                first = span.size - took.max()
+                top = dec.eigenvalues[:, first:]
+                scale = np.where(top > 0.5, 1.0 / np.sqrt(np.maximum(top, 0.5)), 0.0)
+                new = pg @ (dec.eigenvectors[..., first:] * scale[:, None, :])
+            rs[family, outcome] = _hermitian_part(new @ _adjoint(new))
+            taken_cols = np.concatenate([taken_cols, new], axis=-1)
+            n_live = n_live - took
+        else:
+            m = ms[family, outcome]
+            comp = _hermitian_part(m if basis is None else _adjoint(basis) @ m @ basis)
+            if basis is not None:
+                np.einsum("fii->fi", comp)[np.arange(width) >= n_live[:, None]] = -1.0
+            dec = eigh(comp, labels)
+            w = dec.eigenvalues
+            vecs = dec.eigenvectors if basis is None else basis @ dec.eigenvectors
+            taken = w > 0.5
+            rs[family, outcome] = _hermitian_part((vecs * taken[:, None, :]) @ _adjoint(vecs))
+            # the next W is the rest: one contiguous range of columns per POVM
+            low = np.count_nonzero(w <= -0.5, axis=-1)
+            n_live = width - low - np.count_nonzero(taken, axis=-1)
+            columns = np.arange(n_live.max())
+            keep = np.minimum(low[:, None] + columns, width - 1)
+            basis = np.take_along_axis(vecs, keep[:, None, :], axis=-1)
+            basis *= (columns < n_live[:, None])[:, None, :]
+        if n_live.max() <= 0:
             rs[family[:, None], order[:, step + 1 :]] = 0.0
             return rs
-        keep = np.minimum(low[:, None] + columns, width - 1)
-        basis = np.take_along_axis(vecs, keep[:, None, :], axis=-1)
-        basis *= (columns < n_live[:, None])[:, None, :]
-    residual = _hermitian_part(basis @ basis.conj().swapaxes(-1, -2))
+    live = np.eye(n) if basis is None else basis @ _adjoint(basis)
+    if taken_cols is not None:
+        live = live - taken_cols @ _adjoint(taken_cols)
+    residual = _hermitian_part(live)
     scores = np.einsum("fij,faji->fa", residual, ms).real
-    open_f = np.flatnonzero(n_live)
+    open_f = np.flatnonzero(n_live > 0)
     rs[open_f, np.argmax(scores[open_f], axis=-1)] += residual[open_f]
     return rs
 
@@ -329,7 +438,11 @@ def orthogonalize_povm(povm, ranks=None):
     a stack (X, A, r, r) of X POVMs whose leading ranks[k] x ranks[k]
     blocks are the POVMs of corner k; the result is a list with one
     (X, A, ranks[k], ranks[k]) PVM stack per corner, and the reports in
-    corner-then-question order.
+    corner-then-question order.  The stack may come as
+    ``FramedCompressions``, with the factor of every element: a visit
+    whose outcomes' frame ranks are all below the unassigned width then
+    eigensolves their Gram matrix, not the compression, and gives the
+    same PVMs wherever no eigenvalue lies near 1/2 (see ``_greedy_pvms``).
 
     Checks, and where they run:
 
@@ -347,6 +460,9 @@ def orthogonalize_povm(povm, ranks=None):
     - in the greedy, every eigensolve's ``eigh`` checks: Hermitian,
       reconstruction and orthonormality (see ``_greedy_pvms``).
     """
+    frame = None
+    if isinstance(povm, FramedCompressions):
+        frame, povm = povm, povm.stack
     if len(povm) == 0:
         raise ValueError("POVM must have at least one outcome")
     first = np.shape(povm[0])
@@ -362,7 +478,17 @@ def orthogonalize_povm(povm, ranks=None):
         return list(rounded[0][0]), reports[0]
     if not all(0 < r <= ms.shape[-1] for r in ranks):
         raise ValueError(f"corner ranks {ranks} must lie in 1..{ms.shape[-1]}")
-    return _orthogonalize_corners(ms, ranks)
+    if frame is not None:
+        nx, na, n, _ = ms.shape
+        if (frame.factor.ndim != 3 or frame.factor.shape[:2] != (nx, n)
+                or frame.counts.shape != (nx, na)
+                or np.any(frame.counts.sum(axis=-1) != frame.factor.shape[-1])):
+            raise ValueError(
+                f"frame factor of shape {frame.factor.shape} with counts of shape"
+                f" {frame.counts.shape} for a stack of shape {ms.shape}: expected"
+                f" ({nx}, {n}, d) and ({nx}, {na}) counts summing to d"
+            )
+    return _orthogonalize_corners(ms, ranks, frame)
 
 
 def _sum_of_squares(stack: np.ndarray, out: str) -> np.ndarray:
@@ -372,7 +498,7 @@ def _sum_of_squares(stack: np.ndarray, out: str) -> np.ndarray:
     return np.einsum(spec, stack.real, stack.real) + np.einsum(spec, stack.imag, stack.imag)
 
 
-def _orthogonalize_corners(ms: np.ndarray, ranks) -> tuple[list, list]:
+def _orthogonalize_corners(ms: np.ndarray, ranks, frame=None) -> tuple[list, list]:
     """The greedy rounding of every leading block of a validated stack.
 
     Corners run one at a time, each as one stacked greedy over the X
@@ -391,7 +517,10 @@ def _orthogonalize_corners(ms: np.ndarray, ranks) -> tuple[list, list]:
         block = ms[..., :r, :r]
         if not exact:
             require_hermitian(block, f"corner {k} POVM")
-        rs = _greedy_pvms(block, f"corner {k} POVM")
+        rs = _greedy_pvms(
+            block, f"corner {k} POVM",
+            None if frame is None else (frame.factor[:, :r], frame.counts),
+        )
         # tr(m^2) = ||m||_F^2 for Hermitian m
         distance_sq = _sum_of_squares(block - rs, "x") / r
         budget = ORTHOGONALIZATION_CONSTANT * (1.0 - prefix[:, r - 1, r - 1] / r)
@@ -428,14 +557,18 @@ def round_corners(game: SynchronousGame, s: CommutingStrategy) -> CornerRounding
     """The corner stage of ``round_strategy`` for ``s`` in ``game``'s
     question order, built from ``reduced_density(s)`` and the A side.
     The A side is compressed into rho's kept eigenbasis once: the corner
-    table and the greedy both read that one (X, A, r, r) stack."""
+    table and the greedy both read that one (X, A, r, r) stack.  Its
+    frames (``pvm_frames``, one stacked eigensolve) are rotated into the
+    same basis once, and the greedy's Gram steps read them."""
     questions = tuple(game.questions)
     rho = reduced_density(s)
     symmetrized = symmetrized_correlation(s.pvms_a, rho, questions)
     decomp = corner_decomposition(rho)
     compressed = corner_compressions(s.pvms_a, decomp, questions)
     corner = corner_correlation(compressed, decomp, questions)
-    rounded, reports = orthogonalize_povm(compressed, decomp.ranks)
+    frames, counts = pvm_frames(s.pvms_a, questions)
+    framed = FramedCompressions(compressed, decomp.basis.conj().T @ frames, counts)
+    rounded, reports = orthogonalize_povm(framed, decomp.ranks)
     # spectrum in the numerical-zero band is excluded from the corners,
     # so the kept weights can fall short of 1 by up to the merge
     # tolerance; renormalize for the strategy's exact weight contract

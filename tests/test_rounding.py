@@ -32,7 +32,12 @@ from syncround import (
     verify_dual_distance,
 )
 import syncround.rounding
-from syncround.rounding import _hermitian_part, corner_compressions
+from syncround.rounding import (
+    FramedCompressions,
+    _hermitian_part,
+    corner_compressions,
+    pvm_frames,
+)
 from syncround.sampling import (
     random_povm,
     random_psd,
@@ -40,7 +45,7 @@ from syncround.sampling import (
     random_unitary,
     rng_for,
 )
-from syncround.spectral import eigh
+from syncround.spectral import FAMILY_TOL, eigh
 from syncround.strategies import CommutingStrategy
 from syncround import reduced_density
 
@@ -479,18 +484,24 @@ class TestOrthogonalizeNested:
         e = [np.diag(np.eye(3)[i]).astype(complex) for i in range(3)]
         pvms = {"v0": e, "v1": [e[0] + e[1], e[2], 0 * e[0]]}
         s = CommutingStrategy(3, 3, np.diag(np.sqrt([0.5, 0.3, 0.2])), pvms, pvms)
-        calls = []
+        calls, frames = [], []
         inner = syncround.rounding.eigh
-        monkeypatch.setattr(
-            syncround.rounding, "eigh", lambda *a, **k: calls.append(1) or inner(*a, **k)
-        )
+
+        def counted(m, what):
+            # the greedy names corner elements; the frame eigensolve, questions
+            (calls if what[0].startswith("corner") else frames).append(1)
+            return inner(m, what)
+
+        monkeypatch.setattr(syncround.rounding, "eigh", counted)
         result = round_strategy(k2_game, s)
         assert len(result.tracial.blocks) == 3 and len(k2_game.questions) == 2
         assert len(calls) <= 3 * k2_game.n_answers
         # the compressions are exact projections and v0's has rank 1 per
         # outcome, so corner k runs out of unassigned columns after k + 1
-        # visits; in corner 1, v1 is empty after one visit and only padded
+        # visits; in corner 1, v1 is empty after one visit and only padded;
+        # corner 2 runs its three visits on the Gram form (q <= 2 < 3)
         assert len(calls) == 1 + 2 + 3
+        assert len(frames) == 1
 
 
 @st.composite
@@ -1306,3 +1317,155 @@ class TestHadamardGraph:
         cert = round_strategy(self.GAME, hadamard_strategy(4, 1e-4, 0.0, 0)).certificate
         assert cert.delta > 0.0 and cert.d1_sym <= 1e-13
         assert cert.d1_corner >= 1e-7 and cert.holds
+
+
+def _framed(s, questions):
+    """The compressed A side of ``s`` as ``round_corners`` hands it to the
+    greedy, with its frame factor, and the corner ranks."""
+    decomp = corner_decomposition(reduced_density(s))
+    stack = corner_compressions(s.pvms_a, decomp, questions)
+    frames, counts = pvm_frames(s.pvms_a, questions)
+    return FramedCompressions(stack, decomp.basis.conj().T @ frames, counts), decomp.ranks
+
+
+def _multicorner(n_cycle, levels, index):
+    """A round-multicorner benchmark instance (d = 48)."""
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import multicorner_instance
+    finally:
+        sys.path.pop(0)
+    return multicorner_instance(syncround, n_cycle, levels, index)
+
+
+def _greedy_widths(framed, ranks):
+    """The width of every stacked eigensolve of one rounding, in order."""
+    widths, real = [], np.linalg.eigh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", lambda h: widths.append(h.shape[-1]) or real(h))
+        orthogonalize_povm(framed, ranks)
+    return widths
+
+
+class TestFramedRoutes:
+    """The rest-basis and Gram forms of the greedy give the loop oracle's
+    PVMs wherever no eigenvalue met lies within 1e-9 of 1/2."""
+
+    @staticmethod
+    def _agree(framed, ranks) -> int:
+        plain, plain_reports = orthogonalize_povm(framed.stack, ranks)
+        gram, gram_reports = orthogonalize_povm(framed, ranks)
+        checked = 0
+        for k, r in enumerate(ranks):
+            for x, family in enumerate(framed.stack[:, :, :r, :r]):
+                pvm, distance_sq, _, _, gap = orthogonalize_povm_loop(family)
+                if gap <= 1e-9:
+                    continue
+                assert_close(plain[k][x], pvm, 1e-12)
+                assert_close(gram[k][x], pvm, 1e-12)
+                report = gram_reports[k * len(framed.stack) + x]
+                assert abs(report.distance_sq - distance_sq) <= 1e-12
+                checked += 1
+        for a, b in zip(plain_reports, gram_reports):
+            assert abs(a.budget - b.budget) <= 1e-15 and a.holds == b.holds
+        return checked
+
+    @pytest.mark.parametrize("n_cycle, levels", [(5, 24), (7, 48)])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_multicorner(self, n_cycle, levels, index):
+        game, s = _multicorner(n_cycle, levels, index)
+        framed, ranks = _framed(s, game.questions)
+        assert self._agree(framed, ranks) == len(ranks) * len(game.questions)
+        # the large corners run their solves at frame rank, not corner rank
+        assert max(_greedy_widths(framed, ranks)) <= framed.counts.max() < max(ranks)
+
+    @pytest.mark.parametrize("dims", [(5, 3), (3, 5), (6, 2), (4, 7)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pvms(self, dims, seed):
+        # d_A > d_B: rho is rank-deficient; d_A < d_B: full rank
+        s = random_commuting_strategy(rng_for(195, seed), TRIANGLE.questions, 3, *dims)
+        framed, ranks = _framed(s, TRIANGLE.questions)
+        assert (max(ranks) < dims[0]) == (dims[1] < dims[0])
+        assert self._agree(framed, ranks) > 0
+
+    def test_hadamard_rank_one_frames(self):
+        game = TestHadamardGraph.GAME
+        framed, ranks = _framed(hadamard_strategy(4, 1e-4, 1e-4, 0), game.questions)
+        assert framed.counts.max() == 1  # q = 1: every visit is a 1 x 1 Gram solve
+        assert self._agree(framed, ranks) > 0
+        assert set(_greedy_widths(framed, ranks)) == {1}
+
+    def test_zero_and_identity_elements(self):
+        # question "a" has a zero element (q = 0) and "b" an identity
+        # element (q = d): a visit of the identity stays on the rest form
+        d = 4
+        pvm = random_pvm(rng_for(196, 0), d, 2)
+        eye, zero = np.eye(d, dtype=complex), np.zeros((d, d), complex)
+        pvms = {"a": [pvm[0], pvm[1], zero], "b": [zero, eye, zero], "c": [zero, zero, eye]}
+        rho = np.diag(np.sqrt([0.4, 0.3, 0.2, 0.1])).astype(complex)
+        s = CommutingStrategy(d, d, rho, pvms, pvms)
+        framed, ranks = _framed(s, ("a", "b", "c"))
+        assert framed.counts.tolist() == [[2, 2, 0], [0, 4, 0], [0, 0, 4]]
+        assert self._agree(framed, ranks) == len(ranks) * 3
+        assert _greedy_widths(framed, ranks) == _greedy_widths(framed.stack, ranks)
+
+
+class TestFrames:
+    def test_label_counts_are_traces(self):
+        s = random_commuting_strategy(rng_for(197, 0), TRIANGLE.questions, 4, 7, 3)
+        frames, counts = pvm_frames(s.pvms_a, TRIANGLE.questions)
+        for x, q in enumerate(TRIANGLE.questions):
+            traces = np.trace(s.pvms_a[q], axis1=-2, axis2=-1).real
+            assert counts[x].tolist() == np.rint(traces).astype(int).tolist()
+            assert_close(frames[x].conj().T @ frames[x], np.eye(7), 1e-12)
+            ends = np.cumsum(counts[x])
+            for a, (lo, hi) in enumerate(zip(ends - counts[x], ends)):
+                u = frames[x][:, lo:hi]
+                assert_close(u @ u.conj().T, s.pvms_a[q][a], 1e-12)
+
+    def test_perturbed_a_side_moves_little(self):
+        # p0 + E and p1 - E, E = p0 Y p1 + h.c. with ||E||_F = FAMILY_TOL / 2:
+        # still a PVM (its defects are E^2), and off the frame's projections
+        rng = rng_for(198, 0)
+        s = perturb_b_side(random_commuting_strategy(rng, TRIANGLE.questions, 3, 6, 6), 0.05, 1)
+        pvms = {}
+        for q in TRIANGLE.questions:
+            p = np.array(s.pvms_a[q])
+            y = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            e = p[0] @ y @ p[1]
+            e = e + e.conj().T
+            e *= FAMILY_TOL / 2 / np.linalg.norm(e)
+            pvms[q] = [p[0] + e, p[1] - e, p[2]]
+        moved = CommutingStrategy(6, 6, s.state, pvms, s.pvms_b)
+        a, b = round_strategy(TRIANGLE, s), round_strategy(TRIANGLE, moved)
+        for x, y in zip(a.tracial.blocks, b.tracial.blocks):
+            assert np.abs(x.pvms.stack - y.pvms.stack).max() <= 2 * FAMILY_TOL
+        for name in ("d1_pvm", "d1_total", "value_out"):
+            moved = getattr(a.certificate, name) - getattr(b.certificate, name)
+            assert abs(moved) <= 2 * FAMILY_TOL
+
+    def test_one_frame_eigensolve_per_entry_point(self, monkeypatch):
+        game, s = _multicorner(5, 24, 0)
+        framed, ranks = _framed(s, game.questions)
+        widest = framed.counts.max()
+        seen = {"frame": 0, "greedy": []}
+        inner = syncround.rounding.eigh
+
+        def counted(m, what):
+            if what[0].startswith("corner"):
+                seen["greedy"].append((int(what[0].split()[1]), m.shape[-1]))
+            else:
+                seen["frame"] += 1
+            return inner(m, what)
+
+        monkeypatch.setattr(syncround.rounding, "eigh", counted)
+        for run in (lambda: round_strategy(game, s),
+                    lambda: round_b_sides(game, s, perturb_b_sides(s, [1e-3], [1]), ["0"])):
+            seen.update(frame=0, greedy=[])
+            run()
+            assert seen["frame"] == 1
+            assert all(width <= min(ranks[k], widest) for k, width in seen["greedy"])
+            assert any(ranks[k] > widest for k, _ in seen["greedy"])
