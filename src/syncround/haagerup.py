@@ -25,6 +25,8 @@ each pair has a closed form:
   W_ij = sum_k |p~_k[i, j]|^2:
   int 2t sum_k ||[p_k, chi_t(x)]||^2 dt = sum_ij W_ij |a_i^2 - a_j^2|,
   and on the same weights sum_k ||[p_k, x]||^2 = sum_ij W_ij (a_i - a_j)^2;
+  one private kernel computes both, read by ``commutator_certificate``
+  and by the rounding's dual report (comm_sq, the first sum on rho^(1/2));
 - trace duality: int p t^(p-1) Tr(x^(1-p) chi_t(x) y) dt = sum_i a_i <u_i, y u_i>,
   since p cancels in each exact term a_i^p a_i^(1-p) <u_i, y u_i>;
 - threshold integral: int p t^(p-1) Tr(chi_t(x)) dt = sum_i a_i^p.
@@ -236,13 +238,12 @@ class JointSpectralMeasure:
         self.masses = np.asarray(self.masses, dtype=float)
         if self.lambdas.shape != self.masses.shape or self.lambdas.ndim not in (1, 2):
             raise ValueError("atoms must be parallel 1-d arrays, or rows of a stack")
-        if self.lambdas.size and (
-            float(self.lambdas.min()) < 0 or float(self.lambdas.max()) > 1
-        ):
+        # written so that NaN fails
+        if not ((self.lambdas >= 0) & (self.lambdas <= 1)).all():
             raise ValueError("atom positions must lie in [0, 1]")
         # only the rows of a stack pad with zero masses
         positive = self.masses >= 0 if self.masses.ndim == 2 else self.masses > 0
-        if not positive.all():
+        if not (positive & np.isfinite(self.masses)).all():
             raise ValueError("atom masses must be positive")
 
     @property
@@ -364,6 +365,20 @@ class CommutatorCertificate:
     holds: bool | np.ndarray
 
 
+def _commutator_sums(a, u, ops):
+    """(sum_k ||[p_k, x]||^2, int 2t sum_k ||[p_k, chi_t(x)]||^2 dt) for
+    x = u diag(a) u+ and the PVM ops (..., K, d, d), unchecked; a (..., d)
+    and u (..., d, d) broadcast against the PVM's leading axes.  [p, x] has
+    entries p~_ij (a_j - a_i) in x's eigenbasis, and ||[p, chi_t(x)]||^2
+    sums |p~_ij|^2 over the pairs split by t, whose int 2t dt is
+    |a_i^2 - a_j^2|."""
+    u = u[..., None, :, :]
+    weights = np.sum(np.abs(u.conj().swapaxes(-1, -2) @ ops @ u) ** 2, axis=-3)
+    a_i, a_j = a[..., :, None], a[..., None, :]
+    return (np.sum(weights * (a_i - a_j) ** 2, axis=(-2, -1)),
+            np.sum(weights * np.abs(a_i**2 - a_j**2), axis=(-2, -1)))
+
+
 def commutator_certificate(x, pvm) -> CommutatorCertificate:
     """The commutator chain of x, or of each matrix of a stack (N, d, d)
     with the matching PVM of a stack (N, K, d, d)."""
@@ -378,14 +393,7 @@ def commutator_certificate(x, pvm) -> CommutatorCertificate:
     ops = require_pvm(pvm, xdec.dim)
     if ops.shape[:-3] != xm.shape[:-2]:
         raise ValueError(f"stack mismatch: x has shape {xm.shape}, pvm has shape {ops.shape}")
-    # one kernel on W_ij = sum_k |p~_k[i, j]|^2: [p, x] has entries
-    # p~_ij (a_j - a_i) in x's eigenbasis, and ||[p, chi_t(x)]||^2 sums
-    # |p~_ij|^2 over the pairs split by t, whose int 2t dt is |a_i^2 - a_j^2|
-    u = xdec.eigenvectors[..., None, :, :]
-    weights = np.sum(np.abs(u.conj().swapaxes(-1, -2) @ ops @ u) ** 2, axis=-3)
-    sum_comm_x = np.sum(weights * (a[..., :, None] - a[..., None, :]) ** 2, axis=(-2, -1))
-    gaps = np.abs(a[..., :, None] ** 2 - a[..., None, :] ** 2)
-    sum_comm_q = np.sum(weights * gaps, axis=(-2, -1))
+    sum_comm_x, sum_comm_q = _commutator_sums(a, xdec.eigenvectors, ops)
     upper = 2.0 * np.sqrt(sum_comm_x)
     holds = (sum_comm_x <= sum_comm_q + CHAIN_SLACK) & (sum_comm_q <= upper + CHAIN_SLACK)
     return CommutatorCertificate(*map(_unstack, (sum_comm_x, sum_comm_q, upper, holds)))

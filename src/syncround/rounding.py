@@ -31,7 +31,8 @@ of B sides for the input tables, delta (once per B side, for both
 reports), the distances and the dual, into the dataclasses of
 ``round_strategy`` and ``verify_dual_distance`` with (N,) fields.  Each
 entry point factors the state once, by ``reduced_density(s)``: nothing
-is cached on a strategy.
+is cached on a strategy.  The dual report's comm_sq is read from
+``haagerup``'s commutator kernel, which ``commutator_certificate`` uses.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .games import (
     game_value,
     table_l1_distance,
 )
+from .haagerup import _commutator_sums
 from .spectral import (
     BOUND_SLACK,
     IDENTITY_TOL,
@@ -778,13 +780,13 @@ def _dual_report(
     """The report of dual square roots ``sqrt_dual`` (X, A, d, d) and
     deficit ``delta``, or of a stack (N, X, A, d, d) and (N,) ``delta``,
     for the A side of ``s`` and its state's standard form ``rho``: comm_sq
-    is the kernel sum_ij |p~_ij|^2 (s_i - s_j)^2, and ||rho^(1/2) X||_F is
-    ||S U* X||_F."""
+    is the mu-average of haagerup's commutator kernel on rho^(1/2) = U S U*,
+    the first term of the chain ``commutator_certificate`` checks, and
+    ||rho^(1/2) X||_F is ||S U* X||_F."""
     p = s.pvms_a.in_order(game.questions)
     weights = game.mu[:, None, None, None]
     u, sv = rho.left, rho.singular_values
-    rotated = u.conj().T @ p @ u
-    comm_sq = float(np.sum(weights * np.abs(rotated) ** 2 * np.subtract.outer(sv, sv) ** 2))
+    comm_sq = float(game.mu @ _commutator_sums(sv, u, p)[0])
     dual_sq = _table_sums(weights * np.abs(sv[:, None] * (u.conj().T @ (p - sqrt_dual))) ** 2)
     comm_budget = 4.0 * delta
     dual_budget = 6.0 * np.sqrt(delta)

@@ -133,6 +133,20 @@ class TestMeasureMoments:
         assert moments.norm_x_sq == 1.0 and moments.norm_y_sq == 1.0
         assert moments.chi_distance == 2.0 and moments.inner_product == 0.0
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("lambdas, masses, message", [
+        ([np.nan, 0.5], [1.0, 2.0], "atom positions must lie in"),
+        ([0.5], [np.inf], "atom masses must be positive"),
+    ])
+    def test_non_finite_atoms_rejected(self, lambdas, masses, message, stacked):
+        from syncround import JointSpectralMeasure
+
+        lambdas, masses = np.array(lambdas), np.array(masses)
+        if stacked:
+            lambdas, masses = lambdas[None], masses[None]
+        with pytest.raises(ValueError, match=message):
+            JointSpectralMeasure(lambdas, masses)
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 8), seed=st.integers(0, 10**6))
     def test_moments_match_traces(self, dim, seed):

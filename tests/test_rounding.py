@@ -2,7 +2,8 @@ import itertools
 import json
 import pickle
 import re
-from dataclasses import asdict, fields
+import sys
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from syncround import (
     verify_dual_distance,
 )
 import syncround.rounding
+from syncround import haagerup
 from syncround.rounding import (
+    GAME_CONSTANT,
     FramedCompressions,
     _hermitian_part,
     corner_compressions,
@@ -196,13 +199,23 @@ class TestSymmetrizedCorrelation:
 TRIANGLE = graph_coloring_game([("a", "b"), ("b", "c"), ("a", "c")], 3, "1/3")
 
 
+STANDARD_FORM_KINDS = ("wide", "tall", "rank-deficient", "degenerate", "conjugate")
+
+
 @st.composite
-def standard_form_inputs(draw):
+def standard_form_inputs(draw, kinds=STANDARD_FORM_KINDS):
     """A strategy on three questions of the triangle game whose state has
     d_A < d_B, d_A > d_B (rho with a kernel), Schmidt^2 down to 3e-10, or
-    a degenerate spectrum of three levels, each twice."""
-    kind = draw(st.sampled_from(["wide", "tall", "rank-deficient", "degenerate"]))
+    a degenerate spectrum of three levels, each twice; or, for
+    "conjugate", the state xi = rho^(1/2) >= 0 of a random rho on C^4,
+    with the B side the entrywise conjugate of the A side."""
+    kind = draw(st.sampled_from(kinds))
     rng = rng_for(draw(st.integers(0, 2**32 - 1)), 191)
+    if kind == "conjugate":
+        u, w = random_unitary(rng, 4), rng.dirichlet(np.ones(4))
+        pvms_a = {q: random_pvm(rng, 4, 3) for q in TRIANGLE.questions}
+        pvms_b = {q: [p.conj() for p in family] for q, family in pvms_a.items()}
+        return CommutingStrategy(4, 4, (u * np.sqrt(w)) @ u.conj().T, pvms_a, pvms_b)
     dim_a, dim_b = {"wide": (3, 5), "tall": (5, 3)}.get(kind, (6, 6))
     if kind == "rank-deficient":
         schmidt_sq = np.array([0.4, 0.3, 0.2, 0.1 - 1.3e-9, 1e-9, 3e-10])
@@ -239,6 +252,26 @@ class TestStandardFormKernels:
         comm_sq = verify_dual_distance(TRIANGLE, s).comm_sq
         dense = commutator_sum_dense(TRIANGLE.mu, s.pvms_a, s.state, TRIANGLE.questions)
         assert abs(comm_sq - dense) <= 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=standard_form_inputs())
+    def test_commutator_sum_is_the_symmetrized_off_diagonal_mass(self, s):
+        """||[p, xi]||^2 = 2 Tr(p rho) - 2 Tr(p xi p xi) for a projection p
+        and xi = rho^(1/2), so comm_sq = 2 (1 - sum_x mu(x) sum_a
+        T_sym[x, x, a, a]).  The right side cancels: hence an absolute
+        tolerance."""
+        comm_sq = verify_dual_distance(TRIANGLE, s).comm_sq
+        table = symmetrized_correlation(s.pvms_a, reduced_density(s), TRIANGLE.questions)
+        diagonal = np.einsum("xxaa->x", table.data)
+        assert abs(comm_sq - 2.0 * (1.0 - TRIANGLE.mu @ diagonal)) <= 1e-12
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(s=standard_form_inputs(kinds=["conjugate"]))
+    def test_commutator_sum_is_twice_delta_on_a_conjugate_b_side(self, s):
+        """With q = conj(p) and xi = rho^(1/2) >= 0, P_{x,x}(a, a) is
+        T_sym[x, x, a, a], so comm_sq = 2 delta exactly."""
+        report = verify_dual_distance(TRIANGLE, s)
+        assert abs(report.comm_sq - 2.0 * report.delta) <= 1e-12
 
 
 class TestCornerCorrelation:
@@ -811,6 +844,56 @@ class TestRoundStrategy:
             assert len(svds) == 1 and np.array_equal(svds[0], s.state), name
             assert not products, name
 
+    def test_dual_report_reads_the_haagerup_kernel(self, monkeypatch):
+        """No rounding entry point calls a public ``haagerup`` function (as
+        perfbench pins on round-multicorner); each dual report and each
+        ``commutator_certificate`` call makes one call to their shared
+        commutator kernel, and each rounding entry point one SVD."""
+        s = perturb_b_side(
+            random_commuting_strategy(rng_for(193, 0), TRIANGLE.questions, 3, 4, 4), 0.05, 1
+        )
+        stack_b = perturb_b_sides(s, [0.05] * 3, range(3))
+        calls = []
+
+        def counted(name, real):
+            def run(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return run
+
+        traced = {name: getattr(haagerup, name)
+                  for name in [*haagerup.__all__, "_commutator_sums"]}
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "syncround"]:
+            for name, real in traced.items():
+                if not isinstance(real, type) and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted(name, real))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        x = random_psd(rng_for(193, 1), 4)
+        x /= np.linalg.norm(x)
+        pvm = np.array(random_pvm(rng_for(193, 2), 4, 3))
+        runs = {
+            "round_strategy": (lambda: round_strategy(TRIANGLE, s), ["svd"]),
+            "verify_dual_distance": (
+                lambda: verify_dual_distance(TRIANGLE, s), ["svd", "_commutator_sums"]
+            ),
+            "round_b_sides": (
+                lambda: round_b_sides(TRIANGLE, s, stack_b, ["0", "1", "2"]),
+                ["svd", "_commutator_sums"],
+            ),
+            "commutator_certificate": (
+                lambda: haagerup.commutator_certificate(x, pvm),
+                ["commutator_certificate", "_commutator_sums"],
+            ),
+            "stacked commutator_certificate": (
+                lambda: haagerup.commutator_certificate(np.stack([x, x]), np.stack([pvm, pvm])),
+                ["commutator_certificate", "_commutator_sums"],
+            ),
+        }
+        for name, (run, expected) in runs.items():
+            calls.clear()
+            run()
+            assert sorted(calls) == sorted(expected), name
+
     def test_tracial_output_recomputes_identically(self, k2_game, k2_strategy):
         s = perturb_b_side(k2_strategy, 0.05, 4)
         result = round_strategy(k2_game, s)
@@ -1317,6 +1400,102 @@ class TestHadamardGraph:
         cert = round_strategy(self.GAME, hadamard_strategy(4, 1e-4, 0.0, 0)).certificate
         assert cert.delta > 0.0 and cert.d1_sym <= 1e-13
         assert cert.d1_corner >= 1e-7 and cert.holds
+
+
+C5 = graph_coloring_game([(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)], 3, "1/2")
+
+
+def relabel_answers(game, s, perm):
+    """``game`` and ``s`` with answer a renamed perm[a]: the predicate and
+    both sides permuted alike."""
+    inverse = np.argsort(perm)
+    relabelled = replace(
+        game,
+        answers=tuple(game.answers[i] for i in inverse),
+        nu=np.array(game.nu_exact, dtype=object),
+        predicate=game.predicate[:, :, inverse][:, :, :, inverse],
+    )
+    sides = [{q: f[inverse] for q, f in zip(pvms, pvms.stack)} for pvms in (s.pvms_a, s.pvms_b)]
+    return relabelled, CommutingStrategy(s.dim_a, s.dim_b, s.state, *sides)
+
+
+def rotate_locally(s, u, v):
+    """The strategy on (u x v) xi, with both sides conjugated to match."""
+    sides = [
+        {q: w @ f @ w.conj().T for q, f in zip(pvms, pvms.stack)}
+        for pvms, w in ((s.pvms_a, u), (s.pvms_b, v))
+    ]
+    return CommutingStrategy(s.dim_a, s.dim_b, u @ s.state @ v.T, *sides)
+
+
+class TestReportSymmetries:
+    """The certificate and the dual report of a strategy are unchanged
+    under a relabelling of the answers and under a local unitary.
+
+    Every float agrees within 1e-10 relative, above an absolute floor of
+    1e-13 for the values at roundoff level (the reports of a corner
+    holding the whole space, whose compressions are PVMs).  Two are
+    compared otherwise:
+    - bound_game through its fourth power, the losing mass, which is
+      summed from small table entries and so carries their absolute
+      roundoff;
+    - dual_sq within 1e-7 relative: the square roots of the dual POVMs
+      take roundoff eigenvalues near 1e-16 to about 1e-8.
+    The greedy visits outcomes by decreasing trace and breaks ties by
+    index, so an instance whose traces tie within 1e-9 in a corner below
+    the full space is skipped."""
+
+    HADAMARD = hadamard_game(4)
+
+    @staticmethod
+    def _numbers(game, s) -> dict:
+        cert = round_strategy(game, s).certificate
+        numbers = asdict(cert)
+        for i, report in enumerate(numbers.pop("orthogonalization")):
+            numbers.update({f"{key} of report {i}": value for key, value in report.items()})
+        numbers.update({f"dual {k}": v for k, v in asdict(verify_dual_distance(game, s)).items()})
+        numbers["bound_game"] = game.alpha * (cert.bound_game / GAME_CONSTANT) ** 4
+        return numbers
+
+    @staticmethod
+    def _skip_on_tied_traces(game, s):
+        decomp = corner_decomposition(reduced_density(s))
+        stack = corner_compressions(s.pvms_a, decomp, game.questions)
+        for r in decomp.ranks:
+            traces = np.sort(np.trace(stack[..., :r, :r], axis1=-2, axis2=-1).real, axis=-1)
+            if r < s.dim_a and (np.diff(traces, axis=-1) <= 1e-9).any():
+                pytest.skip(f"outcome traces tie in a corner of rank {r}")
+
+    def _assert_unchanged(self, game, s, other_game, other):
+        self._skip_on_tied_traces(game, s)
+        expected, got = self._numbers(game, s), self._numbers(other_game, other)
+        assert expected.keys() == got.keys()
+        for key, value in expected.items():
+            if not isinstance(value, float):
+                assert got[key] == value, key
+                continue
+            rtol = 1e-7 if key == "dual dual_sq" else 1e-10
+            assert abs(got[key] - value) <= rtol * max(abs(value), abs(got[key])) + 1e-13, key
+
+    def _instances(self, seed):
+        if seed == "hadamard":
+            return self.HADAMARD, hadamard_strategy(4, 1e-4, 1e-4, 0)
+        dim = 3 + seed % 4
+        s = random_commuting_strategy(rng_for(seed, 331), C5.questions, 3, dim, dim + seed % 2)
+        return C5, s
+
+    @pytest.mark.parametrize("seed", [*range(6), "hadamard"])
+    def test_answer_relabelling(self, seed):
+        game, s = self._instances(seed)
+        perm = np.roll(np.arange(len(game.answers)), 1)
+        self._assert_unchanged(game, s, *relabel_answers(game, s, perm))
+
+    @pytest.mark.parametrize("seed", [*range(6), "hadamard"])
+    def test_local_unitary(self, seed):
+        game, s = self._instances(seed)
+        rng = rng_for(332, 0 if seed == "hadamard" else seed)
+        u, v = random_unitary(rng, s.dim_a), random_unitary(rng, s.dim_b)
+        self._assert_unchanged(game, s, game, rotate_locally(s, u, v))
 
 
 def _framed(s, questions):
